@@ -25,7 +25,6 @@ monotonicity violations.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -507,7 +506,6 @@ def width_scan(
     sigma_list=None,
     delay_list=None,
     units: UnitSystem = NATURAL,
-    workers: int = 1,
 ) -> ScanResult:
     """Transmission versus packet width at fixed mean momentum p0.
 
@@ -517,8 +515,8 @@ def width_scan(
     distribution is untouched) must be given.  The delay pre-evolution is
     performed in place: the drifted profile is translated back to the launch
     point, which is the same state a longer free approach would deliver.
-    Entries are independent runs and may execute concurrently; the table is
-    assembled in input order, then stably sorted by measured sigma at arrival.
+    Entries are independent runs; the table is assembled in input order, then
+    stably sorted by measured sigma at arrival.
     """
     if (sigma_list is None) == (delay_list is None):
         raise ValueError("give exactly one of sigma_list or delay_list")
@@ -544,12 +542,7 @@ def width_scan(
             t_measure=res.t_measure,
         )
 
-    args = list(sigma_list if sigma_list is not None else delay_list)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(entry, args))
-    else:
-        rows = [entry(a) for a in args]
+    rows = [entry(a) for a in (sigma_list if sigma_list is not None else delay_list)]
     rows.sort(key=lambda r: r.sigma_at_arrival)
     return ScanResult(tuple(rows))
 

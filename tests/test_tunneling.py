@@ -268,22 +268,6 @@ class TestWidthScan:
         assert lines[1] == "sigma_at_arrival,T,R,residual,t_measure"
         assert len(lines) == 3
 
-    def test_concurrent_entries_match_sequential(self):
-        grid = SpatialGrid(-80.0, 80.0, 1024)
-        cfg = SolverConfig(
-            dt=1e-3,
-            n_steps=20000,
-            absorber=Absorber(width_fraction=0.15, strength=12.0),
-            record_every=250,
-        )
-        barrier = BarrierSpec(x_start=10.0, slope=25.0, peak_height=25.0)
-        base = GaussianSpec(x0=0.0, p0=10.0, sigma=1.0)
-        kwargs = dict(base_packet=base, sigma_list=(1.0, 1.4))
-        seq = width_scan(10.0, barrier, grid, cfg, workers=1, **kwargs)
-        par = width_scan(10.0, barrier, grid, cfg, workers=2, **kwargs)
-        for a, b in zip(seq.rows, par.rows):
-            assert a == b
-
     def test_trajectory_carries_transmitted_fraction(self):
         grid, cfg, packet, _ = _blocked_setup()
         low = BarrierSpec(x_start=10.0, slope=25.0, peak_height=25.0)
