@@ -44,9 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _EDGE_BAND,
+    _EDGE_THRESHOLD,
     NATURAL,
     UnitSystem,
     WaveFunction,
+    _band_share,
+    _edge_share,
     to_momentum_rep,
     to_position_rep,
 )
@@ -64,9 +68,6 @@ __all__ = [
     "zassenhaus_terms",
     "spectral_shift",
 ]
-
-BOUNDARY_BAND_FRACTION = 0.05
-BOUNDARY_MASS_THRESHOLD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -104,11 +105,10 @@ class PhaseLedger:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Evolved state plus its phase ledger and the ordering that produced it."""
+    """Evolved state plus its phase ledger."""
 
     psi: WaveFunction
     ledger: PhaseLedger
-    ordering: str
 
 
 @dataclass(frozen=True)
@@ -136,10 +136,6 @@ class PlaneWavePhase:
     def total(self) -> float:
         return self.cubic + self.p_linear + self.free_kicked
 
-    @property
-    def factor(self) -> complex:
-        return complex(np.exp(1j * self.total))
-
 
 @dataclass(frozen=True)
 class ZassenhausTerms:
@@ -151,17 +147,14 @@ class ZassenhausTerms:
 
     c2_coeff: float
     c3_coeff: float
-    c4_is_zero: bool = True
 
 
 def _check_boundary(psi: WaveFunction) -> None:
-    band = psi.grid.outer_band(BOUNDARY_BAND_FRACTION)
-    mass = float(np.sum(psi.density()[band]) * psi.grid.dx)
-    total = psi.norm2()
-    if total > 0 and mass > BOUNDARY_MASS_THRESHOLD * total:
+    share = _band_share(psi.amps)
+    if share > _EDGE_THRESHOLD:
         warnings.warn(
-            f"{mass / total:.2e} of the norm sits in the outer "
-            f"{BOUNDARY_BAND_FRACTION:.0%} of the grid; results are "
+            f"{share:.2e} of the norm sits in the outer "
+            f"{_EDGE_BAND:.0%} of the grid; results are "
             "contaminated by periodic wraparound",
             BoundaryContaminationWarning,
             stacklevel=3,
@@ -197,6 +190,16 @@ def spectral_shift(psi: WaveFunction, shift: float) -> WaveFunction:
     return psi.with_amps(amps)
 
 
+def _wrap_share(amps, axis, lo, hi, width, shift) -> float:
+    """Share of the norm on the edge strip that translating the argument by
+    ``shift`` wraps around: axis < lo + width for a positive shift, axis >
+    hi - width for a negative one (``axis`` ascending)."""
+    if shift > 0:
+        return _edge_share(amps, int(np.searchsorted(axis, lo + width, "left")), 0)
+    n_hi = len(axis) - int(np.searchsorted(axis, hi - width, "right"))
+    return _edge_share(amps, 0, n_hi)
+
+
 def _check_wrap_contamination(psi: WaveFunction, shift: float) -> None:
     """Translating by ``shift`` wraps an edge strip of that width around; a
     state with real mass there would corrupt the opposite edge."""
@@ -204,15 +207,10 @@ def _check_wrap_contamination(psi: WaveFunction, shift: float) -> None:
         return
     g = psi.grid
     width = min(abs(shift), g.span)
-    if shift > 0:
-        strip = g.x < g.x_min + width
-    else:
-        strip = g.x > g.x_max - width
-    mass = float(np.sum(psi.density()[strip]) * g.dx)
-    total = psi.norm2()
-    if total > 0 and mass > BOUNDARY_MASS_THRESHOLD * total:
+    share = _wrap_share(psi.amps, g.x, g.x_min, g.x_max, width, shift)
+    if share > _EDGE_THRESHOLD:
         raise CoverageError(
-            f"argument shift {shift!r} would wrap {mass / total:.2e} of the "
+            f"argument shift {shift!r} would wrap {share:.2e} of the "
             f"norm around the grid edge; widen the grid by at least {width!r}"
         )
 
@@ -283,7 +281,7 @@ def linear_evolve(
         phi = spectral_shift(psi, -shift)
         amps = phi.amps * x_phase * np.exp(1j * ledger.cubic_phase) * offset_phase
         out = free_evolve(phi.with_amps(amps), dt, units)
-    return EvolutionResult(out, ledger, ordering)
+    return EvolutionResult(out, ledger)
 
 
 def linear_evolve_momentum(
@@ -308,14 +306,11 @@ def linear_evolve_momentum(
     # via the conjugate (position) domain.
     if kick != 0.0:
         p = phi.p_axis
-        dp = phi.dstep
         width = min(abs(kick), (p[-1] - p[0]) / 2.0)
-        strip = p < p[0] + width if kick > 0 else p > p[-1] - width
-        mass = float(np.sum(phi.density()[strip]) * dp)
-        total = phi.norm2()
-        if total > 0 and mass > BOUNDARY_MASS_THRESHOLD * total:
+        share = _wrap_share(phi.amps, p, p[0], p[-1], width, kick)
+        if share > _EDGE_THRESHOLD:
             raise CoverageError(
-                f"momentum kick {kick!r} would wrap {mass / total:.2e} of the "
+                f"momentum kick {kick!r} would wrap {share:.2e} of the "
                 "norm around the momentum-grid edge"
             )
         pos = to_position_rep(phi, units)
@@ -336,7 +331,7 @@ def linear_evolve_momentum(
         argument_shift=ledger.argument_shift,
         momentum_kick=ledger.momentum_kick,
     )
-    return EvolutionResult(out, ledger, "right")
+    return EvolutionResult(out, ledger)
 
 
 def plane_wave_phase(
@@ -361,7 +356,7 @@ def plane_wave_phase(
 def zassenhaus_terms(
     v0: float, dt: float, units: UnitSystem = NATURAL
 ) -> ZassenhausTerms:
-    """Coefficients of the surviving expansion terms and the termination flag.
+    """Coefficients of the two surviving expansion terms.
 
     c2_coeff scales as dt^2 and c3_coeff as dt^3; both vanish at v0 = 0.
     """
@@ -369,5 +364,4 @@ def zassenhaus_terms(
     return ZassenhausTerms(
         c2_coeff=v0 * dt**2 / (2.0 * m * hbar),
         c3_coeff=-(v0**2) * dt**3 / (6.0 * m * hbar),
-        c4_is_zero=True,
     )

@@ -9,9 +9,9 @@ Subcommands::
     linpot verify [--out DIR] [--only c01,..] full acceptance check suite
 
 Exit codes: 0 success, 1 config/validation error, 2 numerical failure,
-3 precondition violation.  Identical config and seed produce byte-identical
-CSV output on the same platform; every CSV starts with a ``# schema:`` line
-and a header row.
+3 precondition violation.  Identical configs produce byte-identical CSV
+output on the same platform; every CSV starts with a ``# schema:`` line and a
+header row.
 """
 
 from __future__ import annotations
@@ -73,8 +73,6 @@ def _write_csv(path: Path, schema: str, header, rows):
 
 def _load(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.dt is not None:
         if args.dt <= 0:
             raise ConfigError("--dt: must be > 0")
@@ -175,7 +173,12 @@ def cmd_tunnel(args) -> int:
         units=units,
         **kwargs,
     )
-    scan.to_csv(out / "scan.csv")
+    _write_csv(
+        out / "scan.csv",
+        "width-scan-v1",
+        ("sigma_at_arrival", "T", "R", "residual", "t_measure"),
+        [(r.sigma_at_arrival, r.T, r.R, r.residual, r.t_measure) for r in scan.rows],
+    )
     violations = scan.monotonicity_violations()
     print(f"tunnel: wrote {out / 'scan.csv'} ({len(scan.rows)} rows)")
     for lo, hi in violations:
@@ -314,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--dt", type=float, default=None, help="override solver dt")
         p.add_argument(
             "--override-preconditions",

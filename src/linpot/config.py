@@ -26,9 +26,6 @@ unit inference.  Example::
     record_every = 100
     absorber = off
 
-    [run]
-    seed = 0
-
 Serialization is canonical (fixed section and key order, ``repr`` floats), so
 config -> file -> config -> file round trips are byte-stable.  Validation
 errors name the offending section and key.
@@ -76,7 +73,6 @@ class ScanSpec:
 class ExperimentConfig:
     units_system: str = "natural"
     mass: float = 1.0
-    hbar: float | None = None
     grid_x_min: float = -32.0
     grid_x_max: float = 32.0
     grid_n: int = 2048
@@ -92,7 +88,6 @@ class ExperimentConfig:
     psg: PsgGeometry | None = None
     sg: SgSpec | None = None
     scan: ScanSpec = field(default_factory=ScanSpec)
-    seed: int = 0
 
     # -- materialized objects ------------------------------------------------
 
@@ -104,7 +99,9 @@ class ExperimentConfig:
             return u
         if self.units_system == "si":
             return si_units(self.mass)
-        return UnitSystem(self.hbar, self.mass, self.units_system)
+        raise ConfigError(
+            f"[units] system: must be natural or si, got {self.units_system!r}"
+        )
 
     def grid(self) -> SpatialGrid:
         return SpatialGrid(self.grid_x_min, self.grid_x_max, self.grid_n)
@@ -159,7 +156,11 @@ class ExperimentConfig:
             raise ConfigError(f"[units] system: must be natural or si, got {system!r}")
         kw["units_system"] = system
         kw["mass"] = positive("units", "mass", get("units", "mass", float, 1.0))
-        kw["hbar"] = get("units", "hbar", float, None)
+        if parser.has_option("units", "hbar"):
+            raise ConfigError(
+                "[units] hbar: not a setting; natural units fix hbar = 1 and si "
+                "uses the CODATA value"
+            )
 
         kw["grid_x_min"] = get("grid", "x_min", float, -32.0)
         kw["grid_x_max"] = get("grid", "x_max", float, 32.0)
@@ -246,7 +247,6 @@ class ExperimentConfig:
             delays=float_list("scan", "delays") if parser.has_section("scan") else (),
             sigmas=float_list("scan", "sigmas") if parser.has_section("scan") else (),
         )
-        kw["seed"] = get("run", "seed", int, 0)
         return ExperimentConfig(**kw)
 
     # -- canonical serialization ----------------------------------------------
@@ -272,7 +272,7 @@ class ExperimentConfig:
 
         section(
             "units",
-            [("system", self.units_system), ("mass", self.mass), ("hbar", self.hbar)],
+            [("system", self.units_system), ("mass", self.mass)],
         )
         section(
             "grid",
@@ -331,7 +331,6 @@ class ExperimentConfig:
             if self.scan.sigmas:
                 pairs.append(("sigmas", ",".join(repr(s) for s in self.scan.sigmas)))
             section("scan", pairs)
-        section("run", [("seed", self.seed)])
         return out.getvalue()
 
     def to_file(self, path) -> None:

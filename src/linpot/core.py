@@ -64,6 +64,12 @@ __all__ = [
 
 HBAR_SI = 1.054571817e-34  # J s (2018 CODATA)
 
+# Edge-mass guard: a state is in contact with the grid edge when more than
+# _EDGE_THRESHOLD of its norm sits on an edge strip; the boundary warnings use
+# the outer _EDGE_BAND of the points at each edge (at least one point).
+_EDGE_THRESHOLD = 1e-10
+_EDGE_BAND = 0.05
+
 
 @dataclass(frozen=True)
 class UnitSystem:
@@ -142,14 +148,6 @@ class SpatialGrid:
         """Ascending momentum grid, p = hbar * k."""
         return units.hbar * self.k_sorted
 
-    def outer_band(self, fraction: float = 0.05) -> np.ndarray:
-        """Boolean mask selecting ``fraction`` of the points at each edge."""
-        m = max(1, int(round(self.n * fraction)))
-        mask = np.zeros(self.n, dtype=bool)
-        mask[:m] = True
-        mask[-m:] = True
-        return mask
-
 
 @dataclass(frozen=True)
 class WaveFunction:
@@ -188,9 +186,6 @@ class WaveFunction:
     def norm2(self) -> float:
         """Squared norm sum(|amps|^2) * dstep."""
         return float(np.sum(np.abs(self.amps) ** 2) * self.dstep)
-
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm2() - 1.0) < tol
 
     def require_normalized(self, tol: float = 1e-6) -> None:
         n2 = self.norm2()
@@ -260,6 +255,22 @@ def sample_gaussian(
         * np.exp(1j * spec.p0 * u / units.hbar - u**2 / (2.0 * spec.sigma**2))
     )
     return WaveFunction(grid, amps, time=t_i)
+
+
+def _edge_share(amps: np.ndarray, n_lo: int, n_hi: int) -> float:
+    """Share of sum |amps|^2 on the first ``n_lo`` and the last ``n_hi``
+    points; 0 for a null state."""
+    lo, hi = amps[:n_lo], amps[len(amps) - n_hi:]
+    total = np.vdot(amps, amps).real
+    if not total > 0:
+        return 0.0
+    return float((np.vdot(lo, lo).real + np.vdot(hi, hi).real) / total)
+
+
+def _band_share(amps: np.ndarray) -> float:
+    """Share of sum |amps|^2 on the outer _EDGE_BAND of the points at each edge."""
+    m = max(1, round(_EDGE_BAND * len(amps)))
+    return _edge_share(amps, m, m)
 
 
 def _position_rep(psi: WaveFunction, units: UnitSystem) -> WaveFunction:

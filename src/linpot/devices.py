@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import free_evolve, linear_evolve, plane_wave_phase
-from .core import NATURAL, UnitSystem, WaveFunction, spatial_width
+from .core import HBAR_SI, NATURAL, UnitSystem, WaveFunction, spatial_width
 from .errors import BranchMismatchError, GeometryError, InfeasibleError, PreconditionError
 
 __all__ = [
@@ -204,7 +204,6 @@ class PsgComposition:
     net_kick: float
     net_displacement: float
     evolved: WaveFunction | None = None
-    ledgers: tuple = ()
 
 
 def compose_segments(
@@ -262,8 +261,8 @@ def psg_compose(
 
     For packet input the capacitor length must dominate the packet width
     (length/width >= 20) unless ``override_width_check`` is set; the composed
-    evolution then returns the evolved state, the accumulated ledgers, and
-    the phase extracted against pure free evolution over 4 dt.
+    evolution then returns the evolved state and the phase extracted against
+    pure free evolution over 4 dt.
     """
     if isinstance(input_state, (int, float)):
         return compose_segments(g.segments(), float(input_state), g.mass, units)
@@ -278,7 +277,6 @@ def psg_compose(
             f"width {width!r}; pass override_width_check=True to force"
         )
     u = UnitSystem(units.hbar, g.mass, units.label)
-    ledgers = []
     state = psi
     disp, kick = 0.0, 0.0
     disp_scale = kick_scale = 0.0
@@ -290,7 +288,6 @@ def psg_compose(
         kick -= res.ledger.momentum_kick
         disp_scale = max(disp_scale, abs(step))
         kick_scale = max(kick_scale, abs(res.ledger.momentum_kick))
-        ledgers.append(res.ledger)
     if abs(kick) > 1e-12 * max(1.0, kick_scale) or abs(disp) > 1e-12 * max(
         1.0, disp_scale
     ):
@@ -307,7 +304,6 @@ def psg_compose(
         net_kick=kick,
         net_displacement=disp,
         evolved=state,
-        ledgers=tuple(ledgers),
     )
 
 
@@ -370,7 +366,6 @@ class SgSpec:
     coupling: float
     duration: float
     axis: int = +1
-    b0: float | None = None
 
     def __post_init__(self):
         if self.axis not in (+1, -1):
@@ -390,10 +385,8 @@ class SgSpec:
         hbar: float | None = None,
     ) -> "SgSpec":
         """Coupling = charge*hbar/(2*carrier_mass) * B0 (SI by default)."""
-        from .core import HBAR_SI
-
         h = HBAR_SI if hbar is None else hbar
-        return SgSpec(charge * h / (2.0 * carrier_mass) * b0, duration, axis, b0)
+        return SgSpec(charge * h / (2.0 * carrier_mass) * b0, duration, axis)
 
     @property
     def delta_p(self) -> float:

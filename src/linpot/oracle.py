@@ -39,7 +39,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft as sp_fft
 
-from .core import NATURAL, Potential, SpatialGrid, UnitSystem, WaveFunction, l2_distance
+from .core import (
+    _EDGE_THRESHOLD,
+    NATURAL,
+    Potential,
+    SpatialGrid,
+    UnitSystem,
+    WaveFunction,
+    _band_share,
+    l2_distance,
+)
 from .errors import BoundaryContaminationWarning, StabilityError
 
 __all__ = [
@@ -127,26 +136,6 @@ class Trajectory:
     states: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
-    @property
-    def norm_history(self) -> np.ndarray:
-        return self.norm2
-
-    def to_csv(self, path, float_fmt=repr) -> None:
-        """Write the snapshot table; extras become additional columns."""
-        cols = {
-            "t": self.times,
-            "mean_x": self.mean_x,
-            "mean_p": self.mean_p,
-            "width": self.width,
-            "norm": self.norm2,
-        }
-        cols.update(self.extras)
-        with open(path, "w") as f:
-            f.write("# schema: trajectory-v1\n")
-            f.write(",".join(cols) + "\n")
-            for i in range(len(self.times)):
-                f.write(",".join(float_fmt(float(c[i])) for c in cols.values()) + "\n")
-
 
 def _observables(amps, grid, k_wrap, hbar, m, dx):
     rho = np.abs(amps) ** 2
@@ -201,9 +190,6 @@ def split_step_evolve(
         w_left = np.repeat(np.trim_zeros(removal[:n_mid], "b"), 2)
         w_right = np.repeat(np.trim_zeros(removal[n_mid:], "f"), 2)
         n_left, n_right = len(w_left) // 2, len(w_right) // 2
-    else:
-        # the edge points of g.outer_band(0.05), for the boundary warning
-        n_edge = max(1, int(round(n * 0.05)))
 
     amps = np.array(psi.amps, dtype=complex)
     n_snaps = cfg.n_steps // cfg.record_every + 1 + (
@@ -255,16 +241,13 @@ def split_step_evolve(
                     f"norm drifted to {n2!r} from {initial_norm!r} "
                     f"at step {step} with no absorber"
                 )
-            if not warned:
-                a, b = amps[:n_edge], amps[n - n_edge:]
-                edge = (np.vdot(a, a).real + np.vdot(b, b).real) * dx
-                if edge > 1e-10 * n2:
-                    warnings.warn(
-                        f"state reached a non-absorbing boundary at t={times[snap]!r}",
-                        BoundaryContaminationWarning,
-                        stacklevel=2,
-                    )
-                    warned = True
+            if not warned and _band_share(amps) > _EDGE_THRESHOLD:
+                warnings.warn(
+                    f"state reached a non-absorbing boundary at t={times[snap]!r}",
+                    BoundaryContaminationWarning,
+                    stacklevel=2,
+                )
+                warned = True
         snap += 1
 
     final = psi.with_amps(amps, time=psi.time + cfg.n_steps * dt)
@@ -294,10 +277,6 @@ class ConvergenceStudy:
     entries: tuple
     slope: float
     non_monotone: bool
-
-    @property
-    def dts(self):
-        return np.array([d for d, _ in self.entries])
 
     @property
     def errors(self):

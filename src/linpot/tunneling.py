@@ -32,6 +32,7 @@ from scipy.integrate import quad
 
 from .analytic import free_evolve, spectral_shift
 from .core import (
+    HBAR_SI,
     NATURAL,
     GaussianSpec,
     Linear,
@@ -42,7 +43,6 @@ from .core import (
     UnitSystem,
     WaveFunction,
     sample_gaussian,
-    spatial_width,
 )
 from .errors import (
     DegenerateEnergyError,
@@ -318,6 +318,10 @@ def _crossing_time(times, values, target):
     return float(times[i])
 
 
+def _observed(traj: Trajectory, i: int) -> tuple:
+    return traj.mean_x[i], traj.mean_p[i], traj.width[i], traj.norm2[i]
+
+
 def run_tunneling(
     packet: GaussianSpec,
     barrier: BarrierSpec,
@@ -378,39 +382,29 @@ def run_tunneling(
     )
     psi = psi0
     acc_left = acc_right = 0.0
-    t_list = [0.0]
-    mx_list = [float(np.sum(grid.x * psi0.density()) * grid.dx)]
-    w_list = [spatial_width(psi0)]
-    n_list = [psi0.norm2()]
-    t_frac_list = [float(np.sum(psi0.density()[region_T]) * grid.dx)]
+    # per snapshot: launch-relative time, <x>, <p>, width and norm^2 as the
+    # chunk recorded them, the running absorber ledger, transmitted fraction
+    rows = []
+    T = float(np.sum(psi0.density()[region_T]) * grid.dx)
 
     history = []
     steps_done = 0
     converged = False
-    T = R = residual = 0.0
+    R = residual = 0.0
     while steps_done < cfg.n_steps:
         traj = split_step_evolve(psi, potential, chunk, units)
+        if not rows:
+            rows.append((0.0, *_observed(traj, 0), 0.0, 0.0, T))
         psi = traj.final_state
         acc_left += traj.absorbed_left[-1]
         acc_right += traj.absorbed_right[-1]
         steps_done += chunk.n_steps
-        t_now = steps_done * cfg.dt
         rho = psi.density()
         T = float(np.sum(rho[region_T]) * grid.dx) + acc_right
         R = float(np.sum(rho[region_R]) * grid.dx) + acc_left
         residual = float(np.sum(rho[region_res]) * grid.dx)
-        n2 = float(np.sum(rho) * grid.dx)
-        t_list.append(t_now)
-        n_list.append(n2)
-        t_frac_list.append(T)
-        if n2 > 1e-12:
-            mx = float(np.sum(grid.x * rho) * grid.dx / n2)
-            var = float(np.sum((grid.x - mx) ** 2 * rho) * grid.dx / n2)
-            mx_list.append(mx)
-            w_list.append(math.sqrt(max(var, 0.0)) * math.sqrt(2.0))
-        else:
-            mx_list.append(np.nan)
-            w_list.append(np.nan)
+        t_now = steps_done * cfg.dt
+        rows.append((t_now, *_observed(traj, -1), acc_left, acc_right, T))
         history.append((T, R))
         if t_now >= t_a_linear and len(history) > STATIONARY_SNAPSHOTS:
             recent = history[-(STATIONARY_SNAPSHOTS + 1):]
@@ -422,22 +416,20 @@ def run_tunneling(
                 converged = True
                 break
 
-    times = np.array(t_list)
-    means = np.array(mx_list)
-    widths = np.array(w_list)
+    times, means, mean_p, widths, norm2, left, right, t_frac = np.array(rows).T
     t_a_measured = _crossing_time(times, means, a)
     sigma_at_turning = float(np.interp(t_a_measured, times, widths))
 
     trajectory = Trajectory(
         times=times,
         mean_x=means,
-        mean_p=np.full_like(times, np.nan),
+        mean_p=mean_p,
         width=widths,
-        norm2=np.array(n_list),
-        absorbed_left=np.full_like(times, np.nan),
-        absorbed_right=np.full_like(times, np.nan),
+        norm2=norm2,
+        absorbed_left=left,
+        absorbed_right=right,
         final_state=psi,
-        extras={"transmitted_fraction": np.array(t_frac_list)},
+        extras={"transmitted_fraction": t_frac},
     )
     result = TunnelingResult(
         T=T,
@@ -482,19 +474,6 @@ class ScanResult:
             if r1.T < r0.T - slack:
                 out.append((r0, r1))
         return out
-
-    def to_csv(self, path, float_fmt=repr) -> None:
-        with open(path, "w") as f:
-            f.write("# schema: width-scan-v1\n")
-            f.write("sigma_at_arrival,T,R,residual,t_measure\n")
-            for r in self.rows:
-                f.write(
-                    ",".join(
-                        float_fmt(float(v))
-                        for v in (r.sigma_at_arrival, r.T, r.R, r.residual, r.t_measure)
-                    )
-                    + "\n"
-                )
 
 
 def width_scan(
@@ -552,12 +531,6 @@ def width_scan(
 # ---------------------------------------------------------------------------
 
 
-def _hbar_si() -> float:
-    from .core import HBAR_SI
-
-    return HBAR_SI
-
-
 @dataclass(frozen=True)
 class AnimationScenario:
     """SI parameters of the slow-packet deceleration scenario.
@@ -582,13 +555,13 @@ class AnimationScenario:
 
     @property
     def predicted_width_ratio(self) -> float:
-        u = _hbar_si() * self.t_a / (self.mass * self.sigma**2)
+        u = HBAR_SI * self.t_a / (self.mass * self.sigma**2)
         return math.sqrt(1.0 + u * u)
 
     @property
     def semiclassical_ratio(self) -> float:
         """p0 * sigma / hbar; sets the grid cost of simulating it directly."""
-        return self.p0 * self.sigma / _hbar_si()
+        return self.p0 * self.sigma / HBAR_SI
 
 
 def animation_scenario(
@@ -600,7 +573,7 @@ def animation_scenario(
     """Back-solve the mass and ramp strength of the SI animation scenario."""
     t_a = 2.0 * stop_distance / speed
     theta = math.sqrt(growth**2 - 1.0)
-    mass = _hbar_si() * t_a / (sigma**2 * theta)
+    mass = HBAR_SI * t_a / (sigma**2 * theta)
     p0 = mass * speed
     v0 = p0 / t_a
     return AnimationScenario(
@@ -660,7 +633,7 @@ def animation_surrogate(
     independent of scale.
     """
     sc = scenario or animation_scenario()
-    theta = _hbar_si() * sc.t_a / (sc.mass * sc.sigma**2)
+    theta = HBAR_SI * sc.t_a / (sc.mass * sc.sigma**2)
     p0 = semiclassical_ratio
     t_a = theta
     slope = p0 / t_a

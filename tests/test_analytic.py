@@ -287,7 +287,6 @@ class TestZassenhausTerms:
         t = zassenhaus_terms(1.0, 1.0)
         assert t.c2_coeff == pytest.approx(0.5, rel=1e-15)
         assert t.c3_coeff == pytest.approx(-1.0 / 6.0, rel=1e-15)
-        assert t.c4_is_zero
 
     def test_zero_slope(self):
         t = zassenhaus_terms(0.0, 1.0)

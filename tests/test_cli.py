@@ -134,8 +134,8 @@ class TestEvolve:
     def test_deterministic_output(self, tmp_path):
         cfg = write(tmp_path, "lin.cfg", LINEAR_CFG)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        main(["evolve", "--config", cfg, "--out", str(out1), "--seed", "3"])
-        main(["evolve", "--config", cfg, "--out", str(out2), "--seed", "3"])
+        main(["evolve", "--config", cfg, "--out", str(out1)])
+        main(["evolve", "--config", cfg, "--out", str(out2)])
         assert (out1 / "trajectory.csv").read_bytes() == (
             out2 / "trajectory.csv"
         ).read_bytes()
@@ -157,6 +157,7 @@ class TestTunnel:
         cfg = write(tmp_path, "tun.cfg", TUNNEL_CFG)
         out = tmp_path / "out"
         assert main(["tunnel", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "scan.csv").read_text().startswith("# schema: width-scan-v1\n")
         header, rows = read_csv(out / "scan.csv")
         assert header == ["sigma_at_arrival", "T", "R", "residual", "t_measure"]
         assert len(rows) == 2

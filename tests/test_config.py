@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from linpot.config import ExperimentConfig
@@ -25,10 +27,9 @@ v0 = 1.0
 dt = 0.0001
 n_steps = 4000
 record_every = 200
-
-[run]
-seed = 7
 """
+
+SHIPPED = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
 
 
 class TestParsing:
@@ -38,7 +39,6 @@ class TestParsing:
         assert cfg.state.p0 == 5.0
         assert cfg.potential.kind == "linear"
         assert cfg.solver_dt == 1e-4
-        assert cfg.seed == 7
         assert cfg.units().hbar == 1.0
 
     def test_defaults(self):
@@ -60,6 +60,15 @@ class TestParsing:
             ExperimentConfig.from_text("[state]\nsigma = 0\n")
         with pytest.raises(ConfigError, match=r"\[psg\] length"):
             ExperimentConfig.from_text("[psg]\nv0 = 1.0\nspeed = 1.0\n")
+        with pytest.raises(ConfigError, match=r"\[units\] system"):
+            ExperimentConfig(units_system="imperial").units()
+        with pytest.raises(ConfigError, match=r"\[units\] hbar"):
+            ExperimentConfig.from_text("[units]\nsystem = natural\nhbar = 2.0\n")
+
+    def test_unknown_sections_are_ignored(self):
+        # configs that still carry a [run] seed parse as before
+        legacy = ExperimentConfig.from_text(BASE + "\n[run]\nseed = 7\n")
+        assert legacy == ExperimentConfig.from_text(BASE)
 
     def test_scan_lists(self):
         cfg = ExperimentConfig.from_text("[scan]\ndelays = 0.0,2.0,4.0\n")
@@ -94,3 +103,17 @@ class TestParsing:
         solver = ExperimentConfig.from_text(text).solver()
         assert solver.absorber is not None
         assert solver.absorber.width_fraction == 0.15
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_shipped_config_round_trips(path):
+    cfg = ExperimentConfig.from_file(path)
+    text = cfg.to_text()
+    again = ExperimentConfig.from_text(text)
+    assert again == cfg
+    assert again.to_text() == text
+
+
+def test_every_command_has_a_shipped_config():
+    names = {p.name for p in SHIPPED}
+    assert names == {"linear.cfg", "psg.cfg", "spin.cfg", "tunnel.cfg"}

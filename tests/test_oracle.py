@@ -280,17 +280,3 @@ class TestConvergence:
         with pytest.raises(ValueError):
             convergence_study(packet, Free(), 0.1, (1e-3, 1e-3))
 
-
-class TestTrajectoryExport:
-    def test_csv_schema(self, tmp_path, grid, packet):
-        cfg = SolverConfig(dt=1e-3, n_steps=100, record_every=50)
-        traj = split_step_evolve(packet, Free(), cfg)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# schema: trajectory-v1"
-        assert lines[1] == "t,mean_x,mean_p,width,norm"
-        assert len(lines) == 2 + len(traj.times)
-        # numeric round trip
-        row = lines[2].split(",")
-        assert float(row[0]) == 0.0

@@ -259,23 +259,23 @@ class TestWidthScan:
         assert violations[0][0].sigma_at_arrival == 1.0
         assert scan.monotonicity_violations(slack=0.1) == []
 
-    def test_csv_schema(self, tmp_path):
-        scan = ScanResult((ScanRow(1.0, 0.1, 0.9, 1e-9, 12.5),))
-        path = tmp_path / "scan.csv"
-        scan.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# schema: width-scan-v1"
-        assert lines[1] == "sigma_at_arrival,T,R,residual,t_measure"
-        assert len(lines) == 3
-
     def test_trajectory_carries_transmitted_fraction(self):
         grid, cfg, packet, _ = _blocked_setup()
         low = BarrierSpec(x_start=10.0, slope=25.0, peak_height=25.0)
         res = run_tunneling(packet, low, cfg, grid)
-        frac = res.trajectory.extras["transmitted_fraction"]
-        assert len(frac) == len(res.trajectory.times)
+        traj = res.trajectory
+        frac = traj.extras["transmitted_fraction"]
+        assert len(frac) == len(traj.times)
         assert frac[0] == pytest.approx(0.0, abs=1e-12)
         assert frac[-1] == pytest.approx(res.T, rel=1e-12)
+        # the absorber ledger and <p> columns are filled, not NaN
+        assert traj.absorbed_left[0] == 0.0 and traj.absorbed_right[0] == 0.0
+        assert traj.absorbed_left[-1] == res.absorbed_left
+        assert traj.absorbed_right[-1] == res.absorbed_right
+        assert np.all(np.isfinite(traj.mean_p))
+        assert traj.mean_p[0] == pytest.approx(packet.p0, rel=1e-10)
+        width_at = np.interp(res.t_a_measured, traj.times, traj.width)
+        assert width_at == res.sigma_at_turning
 
 
 class TestAnimationScenario:
