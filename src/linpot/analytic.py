@@ -207,7 +207,7 @@ def _check_wrap_contamination(psi: WaveFunction, shift: float) -> None:
         return
     g = psi.grid
     width = min(abs(shift), g.span)
-    share = _wrap_share(psi.amps, g.x, g.x_min, g.x_max, width, shift)
+    share = _wrap_share(psi.amps, g.x, g.x[0], g.x[-1], width, shift)
     if share > _EDGE_THRESHOLD:
         raise CoverageError(
             f"argument shift {shift!r} would wrap {share:.2e} of the "

@@ -145,6 +145,15 @@ class ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
+        def built(section, prefix, cls, *args):
+            # the dataclasses name the offending field first in their
+            # ValueError; the config key is that field behind ``prefix``
+            try:
+                return cls(*args)
+            except ValueError as exc:
+                field_name = str(exc).split(maxsplit=1)[0]
+                raise ConfigError(f"[{section}] {prefix}{field_name}: {exc}") from exc
+
         def positive(section, key, value):
             if not value > 0:
                 raise ConfigError(f"[{section}] {key}: must be > 0, got {value!r}")
@@ -165,11 +174,7 @@ class ExperimentConfig:
         kw["grid_x_min"] = get("grid", "x_min", float, -32.0)
         kw["grid_x_max"] = get("grid", "x_max", float, 32.0)
         kw["grid_n"] = get("grid", "n", int, 2048)
-        if kw["grid_x_max"] <= kw["grid_x_min"]:
-            raise ConfigError("[grid] x_max: must exceed x_min")
-        n = kw["grid_n"]
-        if n < 16 or n & (n - 1):
-            raise ConfigError(f"[grid] n: must be a power of two >= 16, got {n}")
+        built("grid", "", SpatialGrid, kw["grid_x_min"], kw["grid_x_max"], kw["grid_n"])
 
         sigma = positive("state", "sigma", get("state", "sigma", float, 1.0))
         kw["state"] = GaussianSpec(
@@ -213,9 +218,13 @@ class ExperimentConfig:
             "solver", "absorber_width_fraction", float, 0.15
         )
         kw["absorber_strength"] = get("solver", "absorber_strength", float, 5.0)
-        if kw["absorber_on"] and not 0.0 < kw["absorber_width_fraction"] <= 0.25:
-            raise ConfigError(
-                "[solver] absorber_width_fraction: must be in (0, 0.25]"
+        if kw["absorber_on"]:
+            built(
+                "solver",
+                "absorber_",
+                Absorber,
+                kw["absorber_width_fraction"],
+                kw["absorber_strength"],
             )
 
         if parser.has_section("psg"):

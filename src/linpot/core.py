@@ -116,9 +116,7 @@ class SpatialGrid:
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         if not _is_power_of_two(self.n) or self.n < 16:
-            raise ValueError(
-                f"grid size must be a power of two >= 16, got {self.n}"
-            )
+            raise ValueError(f"n must be a power of two >= 16, got {self.n}")
 
     @property
     def span(self) -> float:

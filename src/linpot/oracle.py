@@ -17,8 +17,11 @@ default and required for tunneling runs so transmitted flux does not wrap
 around.  Probability removed by the mask is tracked per grid side every step,
 so norm accounting stays exact.
 
-The solver steps its own copy of the state in place with ``scipy.fft``
-(``overwrite_x``) and builds its phase factors once per call.  Between two
+One private propagator holds the phase factors of a (grid, potential, dt,
+absorber) and steps either one state or a ``(B, n)`` stack of states in place
+with ``scipy.fft`` (``overwrite_x``, transforms along the last axis).
+:func:`split_step_evolve` steps its own copy of one state through it; the
+tunneling width scan steps all its entries as one stack.  Between two
 snapshots nobody looks at the state, so the closing half kick of one step and
 the opening half kick of the next are merged into one full kick.  k steps
 apply the half kick once, then k times the kinetic factor followed by
@@ -28,7 +31,8 @@ approximation: the potential phase and the mask are both diagonal in position,
 so they commute, and only roundoff differs from the per-step form.  The phase
 has modulus 1, so the density on the absorbing bands just before a merged kick
 equals the density the per-step scheme masks; the removed probability is
-summed there, over the two contiguous edge slices of the bands.
+summed there, over the two contiguous edge slices of the bands, one dot
+product per row, so a row of a stack sums exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -151,6 +155,72 @@ def _observables(amps, grid, k_wrap, hbar, m, dx):
     return n2, mx, mp, np.sqrt(max(var, 0.0)) * np.sqrt(2.0)
 
 
+class _Propagator:
+    """Strang stepping for one grid, potential, dt and absorber.
+
+    Builds the phase factors and the absorber's band weights once; every
+    caller then steps its states with :meth:`advance`.
+    """
+
+    def __init__(self, grid, potential, dt, absorber=None, units=NATURAL):
+        hbar, m = units.hbar, units.mass
+        v = np.asarray(potential.evaluate(grid.x), dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise StabilityError("potential evaluates to non-finite values on the grid")
+        self.half = np.exp(-0.5j * v * dt / hbar)
+        self.exp_k = np.exp(-1j * hbar * grid.k_wrap**2 * dt / (2.0 * m))
+        self.full = self.half * self.half
+        self.last = self.half.copy()
+        self.absorbing = absorber is not None and absorber.strength > 0
+        if self.absorbing:
+            mask = np.exp(-absorber.ramp(grid) * dt / hbar)
+            self.full *= mask
+            self.last *= mask
+            # removal weights over each band, repeated for the (re, im) pairs
+            # of a float view of the amplitudes: weights . view**2 = sum |psi|^2 w
+            removal = (1.0 - mask**2) * grid.dx
+            n_mid = int(np.searchsorted(grid.x, grid.x_min + 0.5 * grid.span))
+            w_left = np.repeat(np.trim_zeros(removal[:n_mid], "b"), 2)
+            w_right = np.repeat(np.trim_zeros(removal[n_mid:], "f"), 2)
+            # (points, weights) of the left band, (first point, weights) of
+            # the right one
+            self.bands = (len(w_left) // 2, w_left, grid.n - len(w_right) // 2, w_right)
+
+    def advance(self, amps, k, ledger):
+        """Step ``amps``, one state ``(n,)`` or a stack ``(B, n)`` of
+        C-contiguous complex rows, ``k`` steps in place and return it (the
+        returned array shares the input's buffer).  With the absorber on, the
+        probability each row's bands remove is added to ``ledger``, shape
+        ``(2,)`` or ``(B, 2)``: (left, right) per row."""
+        half, full, last, exp_k = self.half, self.full, self.last, self.exp_k
+        absorbing, single = self.absorbing, amps.ndim == 1
+        if absorbing:
+            n_left, w_left, start, w_right = self.bands
+            # per row, the running (left, right) totals; the additions are
+            # the ones a per-step update of ``ledger`` would make
+            acc = ledger.reshape(-1, 2).tolist()
+        amps *= half
+        for j in range(k):
+            # the transforms run along the last axis by default; passing
+            # axis=-1 costs about 2.7 us more per call in scipy's dispatch
+            amps = sp_fft.fft(amps, overwrite_x=True)
+            amps *= exp_k
+            amps = sp_fft.ifft(amps, overwrite_x=True)
+            if absorbing:
+                # |half| = 1, so |psi|^2 here equals the density after the
+                # closing half kick, where the per-step scheme applies the
+                # mask; one dot product per row, so a row sums as it would alone
+                for row, a in zip((amps,) if single else amps, acc):
+                    u = row[:n_left].view(float)
+                    a[0] += np.dot(u * u, w_left)
+                    u = row[start:].view(float)
+                    a[1] += np.dot(u * u, w_right)
+            amps *= last if j == k - 1 else full
+        if absorbing:
+            ledger[...] = np.reshape(acc, ledger.shape)
+        return amps
+
+
 def split_step_evolve(
     psi: WaveFunction,
     potential: Potential,
@@ -169,27 +239,8 @@ def split_step_evolve(
         raise ValueError("split_step_evolve expects a position-representation state")
     g = psi.grid
     hbar, m = units.hbar, units.mass
-    dt, dx, n = cfg.dt, g.dx, g.n
-    v = np.asarray(potential.evaluate(g.x), dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise StabilityError("potential evaluates to non-finite values on the grid")
-    half = np.exp(-0.5j * v * dt / hbar)
-    exp_k = np.exp(-1j * hbar * g.k_wrap**2 * dt / (2.0 * m))
-    full = half * half
-    last = half.copy()
-
-    absorbing = cfg.absorber is not None and cfg.absorber.strength > 0
-    if absorbing:
-        mask = np.exp(-cfg.absorber.ramp(g) * dt / hbar)
-        full *= mask
-        last *= mask
-        # removal weights over each band, repeated for the (re, im) pairs of
-        # a float view of the amplitudes: weights . view**2 = sum |psi|^2 w
-        removal = (1.0 - mask**2) * dx
-        n_mid = int(np.searchsorted(g.x, g.x_min + 0.5 * g.span))
-        w_left = np.repeat(np.trim_zeros(removal[:n_mid], "b"), 2)
-        w_right = np.repeat(np.trim_zeros(removal[n_mid:], "f"), 2)
-        n_left, n_right = len(w_left) // 2, len(w_right) // 2
+    dt, dx = cfg.dt, g.dx
+    prop = _Propagator(g, potential, dt, cfg.absorber, units)
 
     amps = np.array(psi.amps, dtype=complex)
     n_snaps = cfg.n_steps // cfg.record_every + 1 + (
@@ -201,14 +252,14 @@ def split_step_evolve(
     states: list[WaveFunction] = []
 
     initial_norm = float(np.sum(np.abs(amps) ** 2) * dx)
-    acc_left = acc_right = 0.0
+    ledger = np.zeros(2)
     warned = False
 
     def record(i, step):
         t = psi.time + step * dt
         times[i] = t
         obs[i] = _observables(amps, g, g.k_wrap, hbar, m, dx)
-        absorbed[i] = (acc_left, acc_right)
+        absorbed[i] = ledger
         if cfg.store_states:
             states.append(psi.with_amps(amps.copy(), time=t))
 
@@ -217,25 +268,13 @@ def split_step_evolve(
     step = 0
     while step < cfg.n_steps:
         k = min(cfg.record_every, cfg.n_steps - step)
-        amps *= half
-        for j in range(k):
-            amps = sp_fft.fft(amps, overwrite_x=True)
-            amps *= exp_k
-            amps = sp_fft.ifft(amps, overwrite_x=True)
-            if absorbing:
-                # |half| = 1, so |psi|^2 here equals the density after the
-                # closing half kick, where the per-step scheme applies the mask
-                u = amps[:n_left].view(float)
-                acc_left += float(np.dot(u * u, w_left))
-                u = amps[n - n_right:].view(float)
-                acc_right += float(np.dot(u * u, w_right))
-            amps *= last if j == k - 1 else full
+        amps = prop.advance(amps, k, ledger)
         step += k
         record(snap, step)
         n2 = obs[snap, 0]
         if not np.isfinite(n2):
             raise StabilityError(f"norm became non-finite at step {step}")
-        if not absorbing:
+        if not prop.absorbing:
             if abs(n2 - initial_norm) > 1e-6 * max(initial_norm, 1.0):
                 raise StabilityError(
                     f"norm drifted to {n2!r} from {initial_norm!r} "

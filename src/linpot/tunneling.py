@@ -20,6 +20,15 @@ the run ends when both are stationary.  The semiclassical reference
 is provided for comparison; the width dependence of the measured T has no
 closed form here and the width scan reports what it finds, including any
 monotonicity violations.
+
+Every measurement goes through one propagator (``oracle._Propagator``) built
+once for the run.  :func:`run_tunneling` steps a stack of one state; the
+width scan, whose entries share p0, launch point, barrier, grid, dt and
+absorber, steps all of them as one ``(B, n)`` stack.  Every ``record_every``
+steps each row gets its observables, T, R and stationarity test, and a row
+that has become stationary leaves the stack while the others step on.  Rows
+are stepped, summed and tested exactly as they would be alone, so a scan
+entry equals a run of that entry to the last bit.
 """
 
 from __future__ import annotations
@@ -49,9 +58,16 @@ from .errors import (
     NoTurningPointsError,
     PreconditionError,
     QuadratureError,
+    StabilityError,
     StationarityTimeout,
 )
-from .oracle import SolverConfig, Trajectory, split_step_evolve
+from .oracle import (
+    SolverConfig,
+    Trajectory,
+    _observables,
+    _Propagator,
+    split_step_evolve,
+)
 
 __all__ = [
     "BarrierSpec",
@@ -318,8 +334,158 @@ def _crossing_time(times, values, target):
     return float(times[i])
 
 
-def _observed(traj: Trajectory, i: int) -> tuple:
-    return traj.mean_x[i], traj.mean_p[i], traj.width[i], traj.norm2[i]
+def _launch(packet, barrier, cfg, grid, units):
+    """Check the preconditions of a barrier run and return the turning points
+    (a, b) and the linear-front arrival time."""
+    if cfg.absorber is None or cfg.absorber.strength <= 0:
+        raise PreconditionError("tunneling runs need an absorbing boundary")
+    if packet.p0 <= 0:
+        raise PreconditionError("packet needs positive incident momentum")
+    energy = packet.p0**2 / (2.0 * units.mass)
+
+    if energy <= barrier.peak_height:
+        a, b = turning_points(barrier, energy, units)
+    else:
+        a, b = barrier.x_start, barrier.x_end
+    absorber_width = cfg.absorber.width_fraction * grid.span
+    if barrier.x_end >= grid.x_max - absorber_width:
+        raise PreconditionError(
+            "barrier extends into the absorbing band; widen the grid"
+        )
+    v_in = packet.p0 / units.mass
+    t_a_linear = max(barrier.x_start - packet.x0, 0.0) / v_in + packet.p0 / barrier.slope
+    return a, b, t_a_linear
+
+
+def _stationary(history) -> bool:
+    """T and R moved by less than STATIONARY_TOL at each of the last
+    STATIONARY_SNAPSHOTS snapshots."""
+    if len(history) <= STATIONARY_SNAPSHOTS:
+        return False
+    recent = history[-(STATIONARY_SNAPSHOTS + 1):]
+    drift = max(
+        abs(t1 - t0) + abs(r1 - r0) for (t0, r0), (t1, r1) in zip(recent, recent[1:])
+    )
+    return drift < STATIONARY_TOL
+
+
+class _Entry:
+    """Running record of one launched state: per snapshot the launch-relative
+    time, <x>, <p>, width, norm^2, the running absorber ledger and the
+    transmitted fraction; the (T, R) history; and the latest T, R, residual."""
+
+    def __init__(self, psi, first_row):
+        self.psi = psi
+        self.time = psi.time
+        self.rows = [first_row]
+        self.history = []
+        self.acc_left = self.acc_right = 0.0
+        self.T = first_row[-1]
+        self.R = self.residual = 0.0
+
+
+def _measure(states, barrier, cfg, grid, units, launch) -> list:
+    """Launch every state of ``states`` at the barrier and step them as one
+    ``(B, n)`` stack until each is stationary.
+
+    Every ``cfg.record_every`` steps each row gets its observables, T, R,
+    residual and ledger and its stationarity test; a row that has become
+    stationary leaves the stack and the others keep stepping.  Returns one
+    :class:`TunnelingResult` per state, in input order.  If ``cfg.n_steps``
+    runs out first, raises :class:`StationarityTimeout` carrying the partial
+    result of the first state, in input order, that was still drifting.
+    """
+    a, b, t_a_linear = launch
+    for psi in states:
+        psi.require_normalized(1e-6)
+        if psi.space != "position" or psi.grid != grid:
+            raise ValueError(
+                "tunneling runs need a position-representation state on the run's grid"
+            )
+    prop = _Propagator(grid, barrier.potential(), cfg.dt, cfg.absorber, units)
+    dx, k = grid.dx, cfg.record_every
+    region_R = grid.x < a
+    region_res = (grid.x >= a) & (grid.x <= b)
+    region_T = grid.x > b
+
+    def observe(row):
+        return _observables(row, grid, grid.k_wrap, units.hbar, units.mass, dx)
+
+    amps = np.array([psi.amps for psi in states], dtype=complex)
+    entries = []
+    for psi, row in zip(states, amps):
+        n2, mx, mp, w = observe(row)
+        T = float(np.sum(psi.density()[region_T]) * dx)
+        entries.append(_Entry(psi, (0.0, mx, mp, w, n2, 0.0, 0.0, T)))
+
+    steps_done = 0
+    results = [None] * len(states)
+
+    def finish(i, row, converged):
+        e = entries[i]
+        times, means, mean_p, widths, norm2, left, right, t_frac = np.array(e.rows).T
+        t_a_measured = _crossing_time(times, means, a)
+        trajectory = Trajectory(
+            times=times,
+            mean_x=means,
+            mean_p=mean_p,
+            width=widths,
+            norm2=norm2,
+            absorbed_left=left,
+            absorbed_right=right,
+            final_state=e.psi.with_amps(row.copy(), time=e.time),
+            extras={"transmitted_fraction": t_frac},
+        )
+        results[i] = TunnelingResult(
+            T=e.T,
+            R=e.R,
+            residual=e.residual,
+            absorbed_left=e.acc_left,
+            absorbed_right=e.acc_right,
+            t_measure=steps_done * cfg.dt,
+            sigma_at_turning=float(np.interp(t_a_measured, times, widths)),
+            t_a_measured=t_a_measured,
+            t_a_linear=t_a_linear,
+            converged=converged,
+            trajectory=trajectory,
+        )
+
+    live = list(range(len(states)))
+    while live and steps_done < cfg.n_steps:
+        ledger = np.zeros((len(live), 2))
+        amps = prop.advance(amps, k, ledger)
+        steps_done += k
+        t_now = steps_done * cfg.dt
+        keep = []
+        for r, i in enumerate(live):
+            e, row = entries[i], amps[r]
+            n2, mx, mp, w = observe(row)
+            if not np.isfinite(n2):
+                raise StabilityError(f"norm became non-finite at step {steps_done}")
+            e.time += k * cfg.dt
+            e.acc_left += ledger[r, 0]
+            e.acc_right += ledger[r, 1]
+            rho = np.abs(row) ** 2
+            e.T = float(np.sum(rho[region_T]) * dx) + e.acc_right
+            e.R = float(np.sum(rho[region_R]) * dx) + e.acc_left
+            e.residual = float(np.sum(rho[region_res]) * dx)
+            e.rows.append((t_now, mx, mp, w, n2, e.acc_left, e.acc_right, e.T))
+            e.history.append((e.T, e.R))
+            if t_now >= t_a_linear and _stationary(e.history):
+                finish(i, row, converged=True)
+            else:
+                keep.append(r)
+        if len(keep) < len(live):
+            amps = amps[keep]
+            live = [live[r] for r in keep]
+
+    for r, i in enumerate(live):
+        finish(i, amps[r], converged=False)
+    if live:
+        raise StationarityTimeout(
+            f"T and R still drifting after {steps_done} steps", results[live[0]]
+        )
+    return results
 
 
 def run_tunneling(
@@ -343,112 +509,13 @@ def run_tunneling(
     to launch pre-spread states); ``packet`` still defines the incident
     energy and the nominal launch point.
     """
-    if cfg.absorber is None or cfg.absorber.strength <= 0:
-        raise PreconditionError("tunneling runs need an absorbing boundary")
-    if packet.p0 <= 0:
-        raise PreconditionError("packet needs positive incident momentum")
-    energy = packet.p0**2 / (2.0 * units.mass)
-
-    if energy <= barrier.peak_height:
-        a, b = turning_points(barrier, energy, units)
-    else:
-        a, b = barrier.x_start, barrier.x_end
-    absorber_width = cfg.absorber.width_fraction * grid.span
-    if barrier.x_end >= grid.x_max - absorber_width:
-        raise PreconditionError(
-            "barrier extends into the absorbing band; widen the grid"
-        )
-
+    launch = _launch(packet, barrier, cfg, grid, units)
     psi0 = (
         initial_state
         if initial_state is not None
         else sample_gaussian(packet, grid, units)
     )
-    psi0.require_normalized(1e-6)
-    potential = barrier.potential()
-
-    region_R = grid.x < a
-    region_res = (grid.x >= a) & (grid.x <= b)
-    region_T = grid.x > b
-
-    v_in = packet.p0 / units.mass
-    t_a_linear = max(barrier.x_start - packet.x0, 0.0) / v_in + packet.p0 / barrier.slope
-
-    chunk = SolverConfig(
-        dt=cfg.dt,
-        n_steps=cfg.record_every,
-        absorber=cfg.absorber,
-        record_every=cfg.record_every,
-    )
-    psi = psi0
-    acc_left = acc_right = 0.0
-    # per snapshot: launch-relative time, <x>, <p>, width and norm^2 as the
-    # chunk recorded them, the running absorber ledger, transmitted fraction
-    rows = []
-    T = float(np.sum(psi0.density()[region_T]) * grid.dx)
-
-    history = []
-    steps_done = 0
-    converged = False
-    R = residual = 0.0
-    while steps_done < cfg.n_steps:
-        traj = split_step_evolve(psi, potential, chunk, units)
-        if not rows:
-            rows.append((0.0, *_observed(traj, 0), 0.0, 0.0, T))
-        psi = traj.final_state
-        acc_left += traj.absorbed_left[-1]
-        acc_right += traj.absorbed_right[-1]
-        steps_done += chunk.n_steps
-        rho = psi.density()
-        T = float(np.sum(rho[region_T]) * grid.dx) + acc_right
-        R = float(np.sum(rho[region_R]) * grid.dx) + acc_left
-        residual = float(np.sum(rho[region_res]) * grid.dx)
-        t_now = steps_done * cfg.dt
-        rows.append((t_now, *_observed(traj, -1), acc_left, acc_right, T))
-        history.append((T, R))
-        if t_now >= t_a_linear and len(history) > STATIONARY_SNAPSHOTS:
-            recent = history[-(STATIONARY_SNAPSHOTS + 1):]
-            drift = max(
-                abs(t1 - t0) + abs(r1 - r0)
-                for (t0, r0), (t1, r1) in zip(recent, recent[1:])
-            )
-            if drift < STATIONARY_TOL:
-                converged = True
-                break
-
-    times, means, mean_p, widths, norm2, left, right, t_frac = np.array(rows).T
-    t_a_measured = _crossing_time(times, means, a)
-    sigma_at_turning = float(np.interp(t_a_measured, times, widths))
-
-    trajectory = Trajectory(
-        times=times,
-        mean_x=means,
-        mean_p=mean_p,
-        width=widths,
-        norm2=norm2,
-        absorbed_left=left,
-        absorbed_right=right,
-        final_state=psi,
-        extras={"transmitted_fraction": t_frac},
-    )
-    result = TunnelingResult(
-        T=T,
-        R=R,
-        residual=residual,
-        absorbed_left=acc_left,
-        absorbed_right=acc_right,
-        t_measure=steps_done * cfg.dt,
-        sigma_at_turning=sigma_at_turning,
-        t_a_measured=t_a_measured,
-        t_a_linear=t_a_linear,
-        converged=converged,
-        trajectory=trajectory,
-    )
-    if not converged:
-        raise StationarityTimeout(
-            f"T and R still drifting after {steps_done} steps", result
-        )
-    return result
+    return _measure([psi0], barrier, cfg, grid, units, launch)[0]
 
 
 @dataclass(frozen=True)
@@ -494,34 +561,39 @@ def width_scan(
     distribution is untouched) must be given.  The delay pre-evolution is
     performed in place: the drifted profile is translated back to the launch
     point, which is the same state a longer free approach would deliver.
-    Entries are independent runs; the table is assembled in input order, then
-    stably sorted by measured sigma at arrival.
+    The entries step together as one stack, each measured exactly as a
+    :func:`run_tunneling` of it alone would be; the table is assembled in
+    input order, then stably sorted by measured sigma at arrival.  If any
+    entry exhausts ``cfg.n_steps``, :class:`StationarityTimeout` carries the
+    partial result of the first such entry in input order.
     """
     if (sigma_list is None) == (delay_list is None):
         raise ValueError("give exactly one of sigma_list or delay_list")
     base = base_packet or GaussianSpec(x0=0.0, p0=p0, sigma=1.0)
     if base.p0 != p0:
         base = GaussianSpec(base.x0, p0, base.sigma)
+    launch = _launch(base, barrier, cfg, grid, units)
 
-    def entry(arg):
+    def state(arg):
         if sigma_list is not None:
-            spec = GaussianSpec(base.x0, p0, float(arg))
-            res = run_tunneling(spec, barrier, cfg, grid, units)
-        else:
-            psi = sample_gaussian(base, grid, units)
-            if arg:
-                drift = base.p0 * float(arg) / units.mass
-                psi = spectral_shift(free_evolve(psi, float(arg), units), drift)
-            res = run_tunneling(base, barrier, cfg, grid, units, initial_state=psi)
-        return ScanRow(
+            return sample_gaussian(GaussianSpec(base.x0, p0, float(arg)), grid, units)
+        psi = sample_gaussian(base, grid, units)
+        if arg:
+            drift = base.p0 * float(arg) / units.mass
+            psi = spectral_shift(free_evolve(psi, float(arg), units), drift)
+        return psi
+
+    states = [state(a) for a in (sigma_list if sigma_list is not None else delay_list)]
+    rows = [
+        ScanRow(
             sigma_at_arrival=res.sigma_at_turning,
             T=res.T,
             R=res.R,
             residual=res.residual,
             t_measure=res.t_measure,
         )
-
-    rows = [entry(a) for a in (sigma_list if sigma_list is not None else delay_list)]
+        for res in _measure(states, barrier, cfg, grid, units, launch)
+    ]
     rows.sort(key=lambda r: r.sigma_at_arrival)
     return ScanResult(tuple(rows))
 

@@ -65,6 +65,24 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"\[units\] hbar"):
             ExperimentConfig.from_text("[units]\nsystem = natural\nhbar = 2.0\n")
 
+    def test_dataclass_errors_name_the_key(self):
+        # SpatialGrid and Absorber validate; the config names the key
+        with pytest.raises(ConfigError, match=r"^\[grid\] x_max: "):
+            ExperimentConfig.from_text("[grid]\nx_min = 4.0\nx_max = 4.0\n")
+        with pytest.raises(ConfigError, match=r"^\[grid\] n: "):
+            ExperimentConfig.from_text("[grid]\nn = 8\n")
+        with pytest.raises(ConfigError, match=r"^\[solver\] absorber_width_fraction: "):
+            ExperimentConfig.from_text(
+                "[solver]\nabsorber = on\nabsorber_width_fraction = 0.3\n"
+            )
+        with pytest.raises(ConfigError, match=r"^\[solver\] absorber_strength: "):
+            ExperimentConfig.from_text(
+                "[solver]\nabsorber = on\nabsorber_strength = -1.0\n"
+            )
+        # an absorber that is off is not built, so its settings are not checked
+        off = "[solver]\nabsorber = off\nabsorber_width_fraction = 0.3\n"
+        assert not ExperimentConfig.from_text(off).absorber_on
+
     def test_unknown_sections_are_ignored(self):
         # configs that still carry a [run] seed parse as before
         legacy = ExperimentConfig.from_text(BASE + "\n[run]\nseed = 7\n")

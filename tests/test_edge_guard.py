@@ -1,7 +1,7 @@
-"""The edge-mass guard against the boolean-mask strips it replaced.
+"""The edge-mass guard against boolean-mask reference strips.
 
-The references below select their strips the way the guards used to, with a
-boolean mask over the axis, and sum the masked density.  The guard computes
+The references below select their strips with a boolean mask over the axis,
+and sum the masked density.  The guard computes
 the same share from two edge slices; both must pick exactly the same points
 and must trigger on the same states.
 """
@@ -32,12 +32,14 @@ DP = float(GRID.p_sorted()[1] - GRID.p_sorted()[0])
 P_RANGE = float(GRID.p_sorted()[-1] - GRID.p_sorted()[0])
 
 
-# -- references: the parent's boolean-mask strips -----------------------------
+# -- references: boolean-mask strips -------------------------------------------
 
 
 def ref_position_strip(g, shift):
+    # mirrored strips: x < x[0] + w for a positive shift, x > x[-1] - w for
+    # a negative one, as the momentum strip below uses p[0] and p[-1]
     width = min(abs(shift), g.span)
-    return g.x < g.x_min + width if shift > 0 else g.x > g.x_max - width
+    return g.x < g.x[0] + width if shift > 0 else g.x > g.x[-1] - width
 
 
 def ref_momentum_strip(p, kick):
@@ -87,9 +89,21 @@ KICKS = [s * f * DP for f in (0.5, 3.7) for s in (1, -1)] + [P_RANGE, -P_RANGE]
 def test_position_strip_share(shift):
     amps = dense_amps(GRID.n, 1)
     width = min(abs(shift), GRID.span)
-    share = _wrap_share(amps, GRID.x, GRID.x_min, GRID.x_max, width, shift)
+    share = _wrap_share(amps, GRID.x, GRID.x[0], GRID.x[-1], width, shift)
     ref = ref_share(amps, ref_position_strip(GRID, shift), DX)
     assert share == pytest.approx(ref, rel=1e-14)
+
+
+def test_whole_dx_shifts_wrap_one_edge_point():
+    # a shift by one dx wraps exactly the one grid point it carries across
+    # the edge: x[0] going left, x[-1] going right
+    assert np.flatnonzero(ref_position_strip(GRID, DX)).tolist() == [0]
+    assert np.flatnonzero(ref_position_strip(GRID, -DX)).tolist() == [GRID.n - 1]
+    amps = dense_amps(GRID.n, 4)
+    total = np.vdot(amps, amps).real
+    for shift, j in ((DX, 0), (-DX, GRID.n - 1)):
+        share = _wrap_share(amps, GRID.x, GRID.x[0], GRID.x[-1], DX, shift)
+        assert share == pytest.approx(abs(amps[j]) ** 2 / total, rel=1e-14)
 
 
 @pytest.mark.parametrize("kick", KICKS)

@@ -11,12 +11,15 @@ from linpot import (
     PiecewiseLinear,
     SolverConfig,
     SpatialGrid,
+    free_evolve,
     gaussian_width_at,
     l2_distance,
     linear_evolve,
     run_tunneling,
     sample_gaussian,
+    spectral_shift,
     split_step_evolve,
+    to_momentum_rep,
     turning_points,
     width_scan,
     wkb_sigma_R,
@@ -173,6 +176,14 @@ class TestRunTunneling:
         with pytest.raises(PreconditionError, match="widen"):
             run_tunneling(GaussianSpec(0, 4.0, 1.0), BarrierSpec(14.0, 8.0, 80.0), cfg, g)
 
+    def test_launch_state_must_be_a_position_state_on_the_grid(self):
+        grid, cfg, packet, barrier = _blocked_setup()
+        on_other_grid = sample_gaussian(packet, SpatialGrid(-64.0, 64.0, 2048))
+        in_momentum = to_momentum_rep(sample_gaussian(packet, grid))
+        for psi in (on_other_grid, in_momentum):
+            with pytest.raises(ValueError, match="position-representation state on"):
+                run_tunneling(packet, barrier, cfg, grid, initial_state=psi)
+
     def test_timeout_carries_partial_result(self):
         grid, cfg, packet, barrier = _blocked_setup()
         short = SolverConfig(
@@ -239,6 +250,84 @@ class TestWidthScan:
         )
         assert scan.rows[0].T == direct.T
         assert scan.rows[0].sigma_at_arrival == direct.sigma_at_turning
+
+    @staticmethod
+    def _delayed(grid, base, delay):
+        """The state the scan launches for ``delay``: free-evolved, then
+        translated back to the launch point."""
+        psi = sample_gaussian(base, grid)
+        if delay:
+            psi = spectral_shift(free_evolve(psi, delay), base.p0 * delay)
+        return psi
+
+    @staticmethod
+    def _row(res):
+        return ScanRow(res.sigma_at_turning, res.T, res.R, res.residual, res.t_measure)
+
+    def test_delay_scan_equals_one_run_per_entry(self):
+        # the scan steps its entries as one stack; each row must be exactly
+        # what a run of that entry on its own gives
+        grid, cfg, barrier = self._setup()
+        base = GaussianSpec(x0=0.0, p0=4.0, sigma=1.0)
+        delays = (0.0, 7.0)
+        scan = width_scan(4.0, barrier, grid, cfg, base_packet=base, delay_list=delays)
+        runs = [
+            run_tunneling(base, barrier, cfg, grid, initial_state=self._delayed(grid, base, d))
+            for d in delays
+        ]
+        # the entries become stationary at different strides (about 15 250
+        # and 19 750 steps), so one leaves the stack while the other steps on
+        assert runs[0].t_measure < runs[1].t_measure
+        expected = sorted(map(self._row, runs), key=lambda r: r.sigma_at_arrival)
+        assert scan.rows == tuple(expected)
+
+    def test_sigma_scan_equals_one_run_per_entry(self):
+        grid, cfg, barrier = self._setup()
+        sigmas = (1.0, 2.5)
+        scan = width_scan(4.0, barrier, grid, cfg, sigma_list=sigmas)
+        runs = [
+            run_tunneling(GaussianSpec(0.0, 4.0, s), barrier, cfg, grid) for s in sigmas
+        ]
+        assert runs[0].t_measure != runs[1].t_measure
+        expected = sorted(map(self._row, runs), key=lambda r: r.sigma_at_arrival)
+        assert scan.rows == tuple(expected)
+
+    @pytest.mark.parametrize(
+        "delays, n_steps",
+        [((0.0, 7.0), 17000), ((7.0, 0.0), 2000)],
+        ids=["second-entry-drifts", "both-drift"],
+    )
+    def test_timeout_names_first_drifting_entry(self, delays, n_steps):
+        # 17 000 steps: delay 0 is stationary after about 15 250 and leaves
+        # the stack, delay 7 is not; 2 000 steps: neither is, and the first
+        # in input order is reported
+        grid, cfg, barrier = self._setup()
+        base = GaussianSpec(x0=0.0, p0=4.0, sigma=1.0)
+        short = SolverConfig(
+            dt=cfg.dt, n_steps=n_steps, absorber=cfg.absorber, record_every=cfg.record_every
+        )
+        with pytest.raises(StationarityTimeout) as scanned:
+            width_scan(4.0, barrier, grid, short, base_packet=base, delay_list=delays)
+        with pytest.raises(StationarityTimeout) as alone:
+            psi = self._delayed(grid, base, 7.0)
+            run_tunneling(base, barrier, short, grid, initial_state=psi)
+        got, want = scanned.value.partial_result, alone.value.partial_result
+        assert str(scanned.value) == str(alone.value)
+        assert not got.converged
+        assert got.t_measure == n_steps * cfg.dt
+        assert self._row(got) == self._row(want)
+        assert (got.absorbed_left, got.absorbed_right) == (
+            want.absorbed_left,
+            want.absorbed_right,
+        )
+        for name in ("times", "mean_x", "mean_p", "width", "norm2", "absorbed_right"):
+            np.testing.assert_array_equal(
+                getattr(got.trajectory, name), getattr(want.trajectory, name)
+            )
+        np.testing.assert_array_equal(
+            got.trajectory.final_state.amps, want.trajectory.final_state.amps
+        )
+        assert got.trajectory.final_state.time == want.trajectory.final_state.time
 
     def test_requires_exactly_one_list(self):
         grid, cfg, barrier = self._setup()
