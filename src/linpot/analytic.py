@@ -39,7 +39,7 @@ inverse evolution.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -324,13 +324,7 @@ def linear_evolve_momentum(
     out = phi.with_amps(phi.amps * phase)
     # Eq-11 form carries the right-ordering cubic but the +V0 p dt^2/(2m hbar)
     # coefficient; record what was actually applied.
-    ledger = PhaseLedger(
-        cubic_phase=ledger.cubic_phase,
-        potential_phase_coeff=ledger.potential_phase_coeff,
-        momentum_shift_phase_coeff=+v0 * dt**2 / (2.0 * m * hbar),
-        argument_shift=ledger.argument_shift,
-        momentum_kick=ledger.momentum_kick,
-    )
+    ledger = replace(ledger, momentum_shift_phase_coeff=+v0 * dt**2 / (2.0 * m * hbar))
     return EvolutionResult(out, ledger)
 
 

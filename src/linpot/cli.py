@@ -99,13 +99,7 @@ def cmd_evolve(args) -> int:
 
     if v0 is not None:
         # keep snapshots so every row gets a real analytic-vs-solver distance
-        solver = oracle.SolverConfig(
-            dt=solver.dt,
-            n_steps=solver.n_steps,
-            absorber=solver.absorber,
-            record_every=solver.record_every,
-            store_states=True,
-        )
+        solver = dataclasses.replace(solver, store_states=True)
     traj = oracle.split_step_evolve(psi0, potential, solver, units)
     rows = []
     for i, t in enumerate(traj.times):

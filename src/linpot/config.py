@@ -68,6 +68,10 @@ class ScanSpec:
     delays: tuple = ()
     sigmas: tuple = ()
 
+    def __post_init__(self):
+        if not all(s > 0 for s in self.sigmas):
+            raise ValueError(f"sigmas must be positive, got {self.sigmas!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -145,7 +149,7 @@ class ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
-        def built(section, prefix, cls, *args):
+        def built(section, cls, *args, prefix=""):
             # the dataclasses name the offending field first in their
             # ValueError; the config key is that field behind ``prefix``
             try:
@@ -154,17 +158,13 @@ class ExperimentConfig:
                 field_name = str(exc).split(maxsplit=1)[0]
                 raise ConfigError(f"[{section}] {prefix}{field_name}: {exc}") from exc
 
-        def positive(section, key, value):
-            if not value > 0:
-                raise ConfigError(f"[{section}] {key}: must be > 0, got {value!r}")
-            return value
-
         kw = {}
         system = get("units", "system", str, "natural")
         if system not in ("natural", "si"):
             raise ConfigError(f"[units] system: must be natural or si, got {system!r}")
         kw["units_system"] = system
-        kw["mass"] = positive("units", "mass", get("units", "mass", float, 1.0))
+        kw["mass"] = get("units", "mass", float, 1.0)
+        built("units", UnitSystem, 1.0, kw["mass"])
         if parser.has_option("units", "hbar"):
             raise ConfigError(
                 "[units] hbar: not a setting; natural units fix hbar = 1 and si "
@@ -174,13 +174,14 @@ class ExperimentConfig:
         kw["grid_x_min"] = get("grid", "x_min", float, -32.0)
         kw["grid_x_max"] = get("grid", "x_max", float, 32.0)
         kw["grid_n"] = get("grid", "n", int, 2048)
-        built("grid", "", SpatialGrid, kw["grid_x_min"], kw["grid_x_max"], kw["grid_n"])
+        built("grid", SpatialGrid, kw["grid_x_min"], kw["grid_x_max"], kw["grid_n"])
 
-        sigma = positive("state", "sigma", get("state", "sigma", float, 1.0))
-        kw["state"] = GaussianSpec(
-            x0=get("state", "x0", float, 0.0),
-            p0=get("state", "p0", float, 0.0),
-            sigma=sigma,
+        kw["state"] = built(
+            "state",
+            GaussianSpec,
+            get("state", "x0", float, 0.0),
+            get("state", "p0", float, 0.0),
+            get("state", "sigma", float, 1.0),
         )
         kw["state_present"] = parser.has_section("state")
 
@@ -198,17 +199,18 @@ class ExperimentConfig:
             descent_slope=get("potential", "descent_slope", float, None),
         )
         if kind == "barrier":
-            positive("potential", "slope", kw["potential"].slope)
-            positive("potential", "peak_height", kw["potential"].peak_height)
+            built("potential", kw["potential"].barrier)
 
-        kw["solver_dt"] = positive("solver", "dt", get("solver", "dt", float, 1e-3))
-        kw["solver_n_steps"] = int(
-            positive("solver", "n_steps", get("solver", "n_steps", int, 1000))
-        )
-        kw["solver_record_every"] = int(
-            positive(
-                "solver", "record_every", get("solver", "record_every", int, 100)
-            )
+        kw["solver_dt"] = get("solver", "dt", float, 1e-3)
+        kw["solver_n_steps"] = get("solver", "n_steps", int, 1000)
+        kw["solver_record_every"] = get("solver", "record_every", int, 100)
+        built(
+            "solver",
+            SolverConfig,
+            kw["solver_dt"],
+            kw["solver_n_steps"],
+            None,
+            kw["solver_record_every"],
         )
         onoff = get("solver", "absorber", str, "off")
         if onoff not in ("on", "off"):
@@ -221,26 +223,24 @@ class ExperimentConfig:
         if kw["absorber_on"]:
             built(
                 "solver",
-                "absorber_",
                 Absorber,
                 kw["absorber_width_fraction"],
                 kw["absorber_strength"],
+                prefix="absorber_",
             )
 
         if parser.has_section("psg"):
-            kw["psg"] = PsgGeometry(
-                v0=get("psg", "v0", float),
-                length=positive("psg", "length", get("psg", "length", float)),
-                speed=positive("psg", "speed", get("psg", "speed", float)),
-                mass=positive("psg", "mass", get("psg", "mass", float, 1.0)),
+            kw["psg"] = built(
+                "psg",
+                PsgGeometry,
+                get("psg", "v0", float),
+                get("psg", "length", float),
+                get("psg", "speed", float),
+                get("psg", "mass", float, 1.0),
             )
         if parser.has_section("sg"):
-            coupling = get("sg", "coupling", float)
-            if coupling < 0:
-                raise ConfigError("[sg] coupling: must be >= 0")
-            kw["sg"] = SgSpec(
-                coupling=coupling,
-                duration=positive("sg", "duration", get("sg", "duration", float)),
+            kw["sg"] = built(
+                "sg", SgSpec, get("sg", "coupling", float), get("sg", "duration", float)
             )
 
         def float_list(section, key):
@@ -252,9 +252,8 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
-        kw["scan"] = ScanSpec(
-            delays=float_list("scan", "delays") if parser.has_section("scan") else (),
-            sigmas=float_list("scan", "sigmas") if parser.has_section("scan") else (),
+        kw["scan"] = built(
+            "scan", ScanSpec, float_list("scan", "delays"), float_list("scan", "sigmas")
         )
         return ExperimentConfig(**kw)
 

@@ -3,6 +3,10 @@
 Everything here is immutable after construction and all operations are pure
 functions, so states can be shared freely across threads.
 
+One private routine, ``_moments``, computes norm^2, <x>, <p> and the rms
+width of position amplitudes.  The public observables, the solver's
+snapshots and the tunneling rows all call it, so they agree to the last bit.
+
 Conventions
 -----------
 * Natural units (hbar = 1, mass = 1) are the default; SI values enter only
@@ -80,8 +84,10 @@ class UnitSystem:
     label: str = "natural"
 
     def __post_init__(self):
-        if not (self.hbar > 0 and self.mass > 0):
-            raise ValueError("hbar and mass must be positive")
+        if not self.hbar > 0:
+            raise ValueError("hbar must be positive")
+        if not self.mass > 0:
+            raise ValueError("mass must be positive")
 
     def with_mass(self, mass: float) -> "UnitSystem":
         return UnitSystem(self.hbar, mass, self.label)
@@ -275,18 +281,39 @@ def _position_rep(psi: WaveFunction, units: UnitSystem) -> WaveFunction:
     return psi if psi.space == "position" else to_position_rep(psi, units)
 
 
-def mean_position(psi: WaveFunction, units: UnitSystem = NATURAL) -> float:
-    """<x> = sum x |psi|^2 dx.  Requires a normalized state."""
+def _moments(amps: np.ndarray, grid: SpatialGrid, hbar: float):
+    """(norm^2, <x>, <p>, rms width) of position amplitudes on ``grid``.
+
+    The moments are taken over the normalized density, so they describe the
+    state that survives an absorber; a null state has NaN moments.  <p> is
+    computed spectrally, sqrt(2)*rms is the sigma-parameter width.
+    """
+    rho = np.abs(amps) ** 2
+    dx = grid.dx
+    n2 = float(np.sum(rho) * dx)
+    if n2 <= 0.0:
+        return n2, np.nan, np.nan, np.nan
+    mx = float(np.sum(grid.x * rho) * dx / n2)
+    var = float(np.sum((grid.x - mx) ** 2 * rho) * dx / n2)
+    rho_k = np.abs(np.fft.fft(amps)) ** 2
+    mp = float(hbar * np.sum(grid.k_wrap * rho_k) / float(np.sum(rho_k)))
+    return n2, mx, mp, np.sqrt(max(var, 0.0))
+
+
+def _normalized_moments(psi: WaveFunction, units: UnitSystem):
     psi = _position_rep(psi, units)
     psi.require_normalized()
-    return float(np.sum(psi.grid.x * psi.density()) * psi.grid.dx)
+    return _moments(psi.amps, psi.grid, units.hbar)
+
+
+def mean_position(psi: WaveFunction, units: UnitSystem = NATURAL) -> float:
+    """<x> = sum x |psi|^2 dx.  Requires a normalized state."""
+    return _normalized_moments(psi, units)[1]
 
 
 def mean_momentum(psi: WaveFunction, units: UnitSystem = NATURAL) -> float:
     """<p>, computed spectrally.  Requires a normalized state."""
-    tilde = psi if psi.space == "momentum" else to_momentum_rep(psi, units)
-    tilde.require_normalized()
-    return float(np.sum(tilde.p_axis * tilde.density()) * tilde.dstep)
+    return _normalized_moments(psi, units)[2]
 
 
 def spatial_width(
@@ -298,14 +325,9 @@ def spatial_width(
     gives rms*sqrt(2), which equals the sigma parameter of a fresh Gaussian
     packet.  The free-spreading law sigma(t) uses the sigma convention.
     """
-    psi = _position_rep(psi, units)
-    psi.require_normalized()
-    rho = psi.density()
-    mx = np.sum(psi.grid.x * rho) * psi.grid.dx
-    var = np.sum((psi.grid.x - mx) ** 2 * rho) * psi.grid.dx
-    rms = float(np.sqrt(var))
+    rms = _normalized_moments(psi, units)[3]
     if convention == "rms":
-        return rms
+        return float(rms)
     if convention == "sigma":
         return rms * np.sqrt(2.0)
     raise ValueError(f"unknown width convention {convention!r}")

@@ -23,7 +23,9 @@ cancel segment by segment against the free phases).  The minus sign is fixed
 by this composition; flipping V0 -> -V0 leaves it unchanged (quadratic).  The
 cubic per-segment terms carry the opposite-ordering sign (+V0^2 dt^3/3m hbar
 each), and the net negative total emerges from the cross terms -- the
-composition below is the executable form of that bookkeeping.
+composition below is the executable form of that bookkeeping.  One segment
+ledger, :func:`compose_segments`, checks the kick and displacement balance
+for plane-wave and packet input alike.
 
 The Stern-Gerlach stage applies the linear evolution with an operator-valued
 slope: V0 -> -coupling * sigma_axis, so the sigma_axis = +1 branch sees slope
@@ -175,8 +177,9 @@ class PsgGeometry:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (self.length > 0 and self.speed > 0 and self.mass > 0):
-            raise ValueError("length, speed and mass must be positive")
+        for name in ("length", "speed", "mass"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
     @property
     def dwell(self) -> float:
@@ -262,7 +265,8 @@ def psg_compose(
     For packet input the capacitor length must dominate the packet width
     (length/width >= 20) unless ``override_width_check`` is set; the composed
     evolution then returns the evolved state and the phase extracted against
-    pure free evolution over 4 dt.
+    pure free evolution over 4 dt.  The net kick and displacement come from
+    :func:`compose_segments` for either input.
     """
     if isinstance(input_state, (int, float)):
         return compose_segments(g.segments(), float(input_state), g.mass, units)
@@ -276,33 +280,19 @@ def psg_compose(
             f"capacitor length {g.length!r} is less than 20x the packet "
             f"width {width!r}; pass override_width_check=True to force"
         )
+    ledger = compose_segments(g.segments(), 0.0, g.mass, units)
     u = UnitSystem(units.hbar, g.mass, units.label)
     state = psi
-    disp, kick = 0.0, 0.0
-    disp_scale = kick_scale = 0.0
     for v, dt in g.segments():
-        res = linear_evolve(state, v, dt, ordering="left", units=u)
-        state = res.psi
-        step = kick / g.mass * dt - res.ledger.argument_shift
-        disp += step
-        kick -= res.ledger.momentum_kick
-        disp_scale = max(disp_scale, abs(step))
-        kick_scale = max(kick_scale, abs(res.ledger.momentum_kick))
-    if abs(kick) > 1e-12 * max(1.0, kick_scale) or abs(disp) > 1e-12 * max(
-        1.0, disp_scale
-    ):
-        raise GeometryError(
-            f"composed ledger is not balanced: net kick {kick!r}, "
-            f"net displacement {disp!r}"
-        )
+        state = linear_evolve(state, v, dt, ordering="left", units=u).psi
     reference = free_evolve(psi, g.total_time, u)
     overlap = complex(
         np.sum(np.conj(reference.amps) * state.amps) * state.dstep
     )
     return PsgComposition(
         relative_phase=cmath.phase(overlap),
-        net_kick=kick,
-        net_displacement=disp,
+        net_kick=ledger.net_kick,
+        net_displacement=ledger.net_displacement,
         evolved=state,
     )
 

@@ -15,7 +15,8 @@ Absorbing boundaries are a smooth amplitude mask applied once per step:
 inner edge of each absorbing band to the grid boundary.  They are off by
 default and required for tunneling runs so transmitted flux does not wrap
 around.  Probability removed by the mask is tracked per grid side every step,
-so norm accounting stays exact.
+so norm accounting stays exact.  Snapshot observables come from
+``core._moments``, the routine behind the public observables.
 
 One private propagator holds the phase factors of a (grid, potential, dt,
 absorber) and steps either one state or a ``(B, n)`` stack of states in place
@@ -51,6 +52,7 @@ from .core import (
     UnitSystem,
     WaveFunction,
     _band_share,
+    _moments,
     l2_distance,
 )
 from .errors import BoundaryContaminationWarning, StabilityError
@@ -141,20 +143,6 @@ class Trajectory:
     extras: dict = field(default_factory=dict)
 
 
-def _observables(amps, grid, k_wrap, hbar, m, dx):
-    rho = np.abs(amps) ** 2
-    n2 = float(np.sum(rho) * dx)
-    if n2 <= 0.0:
-        return n2, np.nan, np.nan, np.nan
-    mx = float(np.sum(grid.x * rho) * dx / n2)
-    var = float(np.sum((grid.x - mx) ** 2 * rho) * dx / n2)
-    tilde = np.fft.fft(amps)
-    rho_k = np.abs(tilde) ** 2
-    tot_k = float(np.sum(rho_k))
-    mp = float(hbar * np.sum(k_wrap * rho_k) / tot_k)
-    return n2, mx, mp, np.sqrt(max(var, 0.0)) * np.sqrt(2.0)
-
-
 class _Propagator:
     """Strang stepping for one grid, potential, dt and absorber.
 
@@ -238,7 +226,6 @@ def split_step_evolve(
     if psi.space != "position":
         raise ValueError("split_step_evolve expects a position-representation state")
     g = psi.grid
-    hbar, m = units.hbar, units.mass
     dt, dx = cfg.dt, g.dx
     prop = _Propagator(g, potential, dt, cfg.absorber, units)
 
@@ -258,7 +245,8 @@ def split_step_evolve(
     def record(i, step):
         t = psi.time + step * dt
         times[i] = t
-        obs[i] = _observables(amps, g, g.k_wrap, hbar, m, dx)
+        n2, mx, mp, rms = _moments(amps, g, units.hbar)
+        obs[i] = n2, mx, mp, rms * np.sqrt(2.0)
         absorbed[i] = ledger
         if cfg.store_states:
             states.append(psi.with_amps(amps.copy(), time=t))

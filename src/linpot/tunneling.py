@@ -51,6 +51,7 @@ from .core import (
     SpatialGrid,
     UnitSystem,
     WaveFunction,
+    _moments,
     sample_gaussian,
 )
 from .errors import (
@@ -64,7 +65,6 @@ from .errors import (
 from .oracle import (
     SolverConfig,
     Trajectory,
-    _observables,
     _Propagator,
     split_step_evolve,
 )
@@ -108,11 +108,11 @@ class BarrierSpec:
 
     def __post_init__(self):
         if not self.slope > 0:
-            raise ValueError("front slope must be positive")
+            raise ValueError("slope must be positive")
         if not self.peak_height > 0:
-            raise ValueError("peak height must be positive")
+            raise ValueError("peak_height must be positive")
         if self.descent_slope is not None and not self.descent_slope > 0:
-            raise ValueError("descent slope must be positive")
+            raise ValueError("descent_slope must be positive")
 
     @property
     def down_slope(self) -> float:
@@ -409,7 +409,8 @@ def _measure(states, barrier, cfg, grid, units, launch) -> list:
     region_T = grid.x > b
 
     def observe(row):
-        return _observables(row, grid, grid.k_wrap, units.hbar, units.mass, dx)
+        n2, mx, mp, rms = _moments(row, grid, units.hbar)
+        return n2, mx, mp, rms * np.sqrt(2.0)
 
     amps = np.array([psi.amps for psi in states], dtype=complex)
     entries = []

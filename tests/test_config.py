@@ -29,6 +29,34 @@ n_steps = 4000
 record_every = 200
 """
 
+BARRIER = "[potential]\nkind = barrier\n"
+PSG = "[psg]\nv0 = 1.0\n"
+# (section, key, text): every range rule the config hands to a dataclass
+HANDED_OFF = [
+    ("units", "mass", "[units]\nmass = 0\n"),
+    ("grid", "x_max", "[grid]\nx_min = 4.0\nx_max = 4.0\n"),
+    ("grid", "n", "[grid]\nn = 8\n"),
+    ("state", "sigma", "[state]\nsigma = -1.0\n"),
+    ("potential", "slope", BARRIER + "slope = 0.0\n"),
+    ("potential", "peak_height", BARRIER + "peak_height = -1.0\n"),
+    ("potential", "descent_slope", BARRIER + "descent_slope = 0.0\n"),
+    ("solver", "dt", "[solver]\ndt = 0.0\n"),
+    ("solver", "n_steps", "[solver]\nn_steps = 0\n"),
+    ("solver", "record_every", "[solver]\nrecord_every = -3\n"),
+    (
+        "solver",
+        "absorber_width_fraction",
+        "[solver]\nabsorber = on\nabsorber_width_fraction = 0.3\n",
+    ),
+    ("solver", "absorber_strength", "[solver]\nabsorber = on\nabsorber_strength = -1.0\n"),
+    ("psg", "length", PSG + "length = 0.0\nspeed = 1.0\n"),
+    ("psg", "speed", PSG + "length = 1.0\nspeed = -1.0\n"),
+    ("psg", "mass", PSG + "length = 1.0\nspeed = 1.0\nmass = 0.0\n"),
+    ("sg", "coupling", "[sg]\ncoupling = -1.0\nduration = 1.0\n"),
+    ("sg", "duration", "[sg]\ncoupling = 1.0\nduration = 0.0\n"),
+    ("scan", "sigmas", "[scan]\nsigmas = 1.0,-2.0\n"),
+]
+
 SHIPPED = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
 
 
@@ -65,20 +93,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"\[units\] hbar"):
             ExperimentConfig.from_text("[units]\nsystem = natural\nhbar = 2.0\n")
 
-    def test_dataclass_errors_name_the_key(self):
-        # SpatialGrid and Absorber validate; the config names the key
-        with pytest.raises(ConfigError, match=r"^\[grid\] x_max: "):
-            ExperimentConfig.from_text("[grid]\nx_min = 4.0\nx_max = 4.0\n")
-        with pytest.raises(ConfigError, match=r"^\[grid\] n: "):
-            ExperimentConfig.from_text("[grid]\nn = 8\n")
-        with pytest.raises(ConfigError, match=r"^\[solver\] absorber_width_fraction: "):
-            ExperimentConfig.from_text(
-                "[solver]\nabsorber = on\nabsorber_width_fraction = 0.3\n"
-            )
-        with pytest.raises(ConfigError, match=r"^\[solver\] absorber_strength: "):
-            ExperimentConfig.from_text(
-                "[solver]\nabsorber = on\nabsorber_strength = -1.0\n"
-            )
+    @pytest.mark.parametrize(
+        "section, key, text", HANDED_OFF, ids=[f"{s}-{k}" for s, k, _ in HANDED_OFF]
+    )
+    def test_dataclass_errors_name_the_key(self, section, key, text):
+        # the dataclasses validate, naming the field first; the config
+        # names the key, at parse time
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: "):
+            ExperimentConfig.from_text(text)
+
+    def test_off_absorber_is_not_checked(self):
         # an absorber that is off is not built, so its settings are not checked
         off = "[solver]\nabsorber = off\nabsorber_width_fraction = 0.3\n"
         assert not ExperimentConfig.from_text(off).absorber_on

@@ -1,4 +1,5 @@
-"""The CSVs that every CLI command writes for its shipped config, byte for byte.
+"""The CSVs that every CLI command writes for its shipped config, and the
+packet PSG's for an inline config, byte for byte.
 
 The digests were recorded with numpy 2.4.6 and scipy 1.17.1 on x86_64.  Other
 versions or machines may round the FFTs and reductions differently in the
@@ -41,6 +42,26 @@ GOLDEN = {
     },
 }
 
+# c10's packet case: a long weak capacitor on a sigma = 4 packet
+PACKET_PSG_CONFIG = """\
+[grid]
+x_min = -512.0
+x_max = 512.0
+n = 2048
+
+[state]
+sigma = 4.0
+
+[psg]
+v0 = 0.001
+length = 100.0
+speed = 1.0
+"""
+PACKET_PSG_GOLDEN = {
+    "psg_report.csv": "5a8acb22777cc7b6907150069b602ede4a6485a28214a2f6aa513c56706cbb2e",
+    "psg_sweep.csv": "fd36eba5f9f722fcbd40747dc2683802f1cd8a7465ccf6da378a312c020e7c3a",
+}
+
 
 def _environment_mismatch() -> str:
     here = {
@@ -59,15 +80,24 @@ def test_every_command_has_digests():
     assert set(GOLDEN) == set(COMMANDS)
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_cli_csvs_match_recorded_digests(command, tmp_path):
+def _digests(command, config, out):
     mismatch = _environment_mismatch()
     if mismatch:
         pytest.skip(f"digests recorded in another environment: {mismatch}")
-    argv = [command, "--config", str(CONFIGS / COMMANDS[command]), "--out", str(tmp_path)]
-    assert main(argv) == 0
-    written = {
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.glob("*.csv")
+        for path in out.glob("*.csv")
     }
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_cli_csvs_match_recorded_digests(command, tmp_path):
+    written = _digests(command, CONFIGS / COMMANDS[command], tmp_path)
     assert written == GOLDEN[command]
+
+
+def test_packet_psg_csvs_match_recorded_digests(tmp_path):
+    config = tmp_path / "packet_psg.cfg"
+    config.write_text(PACKET_PSG_CONFIG)
+    assert _digests("psg", config, tmp_path) == PACKET_PSG_GOLDEN

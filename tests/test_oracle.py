@@ -16,7 +16,10 @@ from linpot import (
     free_evolve,
     l2_distance,
     linear_evolve,
+    mean_momentum,
+    mean_position,
     sample_gaussian,
+    spatial_width,
     split_step_evolve,
 )
 from linpot.errors import BoundaryContaminationWarning, StabilityError
@@ -63,6 +66,16 @@ class TestSplitStep:
         np.testing.assert_allclose(
             traj.mean_p, spec.p0 - v0 * traj.times, atol=1e-8
         )
+
+    def test_snapshot_moments_equal_public_moments(self, packet):
+        # one moments routine: the last snapshot reads exactly what the
+        # public observables read off the final state
+        cfg = SolverConfig(dt=1e-3, n_steps=300, record_every=100)
+        traj = split_step_evolve(packet, Linear(1.5), cfg)
+        final = traj.final_state
+        assert traj.mean_x[-1] == mean_position(final)
+        assert traj.mean_p[-1] == mean_momentum(final)
+        assert traj.width[-1] == spatial_width(final)
 
     def test_unitarity_long_run(self, grid, packet):
         cfg = SolverConfig(dt=1e-4, n_steps=10000, record_every=1000)
