@@ -29,6 +29,13 @@ multiplication in the conjugate domain), never interpolation, so they are
 exact on band-limited states.  No phase is ever discarded: every evolution
 returns a :class:`PhaseLedger` naming each acquired term.
 
+Every transform goes through ``scipy.fft``, as in ``core`` and the solver.
+The left ordering is written once, as a function of the initial state's
+spectrum: :func:`linear_evolve` transforms its input and calls it, and
+``linpot evolve``, which compares the solver with the closed form at every
+snapshot, transforms psi0 once per run and reuses that spectrum for every
+snapshot time, with the same result to the last bit.
+
 Sign conventions in one place: mean position gains -V0 dt^2/(2m) (constant
 acceleration -V0/m), mean momentum gains -V0 dt, while the *argument* of the
 free-evolved profile is shifted by +V0 dt^2/(2m) -- the classical motion under
@@ -42,6 +49,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft as sp_fft
 
 from .core import (
     _EDGE_BAND,
@@ -169,16 +177,20 @@ def free_evolve(
     is the inverse evolution."""
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
-    g = psi.grid
-    hbar, m = units.hbar, units.mass
     if psi.space == "momentum":
+        hbar, m = units.hbar, units.mass
         phase = np.exp(-1j * psi.p_axis**2 * dt / (2.0 * m * hbar))
         return psi.with_amps(psi.amps * phase, time=psi.time + dt)
-    kinetic = np.exp(-1j * hbar * g.k_wrap**2 * dt / (2.0 * m))
-    amps = np.fft.ifft(np.fft.fft(psi.amps) * kinetic)
-    out = psi.with_amps(amps, time=psi.time + dt)
+    out = _free_from_spectrum(psi, sp_fft.fft(psi.amps), dt, units)
     _check_boundary(out)
     return out
+
+
+def _free_from_spectrum(psi, spectrum, dt, units):
+    """``psi`` freely evolved by ``dt``, given ``spectrum = fft(psi.amps)``."""
+    g = psi.grid
+    kinetic = np.exp(-1j * units.hbar * g.k_wrap**2 * dt / (2.0 * units.mass))
+    return psi.with_amps(sp_fft.ifft(spectrum * kinetic), time=psi.time + dt)
 
 
 def spectral_shift(psi: WaveFunction, shift: float) -> WaveFunction:
@@ -186,7 +198,7 @@ def spectral_shift(psi: WaveFunction, shift: float) -> WaveFunction:
     if shift == 0.0:
         return psi
     g = psi.grid
-    amps = np.fft.ifft(np.fft.fft(psi.amps) * np.exp(1j * g.k_wrap * shift))
+    amps = sp_fft.ifft(sp_fft.fft(psi.amps) * np.exp(1j * g.k_wrap * shift))
     return psi.with_amps(amps)
 
 
@@ -261,27 +273,47 @@ def linear_evolve(
         raise ValueError(f"unknown ordering {ordering!r}")
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
-    hbar, m = units.hbar, units.mass
-    g = psi.grid
+    if ordering == "left":
+        return _left_evolve(
+            psi, sp_fft.fft(psi.amps), v0, dt, units, offset, check_coverage
+        )
     ledger = _ledger(v0, dt, units, ordering)
     shift = ledger.argument_shift
-    x_phase = np.exp(-1j * v0 * g.x * dt / hbar)
-    offset_phase = np.exp(-1j * offset * dt / hbar) if offset else 1.0
+    if check_coverage:
+        _check_wrap_contamination(psi, -shift)
+    phi = spectral_shift(psi, -shift)
+    phi = _position_phases(phi, v0, dt, ledger, units, offset)
+    return EvolutionResult(free_evolve(phi, dt, units), ledger)
 
-    if ordering == "left":
-        phi = free_evolve(psi, dt, units)
-        if check_coverage:
-            _check_wrap_contamination(phi, shift)
-        phi = spectral_shift(phi, shift)
-        amps = phi.amps * x_phase * np.exp(1j * ledger.cubic_phase) * offset_phase
-        out = phi.with_amps(amps)
-    else:
-        if check_coverage:
-            _check_wrap_contamination(psi, -shift)
-        phi = spectral_shift(psi, -shift)
-        amps = phi.amps * x_phase * np.exp(1j * ledger.cubic_phase) * offset_phase
-        out = free_evolve(phi.with_amps(amps), dt, units)
-    return EvolutionResult(out, ledger)
+
+def _left_evolve(psi, spectrum, v0, dt, units, offset=0.0, check_coverage=True):
+    """The left ordering of :func:`linear_evolve` for the position state
+    ``psi``, given ``spectrum = scipy.fft.fft(psi.amps)``.
+
+    Free evolution, the boundary warning, the wrap guard, the argument shift,
+    then the x-linear, cubic and offset phases.  A caller that evolves one
+    state to many times transforms it once and passes the same spectrum to
+    every call; the result is bit for bit that of :func:`linear_evolve`.
+    """
+    ledger = _ledger(v0, dt, units, "left")
+    shift = ledger.argument_shift
+    phi = _free_from_spectrum(psi, spectrum, dt, units)
+    _check_boundary(phi)
+    if check_coverage:
+        _check_wrap_contamination(phi, shift)
+    phi = spectral_shift(phi, shift)
+    return EvolutionResult(_position_phases(phi, v0, dt, ledger, units, offset), ledger)
+
+
+def _position_phases(psi, v0, dt, ledger, units, offset):
+    """``psi`` times the x-linear phase, the ledger's cubic phase and the
+    offset's global phase, in that order."""
+    hbar = units.hbar
+    x_phase = np.exp(-1j * v0 * psi.grid.x * dt / hbar)
+    offset_phase = np.exp(-1j * offset * dt / hbar) if offset else 1.0
+    return psi.with_amps(
+        psi.amps * x_phase * np.exp(1j * ledger.cubic_phase) * offset_phase
+    )
 
 
 def linear_evolve_momentum(

@@ -24,9 +24,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.fft as sp_fft
 
 from . import devices, oracle, tunneling, verify
-from .analytic import linear_evolve
+from .analytic import _left_evolve
 from .config import ExperimentConfig
 from .core import Free, Linear, l2_distance, sample_gaussian
 from .errors import (
@@ -74,8 +75,8 @@ def _write_csv(path: Path, schema: str, header, rows):
 def _load(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config)
     if args.dt is not None:
-        if args.dt <= 0:
-            raise ConfigError("--dt: must be > 0")
+        if not 0.0 < args.dt < math.inf:
+            raise ConfigError(f"--dt: must be positive and finite, got {args.dt!r}")
         n_steps = max(1, round(cfg.solver_dt * cfg.solver_n_steps / args.dt))
         cfg = dataclasses.replace(cfg, solver_dt=args.dt, solver_n_steps=n_steps)
     return cfg
@@ -97,19 +98,22 @@ def cmd_evolve(args) -> int:
     else:
         potential, v0 = cfg.potential.barrier().potential(), None
 
+    # each snapshot is compared with the closed form as it arrives, so no
+    # snapshot state outlives its row; psi0 is transformed once for all rows
+    l2 = []
+    on_snapshot = None
     if v0 is not None:
-        # keep snapshots so every row gets a real analytic-vs-solver distance
-        solver = dataclasses.replace(solver, store_states=True)
-    traj = oracle.split_step_evolve(psi0, potential, solver, units)
-    rows = []
-    for i, t in enumerate(traj.times):
-        l2 = math.nan
-        if v0 is not None:
-            exact = linear_evolve(psi0, v0, float(t), units=units).psi if t else psi0
-            l2 = l2_distance(exact, traj.states[i])
-        rows.append(
-            (t, traj.mean_x[i], traj.mean_p[i], traj.width[i], traj.norm2[i], l2)
-        )
+        spectrum = sp_fft.fft(psi0.amps)
+
+        def on_snapshot(state):
+            t = state.time
+            exact = _left_evolve(psi0, spectrum, v0, t, units).psi if t else psi0
+            l2.append(l2_distance(exact, state))
+
+    traj = oracle.split_step_evolve(psi0, potential, solver, units, on_snapshot)
+    if v0 is None:
+        l2 = [math.nan] * len(traj.times)
+    rows = list(zip(traj.times, traj.mean_x, traj.mean_p, traj.width, traj.norm2, l2))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 from .core import NATURAL, GaussianSpec, SpatialGrid, UnitSystem, si_units
@@ -69,8 +70,8 @@ class ScanSpec:
     sigmas: tuple = ()
 
     def __post_init__(self):
-        if not all(s > 0 for s in self.sigmas):
-            raise ValueError(f"sigmas must be positive, got {self.sigmas!r}")
+        if not all(0.0 < s < math.inf for s in self.sigmas):
+            raise ValueError(f"sigmas must be positive and finite, got {self.sigmas!r}")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ Conventions
   ``p_j = hbar * 2*pi*fftfreq(n, dx)``.  Internally momentum arrays live in
   FFT wraparound order; every *exported* momentum-space array (and every
   momentum-representation :class:`WaveFunction`) is re-sorted to ascending p.
+* Transforms go through ``scipy.fft``; ``fftfreq`` and ``fftshift`` are
+  numpy's.
 * The Fourier pair is unitary in the discrete inner products::
 
       psi_tilde(p) = dx/sqrt(2*pi*hbar) * sum_j psi(x_j) exp(-i p x_j / hbar)
@@ -41,6 +43,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.fft as sp_fft
 
 from .errors import CoverageError, NormalizationError
 
@@ -84,10 +87,10 @@ class UnitSystem:
     label: str = "natural"
 
     def __post_init__(self):
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
+        if not 0.0 < self.hbar < np.inf:
+            raise ValueError("hbar must be positive and finite")
+        if not 0.0 < self.mass < np.inf:
+            raise ValueError("mass must be positive and finite")
 
     def with_mass(self, mass: float) -> "UnitSystem":
         return UnitSystem(self.hbar, mass, self.label)
@@ -119,6 +122,9 @@ class SpatialGrid:
     n: int
 
     def __post_init__(self):
+        for name in ("x_min", "x_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         if not _is_power_of_two(self.n) or self.n < 16:
@@ -218,8 +224,8 @@ class GaussianSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
 
 
 def sample_gaussian(
@@ -295,7 +301,7 @@ def _moments(amps: np.ndarray, grid: SpatialGrid, hbar: float):
         return n2, np.nan, np.nan, np.nan
     mx = float(np.sum(grid.x * rho) * dx / n2)
     var = float(np.sum((grid.x - mx) ** 2 * rho) * dx / n2)
-    rho_k = np.abs(np.fft.fft(amps)) ** 2
+    rho_k = np.abs(sp_fft.fft(amps)) ** 2
     mp = float(hbar * np.sum(grid.k_wrap * rho_k) / float(np.sum(rho_k)))
     return n2, mx, mp, np.sqrt(max(var, 0.0))
 
@@ -350,7 +356,7 @@ def to_momentum_rep(psi: WaveFunction, units: UnitSystem = NATURAL) -> WaveFunct
         return psi
     g = psi.grid
     phase = np.exp(-1j * g.k_wrap * g.x_min)
-    tilde_wrap = np.fft.fft(psi.amps) * (g.dx / np.sqrt(2.0 * np.pi * units.hbar)) * phase
+    tilde_wrap = sp_fft.fft(psi.amps) * (g.dx / np.sqrt(2.0 * np.pi * units.hbar)) * phase
     return WaveFunction(
         g,
         np.fft.fftshift(tilde_wrap),
@@ -367,7 +373,7 @@ def to_position_rep(psi: WaveFunction, units: UnitSystem = NATURAL) -> WaveFunct
     g = psi.grid
     tilde_wrap = np.fft.ifftshift(psi.amps)
     phase = np.exp(1j * g.k_wrap * g.x_min)
-    amps = np.fft.ifft(tilde_wrap * phase) * (np.sqrt(2.0 * np.pi * units.hbar) / g.dx)
+    amps = sp_fft.ifft(tilde_wrap * phase) * (np.sqrt(2.0 * np.pi * units.hbar) / g.dx)
     return WaveFunction(g, amps, psi.time, space="position")
 
 

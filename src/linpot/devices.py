@@ -178,8 +178,8 @@ class PsgGeometry:
 
     def __post_init__(self):
         for name in ("length", "speed", "mass"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def dwell(self) -> float:
@@ -360,10 +360,10 @@ class SgSpec:
     def __post_init__(self):
         if self.axis not in (+1, -1):
             raise ValueError("axis must be +1 (+x) or -1 (-x)")
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
-        if self.coupling < 0:
-            raise ValueError("coupling must be non-negative")
+        if not 0.0 < self.duration < np.inf:
+            raise ValueError("duration must be positive and finite")
+        if not 0.0 <= self.coupling < np.inf:
+            raise ValueError("coupling must be non-negative and finite")
 
     @staticmethod
     def from_field(

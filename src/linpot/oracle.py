@@ -16,7 +16,10 @@ inner edge of each absorbing band to the grid boundary.  They are off by
 default and required for tunneling runs so transmitted flux does not wrap
 around.  Probability removed by the mask is tracked per grid side every step,
 so norm accounting stays exact.  Snapshot observables come from
-``core._moments``, the routine behind the public observables.
+``core._moments``, the routine behind the public observables.  The solver
+keeps no snapshot states: a caller that needs them passes ``on_snapshot``
+and receives each one as it is taken, so ``linpot evolve`` holds one state
+at a time however many snapshots it writes.
 
 One private propagator holds the phase factors of a (grid, potential, dt,
 absorber) and steps either one state or a ``(B, n)`` stack of states in place
@@ -84,8 +87,8 @@ class Absorber:
     def __post_init__(self):
         if not (0.0 < self.width_fraction <= 0.25):
             raise ValueError("width_fraction must be in (0, 0.25]")
-        if self.strength < 0:
-            raise ValueError("strength must be non-negative")
+        if not 0.0 <= self.strength < np.inf:
+            raise ValueError("strength must be non-negative and finite")
 
     def ramp(self, grid: SpatialGrid) -> np.ndarray:
         """Damping-rate profile: 0 in the interior, cos^2-shaped rise to
@@ -110,11 +113,10 @@ class SolverConfig:
     n_steps: int
     absorber: Absorber | None = None
     record_every: int = 100
-    store_states: bool = False
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if self.record_every < 1:
@@ -125,10 +127,12 @@ class SolverConfig:
 class Trajectory:
     """Snapshot record of one evolution.
 
-    By default stores reduced observables per snapshot (<x>, <p>, sigma-width,
-    norm^2, cumulative absorbed probability per side); full wave-functions are
-    kept only when requested.  Observables are expectation values of the
-    current (renormalized) state; ``norm2`` tracks the surviving probability.
+    Stores reduced observables per snapshot (<x>, <p>, sigma-width, norm^2,
+    cumulative absorbed probability per side) and the final state; a caller
+    that needs the snapshot states themselves receives them one at a time
+    through ``split_step_evolve``'s ``on_snapshot``.  Observables are
+    expectation values of the current (renormalized) state; ``norm2`` tracks
+    the surviving probability.
     """
 
     times: np.ndarray
@@ -139,7 +143,6 @@ class Trajectory:
     absorbed_left: np.ndarray
     absorbed_right: np.ndarray
     final_state: WaveFunction
-    states: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
 
@@ -214,6 +217,7 @@ def split_step_evolve(
     potential: Potential,
     cfg: SolverConfig,
     units: UnitSystem = NATURAL,
+    on_snapshot=None,
 ) -> Trajectory:
     """Evolve ``psi`` for ``cfg.n_steps`` steps of ``cfg.dt``.
 
@@ -222,6 +226,11 @@ def split_step_evolve(
     drifts by more than 1e-6 with the absorber off (which for this unitary
     scheme can only mean non-finite input somewhere); warns once if the state
     touches a non-absorbing boundary.  ``psi`` itself is left unchanged.
+
+    ``on_snapshot``, if given, is called with each snapshot state (a copy
+    the caller may keep, stamped with its time) once that snapshot has
+    passed the checks above, so a caller can reduce the states as they
+    arrive instead of holding all of them.
     """
     if psi.space != "position":
         raise ValueError("split_step_evolve expects a position-representation state")
@@ -236,7 +245,6 @@ def split_step_evolve(
     times = np.empty(n_snaps)
     obs = np.empty((n_snaps, 4))
     absorbed = np.zeros((n_snaps, 2))
-    states: list[WaveFunction] = []
 
     initial_norm = float(np.sum(np.abs(amps) ** 2) * dx)
     ledger = np.zeros(2)
@@ -248,17 +256,20 @@ def split_step_evolve(
         n2, mx, mp, rms = _moments(amps, g, units.hbar)
         obs[i] = n2, mx, mp, rms * np.sqrt(2.0)
         absorbed[i] = ledger
-        if cfg.store_states:
-            states.append(psi.with_amps(amps.copy(), time=t))
+        return t
 
-    record(0, 0)
+    def hand_over(t):
+        if on_snapshot is not None:
+            on_snapshot(psi.with_amps(amps.copy(), time=t))
+
+    hand_over(record(0, 0))
     snap = 1
     step = 0
     while step < cfg.n_steps:
         k = min(cfg.record_every, cfg.n_steps - step)
         amps = prop.advance(amps, k, ledger)
         step += k
-        record(snap, step)
+        t = record(snap, step)
         n2 = obs[snap, 0]
         if not np.isfinite(n2):
             raise StabilityError(f"norm became non-finite at step {step}")
@@ -275,6 +286,7 @@ def split_step_evolve(
                     stacklevel=2,
                 )
                 warned = True
+        hand_over(t)
         snap += 1
 
     final = psi.with_amps(amps, time=psi.time + cfg.n_steps * dt)
@@ -287,7 +299,6 @@ def split_step_evolve(
         absorbed_left=absorbed[:snap, 0],
         absorbed_right=absorbed[:snap, 1],
         final_state=final,
-        states=states,
     )
 
 

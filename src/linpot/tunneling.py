@@ -107,12 +107,12 @@ class BarrierSpec:
     descent_slope: float | None = None
 
     def __post_init__(self):
-        if not self.slope > 0:
-            raise ValueError("slope must be positive")
-        if not self.peak_height > 0:
-            raise ValueError("peak_height must be positive")
-        if self.descent_slope is not None and not self.descent_slope > 0:
-            raise ValueError("descent_slope must be positive")
+        if not 0.0 < self.slope < np.inf:
+            raise ValueError("slope must be positive and finite")
+        if not 0.0 < self.peak_height < np.inf:
+            raise ValueError("peak_height must be positive and finite")
+        if self.descent_slope is not None and not 0.0 < self.descent_slope < np.inf:
+            raise ValueError("descent_slope must be positive and finite")
 
     @property
     def down_slope(self) -> float:

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.fft as sp_fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linpot import (
+    NATURAL,
     GaussianSpec,
     Linear,
     SpatialGrid,
@@ -17,10 +21,12 @@ from linpot import (
     plane_wave_phase,
     sample_gaussian,
     spatial_width,
+    si_units,
     spectral_shift,
     to_momentum_rep,
     zassenhaus_terms,
 )
+from linpot.analytic import _left_evolve
 from linpot.errors import BoundaryContaminationWarning, CoverageError
 from linpot.oracle import SolverConfig, split_step_evolve
 
@@ -173,6 +179,68 @@ class TestLinearEvolve:
         np.testing.assert_allclose(
             offset.amps, plain.amps * np.exp(-1j * c * dt), atol=1e-14
         )
+
+
+SI = si_units(9.1e-31)
+SI_GRID = SpatialGrid(-2e-6, 2e-6, 1024)
+
+
+def _guarded(fn):
+    """(outcome, warning messages) of one evolution: the amplitudes' bytes,
+    or the CoverageError's message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = fn().psi.amps.tobytes()
+        except CoverageError as exc:
+            outcome = f"CoverageError: {exc}"
+    return outcome, [
+        str(w.message)
+        for w in caught
+        if issubclass(w.category, BoundaryContaminationWarning)
+    ]
+
+
+class TestSharedSpectrum:
+    """``_left_evolve`` given fft(psi) once must be ``linear_evolve`` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec, v0, times, units",
+        [
+            (GaussianSpec(-2.0, 3.0, 1.0), 1.5, (0.05, 0.3, 0.9, 1.6), NATURAL),
+            (GaussianSpec(-2.0, 3.0, 1.0), -1.5, (-0.05, -0.3, -0.9, -1.6), NATURAL),
+            (GaussianSpec(1.0, -2.0, 0.8), 0.0, (0.05, 0.3, 0.9, 1.6), NATURAL),
+            (GaussianSpec(0.0, 1e-28, 1e-7), 4e-17, (1e-11, 3e-11, 6e-11), SI),
+        ],
+        ids=["t-positive", "t-negative", "v0-zero", "si"],
+    )
+    def test_equals_linear_evolve(self, grid, spec, v0, times, units):
+        g = SI_GRID if units is SI else grid
+        psi = sample_gaussian(spec, g, units)
+        spectrum = sp_fft.fft(psi.amps)
+        for t in times:
+            want = linear_evolve(psi, v0, t, units=units)
+            got = _left_evolve(psi, spectrum, v0, t, units)
+            np.testing.assert_array_equal(got.psi.amps, want.psi.amps)
+            assert got.psi.time == want.psi.time
+            assert got.ledger == want.ledger
+            # the shift is not a trivial one in the cases that have a slope
+            assert (got.ledger.argument_shift != 0.0) == (v0 != 0.0)
+
+    def test_guards_fire_at_the_same_times(self):
+        # a packet running into the left edge: no guard, then the boundary
+        # warning alone, then the warning and the wrap guard's CoverageError
+        g = SpatialGrid(-16.0, 16.0, 512)
+        psi = sample_gaussian(GaussianSpec(-6.0, -6.0, 1.0), g)
+        spectrum = sp_fft.fft(psi.amps)
+        seen = set()
+        for t in np.linspace(0.1, 1.2, 12):
+            t = float(t)
+            want = _guarded(lambda: linear_evolve(psi, 6.0, t))
+            got = _guarded(lambda: _left_evolve(psi, spectrum, 6.0, t, NATURAL))
+            assert got == want
+            seen.add((isinstance(want[0], str), len(want[1])))
+        assert seen == {(False, 0), (False, 1), (True, 1)}
 
 
 class TestMomentumRepresentation:

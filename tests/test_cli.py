@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,28 @@ record_every = 200
 
 LINEAR_CFG = FREE_CFG.replace("kind = free", "kind = linear\nv0 = 1.5")
 ZERO_LINEAR_CFG = FREE_CFG.replace("kind = free", "kind = linear\nv0 = 0.0")
+
+# the closed-form benchmark's evolve shape: n = 2048, a snapshot every step
+SNAPSHOT_CFG = """\
+[grid]
+x_min = -32.0
+x_max = 32.0
+n = 2048
+
+[state]
+x0 = -2.0
+p0 = 3.0
+sigma = 1.0
+
+[potential]
+kind = linear
+v0 = 1.5
+
+[solver]
+dt = 0.0001
+n_steps = {n_steps}
+record_every = 1
+"""
 
 TUNNEL_CFG = """\
 [grid]
@@ -140,9 +163,53 @@ class TestEvolve:
             out2 / "trajectory.csv"
         ).read_bytes()
 
+    def test_memory_does_not_grow_with_snapshots(self, tmp_path):
+        # each snapshot is compared with the closed form as it arrives, so
+        # 1 000 snapshots of 2048 points (32 MB if kept) cost what 100 do
+        def run(n_steps):
+            text = SNAPSHOT_CFG.format(n_steps=n_steps)
+            cfg = write(tmp_path, f"{n_steps}.cfg", text)
+            return main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
+
+        assert run(100) == 0  # FFT plans and grid caches outside the traced runs
+        peaks = {}
+        for n_steps in (100, 1000):
+            tracemalloc.start()
+            try:
+                assert run(n_steps) == 0
+                peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1000] - peaks[100] < 2_000_000, peaks
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write(tmp_path, "bad.cfg", "[grid]\nn = 1000\n")
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "text, extra, key",
+        [
+            (LINEAR_CFG.replace("dt = 0.001", "dt = inf"), [], "[solver] dt"),
+            (LINEAR_CFG.replace("sigma = 1.0", "sigma = inf"), [], "[state] sigma"),
+            (LINEAR_CFG, ["--dt", "inf"], "--dt"),
+            (LINEAR_CFG, ["--dt", "nan"], "--dt"),
+            (LINEAR_CFG, ["--dt=-inf"], "--dt"),
+        ],
+        ids=[
+            "config-dt-inf",
+            "config-sigma-inf",
+            "flag-dt-inf",
+            "flag-dt-nan",
+            "flag-dt-minus-inf",
+        ],
+    )
+    def test_non_finite_value_is_a_keyed_config_error(
+        self, tmp_path, capsys, text, extra, key
+    ):
+        cfg = write(tmp_path, "nonfinite.cfg", text)
+        argv = ["evolve", "--config", cfg, "--out", str(tmp_path / "o"), *extra]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
     def test_precondition_exit_code(self, tmp_path):
         narrow = FREE_CFG.replace("x_min = -32.0", "x_min = -2.0").replace(

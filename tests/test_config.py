@@ -56,6 +56,26 @@ HANDED_OFF = [
     ("sg", "duration", "[sg]\ncoupling = 1.0\nduration = 0.0\n"),
     ("scan", "sigmas", "[scan]\nsigmas = 1.0,-2.0\n"),
 ]
+# (section, key, value, text): a positive-range rule also rejects inf and nan
+NON_FINITE = [
+    ("units", "mass", "inf", "[units]\nmass = inf\n"),
+    ("grid", "x_min", "-inf", "[grid]\nx_min = -inf\n"),
+    ("grid", "x_max", "inf", "[grid]\nx_max = inf\n"),
+    ("state", "sigma", "inf", "[state]\nsigma = inf\n"),
+    ("potential", "slope", "inf", BARRIER + "slope = inf\n"),
+    ("potential", "peak_height", "nan", BARRIER + "peak_height = nan\n"),
+    ("potential", "descent_slope", "inf", BARRIER + "descent_slope = inf\n"),
+    ("solver", "dt", "inf", "[solver]\ndt = inf\n"),
+    ("solver", "dt", "nan", "[solver]\ndt = nan\n"),
+    ("solver", "absorber_strength", "inf", "[solver]\nabsorber = on\nabsorber_strength = inf\n"),
+    ("psg", "length", "inf", PSG + "length = inf\nspeed = 1.0\n"),
+    ("psg", "speed", "nan", PSG + "length = 1.0\nspeed = nan\n"),
+    ("psg", "mass", "inf", PSG + "length = 1.0\nspeed = 1.0\nmass = inf\n"),
+    ("sg", "coupling", "inf", "[sg]\ncoupling = inf\nduration = 1.0\n"),
+    ("sg", "duration", "inf", "[sg]\ncoupling = 1.0\nduration = inf\n"),
+    ("scan", "sigmas", "1.0,inf", "[scan]\nsigmas = 1.0,inf\n"),
+]
+
 
 SHIPPED = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
 
@@ -100,6 +120,15 @@ class TestParsing:
         # the dataclasses validate, naming the field first; the config
         # names the key, at parse time
         with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: "):
+            ExperimentConfig.from_text(text)
+
+    @pytest.mark.parametrize(
+        "section, key, value, text",
+        NON_FINITE,
+        ids=[f"{s}-{k}-{v}" for s, k, v, _ in NON_FINITE],
+    )
+    def test_non_finite_values_name_the_key(self, section, key, value, text):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: .*finite"):
             ExperimentConfig.from_text(text)
 
     def test_off_absorber_is_not_checked(self):

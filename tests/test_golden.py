@@ -1,5 +1,5 @@
-"""The CSVs that every CLI command writes for its shipped config, and the
-packet PSG's for an inline config, byte for byte.
+"""The CSVs that every CLI command writes for its shipped config, and those
+of the packet PSG and of a free evolve for inline configs, byte for byte.
 
 The digests were recorded with numpy 2.4.6 and scipy 1.17.1 on x86_64.  Other
 versions or machines may round the FFTs and reductions differently in the
@@ -62,6 +62,31 @@ PACKET_PSG_GOLDEN = {
     "psg_sweep.csv": "fd36eba5f9f722fcbd40747dc2683802f1cd8a7465ccf6da378a312c020e7c3a",
 }
 
+# kind = free: v0 = 0, so the closed-form column takes the zero-shift path
+FREE_EVOLVE_CONFIG = """\
+[grid]
+x_min = -32.0
+x_max = 32.0
+n = 1024
+
+[state]
+x0 = -1.0
+p0 = 2.0
+sigma = 1.0
+
+[potential]
+kind = free
+
+[solver]
+dt = 0.001
+n_steps = 1000
+record_every = 100
+"""
+FREE_EVOLVE_GOLDEN = {
+    "final_state.csv": "cd0deabf921ec7b854d907a55b34739b4c0eaaafe0bb7f5647dea870b8e05a1c",
+    "trajectory.csv": "93dfdc6a40877f6181fbe510b638b930560430cd8655cfc5637cdd8ef6eb9c6d",
+}
+
 
 def _environment_mismatch() -> str:
     here = {
@@ -101,3 +126,9 @@ def test_packet_psg_csvs_match_recorded_digests(tmp_path):
     config = tmp_path / "packet_psg.cfg"
     config.write_text(PACKET_PSG_CONFIG)
     assert _digests("psg", config, tmp_path) == PACKET_PSG_GOLDEN
+
+
+def test_free_evolve_csvs_match_recorded_digests(tmp_path):
+    config = tmp_path / "free.cfg"
+    config.write_text(FREE_EVOLVE_CONFIG)
+    assert _digests("evolve", config, tmp_path) == FREE_EVOLVE_GOLDEN

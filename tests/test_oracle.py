@@ -87,11 +87,24 @@ class TestSplitStep:
         traj = split_step_evolve(packet, Free(), cfg)
         np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.25], atol=1e-12)
 
-    def test_store_states(self, grid, packet):
-        cfg = SolverConfig(dt=1e-3, n_steps=200, record_every=100, store_states=True)
-        traj = split_step_evolve(packet, Free(), cfg)
-        assert len(traj.states) == len(traj.times)
-        assert l2_distance(traj.states[-1], traj.final_state) == 0.0
+    def test_on_snapshot_gets_every_snapshot(self, grid, packet):
+        cfg = SolverConfig(dt=1e-3, n_steps=200, record_every=100)
+        seen = []
+        traj = split_step_evolve(packet, Free(), cfg, on_snapshot=seen.append)
+        assert len(seen) == len(traj.times)
+        assert [s.time for s in seen] == list(traj.times)
+        assert l2_distance(seen[-1], traj.final_state) == 0.0
+
+    def test_failed_snapshot_is_not_handed_over(self, packet):
+        # the norm check runs before the hand-over: only snapshot 0 arrives
+        amps = packet.amps.copy()
+        amps[7] = np.nan
+        bad = packet.with_amps(amps)
+        seen = []
+        cfg = SolverConfig(dt=1e-3, n_steps=30, record_every=10)
+        with pytest.raises(StabilityError, match="non-finite at step 10"):
+            split_step_evolve(bad, Free(), cfg, on_snapshot=seen.append)
+        assert [s.time for s in seen] == [0.0]
 
     def test_non_finite_potential_raises(self, grid, packet):
         vals = np.zeros(grid.n)
@@ -246,11 +259,13 @@ class TestTextbookReference:
 
     def test_input_untouched_and_snapshots_unaliased(self, packet):
         before = packet.amps.copy()
-        cfg = SolverConfig(dt=1e-3, n_steps=30, record_every=10, store_states=True)
-        traj = split_step_evolve(packet, Linear(1.0), cfg)
+        cfg = SolverConfig(dt=1e-3, n_steps=30, record_every=10)
+        seen = []
+        traj = split_step_evolve(packet, Linear(1.0), cfg, on_snapshot=seen.append)
         np.testing.assert_array_equal(packet.amps, before)
-        np.testing.assert_array_equal(traj.states[0].amps, before)
-        arrays = [s.amps for s in traj.states] + [traj.final_state.amps, packet.amps]
+        np.testing.assert_array_equal(seen[0].amps, before)
+        assert len(seen) == len(traj.times)
+        arrays = [s.amps for s in seen] + [traj.final_state.amps, packet.amps]
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
