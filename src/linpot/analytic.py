@@ -29,7 +29,9 @@ multiplication in the conjugate domain), never interpolation, so they are
 exact on band-limited states.  No phase is ever discarded: every evolution
 returns a :class:`PhaseLedger` naming each acquired term.
 
-Every transform goes through ``scipy.fft``, as in ``core`` and the solver.
+Every transform goes through ``core._fft``/``_ifft``, as in the solver:
+the kernel that ``scipy.fft`` itself calls, with the same arguments, so the
+output is bit-identical to ``scipy.fft.fft``/``ifft``.
 The left ordering is written once, as a function of the initial state's
 spectrum: :func:`linear_evolve` transforms its input and calls it, and
 ``linpot evolve``, which compares the solver with the closed form at every
@@ -49,7 +51,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft as sp_fft
 
 from .core import (
     _EDGE_BAND,
@@ -59,6 +60,8 @@ from .core import (
     WaveFunction,
     _band_share,
     _edge_share,
+    _fft,
+    _ifft,
     to_momentum_rep,
     to_position_rep,
 )
@@ -181,7 +184,7 @@ def free_evolve(
         hbar, m = units.hbar, units.mass
         phase = np.exp(-1j * psi.p_axis**2 * dt / (2.0 * m * hbar))
         return psi.with_amps(psi.amps * phase, time=psi.time + dt)
-    out = _free_from_spectrum(psi, sp_fft.fft(psi.amps), dt, units)
+    out = _free_from_spectrum(psi, _fft(psi.amps), dt, units)
     _check_boundary(out)
     return out
 
@@ -190,7 +193,7 @@ def _free_from_spectrum(psi, spectrum, dt, units):
     """``psi`` freely evolved by ``dt``, given ``spectrum = fft(psi.amps)``."""
     g = psi.grid
     kinetic = np.exp(-1j * units.hbar * g.k_wrap**2 * dt / (2.0 * units.mass))
-    return psi.with_amps(sp_fft.ifft(spectrum * kinetic), time=psi.time + dt)
+    return psi.with_amps(_ifft(spectrum * kinetic), time=psi.time + dt)
 
 
 def spectral_shift(psi: WaveFunction, shift: float) -> WaveFunction:
@@ -198,7 +201,7 @@ def spectral_shift(psi: WaveFunction, shift: float) -> WaveFunction:
     if shift == 0.0:
         return psi
     g = psi.grid
-    amps = sp_fft.ifft(sp_fft.fft(psi.amps) * np.exp(1j * g.k_wrap * shift))
+    amps = _ifft(_fft(psi.amps) * np.exp(1j * g.k_wrap * shift))
     return psi.with_amps(amps)
 
 
@@ -275,7 +278,7 @@ def linear_evolve(
         raise ValueError("dt must be finite")
     if ordering == "left":
         return _left_evolve(
-            psi, sp_fft.fft(psi.amps), v0, dt, units, offset, check_coverage
+            psi, _fft(psi.amps), v0, dt, units, offset, check_coverage
         )
     ledger = _ledger(v0, dt, units, ordering)
     shift = ledger.argument_shift
@@ -288,7 +291,7 @@ def linear_evolve(
 
 def _left_evolve(psi, spectrum, v0, dt, units, offset=0.0, check_coverage=True):
     """The left ordering of :func:`linear_evolve` for the position state
-    ``psi``, given ``spectrum = scipy.fft.fft(psi.amps)``.
+    ``psi``, given ``spectrum = core._fft(psi.amps)``.
 
     Free evolution, the boundary warning, the wrap guard, the argument shift,
     then the x-linear, cubic and offset phases.  A caller that evolves one

@@ -11,25 +11,29 @@ Subcommands::
 Exit codes: 0 success, 1 config/validation error, 2 numerical failure,
 3 precondition violation.  Identical configs produce byte-identical CSV
 output on the same platform; every CSV starts with a ``# schema:`` line and a
-header row.
+header row.  ``evolve`` and ``tunnel`` also write ``run.json``: the canonical
+config and its sha256, the linpot/numpy/scipy versions, the solver's
+state-step and FFT counts and the probability absorbed per side (per scan row
+for ``tunnel``).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.fft as sp_fft
+import scipy
 
-from . import devices, oracle, tunneling, verify
+from . import __version__, devices, oracle, tunneling, verify
 from .analytic import _left_evolve
 from .config import ExperimentConfig
-from .core import Free, Linear, l2_distance, sample_gaussian
+from .core import Free, Linear, _fft, l2_distance, sample_gaussian
 from .errors import (
     BranchMismatchError,
     ConfigError,
@@ -72,6 +76,25 @@ def _write_csv(path: Path, schema: str, header, rows):
             f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _write_run(out: Path, cfg: ExperimentConfig, **record):
+    """Write ``run.json``: what ran (canonical config, its sha256, versions)
+    and the ``record`` of how it went."""
+    text = cfg.to_text()
+    manifest = {
+        "config": text,
+        "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "versions": {
+            "linpot": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+        **record,
+    }
+    with open(out / "run.json", "w") as f:
+        json.dump(manifest, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def _load(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config)
     if args.dt is not None:
@@ -103,7 +126,7 @@ def cmd_evolve(args) -> int:
     l2 = []
     on_snapshot = None
     if v0 is not None:
-        spectrum = sp_fft.fft(psi0.amps)
+        spectrum = _fft(psi0.amps)
 
         def on_snapshot(state):
             t = state.time
@@ -128,6 +151,14 @@ def cmd_evolve(args) -> int:
         "state-v1",
         ("x", "re", "im", "density"),
         zip(grid.x, final.amps.real, final.amps.imag, final.density()),
+    )
+    _write_run(
+        out,
+        cfg,
+        state_steps=traj.state_steps,
+        transforms=traj.transforms,
+        absorbed_left=float(traj.absorbed_left[-1]),
+        absorbed_right=float(traj.absorbed_right[-1]),
     )
     print(f"evolve: wrote {out / 'trajectory.csv'} ({len(rows)} snapshots)")
     if v0 is not None:
@@ -176,6 +207,20 @@ def cmd_tunnel(args) -> int:
         "width-scan-v1",
         ("sigma_at_arrival", "T", "R", "residual", "t_measure"),
         [(r.sigma_at_arrival, r.T, r.R, r.residual, r.t_measure) for r in scan.rows],
+    )
+    _write_run(
+        out,
+        cfg,
+        state_steps=scan.state_steps,
+        transforms=scan.transforms,
+        rows=[
+            {
+                "sigma_at_arrival": r.sigma_at_arrival,
+                "absorbed_left": r.absorbed_left,
+                "absorbed_right": r.absorbed_right,
+            }
+            for r in scan.rows
+        ],
     )
     violations = scan.monotonicity_violations()
     print(f"tunnel: wrote {out / 'scan.csv'} ({len(scan.rows)} rows)")

@@ -60,6 +60,10 @@ class PotentialSpec:
     peak_height: float = 1.0
     descent_slope: float | None = None
 
+    def __post_init__(self):
+        if not math.isfinite(self.v0):
+            raise ValueError("v0 must be finite")
+
     def barrier(self) -> BarrierSpec:
         return BarrierSpec(self.x_start, self.slope, self.peak_height, self.descent_slope)
 
@@ -70,6 +74,8 @@ class ScanSpec:
     sigmas: tuple = ()
 
     def __post_init__(self):
+        if not all(math.isfinite(d) for d in self.delays):
+            raise ValueError(f"delays must be finite, got {self.delays!r}")
         if not all(0.0 < s < math.inf for s in self.sigmas):
             raise ValueError(f"sigmas must be positive and finite, got {self.sigmas!r}")
 
@@ -191,13 +197,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"[potential] kind: must be free, linear or barrier, got {kind!r}"
             )
-        kw["potential"] = PotentialSpec(
-            kind=kind,
-            v0=get("potential", "v0", float, 0.0),
-            x_start=get("potential", "x_start", float, 0.0),
-            slope=get("potential", "slope", float, 1.0),
-            peak_height=get("potential", "peak_height", float, 1.0),
-            descent_slope=get("potential", "descent_slope", float, None),
+        kw["potential"] = built(
+            "potential",
+            PotentialSpec,
+            kind,
+            get("potential", "v0", float, 0.0),
+            get("potential", "x_start", float, 0.0),
+            get("potential", "slope", float, 1.0),
+            get("potential", "peak_height", float, 1.0),
+            get("potential", "descent_slope", float, None),
         )
         if kind == "barrier":
             built("potential", kw["potential"].barrier)

@@ -19,8 +19,10 @@ Conventions
   ``p_j = hbar * 2*pi*fftfreq(n, dx)``.  Internally momentum arrays live in
   FFT wraparound order; every *exported* momentum-space array (and every
   momentum-representation :class:`WaveFunction`) is re-sorted to ascending p.
-* Transforms go through ``scipy.fft``; ``fftfreq`` and ``fftshift`` are
-  numpy's.
+* Transforms go through ``_fft`` and ``_ifft``, which call the pocketfft
+  kernel that ``scipy.fft.fft``/``ifft`` themselves end in, with the
+  arguments those pass; the output is bit-identical, without the dispatch
+  layer's fixed cost per call.  ``fftfreq`` and ``fftshift`` are numpy's.
 * The Fourier pair is unitary in the discrete inner products::
 
       psi_tilde(p) = dx/sqrt(2*pi*hbar) * sum_j psi(x_j) exp(-i p x_j / hbar)
@@ -43,7 +45,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sp_fft
+from scipy.fft._pocketfft import pypocketfft as _pocketfft
+from scipy.fft._pocketfft.helper import _asfarray
 
 from .errors import CoverageError, NormalizationError
 
@@ -102,6 +105,23 @@ NATURAL = UnitSystem(1.0, 1.0, "natural")
 def si_units(mass: float) -> UnitSystem:
     """SI convention for a particle of the given mass in kg."""
     return UnitSystem(HBAR_SI, mass, "si")
+
+
+def _fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``scipy.fft.fft(a)`` along the last axis, straight into its kernel.
+
+    The arguments are those ``scipy.fft`` passes (no normalization, one
+    worker), so the result is bit-identical.  Out of place, ``a`` is first
+    converted as ``scipy.fft`` converts it, so lists and integer arrays work;
+    ``out=a`` transforms a complex ``a`` in place and returns it, as
+    ``overwrite_x=True`` does.
+    """
+    return _pocketfft.c2c(_asfarray(a) if out is None else a, (-1,), True, 0, out, 1)
+
+
+def _ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``scipy.fft.ifft(a)`` (1/n normalization), as :func:`_fft`."""
+    return _pocketfft.c2c(_asfarray(a) if out is None else a, (-1,), False, 2, out, 1)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -224,6 +244,9 @@ class GaussianSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
+        for name in ("x0", "p0"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 < self.sigma < np.inf:
             raise ValueError("sigma must be positive and finite")
 
@@ -301,7 +324,7 @@ def _moments(amps: np.ndarray, grid: SpatialGrid, hbar: float):
         return n2, np.nan, np.nan, np.nan
     mx = float(np.sum(grid.x * rho) * dx / n2)
     var = float(np.sum((grid.x - mx) ** 2 * rho) * dx / n2)
-    rho_k = np.abs(sp_fft.fft(amps)) ** 2
+    rho_k = np.abs(_fft(amps)) ** 2
     mp = float(hbar * np.sum(grid.k_wrap * rho_k) / float(np.sum(rho_k)))
     return n2, mx, mp, np.sqrt(max(var, 0.0))
 
@@ -356,7 +379,7 @@ def to_momentum_rep(psi: WaveFunction, units: UnitSystem = NATURAL) -> WaveFunct
         return psi
     g = psi.grid
     phase = np.exp(-1j * g.k_wrap * g.x_min)
-    tilde_wrap = sp_fft.fft(psi.amps) * (g.dx / np.sqrt(2.0 * np.pi * units.hbar)) * phase
+    tilde_wrap = _fft(psi.amps) * (g.dx / np.sqrt(2.0 * np.pi * units.hbar)) * phase
     return WaveFunction(
         g,
         np.fft.fftshift(tilde_wrap),
@@ -373,7 +396,7 @@ def to_position_rep(psi: WaveFunction, units: UnitSystem = NATURAL) -> WaveFunct
     g = psi.grid
     tilde_wrap = np.fft.ifftshift(psi.amps)
     phase = np.exp(1j * g.k_wrap * g.x_min)
-    amps = sp_fft.ifft(tilde_wrap * phase) * (np.sqrt(2.0 * np.pi * units.hbar) / g.dx)
+    amps = _ifft(tilde_wrap * phase) * (np.sqrt(2.0 * np.pi * units.hbar) / g.dx)
     return WaveFunction(g, amps, psi.time, space="position")
 
 

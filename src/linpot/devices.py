@@ -177,6 +177,8 @@ class PsgGeometry:
     mass: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite(self.v0):
+            raise ValueError("v0 must be finite")
         for name in ("length", "speed", "mass"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")

@@ -23,7 +23,11 @@ at a time however many snapshots it writes.
 
 One private propagator holds the phase factors of a (grid, potential, dt,
 absorber) and steps either one state or a ``(B, n)`` stack of states in place
-with ``scipy.fft`` (``overwrite_x``, transforms along the last axis).
+with ``core._fft``/``_ifft`` along the last axis.  These call the kernel that
+``scipy.fft`` itself calls, with the same arguments, so the output is
+bit-identical to ``scipy.fft.fft/ifft(overwrite_x=True)``.  The propagator
+counts its own work: ``state_steps`` (rows times steps) and ``transforms``
+(kernel calls), which every :class:`Trajectory` carries.
 :func:`split_step_evolve` steps its own copy of one state through it; the
 tunneling width scan steps all its entries as one stack.  Between two
 snapshots nobody looks at the state, so the closing half kick of one step and
@@ -45,7 +49,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sp_fft
 
 from .core import (
     _EDGE_THRESHOLD,
@@ -55,6 +58,8 @@ from .core import (
     UnitSystem,
     WaveFunction,
     _band_share,
+    _fft,
+    _ifft,
     _moments,
     l2_distance,
 )
@@ -132,7 +137,8 @@ class Trajectory:
     that needs the snapshot states themselves receives them one at a time
     through ``split_step_evolve``'s ``on_snapshot``.  Observables are
     expectation values of the current (renormalized) state; ``norm2`` tracks
-    the surviving probability.
+    the surviving probability.  ``state_steps`` and ``transforms`` count the
+    steps taken and the FFT kernel calls made for this evolution.
     """
 
     times: np.ndarray
@@ -144,13 +150,16 @@ class Trajectory:
     absorbed_right: np.ndarray
     final_state: WaveFunction
     extras: dict = field(default_factory=dict)
+    state_steps: int = 0
+    transforms: int = 0
 
 
 class _Propagator:
     """Strang stepping for one grid, potential, dt and absorber.
 
     Builds the phase factors and the absorber's band weights once; every
-    caller then steps its states with :meth:`advance`.
+    caller then steps its states with :meth:`advance`, which counts the
+    state-steps (rows times steps) and FFT kernel calls it makes.
     """
 
     def __init__(self, grid, potential, dt, absorber=None, units=NATURAL):
@@ -163,6 +172,8 @@ class _Propagator:
         self.full = self.half * self.half
         self.last = self.half.copy()
         self.absorbing = absorber is not None and absorber.strength > 0
+        self.state_steps = 0
+        self.transforms = 0
         if self.absorbing:
             mask = np.exp(-absorber.ramp(grid) * dt / hbar)
             self.full *= mask
@@ -192,11 +203,9 @@ class _Propagator:
             acc = ledger.reshape(-1, 2).tolist()
         amps *= half
         for j in range(k):
-            # the transforms run along the last axis by default; passing
-            # axis=-1 costs about 2.7 us more per call in scipy's dispatch
-            amps = sp_fft.fft(amps, overwrite_x=True)
+            _fft(amps, amps)
             amps *= exp_k
-            amps = sp_fft.ifft(amps, overwrite_x=True)
+            _ifft(amps, amps)
             if absorbing:
                 # |half| = 1, so |psi|^2 here equals the density after the
                 # closing half kick, where the per-step scheme applies the
@@ -209,6 +218,8 @@ class _Propagator:
             amps *= last if j == k - 1 else full
         if absorbing:
             ledger[...] = np.reshape(acc, ledger.shape)
+        self.state_steps += k * (1 if single else len(amps))
+        self.transforms += 2 * k
         return amps
 
 
@@ -299,6 +310,8 @@ def split_step_evolve(
         absorbed_left=absorbed[:snap, 0],
         absorbed_right=absorbed[:snap, 1],
         final_state=final,
+        state_steps=prop.state_steps,
+        transforms=prop.transforms,
     )
 
 

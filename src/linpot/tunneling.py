@@ -107,6 +107,8 @@ class BarrierSpec:
     descent_slope: float | None = None
 
     def __post_init__(self):
+        if not np.isfinite(self.x_start):
+            raise ValueError("x_start must be finite")
         if not 0.0 < self.slope < np.inf:
             raise ValueError("slope must be positive and finite")
         if not 0.0 < self.peak_height < np.inf:
@@ -384,14 +386,17 @@ class _Entry:
         self.R = self.residual = 0.0
 
 
-def _measure(states, barrier, cfg, grid, units, launch) -> list:
+def _measure(states, barrier, cfg, grid, units, launch):
     """Launch every state of ``states`` at the barrier and step them as one
     ``(B, n)`` stack until each is stationary.
 
     Every ``cfg.record_every`` steps each row gets its observables, T, R,
     residual and ledger and its stationarity test; a row that has become
     stationary leaves the stack and the others keep stepping.  Returns one
-    :class:`TunnelingResult` per state, in input order.  If ``cfg.n_steps``
+    :class:`TunnelingResult` per state, in input order, and the propagator,
+    whose counters hold the work of the whole stack.  Each result's
+    trajectory counts its own row's steps and the kernel calls made while it
+    was in the stack.  If ``cfg.n_steps``
     runs out first, raises :class:`StationarityTimeout` carrying the partial
     result of the first state, in input order, that was still drifting.
     """
@@ -436,6 +441,8 @@ def _measure(states, barrier, cfg, grid, units, launch) -> list:
             absorbed_right=right,
             final_state=e.psi.with_amps(row.copy(), time=e.time),
             extras={"transmitted_fraction": t_frac},
+            state_steps=steps_done,
+            transforms=prop.transforms,
         )
         results[i] = TunnelingResult(
             T=e.T,
@@ -486,7 +493,7 @@ def _measure(states, barrier, cfg, grid, units, launch) -> list:
         raise StationarityTimeout(
             f"T and R still drifting after {steps_done} steps", results[live[0]]
         )
-    return results
+    return results, prop
 
 
 def run_tunneling(
@@ -516,23 +523,32 @@ def run_tunneling(
         if initial_state is not None
         else sample_gaussian(packet, grid, units)
     )
-    return _measure([psi0], barrier, cfg, grid, units, launch)[0]
+    results, _ = _measure([psi0], barrier, cfg, grid, units, launch)
+    return results[0]
 
 
 @dataclass(frozen=True)
 class ScanRow:
+    """One entry's measurement; the absorbed probabilities are per side and
+    already included in T and R."""
+
     sigma_at_arrival: float
     T: float
     R: float
     residual: float
     t_measure: float
+    absorbed_left: float
+    absorbed_right: float
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Width-scan table, sorted by sigma at arrival."""
+    """Width-scan table, sorted by sigma at arrival, with the state-steps
+    (summed over the rows) and FFT kernel calls the scan's one stack took."""
 
     rows: tuple
+    state_steps: int = 0
+    transforms: int = 0
 
     def monotonicity_violations(self, slack: float = 0.0):
         """Adjacent pairs where T decreases by more than ``slack`` as sigma
@@ -585,6 +601,7 @@ def width_scan(
         return psi
 
     states = [state(a) for a in (sigma_list if sigma_list is not None else delay_list)]
+    results, prop = _measure(states, barrier, cfg, grid, units, launch)
     rows = [
         ScanRow(
             sigma_at_arrival=res.sigma_at_turning,
@@ -592,11 +609,13 @@ def width_scan(
             R=res.R,
             residual=res.residual,
             t_measure=res.t_measure,
+            absorbed_left=res.absorbed_left,
+            absorbed_right=res.absorbed_right,
         )
-        for res in _measure(states, barrier, cfg, grid, units, launch)
+        for res in results
     ]
     rows.sort(key=lambda r: r.sigma_at_arrival)
-    return ScanResult(tuple(rows))
+    return ScanResult(tuple(rows), prop.state_steps, prop.transforms)
 
 
 # ---------------------------------------------------------------------------

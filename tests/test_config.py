@@ -56,8 +56,15 @@ HANDED_OFF = [
     ("sg", "duration", "[sg]\ncoupling = 1.0\nduration = 0.0\n"),
     ("scan", "sigmas", "[scan]\nsigmas = 1.0,-2.0\n"),
 ]
-# (section, key, value, text): a positive-range rule also rejects inf and nan
+# (section, key, value, text): a positive-range rule also rejects inf and nan,
+# and a coordinate with no range must still be finite
 NON_FINITE = [
+    ("state", "x0", "nan", "[state]\nx0 = nan\n"),
+    ("state", "p0", "inf", "[state]\np0 = inf\n"),
+    ("potential", "v0", "inf", "[potential]\nkind = linear\nv0 = inf\n"),
+    ("potential", "x_start", "nan", BARRIER + "x_start = nan\n"),
+    ("psg", "v0", "-inf", "[psg]\nv0 = -inf\nlength = 1.0\nspeed = 1.0\n"),
+    ("scan", "delays", "0.0,nan", "[scan]\ndelays = 0.0,nan\n"),
     ("units", "mass", "inf", "[units]\nmass = inf\n"),
     ("grid", "x_min", "-inf", "[grid]\nx_min = -inf\n"),
     ("grid", "x_max", "inf", "[grid]\nx_max = inf\n"),

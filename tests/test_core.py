@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from linpot import (
     to_momentum_rep,
     to_position_rep,
 )
+from linpot.core import _fft, _ifft
 from linpot.errors import CoverageError, NormalizationError
 from linpot.tunneling import animation_scenario
 
@@ -195,6 +197,46 @@ class TestFourierPair:
         tilde = to_momentum_rep(psi)
         assert abs(psi.norm2() - tilde.norm2()) < 1e-12
         assert l2_distance(psi, to_position_rep(tilde)) < 1e-13
+
+
+class TestKernelPair:
+    """``_fft``/``_ifft`` call scipy's pocketfft kernel directly; they must
+    give what ``scipy.fft.fft``/``ifft`` give, bit for bit.  A scipy release
+    that moves or changes the private kernel fails here by name."""
+
+    @staticmethod
+    def _complex(shape, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("n", [16, 1024, 8192])
+    @pytest.mark.parametrize("rows", [None, 3], ids=["single", "stack"])
+    def test_equals_scipy_fft(self, n, rows):
+        a = self._complex((n,) if rows is None else (rows, n), n)
+        before = a.copy()
+        np.testing.assert_array_equal(_fft(a), scipy.fft.fft(a))
+        np.testing.assert_array_equal(_ifft(a), scipy.fft.ifft(a))
+        np.testing.assert_array_equal(a, before)
+
+    @pytest.mark.parametrize(
+        "a",
+        [[1, 2, 0, -1], np.arange(16), np.linspace(0.0, 1.0, 16)],
+        ids=["list", "int", "float"],
+    )
+    def test_converts_input_as_scipy_fft(self, a):
+        # a WaveFunction may be built from any array-like amplitudes
+        np.testing.assert_array_equal(_fft(a), scipy.fft.fft(a))
+        np.testing.assert_array_equal(_ifft(a), scipy.fft.ifft(a))
+
+    @pytest.mark.parametrize("n", [16, 1024, 8192])
+    @pytest.mark.parametrize("rows", [None, 3], ids=["single", "stack"])
+    def test_in_place_shares_the_buffer(self, n, rows):
+        a = self._complex((n,) if rows is None else (rows, n), n + 1)
+        for transform in (_fft, _ifft):
+            want = transform(a)
+            got = transform(a, a)
+            assert got is a
+            np.testing.assert_array_equal(got, want)
 
 
 class TestPotentials:

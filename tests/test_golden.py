@@ -1,12 +1,14 @@
 """The CSVs that every CLI command writes for its shipped config, and those
-of the packet PSG and of a free evolve for inline configs, byte for byte.
+of the packet PSG and of a free evolve for inline configs, byte for byte;
+and the run manifest that ``evolve`` and ``tunnel`` write beside them.
 
 The digests were recorded with numpy 2.4.6 and scipy 1.17.1 on x86_64.  Other
 versions or machines may round the FFTs and reductions differently in the
-last bit, so there the test skips and names what differs.
+last bit, so there the digest tests skip and name what differs.
 """
 
 import hashlib
+import json
 import platform
 from pathlib import Path
 
@@ -14,7 +16,9 @@ import numpy
 import pytest
 import scipy
 
+import linpot
 from linpot.cli import main
+from linpot.config import ExperimentConfig
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 COMMANDS = {
@@ -105,30 +109,93 @@ def test_every_command_has_digests():
     assert set(GOLDEN) == set(COMMANDS)
 
 
-def _digests(command, config, out):
+def _skip_in_other_environment():
     mismatch = _environment_mismatch()
     if mismatch:
         pytest.skip(f"digests recorded in another environment: {mismatch}")
+
+
+def _run(command, config, out):
     assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
+def _digests(out):
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in out.glob("*.csv")
     }
 
 
+@pytest.fixture(scope="module")
+def shipped(tmp_path_factory):
+    """Output directory of a command run on its shipped config, once per
+    module for the digests and the manifest alike."""
+    outs = {}
+
+    def out(command):
+        if command not in outs:
+            config = CONFIGS / COMMANDS[command]
+            outs[command] = _run(command, config, tmp_path_factory.mktemp(command))
+        return outs[command]
+
+    return out
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_cli_csvs_match_recorded_digests(command, tmp_path):
-    written = _digests(command, CONFIGS / COMMANDS[command], tmp_path)
-    assert written == GOLDEN[command]
+def test_cli_csvs_match_recorded_digests(command, shipped):
+    _skip_in_other_environment()
+    assert _digests(shipped(command)) == GOLDEN[command]
 
 
 def test_packet_psg_csvs_match_recorded_digests(tmp_path):
+    _skip_in_other_environment()
     config = tmp_path / "packet_psg.cfg"
     config.write_text(PACKET_PSG_CONFIG)
-    assert _digests("psg", config, tmp_path) == PACKET_PSG_GOLDEN
+    assert _digests(_run("psg", config, tmp_path)) == PACKET_PSG_GOLDEN
 
 
 def test_free_evolve_csvs_match_recorded_digests(tmp_path):
+    _skip_in_other_environment()
     config = tmp_path / "free.cfg"
     config.write_text(FREE_EVOLVE_CONFIG)
-    assert _digests("evolve", config, tmp_path) == FREE_EVOLVE_GOLDEN
+    assert _digests(_run("evolve", config, tmp_path)) == FREE_EVOLVE_GOLDEN
+
+
+def _manifest(command, shipped):
+    run = json.loads((shipped(command) / "run.json").read_text())
+    cfg = ExperimentConfig.from_file(CONFIGS / COMMANDS[command])
+    assert run["config"] == cfg.to_text()
+    assert run["config_sha256"] == hashlib.sha256(cfg.to_text().encode()).hexdigest()
+    assert run["versions"] == {
+        "linpot": linpot.__version__,
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+    }
+    return run, cfg
+
+
+def test_evolve_manifest_counts_every_step(shipped):
+    run, cfg = _manifest("evolve", shipped)
+    assert run["state_steps"] == cfg.solver_n_steps
+    assert run["transforms"] == 2 * cfg.solver_n_steps
+    # linear.cfg has no absorber
+    assert (run["absorbed_left"], run["absorbed_right"]) == (0.0, 0.0)
+
+
+def test_tunnel_manifest_counts_every_row_step(shipped):
+    run, cfg = _manifest("tunnel", shipped)
+    lines = (shipped("tunnel") / "scan.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[2:]]
+    steps = [round(row["t_measure"] / cfg.solver_dt) for row in rows]
+    assert run["state_steps"] == sum(steps)
+    # one stack: as many kernel calls as its longest-lived row needs
+    assert run["transforms"] == 2 * max(steps)
+    assert [r["sigma_at_arrival"] for r in run["rows"]] == [
+        row["sigma_at_arrival"] for row in rows
+    ]
+    for r, row in zip(run["rows"], rows):
+        # T and R include what the right and left bands absorbed
+        assert 0.0 < r["absorbed_right"] <= row["T"]
+        assert 0.0 < r["absorbed_left"] <= row["R"]

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from linpot import (
     Absorber,
@@ -304,6 +305,66 @@ class TestPropagatorStack:
         else:
             # the first two packets run into opposite bands
             assert ledger[0, 1] > 0.1 and ledger[1, 0] > 0.1
+
+
+def _scipy_fft_advance(prop, amps, k, ledger):
+    """``_Propagator.advance`` as written on ``scipy.fft.fft/ifft(overwrite_x=
+    True)``; the direct kernel calls must reproduce it bit for bit."""
+    half, full, last, exp_k = prop.half, prop.full, prop.last, prop.exp_k
+    absorbing, single = prop.absorbing, amps.ndim == 1
+    if absorbing:
+        n_left, w_left, start, w_right = prop.bands
+        acc = ledger.reshape(-1, 2).tolist()
+    amps *= half
+    for j in range(k):
+        amps = scipy.fft.fft(amps, overwrite_x=True)
+        amps *= exp_k
+        amps = scipy.fft.ifft(amps, overwrite_x=True)
+        if absorbing:
+            for row, a in zip((amps,) if single else amps, acc):
+                u = row[:n_left].view(float)
+                a[0] += np.dot(u * u, w_left)
+                u = row[start:].view(float)
+                a[1] += np.dot(u * u, w_right)
+        amps *= last if j == k - 1 else full
+    if absorbing:
+        ledger[...] = np.reshape(acc, ledger.shape)
+    return amps
+
+
+class TestKernelBypass:
+    """``advance`` calls scipy's FFT kernel directly; state and ledger must be
+    those of the same loop written on ``scipy.fft``, bit for bit, and the
+    propagator must count the work it did."""
+
+    @pytest.mark.parametrize(
+        "absorber",
+        [Absorber(width_fraction=0.2, strength=5.0), None],
+        ids=["absorber", "no-absorber"],
+    )
+    @pytest.mark.parametrize(
+        "shape", [(), (1,), (3,)], ids=["state", "stack-of-1", "stack-of-3"]
+    )
+    def test_advance_equals_scipy_fft_loop(self, absorber, shape):
+        g = SpatialGrid(-24.0, 24.0, 2048)
+        starts = ((6.0, 8.0), (-6.0, -8.0), (0.0, 3.0))[: max(shape, default=1)]
+        rows = [sample_gaussian(GaussianSpec(x0, p0, 1.0), g).amps for x0, p0 in starts]
+        amps = np.array(rows).reshape(*shape, g.n)
+        prop = _Propagator(g, Linear(0.5), 5e-3, absorber)
+        ref, got = amps.copy(), amps.copy()
+        ref_ledger, ledger = np.zeros((*shape, 2)), np.zeros((*shape, 2))
+        for k in (137, 163):
+            ref = _scipy_fft_advance(prop, ref, k, ref_ledger)
+            got = prop.advance(got, k, ledger)
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(ledger, ref_ledger)
+        assert prop.state_steps == 300 * len(rows)
+        assert prop.transforms == 600
+        if absorber is not None:
+            # the first packet runs into the right band, the second the left
+            per_row = ledger.reshape(-1, 2)
+            assert per_row[0, 1] > 0.1
+            assert len(rows) == 1 or per_row[1, 0] > 0.1
 
 
 class TestConvergence:

@@ -229,22 +229,46 @@ class TestRunTunneling:
         assert l2_distance(numeric, exact) < 1e-6
 
 
-class TestWidthScan:
-    def _setup(self):
-        grid = SpatialGrid(-128.0, 128.0, 2048)
-        cfg = SolverConfig(
-            dt=2e-3,
-            n_steps=40000,
-            absorber=Absorber(width_fraction=0.2, strength=12.0),
-            record_every=250,
-        )
-        barrier = BarrierSpec(x_start=36.0, slope=8.0, peak_height=11.2)
-        return grid, cfg, barrier
+def _scan_setup():
+    grid = SpatialGrid(-128.0, 128.0, 2048)
+    cfg = SolverConfig(
+        dt=2e-3,
+        n_steps=40000,
+        absorber=Absorber(width_fraction=0.2, strength=12.0),
+        record_every=250,
+    )
+    barrier = BarrierSpec(x_start=36.0, slope=8.0, peak_height=11.2)
+    return grid, cfg, barrier
 
-    def test_zero_delay_equals_direct_run(self):
-        grid, cfg, barrier = self._setup()
+
+def _delayed(grid, base, delay):
+    """The state the scan launches for ``delay``: free-evolved, then
+    translated back to the launch point."""
+    psi = sample_gaussian(base, grid)
+    if delay:
+        psi = spectral_shift(free_evolve(psi, delay), base.p0 * delay)
+    return psi
+
+
+@pytest.fixture(scope="module")
+def run_alone():
+    """run_tunneling of the sigma = 1 packet on the width-scan setup, by
+    itself: sampled directly (delay 0) and launched after a delay of 7."""
+    grid, cfg, barrier = _scan_setup()
+    base = GaussianSpec(x0=0.0, p0=4.0, sigma=1.0)
+    return {
+        0.0: run_tunneling(base, barrier, cfg, grid),
+        7.0: run_tunneling(
+            base, barrier, cfg, grid, initial_state=_delayed(grid, base, 7.0)
+        ),
+    }
+
+
+class TestWidthScan:
+    def test_zero_delay_equals_direct_run(self, run_alone):
+        grid, cfg, barrier = _scan_setup()
         base = GaussianSpec(x0=0.0, p0=4.0, sigma=1.0)
-        direct = run_tunneling(base, barrier, cfg, grid)
+        direct = run_alone[0.0]
         scan = width_scan(
             4.0, barrier, grid, cfg, base_packet=base, delay_list=(0.0,)
         )
@@ -252,41 +276,43 @@ class TestWidthScan:
         assert scan.rows[0].sigma_at_arrival == direct.sigma_at_turning
 
     @staticmethod
-    def _delayed(grid, base, delay):
-        """The state the scan launches for ``delay``: free-evolved, then
-        translated back to the launch point."""
-        psi = sample_gaussian(base, grid)
-        if delay:
-            psi = spectral_shift(free_evolve(psi, delay), base.p0 * delay)
-        return psi
-
-    @staticmethod
     def _row(res):
-        return ScanRow(res.sigma_at_turning, res.T, res.R, res.residual, res.t_measure)
+        return ScanRow(
+            res.sigma_at_turning,
+            res.T,
+            res.R,
+            res.residual,
+            res.t_measure,
+            res.absorbed_left,
+            res.absorbed_right,
+        )
 
-    def test_delay_scan_equals_one_run_per_entry(self):
+    def test_delay_scan_equals_one_run_per_entry(self, run_alone):
         # the scan steps its entries as one stack; each row must be exactly
         # what a run of that entry on its own gives
-        grid, cfg, barrier = self._setup()
+        grid, cfg, barrier = _scan_setup()
         base = GaussianSpec(x0=0.0, p0=4.0, sigma=1.0)
         delays = (0.0, 7.0)
         scan = width_scan(4.0, barrier, grid, cfg, base_packet=base, delay_list=delays)
-        runs = [
-            run_tunneling(base, barrier, cfg, grid, initial_state=self._delayed(grid, base, d))
-            for d in delays
-        ]
+        runs = [run_alone[d] for d in delays]
         # the entries become stationary at different strides (about 15 250
         # and 19 750 steps), so one leaves the stack while the other steps on
         assert runs[0].t_measure < runs[1].t_measure
         expected = sorted(map(self._row, runs), key=lambda r: r.sigma_at_arrival)
         assert scan.rows == tuple(expected)
+        # each row steps as often in the stack as alone; the stack makes the
+        # kernel calls of its longest-lived row
+        assert scan.state_steps == sum(r.trajectory.state_steps for r in runs)
+        assert scan.transforms == max(r.trajectory.transforms for r in runs)
+        assert runs[1].trajectory.transforms == 2 * runs[1].trajectory.state_steps
 
-    def test_sigma_scan_equals_one_run_per_entry(self):
-        grid, cfg, barrier = self._setup()
+    def test_sigma_scan_equals_one_run_per_entry(self, run_alone):
+        grid, cfg, barrier = _scan_setup()
         sigmas = (1.0, 2.5)
         scan = width_scan(4.0, barrier, grid, cfg, sigma_list=sigmas)
-        runs = [
-            run_tunneling(GaussianSpec(0.0, 4.0, s), barrier, cfg, grid) for s in sigmas
+        # sigma = 1 is the delay-0 packet
+        runs = [run_alone[0.0]] + [
+            run_tunneling(GaussianSpec(0.0, 4.0, s), barrier, cfg, grid) for s in sigmas[1:]
         ]
         assert runs[0].t_measure != runs[1].t_measure
         expected = sorted(map(self._row, runs), key=lambda r: r.sigma_at_arrival)
@@ -301,7 +327,7 @@ class TestWidthScan:
         # 17 000 steps: delay 0 is stationary after about 15 250 and leaves
         # the stack, delay 7 is not; 2 000 steps: neither is, and the first
         # in input order is reported
-        grid, cfg, barrier = self._setup()
+        grid, cfg, barrier = _scan_setup()
         base = GaussianSpec(x0=0.0, p0=4.0, sigma=1.0)
         short = SolverConfig(
             dt=cfg.dt, n_steps=n_steps, absorber=cfg.absorber, record_every=cfg.record_every
@@ -309,7 +335,7 @@ class TestWidthScan:
         with pytest.raises(StationarityTimeout) as scanned:
             width_scan(4.0, barrier, grid, short, base_packet=base, delay_list=delays)
         with pytest.raises(StationarityTimeout) as alone:
-            psi = self._delayed(grid, base, 7.0)
+            psi = _delayed(grid, base, 7.0)
             run_tunneling(base, barrier, short, grid, initial_state=psi)
         got, want = scanned.value.partial_result, alone.value.partial_result
         assert str(scanned.value) == str(alone.value)
@@ -330,7 +356,7 @@ class TestWidthScan:
         assert got.trajectory.final_state.time == want.trajectory.final_state.time
 
     def test_requires_exactly_one_list(self):
-        grid, cfg, barrier = self._setup()
+        grid, cfg, barrier = _scan_setup()
         with pytest.raises(ValueError):
             width_scan(4.0, barrier, grid, cfg)
         with pytest.raises(ValueError):
@@ -338,9 +364,9 @@ class TestWidthScan:
 
     def test_violations_reported_not_suppressed(self):
         rows = (
-            ScanRow(1.0, 0.10, 0.9, 0.0, 1.0),
-            ScanRow(2.0, 0.05, 0.95, 0.0, 1.0),
-            ScanRow(3.0, 0.20, 0.8, 0.0, 1.0),
+            ScanRow(1.0, 0.10, 0.9, 0.0, 1.0, 0.0, 0.0),
+            ScanRow(2.0, 0.05, 0.95, 0.0, 1.0, 0.0, 0.0),
+            ScanRow(3.0, 0.20, 0.8, 0.0, 1.0, 0.0, 0.0),
         )
         scan = ScanResult(rows)
         violations = scan.monotonicity_violations()
