@@ -2,11 +2,12 @@
 
 Subcommands::
 
-    linpot evolve --config FILE [--out DIR]   analytic + solver trajectory CSV
-    linpot tunnel --config FILE [--out DIR]   barrier profile + width-scan CSV
-    linpot psg    --config FILE [--out DIR]   phase report + phase-vs-V0 sweep
-    linpot spin   --config FILE [--out DIR]   gate fidelity report
-    linpot verify [--out DIR] [--only c01,..] full acceptance check suite
+    linpot evolve --config FILE [--out DIR] [--dt DT]   analytic + solver trajectory CSV
+    linpot tunnel --config FILE [--out DIR] [--dt DT]   barrier profile + width-scan CSV
+    linpot psg    --config FILE [--out DIR] [--override-preconditions]
+                                                        phase report + phase-vs-V0 sweep
+    linpot spin   --config FILE [--out DIR]             gate fidelity report
+    linpot verify [--out DIR] [--only c01,..]           full acceptance check suite
 
 Exit codes: 0 success, 1 config/validation error, 2 numerical failure,
 3 precondition violation.  Identical configs produce byte-identical CSV
@@ -96,6 +97,7 @@ def _write_run(out: Path, cfg: ExperimentConfig, **record):
 
 
 def _load(args) -> ExperimentConfig:
+    """The config of ``evolve`` or ``tunnel``, with ``--dt`` applied."""
     cfg = ExperimentConfig.from_file(args.config)
     if args.dt is not None:
         if not 0.0 < args.dt < math.inf:
@@ -236,7 +238,7 @@ def cmd_tunnel(args) -> int:
 
 
 def cmd_psg(args) -> int:
-    cfg = _load(args)
+    cfg = ExperimentConfig.from_file(args.config)
     units = cfg.units()
     if cfg.psg is None:
         raise ConfigError("[psg]: section required for the psg command")
@@ -273,7 +275,7 @@ def cmd_psg(args) -> int:
 
 
 def cmd_spin(args) -> int:
-    cfg = _load(args)
+    cfg = ExperimentConfig.from_file(args.config)
     units = cfg.units()
     if cfg.sg is None:
         raise ConfigError("[sg]: section required for the spin command")
@@ -356,24 +358,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="linpot", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
+    def command(name, summary, needs_config=True):
+        p = sub.add_parser(name, help=summary)
         if needs_config:
             p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--dt", type=float, default=None, help="override solver dt")
-        p.add_argument(
-            "--override-preconditions",
-            action="store_true",
-            help="force past overridable physical-validity guards",
-        )
+        return p
 
-    add_common(sub.add_parser("evolve", help="trajectory of one packet"))
-    add_common(sub.add_parser("tunnel", help="barrier width scan"))
-    add_common(sub.add_parser("psg", help="phase-shift generator report"))
-    add_common(sub.add_parser("spin", help="spin-flip gate report"))
-    p_verify = sub.add_parser("verify", help="run the acceptance checks")
-    add_common(p_verify, needs_config=False)
-    p_verify.add_argument("--only", default=None, help="comma-separated check names")
+    # each flag goes only to the commands that read it
+    for name, summary in (("evolve", "trajectory of one packet"), ("tunnel", "barrier width scan")):
+        command(name, summary).add_argument(
+            "--dt", type=float, default=None, help="override solver dt"
+        )
+    command("psg", "phase-shift generator report").add_argument(
+        "--override-preconditions",
+        action="store_true",
+        help="force past overridable physical-validity guards",
+    )
+    command("spin", "spin-flip gate report")
+    command("verify", "run the acceptance checks", needs_config=False).add_argument(
+        "--only", default=None, help="comma-separated check names"
+    )
     return parser
 
 

@@ -28,8 +28,13 @@ with ``core._fft``/``_ifft`` along the last axis.  These call the kernel that
 bit-identical to ``scipy.fft.fft/ifft(overwrite_x=True)``.  The propagator
 counts its own work: ``state_steps`` (rows times steps) and ``transforms``
 (kernel calls), which every :class:`Trajectory` carries.
-:func:`split_step_evolve` steps its own copy of one state through it; the
-tunneling width scan steps all its entries as one stack.  Between two
+
+One private stride loop drives the propagator for every run, stops it at
+exactly ``n_steps`` and owns the snapshot record, the non-finite check and the
+absorbed sums.  :func:`split_step_evolve` is a stack of one; the tunneling
+measurement stacks all its entries.  Each adds only a per-row callback that
+says whether the row steps on, so a tunneling row and
+:func:`split_step_evolve` of the same state agree to the last bit.  Between two
 snapshots nobody looks at the state, so the closing half kick of one step and
 the opening half kick of the next are merged into one full kick.  k steps
 apply the half kick once, then k times the kinetic factor followed by
@@ -223,6 +228,74 @@ class _Propagator:
         return amps
 
 
+def _stride_loop(prop, states, cfg, units, keep_stepping, t0=0.0):
+    """Step ``states`` as one ``(B, n)`` stack through ``prop``; return one
+    :class:`Trajectory` per state, in input order, and the indices of the
+    rows still stepping when ``cfg.n_steps`` ran out.
+
+    Each stride is ``min(cfg.record_every, steps left)`` steps.  After it
+    every row in the stack gets a snapshot ``(t, norm^2, <x>, <p>, width,
+    absorbed left, absorbed right)`` with ``t = t0 + step * dt`` and each
+    absorbed total its previous value plus the stride's partial sum; a
+    non-finite norm raises :class:`StabilityError`.  Then
+    ``keep_stepping(i, row, step, t, norm2, (left, right))`` says whether
+    row ``i`` (input order) steps on; a row that stops leaves the stack.
+    Each trajectory counts its own row's steps and the kernel calls made
+    while it was in the stack; its final state is stamped with the state's
+    own time plus the time stepped.
+    """
+    dt, grid = cfg.dt, states[0].grid
+    amps = np.array([psi.amps for psi in states], dtype=complex)
+
+    def snapshot(row, step, absorbed):
+        n2, mx, mp, rms = _moments(row, grid, units.hbar)
+        return (t0 + step * dt, n2, mx, mp, rms * np.sqrt(2.0), *absorbed)
+
+    records = [[snapshot(row, 0, (0.0, 0.0))] for row in amps]
+    trajectories = [None] * len(states)
+
+    def finish(i, row, step):
+        times, norm2, mean_x, mean_p, width, left, right = np.array(records[i]).T
+        psi = states[i]
+        trajectories[i] = Trajectory(
+            times=times,
+            mean_x=mean_x,
+            mean_p=mean_p,
+            width=width,
+            norm2=norm2,
+            absorbed_left=left,
+            absorbed_right=right,
+            final_state=psi.with_amps(row.copy(), time=psi.time + step * dt),
+            state_steps=step,
+            transforms=prop.transforms,
+        )
+
+    live = list(range(len(states)))
+    step = 0
+    while live and step < cfg.n_steps:
+        k = min(cfg.record_every, cfg.n_steps - step)
+        ledger = np.zeros((len(live), 2))
+        amps = prop.advance(amps, k, ledger)
+        step += k
+        keep = []
+        for r, i in enumerate(live):
+            row, last = amps[r], records[i][-1]
+            snap = snapshot(row, step, (last[5] + ledger[r, 0], last[6] + ledger[r, 1]))
+            if not np.isfinite(snap[1]):
+                raise StabilityError(f"norm became non-finite at step {step}")
+            records[i].append(snap)
+            if keep_stepping(i, row, step, snap[0], snap[1], snap[5:]):
+                keep.append(r)
+            else:
+                finish(i, row, step)
+        if len(keep) < len(live):
+            amps = amps[keep]
+            live = [live[r] for r in keep]
+    for r, i in enumerate(live):
+        finish(i, amps[r], step)
+    return trajectories, live
+
+
 def split_step_evolve(
     psi: WaveFunction,
     potential: Potential,
@@ -245,74 +318,34 @@ def split_step_evolve(
     """
     if psi.space != "position":
         raise ValueError("split_step_evolve expects a position-representation state")
-    g = psi.grid
-    dt, dx = cfg.dt, g.dx
-    prop = _Propagator(g, potential, dt, cfg.absorber, units)
-
-    amps = np.array(psi.amps, dtype=complex)
-    n_snaps = cfg.n_steps // cfg.record_every + 1 + (
-        1 if cfg.n_steps % cfg.record_every else 0
-    )
-    times = np.empty(n_snaps)
-    obs = np.empty((n_snaps, 4))
-    absorbed = np.zeros((n_snaps, 2))
-
-    initial_norm = float(np.sum(np.abs(amps) ** 2) * dx)
-    ledger = np.zeros(2)
+    prop = _Propagator(psi.grid, potential, cfg.dt, cfg.absorber, units)
+    initial_norm = float(np.sum(psi.density()) * psi.grid.dx)
     warned = False
 
-    def record(i, step):
-        t = psi.time + step * dt
-        times[i] = t
-        n2, mx, mp, rms = _moments(amps, g, units.hbar)
-        obs[i] = n2, mx, mp, rms * np.sqrt(2.0)
-        absorbed[i] = ledger
-        return t
-
-    def hand_over(t):
-        if on_snapshot is not None:
-            on_snapshot(psi.with_amps(amps.copy(), time=t))
-
-    hand_over(record(0, 0))
-    snap = 1
-    step = 0
-    while step < cfg.n_steps:
-        k = min(cfg.record_every, cfg.n_steps - step)
-        amps = prop.advance(amps, k, ledger)
-        step += k
-        t = record(snap, step)
-        n2 = obs[snap, 0]
-        if not np.isfinite(n2):
-            raise StabilityError(f"norm became non-finite at step {step}")
+    def keep_stepping(_, row, step, t, n2, absorbed):
+        nonlocal warned
         if not prop.absorbing:
             if abs(n2 - initial_norm) > 1e-6 * max(initial_norm, 1.0):
                 raise StabilityError(
                     f"norm drifted to {n2!r} from {initial_norm!r} "
                     f"at step {step} with no absorber"
                 )
-            if not warned and _band_share(amps) > _EDGE_THRESHOLD:
+            if not warned and _band_share(row) > _EDGE_THRESHOLD:
+                # attributed to split_step_evolve's caller, past the loop
                 warnings.warn(
-                    f"state reached a non-absorbing boundary at t={times[snap]!r}",
+                    f"state reached a non-absorbing boundary at t={t!r}",
                     BoundaryContaminationWarning,
-                    stacklevel=2,
+                    stacklevel=4,
                 )
                 warned = True
-        hand_over(t)
-        snap += 1
+        if on_snapshot is not None:
+            on_snapshot(psi.with_amps(row.copy(), time=t))
+        return True
 
-    final = psi.with_amps(amps, time=psi.time + cfg.n_steps * dt)
-    return Trajectory(
-        times=times[:snap],
-        norm2=obs[:snap, 0],
-        mean_x=obs[:snap, 1],
-        mean_p=obs[:snap, 2],
-        width=obs[:snap, 3],
-        absorbed_left=absorbed[:snap, 0],
-        absorbed_right=absorbed[:snap, 1],
-        final_state=final,
-        state_steps=prop.state_steps,
-        transforms=prop.transforms,
-    )
+    if on_snapshot is not None:
+        on_snapshot(psi.with_amps(np.array(psi.amps, dtype=complex)))
+    (trajectory,), _ = _stride_loop(prop, [psi], cfg, units, keep_stepping, psi.time)
+    return trajectory
 
 
 @dataclass(frozen=True)
@@ -334,10 +367,13 @@ class ConvergenceStudy:
         return np.array([e for _, e in self.entries])
 
 
-def _single_run(psi, potential, total_time, dt, units):
+def _single_run(psi, potential, total_time, dt, units=NATURAL):
+    """Evolve ``psi`` for ``total_time`` in ``round(total_time / dt)`` steps
+    (at least one) of the snapped dt, recording only the initial and final
+    snapshots; the step count is the trajectory's ``state_steps``."""
     n = max(1, round(total_time / dt))
     cfg = SolverConfig(dt=total_time / n, n_steps=n, record_every=n)
-    return split_step_evolve(psi, potential, cfg, units).final_state
+    return split_step_evolve(psi, potential, cfg, units)
 
 
 def convergence_study(
@@ -354,10 +390,10 @@ def convergence_study(
     dts = [float(d) for d in dt_list]
     if any(b >= a for a, b in zip(dts, dts[1:])):
         raise ValueError("dt_list must be strictly decreasing")
-    reference = _single_run(psi, potential, total_time, dts[-1] / refine, units)
+    reference = _single_run(psi, potential, total_time, dts[-1] / refine, units).final_state
     entries = []
     for dt in dts:
-        final = _single_run(psi, potential, total_time, dt, units)
+        final = _single_run(psi, potential, total_time, dt, units).final_state
         entries.append((dt, l2_distance(final, reference)))
     errors = np.array([e for _, e in entries])
     # local order between adjacent dts; a stall (order < 1) marks the floor

@@ -22,13 +22,18 @@ closed form here and the width scan reports what it finds, including any
 monotonicity violations.
 
 Every measurement goes through one propagator (``oracle._Propagator``) built
-once for the run.  :func:`run_tunneling` steps a stack of one state; the
-width scan, whose entries share p0, launch point, barrier, grid, dt and
-absorber, steps all of them as one ``(B, n)`` stack.  Every ``record_every``
-steps each row gets its observables, T, R and stationarity test, and a row
-that has become stationary leaves the stack while the others step on.  Rows
-are stepped, summed and tested exactly as they would be alone, so a scan
-entry equals a run of that entry to the last bit.
+once for the run and the solver's one stride loop (``oracle._stride_loop``),
+which records each row's trajectory and stops at exactly ``cfg.n_steps``.
+:func:`run_tunneling` steps a stack of one state; the width scan, whose
+entries share p0, launch point, barrier, grid, dt and absorber, steps all of
+them as one ``(B, n)`` stack.  This module adds only what a barrier run
+measures: after every stride each row's T, R and residual, its transmitted
+fraction and its stationarity test; a row that has become stationary leaves
+the stack while the others step on.  Rows are stepped, summed and tested
+exactly as they would be alone, so a scan entry equals a run of that entry to
+the last bit.  A run's trajectory times count from launch; for a state at
+time 0 the trajectory equals :func:`split_step_evolve` of it for the same
+number of steps, also to the last bit.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from .core import (
     SpatialGrid,
     UnitSystem,
     WaveFunction,
-    _moments,
     sample_gaussian,
 )
 from .errors import (
@@ -59,13 +63,13 @@ from .errors import (
     NoTurningPointsError,
     PreconditionError,
     QuadratureError,
-    StabilityError,
     StationarityTimeout,
 )
 from .oracle import (
     SolverConfig,
     Trajectory,
     _Propagator,
+    _stride_loop,
     split_step_evolve,
 )
 
@@ -371,34 +375,17 @@ def _stationary(history) -> bool:
     return drift < STATIONARY_TOL
 
 
-class _Entry:
-    """Running record of one launched state: per snapshot the launch-relative
-    time, <x>, <p>, width, norm^2, the running absorber ledger and the
-    transmitted fraction; the (T, R) history; and the latest T, R, residual."""
-
-    def __init__(self, psi, first_row):
-        self.psi = psi
-        self.time = psi.time
-        self.rows = [first_row]
-        self.history = []
-        self.acc_left = self.acc_right = 0.0
-        self.T = first_row[-1]
-        self.R = self.residual = 0.0
-
-
 def _measure(states, barrier, cfg, grid, units, launch):
     """Launch every state of ``states`` at the barrier and step them as one
-    ``(B, n)`` stack until each is stationary.
+    ``(B, n)`` stack (``oracle._stride_loop``) until each is stationary.
 
-    Every ``cfg.record_every`` steps each row gets its observables, T, R,
-    residual and ledger and its stationarity test; a row that has become
-    stationary leaves the stack and the others keep stepping.  Returns one
-    :class:`TunnelingResult` per state, in input order, and the propagator,
-    whose counters hold the work of the whole stack.  Each result's
-    trajectory counts its own row's steps and the kernel calls made while it
-    was in the stack.  If ``cfg.n_steps``
-    runs out first, raises :class:`StationarityTimeout` carrying the partial
-    result of the first state, in input order, that was still drifting.
+    After every stride each row gets its T, R and residual and its
+    stationarity test; a row that has become stationary leaves the stack and
+    the others keep stepping.  Returns one :class:`TunnelingResult` per
+    state, in input order, and the propagator, whose counters hold the work
+    of the whole stack.  If ``cfg.n_steps`` runs out first, raises
+    :class:`StationarityTimeout` carrying the partial result of the first
+    state, in input order, that was still drifting.
     """
     a, b, t_a_linear = launch
     for psi in states:
@@ -408,90 +395,52 @@ def _measure(states, barrier, cfg, grid, units, launch):
                 "tunneling runs need a position-representation state on the run's grid"
             )
     prop = _Propagator(grid, barrier.potential(), cfg.dt, cfg.absorber, units)
-    dx, k = grid.dx, cfg.record_every
+    dx = grid.dx
     region_R = grid.x < a
     region_res = (grid.x >= a) & (grid.x <= b)
     region_T = grid.x > b
 
-    def observe(row):
-        n2, mx, mp, rms = _moments(row, grid, units.hbar)
-        return n2, mx, mp, rms * np.sqrt(2.0)
+    # per state: the transmitted fraction at launch, the (T, R) history of
+    # the snapshots after it and the latest residual
+    launched = [float(np.sum(psi.density()[region_T]) * dx) for psi in states]
+    history = [[] for _ in states]
+    residuals = [None] * len(states)
 
-    amps = np.array([psi.amps for psi in states], dtype=complex)
-    entries = []
-    for psi, row in zip(states, amps):
-        n2, mx, mp, w = observe(row)
-        T = float(np.sum(psi.density()[region_T]) * dx)
-        entries.append(_Entry(psi, (0.0, mx, mp, w, n2, 0.0, 0.0, T)))
+    def keep_stepping(i, row, step, t, norm2, absorbed):
+        left, right = absorbed
+        rho = np.abs(row) ** 2
+        T = float(np.sum(rho[region_T]) * dx) + right
+        R = float(np.sum(rho[region_R]) * dx) + left
+        residuals[i] = float(np.sum(rho[region_res]) * dx)
+        history[i].append((T, R))
+        return not (t >= t_a_linear and _stationary(history[i]))
 
-    steps_done = 0
-    results = [None] * len(states)
-
-    def finish(i, row, converged):
-        e = entries[i]
-        times, means, mean_p, widths, norm2, left, right, t_frac = np.array(e.rows).T
-        t_a_measured = _crossing_time(times, means, a)
-        trajectory = Trajectory(
-            times=times,
-            mean_x=means,
-            mean_p=mean_p,
-            width=widths,
-            norm2=norm2,
-            absorbed_left=left,
-            absorbed_right=right,
-            final_state=e.psi.with_amps(row.copy(), time=e.time),
-            extras={"transmitted_fraction": t_frac},
-            state_steps=steps_done,
-            transforms=prop.transforms,
+    trajectories, drifting = _stride_loop(prop, states, cfg, units, keep_stepping)
+    results = []
+    for i, traj in enumerate(trajectories):
+        T, R = history[i][-1]
+        fractions = [launched[i]] + [h[0] for h in history[i]]
+        traj.extras["transmitted_fraction"] = np.array(fractions)
+        t_a_measured = _crossing_time(traj.times, traj.mean_x, a)
+        results.append(
+            TunnelingResult(
+                T=T,
+                R=R,
+                residual=residuals[i],
+                absorbed_left=traj.absorbed_left[-1],
+                absorbed_right=traj.absorbed_right[-1],
+                t_measure=traj.state_steps * cfg.dt,
+                sigma_at_turning=float(np.interp(t_a_measured, traj.times, traj.width)),
+                t_a_measured=t_a_measured,
+                t_a_linear=t_a_linear,
+                converged=i not in drifting,
+                trajectory=traj,
+            )
         )
-        results[i] = TunnelingResult(
-            T=e.T,
-            R=e.R,
-            residual=e.residual,
-            absorbed_left=e.acc_left,
-            absorbed_right=e.acc_right,
-            t_measure=steps_done * cfg.dt,
-            sigma_at_turning=float(np.interp(t_a_measured, times, widths)),
-            t_a_measured=t_a_measured,
-            t_a_linear=t_a_linear,
-            converged=converged,
-            trajectory=trajectory,
-        )
-
-    live = list(range(len(states)))
-    while live and steps_done < cfg.n_steps:
-        ledger = np.zeros((len(live), 2))
-        amps = prop.advance(amps, k, ledger)
-        steps_done += k
-        t_now = steps_done * cfg.dt
-        keep = []
-        for r, i in enumerate(live):
-            e, row = entries[i], amps[r]
-            n2, mx, mp, w = observe(row)
-            if not np.isfinite(n2):
-                raise StabilityError(f"norm became non-finite at step {steps_done}")
-            e.time += k * cfg.dt
-            e.acc_left += ledger[r, 0]
-            e.acc_right += ledger[r, 1]
-            rho = np.abs(row) ** 2
-            e.T = float(np.sum(rho[region_T]) * dx) + e.acc_right
-            e.R = float(np.sum(rho[region_R]) * dx) + e.acc_left
-            e.residual = float(np.sum(rho[region_res]) * dx)
-            e.rows.append((t_now, mx, mp, w, n2, e.acc_left, e.acc_right, e.T))
-            e.history.append((e.T, e.R))
-            if t_now >= t_a_linear and _stationary(e.history):
-                finish(i, row, converged=True)
-            else:
-                keep.append(r)
-        if len(keep) < len(live):
-            amps = amps[keep]
-            live = [live[r] for r in keep]
-
-    for r, i in enumerate(live):
-        finish(i, amps[r], converged=False)
-    if live:
+    if drifting:
+        first = results[drifting[0]]
         raise StationarityTimeout(
-            f"T and R still drifting after {steps_done} steps", results[live[0]]
+            f"T and R still drifting after {first.trajectory.state_steps} steps", first
         )
     return results, prop
 
@@ -513,9 +462,9 @@ def run_tunneling(
     quiet approach phase cannot satisfy it.  Exhausting ``cfg.n_steps`` first
     raises :class:`StationarityTimeout` with the partial result attached.
 
-    ``initial_state`` overrides the sampled packet (the width scan uses this
-    to launch pre-spread states); ``packet`` still defines the incident
-    energy and the nominal launch point.
+    ``initial_state`` overrides the sampled packet, for instance with a
+    pre-spread state; ``packet`` still defines the incident energy and the
+    nominal launch point.
     """
     launch = _launch(packet, barrier, cfg, grid, units)
     psi0 = (

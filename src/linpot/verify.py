@@ -68,9 +68,7 @@ def c01_analytic_vs_oracle() -> CheckResult:
         )
         psi = sample_gaussian(spec, grid)
         exact = analytic.linear_evolve(psi, v0, total).psi
-        n_steps = round(total / 1e-4)
-        cfg = oracle.SolverConfig(dt=total / n_steps, n_steps=n_steps, record_every=n_steps)
-        approx = oracle.split_step_evolve(psi, Linear(v0), cfg).final_state
+        approx = oracle._single_run(psi, Linear(v0), total, 1e-4).final_state
         worst = max(worst, l2_distance(exact, approx))
 
     # convergence order on one representative draw
@@ -79,12 +77,9 @@ def c01_analytic_vs_oracle() -> CheckResult:
     exact = analytic.linear_evolve(psi, v0, total).psi
     errs, dts = [], []
     for nominal in (4e-3, 2e-3, 1e-3, 5e-4):
-        n_steps = round(total / nominal)
-        dt = total / n_steps
-        cfg = oracle.SolverConfig(dt=dt, n_steps=n_steps, record_every=n_steps)
-        approx = oracle.split_step_evolve(psi, Linear(v0), cfg).final_state
-        dts.append(dt)
-        errs.append(l2_distance(exact, approx))
+        run = oracle._single_run(psi, Linear(v0), total, nominal)
+        dts.append(total / run.state_steps)  # the snapped dt the run stepped
+        errs.append(l2_distance(exact, run.final_state))
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     elapsed = time.perf_counter() - start
     passed = worst <= 1e-7 and abs(slope - 2.0) <= 0.1 and elapsed < 60.0
@@ -146,9 +141,7 @@ def c03_ehrenfest() -> CheckResult:
         )
 
     v0, dt, spec = 1.0, 0.5, GaussianSpec(x0=3.0, p0=3.0, sigma=1.0)
-    n_steps = 500
-    cfg = oracle.SolverConfig(dt=dt / n_steps, n_steps=n_steps, record_every=n_steps)
-    traj = oracle.split_step_evolve(sample_gaussian(spec, grid), Linear(v0), cfg)
+    traj = oracle._single_run(sample_gaussian(spec, grid), Linear(v0), dt, dt / 500)
     x_exp = spec.x0 + spec.p0 * dt - v0 * dt**2 / 2.0
     p_exp = spec.p0 - v0 * dt
     worst_oracle = max(

@@ -304,3 +304,31 @@ class TestVerifyCommand:
         assert summary["c02"]["passed"] is True
         assert summary["c06"]["passed"] is True
         assert "c13" not in summary
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "--dt", "1"], "--dt 1"),
+            (["psg", "--config", "x.cfg", "--dt", "1e9"], "--dt 1e9"),
+            (["spin", "--config", "x.cfg", "--dt", "1"], "--dt 1"),
+            (["evolve", "--config", "x.cfg", "--override-preconditions"], "--override-"),
+            (["tunnel", "--config", "x.cfg", "--override-preconditions"], "--override-"),
+            (["verify", "--override-preconditions"], "--override-"),
+        ],
+        ids=[
+            "verify-dt",
+            "psg-dt",
+            "spin-dt",
+            "evolve-override",
+            "tunnel-override",
+            "verify-override",
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_rejected(self, capsys, argv, flag):
+        # argparse refuses it before any config is read, with its usage exit
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -119,8 +119,10 @@ class TestSplitStep:
         g = SpatialGrid(-16.0, 16.0, 512)
         psi = sample_gaussian(GaussianSpec(0.0, 8.0, 1.0), g)
         cfg = SolverConfig(dt=1e-3, n_steps=1800, record_every=300)
-        with pytest.warns(BoundaryContaminationWarning):
+        with pytest.warns(BoundaryContaminationWarning) as record:
             split_step_evolve(psi, Free(), cfg)
+        # the warning points at the line that called split_step_evolve
+        assert [w.filename for w in record] == [__file__]
 
     def test_time_reversal_via_conjugation(self, grid):
         # K U(dt) K = U(-dt) exactly for real potentials, so

@@ -320,13 +320,14 @@ class TestWidthScan:
 
     @pytest.mark.parametrize(
         "delays, n_steps",
-        [((0.0, 7.0), 17000), ((7.0, 0.0), 2000)],
-        ids=["second-entry-drifts", "both-drift"],
+        [((0.0, 7.0), 17000), ((7.0, 0.0), 2000), ((7.0, 0.0), 2100)],
+        ids=["second-entry-drifts", "both-drift", "budget-ends-mid-stride"],
     )
     def test_timeout_names_first_drifting_entry(self, delays, n_steps):
         # 17 000 steps: delay 0 is stationary after about 15 250 and leaves
         # the stack, delay 7 is not; 2 000 steps: neither is, and the first
-        # in input order is reported
+        # in input order is reported; 2 100 steps: the last stride is cut to
+        # the 100 steps left, so the run stops at the budget, not past it
         grid, cfg, barrier = _scan_setup()
         base = GaussianSpec(x0=0.0, p0=4.0, sigma=1.0)
         short = SolverConfig(
@@ -354,6 +355,34 @@ class TestWidthScan:
             got.trajectory.final_state.amps, want.trajectory.final_state.amps
         )
         assert got.trajectory.final_state.time == want.trajectory.final_state.time
+
+    def test_row_equals_split_step_evolve(self, run_alone):
+        # one stride loop drives both: a run_tunneling row is the trajectory
+        # split_step_evolve gives for the same state, cfg and step count
+        grid, cfg, barrier = _scan_setup()
+        res = run_alone[0.0]
+        steps = res.trajectory.state_steps
+        same = SolverConfig(
+            dt=cfg.dt, n_steps=steps, absorber=cfg.absorber, record_every=cfg.record_every
+        )
+        psi = sample_gaussian(GaussianSpec(x0=0.0, p0=4.0, sigma=1.0), grid)
+        alone = split_step_evolve(psi, barrier.potential(), same)
+        for name in (
+            "times",
+            "mean_x",
+            "mean_p",
+            "width",
+            "norm2",
+            "absorbed_left",
+            "absorbed_right",
+        ):
+            np.testing.assert_array_equal(
+                getattr(res.trajectory, name), getattr(alone, name), err_msg=name
+            )
+        np.testing.assert_array_equal(
+            res.trajectory.final_state.amps, alone.final_state.amps
+        )
+        assert res.t_measure == alone.final_state.time == steps * cfg.dt
 
     def test_requires_exactly_one_list(self):
         grid, cfg, barrier = _scan_setup()
