@@ -31,7 +31,11 @@ returns a :class:`PhaseLedger` naming each acquired term.
 
 Every transform goes through ``core._fft``/``_ifft``, as in the solver:
 the kernel that ``scipy.fft`` itself calls, with the same arguments, so the
-output is bit-identical to ``scipy.fft.fft``/``ifft``.
+output is bit-identical to ``scipy.fft.fft``/``ifft``.  The kinetic and
+shift tables come from ``core._kinetic``/``_wrap_table``, which evaluate
+them on half the wavenumbers and mirror them, bit-identical to the full
+tables; the x-linear phase stays one full ``np.exp``, since ``grid.x`` is
+symmetric only on some grids.
 The left ordering is written once, as a function of the initial state's
 spectrum: :func:`linear_evolve` transforms its input and calls it, and
 ``linpot evolve``, which compares the solver with the closed form at every
@@ -62,6 +66,8 @@ from .core import (
     _edge_share,
     _fft,
     _ifft,
+    _kinetic,
+    _wrap_table,
     to_momentum_rep,
     to_position_rep,
 )
@@ -191,8 +197,7 @@ def free_evolve(
 
 def _free_from_spectrum(psi, spectrum, dt, units):
     """``psi`` freely evolved by ``dt``, given ``spectrum = fft(psi.amps)``."""
-    g = psi.grid
-    kinetic = np.exp(-1j * units.hbar * g.k_wrap**2 * dt / (2.0 * units.mass))
+    kinetic = _kinetic(psi.grid, dt, units)
     return psi.with_amps(_ifft(spectrum * kinetic), time=psi.time + dt)
 
 
@@ -200,8 +205,8 @@ def spectral_shift(psi: WaveFunction, shift: float) -> WaveFunction:
     """Exact band-limited translation: returns amps(x) = psi(x + shift)."""
     if shift == 0.0:
         return psi
-    g = psi.grid
-    amps = _ifft(_fft(psi.amps) * np.exp(1j * g.k_wrap * shift))
+    table = _wrap_table(psi.grid, lambda k: np.exp(1j * k * shift), odd=True)
+    amps = _ifft(_fft(psi.amps) * table)
     return psi.with_amps(amps)
 
 

@@ -9,13 +9,13 @@ Subcommands::
     linpot spin   --config FILE [--out DIR]             gate fidelity report
     linpot verify [--out DIR] [--only c01,..]           full acceptance check suite
 
-Exit codes: 0 success, 1 config/validation error, 2 numerical failure,
-3 precondition violation.  Identical configs produce byte-identical CSV
-output on the same platform; every CSV starts with a ``# schema:`` line and a
-header row.  ``evolve`` and ``tunnel`` also write ``run.json``: the canonical
-config and its sha256, the linpot/numpy/scipy versions, the solver's
-state-step and FFT counts and the probability absorbed per side (per scan row
-for ``tunnel``).
+Exit codes: 0 success, 1 config/validation error (a usage error included),
+2 numerical failure, 3 precondition violation.  Identical configs produce
+byte-identical CSV output on the same platform; every CSV starts with a
+``# schema:`` line and a header row.  ``evolve`` and ``tunnel`` also write
+``run.json``: the canonical config and its sha256, the linpot/numpy/scipy
+versions, the solver's state-step and FFT counts and the probability
+absorbed per side (per scan row for ``tunnel``).
 """
 
 from __future__ import annotations
@@ -354,8 +354,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_NUMERICAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a usage error exiting ``EXIT_VALIDATION``: argparse's
+    own code, 2, is ``EXIT_NUMERICAL`` here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="linpot", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="linpot", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, summary, needs_config=True):

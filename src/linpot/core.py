@@ -23,6 +23,13 @@ Conventions
   kernel that ``scipy.fft.fft``/``ifft`` themselves end in, with the
   arguments those pass; the output is bit-identical, without the dispatch
   layer's fixed cost per call.  ``fftfreq`` and ``fftshift`` are numpy's.
+* Wrap-order phase tables (the kinetic factor, spectral shifts, the
+  ``exp(-+i k x_min)`` factor of the Fourier pair) go through
+  ``_wrap_table``: ``k_wrap[n-j] == -k_wrap[j]`` holds bit for bit, so each
+  table is evaluated on ``k_wrap[:n//2+1]`` only and mirrored (conjugated
+  for an odd table), which halves its complex ``exp`` and leaves every value
+  as the full evaluation gives it.  The kinetic table itself has one owner,
+  ``_kinetic``, shared by the closed form and the solver.
 * The Fourier pair is unitary in the discrete inner products::
 
       psi_tilde(p) = dx/sqrt(2*pi*hbar) * sum_j psi(x_j) exp(-i p x_j / hbar)
@@ -122,6 +129,36 @@ def _fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``scipy.fft.ifft(a)`` (1/n normalization), as :func:`_fft`."""
     return _pocketfft.c2c(_asfarray(a) if out is None else a, (-1,), False, 2, out, 1)
+
+
+def _wrap_table(grid: SpatialGrid, f, odd: bool = False) -> np.ndarray:
+    """``f(grid.k_wrap)`` for an elementwise phase table ``f``, evaluated on
+    the half spectrum ``k_wrap[:n//2 + 1]`` and mirrored onto the rest.
+
+    ``k_wrap[n - j] == -k_wrap[j]`` holds bit for bit, so an even table (a
+    function of k**2) is mirrored as it is, and an odd one (``exp(+-i k a)``,
+    whose value at -k is the conjugate of its value at k) is mirrored
+    conjugated.  The result is the full evaluation bit for bit, for an odd
+    table wherever ``k * a`` is non-zero; where it is zero (a grid with
+    ``x_min == 0``) only the sign of a zero imaginary part can differ.
+    """
+    h = grid.n // 2
+    half = f(grid.k_wrap[: h + 1])
+    out = np.empty(grid.n, dtype=half.dtype)
+    out[: h + 1] = half
+    mirror = half[h - 1 : 0 : -1]
+    if odd:
+        np.conjugate(mirror, out=out[h + 1 :])
+    else:
+        out[h + 1 :] = mirror
+    return out
+
+
+def _kinetic(grid: SpatialGrid, dt: float, units: UnitSystem) -> np.ndarray:
+    """The free-evolution table exp(-i hbar k^2 dt / 2m) in wrap order."""
+    return _wrap_table(
+        grid, lambda k: np.exp(-1j * units.hbar * k**2 * dt / (2.0 * units.mass))
+    )
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -319,13 +356,13 @@ def _moments(amps: np.ndarray, grid: SpatialGrid, hbar: float):
     """
     rho = np.abs(amps) ** 2
     dx = grid.dx
-    n2 = float(np.sum(rho) * dx)
+    n2 = float(rho.sum() * dx)
     if n2 <= 0.0:
         return n2, np.nan, np.nan, np.nan
-    mx = float(np.sum(grid.x * rho) * dx / n2)
-    var = float(np.sum((grid.x - mx) ** 2 * rho) * dx / n2)
+    mx = float((grid.x * rho).sum() * dx / n2)
+    var = float(((grid.x - mx) ** 2 * rho).sum() * dx / n2)
     rho_k = np.abs(_fft(amps)) ** 2
-    mp = float(hbar * np.sum(grid.k_wrap * rho_k) / float(np.sum(rho_k)))
+    mp = float(hbar * (grid.k_wrap * rho_k).sum() / float(rho_k.sum()))
     return n2, mx, mp, np.sqrt(max(var, 0.0))
 
 
@@ -378,7 +415,7 @@ def to_momentum_rep(psi: WaveFunction, units: UnitSystem = NATURAL) -> WaveFunct
     if psi.space == "momentum":
         return psi
     g = psi.grid
-    phase = np.exp(-1j * g.k_wrap * g.x_min)
+    phase = _wrap_table(g, lambda k: np.exp(-1j * k * g.x_min), odd=True)
     tilde_wrap = _fft(psi.amps) * (g.dx / np.sqrt(2.0 * np.pi * units.hbar)) * phase
     return WaveFunction(
         g,
@@ -395,7 +432,7 @@ def to_position_rep(psi: WaveFunction, units: UnitSystem = NATURAL) -> WaveFunct
         return psi
     g = psi.grid
     tilde_wrap = np.fft.ifftshift(psi.amps)
-    phase = np.exp(1j * g.k_wrap * g.x_min)
+    phase = _wrap_table(g, lambda k: np.exp(1j * k * g.x_min), odd=True)
     amps = _ifft(tilde_wrap * phase) * (np.sqrt(2.0 * np.pi * units.hbar) / g.dx)
     return WaveFunction(g, amps, psi.time, space="position")
 
@@ -404,7 +441,7 @@ def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
     """sqrt(sum |a-b|^2 dstep) for two states on the same grid and space."""
     if a.space != b.space or a.grid is not b.grid and a.grid != b.grid:
         raise ValueError("states live on different grids or representations")
-    return float(np.sqrt(np.sum(np.abs(a.amps - b.amps) ** 2) * a.dstep))
+    return float(np.sqrt((np.abs(a.amps - b.amps) ** 2).sum() * a.dstep))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ and receives each one as it is taken, so ``linpot evolve`` holds one state
 at a time however many snapshots it writes.
 
 One private propagator holds the phase factors of a (grid, potential, dt,
-absorber) and steps either one state or a ``(B, n)`` stack of states in place
+absorber), its kinetic table the one ``core._kinetic`` builds for the closed
+form too, and steps either one state or a ``(B, n)`` stack of states in place
 with ``core._fft``/``_ifft`` along the last axis.  These call the kernel that
 ``scipy.fft`` itself calls, with the same arguments, so the output is
 bit-identical to ``scipy.fft.fft/ifft(overwrite_x=True)``.  The propagator
@@ -45,7 +46,10 @@ so they commute, and only roundoff differs from the per-step form.  The phase
 has modulus 1, so the density on the absorbing bands just before a merged kick
 equals the density the per-step scheme masks; the removed probability is
 summed there, over the two contiguous edge slices of the bands, one dot
-product per row, so a row of a stack sums exactly as it would alone.
+product per row and side, so a row of a stack sums exactly as it would
+alone.  The band views and the buffers for their squares are built once per
+:meth:`_Propagator.advance` call; each step squares all rows of a side with
+one ``np.multiply``.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ from .core import (
     _band_share,
     _fft,
     _ifft,
+    _kinetic,
     _moments,
     l2_distance,
 )
@@ -168,12 +173,12 @@ class _Propagator:
     """
 
     def __init__(self, grid, potential, dt, absorber=None, units=NATURAL):
-        hbar, m = units.hbar, units.mass
+        hbar = units.hbar
         v = np.asarray(potential.evaluate(grid.x), dtype=float)
         if not np.all(np.isfinite(v)):
             raise StabilityError("potential evaluates to non-finite values on the grid")
         self.half = np.exp(-0.5j * v * dt / hbar)
-        self.exp_k = np.exp(-1j * hbar * grid.k_wrap**2 * dt / (2.0 * m))
+        self.exp_k = _kinetic(grid, dt, units)
         self.full = self.half * self.half
         self.last = self.half.copy()
         self.absorbing = absorber is not None and absorber.strength > 0
@@ -200,9 +205,16 @@ class _Propagator:
         probability each row's bands remove is added to ``ledger``, shape
         ``(2,)`` or ``(B, 2)``: (left, right) per row."""
         half, full, last, exp_k = self.half, self.full, self.last, self.exp_k
-        absorbing, single = self.absorbing, amps.ndim == 1
+        absorbing = self.absorbing
+        rows = amps.reshape(-1, amps.shape[-1])
         if absorbing:
             n_left, w_left, start, w_right = self.bands
+            # float views of every row's bands and buffers for their squares,
+            # built once per call: the transforms run in place, so the views
+            # see each step's state
+            u_left = rows[:, :n_left].view(float)
+            u_right = rows[:, start:].view(float)
+            sq_left, sq_right = np.empty_like(u_left), np.empty_like(u_right)
             # per row, the running (left, right) totals; the additions are
             # the ones a per-step update of ``ledger`` would make
             acc = ledger.reshape(-1, 2).tolist()
@@ -214,16 +226,17 @@ class _Propagator:
             if absorbing:
                 # |half| = 1, so |psi|^2 here equals the density after the
                 # closing half kick, where the per-step scheme applies the
-                # mask; one dot product per row, so a row sums as it would alone
-                for row, a in zip((amps,) if single else amps, acc):
-                    u = row[:n_left].view(float)
-                    a[0] += np.dot(u * u, w_left)
-                    u = row[start:].view(float)
-                    a[1] += np.dot(u * u, w_right)
+                # mask; one dot product per row and side, so a row sums as
+                # it would alone
+                np.multiply(u_left, u_left, out=sq_left)
+                np.multiply(u_right, u_right, out=sq_right)
+                for a, sq_l, sq_r in zip(acc, sq_left, sq_right):
+                    a[0] += np.dot(sq_l, w_left)
+                    a[1] += np.dot(sq_r, w_right)
             amps *= last if j == k - 1 else full
         if absorbing:
             ledger[...] = np.reshape(acc, ledger.shape)
-        self.state_steps += k * (1 if single else len(amps))
+        self.state_steps += k * len(rows)
         self.transforms += 2 * k
         return amps
 
@@ -241,8 +254,8 @@ def _stride_loop(prop, states, cfg, units, keep_stepping, t0=0.0):
     ``keep_stepping(i, row, step, t, norm2, (left, right))`` says whether
     row ``i`` (input order) steps on; a row that stops leaves the stack.
     Each trajectory counts its own row's steps and the kernel calls made
-    while it was in the stack; its final state is stamped with the state's
-    own time plus the time stepped.
+    while it was in the stack; its final state is stamped ``t0 + step * dt``,
+    the clock of its ``times``.
     """
     dt, grid = cfg.dt, states[0].grid
     amps = np.array([psi.amps for psi in states], dtype=complex)
@@ -256,7 +269,6 @@ def _stride_loop(prop, states, cfg, units, keep_stepping, t0=0.0):
 
     def finish(i, row, step):
         times, norm2, mean_x, mean_p, width, left, right = np.array(records[i]).T
-        psi = states[i]
         trajectories[i] = Trajectory(
             times=times,
             mean_x=mean_x,
@@ -265,7 +277,7 @@ def _stride_loop(prop, states, cfg, units, keep_stepping, t0=0.0):
             norm2=norm2,
             absorbed_left=left,
             absorbed_right=right,
-            final_state=psi.with_amps(row.copy(), time=psi.time + step * dt),
+            final_state=states[i].with_amps(row.copy(), time=t0 + step * dt),
             state_steps=step,
             transforms=prop.transforms,
         )

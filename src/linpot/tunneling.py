@@ -464,7 +464,9 @@ def run_tunneling(
 
     ``initial_state`` overrides the sampled packet, for instance with a
     pre-spread state; ``packet`` still defines the incident energy and the
-    nominal launch point.
+    nominal launch point.  The trajectory runs on the launch clock: its
+    ``times`` and its final state's ``time`` count from the launch at t = 0,
+    whatever time ``initial_state`` carries.
     """
     launch = _launch(packet, barrier, cfg, grid, units)
     psi0 = (

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linpot.cli import main
+from linpot.cli import EXIT_VALIDATION, main
 
 FREE_CFG = """\
 [grid]
@@ -327,8 +327,24 @@ class TestFlags:
         ],
     )
     def test_flag_the_command_does_not_read_is_rejected(self, capsys, argv, flag):
-        # argparse refuses it before any config is read, with its usage exit
+        # refused before any config is read, with the validation exit, not
+        # the numerical-failure code argparse would use
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
-        assert exc_info.value.code == 2
+        assert exc_info.value.code == EXIT_VALIDATION
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evolve"], "required: --config"),
+            (["tunnel", "--config", "x.cfg", "--dt", "abc"], "invalid float value"),
+        ],
+        ids=["missing-config", "bad-dt"],
+    )
+    def test_subcommand_usage_error_exits_validation(self, capsys, argv, message):
+        # a subcommand's own parser reports these, with the same exit
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err

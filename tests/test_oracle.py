@@ -345,7 +345,9 @@ class TestKernelBypass:
         ids=["absorber", "no-absorber"],
     )
     @pytest.mark.parametrize(
-        "shape", [(), (1,), (3,)], ids=["state", "stack-of-1", "stack-of-3"]
+        "shape",
+        [(), (1,), (2,), (3,)],
+        ids=["state", "stack-of-1", "stack-of-2", "stack-of-3"],
     )
     def test_advance_equals_scipy_fft_loop(self, absorber, shape):
         g = SpatialGrid(-24.0, 24.0, 2048)

@@ -265,6 +265,12 @@ def run_alone():
 
 
 class TestWidthScan:
+    def test_trajectory_runs_on_one_clock(self, run_alone):
+        # the delayed state carries time 7.0; its run counts from launch
+        traj = run_alone[7.0].trajectory
+        assert traj.times[-1] == traj.final_state.time
+        assert traj.times[0] == 0.0
+
     def test_zero_delay_equals_direct_run(self, run_alone):
         grid, cfg, barrier = _scan_setup()
         base = GaussianSpec(x0=0.0, p0=4.0, sigma=1.0)
