@@ -166,8 +166,8 @@ class ZassenhausTerms:
     c3_coeff: float
 
 
-def _check_boundary(psi: WaveFunction) -> None:
-    share = _band_share(psi.amps)
+def _check_boundary(psi: WaveFunction, total=None) -> None:
+    share = _band_share(psi.amps, total)
     if share > _EDGE_THRESHOLD:
         warnings.warn(
             f"{share:.2e} of the norm sits in the outer "
@@ -210,24 +210,25 @@ def spectral_shift(psi: WaveFunction, shift: float) -> WaveFunction:
     return psi.with_amps(amps)
 
 
-def _wrap_share(amps, axis, lo, hi, width, shift) -> float:
+def _wrap_share(amps, axis, lo, hi, width, shift, total=None) -> float:
     """Share of the norm on the edge strip that translating the argument by
     ``shift`` wraps around: axis < lo + width for a positive shift, axis >
     hi - width for a negative one (``axis`` ascending)."""
     if shift > 0:
-        return _edge_share(amps, int(np.searchsorted(axis, lo + width, "left")), 0)
+        n_lo = int(np.searchsorted(axis, lo + width, "left"))
+        return _edge_share(amps, n_lo, 0, total)
     n_hi = len(axis) - int(np.searchsorted(axis, hi - width, "right"))
-    return _edge_share(amps, 0, n_hi)
+    return _edge_share(amps, 0, n_hi, total)
 
 
-def _check_wrap_contamination(psi: WaveFunction, shift: float) -> None:
+def _check_wrap_contamination(psi: WaveFunction, shift: float, total=None) -> None:
     """Translating by ``shift`` wraps an edge strip of that width around; a
     state with real mass there would corrupt the opposite edge."""
     if shift == 0.0:
         return
     g = psi.grid
     width = min(abs(shift), g.span)
-    share = _wrap_share(psi.amps, g.x, g.x[0], g.x[-1], width, shift)
+    share = _wrap_share(psi.amps, g.x, g.x[0], g.x[-1], width, shift, total)
     if share > _EDGE_THRESHOLD:
         raise CoverageError(
             f"argument shift {shift!r} would wrap {share:.2e} of the "
@@ -306,9 +307,11 @@ def _left_evolve(psi, spectrum, v0, dt, units, offset=0.0, check_coverage=True):
     ledger = _ledger(v0, dt, units, "left")
     shift = ledger.argument_shift
     phi = _free_from_spectrum(psi, spectrum, dt, units)
-    _check_boundary(phi)
+    # one norm total of phi for both guards
+    total = np.vdot(phi.amps, phi.amps).real
+    _check_boundary(phi, total)
     if check_coverage:
-        _check_wrap_contamination(phi, shift)
+        _check_wrap_contamination(phi, shift, total)
     phi = spectral_shift(phi, shift)
     return EvolutionResult(_position_phases(phi, v0, dt, ledger, units, offset), ledger)
 

@@ -269,6 +269,13 @@ def cmd_psg(args) -> int:
         gg = devices.PsgGeometry(g.v0 * scale, g.length, g.speed, g.mass)
         sweep.append((gg.v0, devices.psg_phase(gg, units)))
     _write_csv(out / "psg_sweep.csv", "psg-sweep-v1", ("v0", "phase"), sweep)
+    _write_run(
+        out,
+        cfg,
+        closed_form_phase=closed,
+        composed_phase=composed,
+        packet_phase=packet_phase if cfg.state_present else None,
+    )
     print(f"psg: closed form {closed!r}, composed {composed!r}")
     print(f"psg: wrote {out / 'psg_report.csv'} and {out / 'psg_sweep.csv'}")
     return EXIT_OK
@@ -308,6 +315,12 @@ def cmd_spin(args) -> int:
         rows,
     )
     flip_row = rows[1 + 3]  # pi entry of the sweep
+    _write_run(
+        out,
+        cfg,
+        control_fidelity=float(rows[0][2]),
+        fidelity_at_pi=float(flip_row[2]),
+    )
     print(f"spin: fidelity at phi=pi: {flip_row[2]:.12f}; control (PSG removed): {rows[0][2]:.3e}")
     print(f"spin: wrote {out / 'spin_report.csv'}")
     return EXIT_OK

@@ -327,20 +327,22 @@ def sample_gaussian(
     return WaveFunction(grid, amps, time=t_i)
 
 
-def _edge_share(amps: np.ndarray, n_lo: int, n_hi: int) -> float:
+def _edge_share(amps: np.ndarray, n_lo: int, n_hi: int, total=None) -> float:
     """Share of sum |amps|^2 on the first ``n_lo`` and the last ``n_hi``
-    points; 0 for a null state."""
+    points; 0 for a null state.  A caller that guards one state twice passes
+    its ``total = np.vdot(amps, amps).real`` to both."""
     lo, hi = amps[:n_lo], amps[len(amps) - n_hi:]
-    total = np.vdot(amps, amps).real
+    if total is None:
+        total = np.vdot(amps, amps).real
     if not total > 0:
         return 0.0
     return float((np.vdot(lo, lo).real + np.vdot(hi, hi).real) / total)
 
 
-def _band_share(amps: np.ndarray) -> float:
+def _band_share(amps: np.ndarray, total=None) -> float:
     """Share of sum |amps|^2 on the outer _EDGE_BAND of the points at each edge."""
     m = max(1, round(_EDGE_BAND * len(amps)))
-    return _edge_share(amps, m, m)
+    return _edge_share(amps, m, m, total)
 
 
 def _position_rep(psi: WaveFunction, units: UnitSystem) -> WaveFunction:

@@ -19,7 +19,8 @@ the run ends when both are stationary.  The semiclassical reference
 
 is provided for comparison; the width dependence of the measured T has no
 closed form here and the width scan reports what it finds, including any
-monotonicity violations.
+monotonicity violations.  Its quadrature is the only user of scipy.integrate,
+which therefore loads on the first :func:`wkb_sigma_R` call, not on import.
 
 Every measurement goes through one propagator (``oracle._Propagator``) built
 once for the run and the solver's one stride loop (``oracle._stride_loop``),
@@ -42,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .analytic import free_evolve, spectral_shift
 from .core import (
@@ -236,7 +236,12 @@ def wkb_sigma_R(v: Potential, energy: float, units: UnitSystem = NATURAL) -> flo
     x = a + u^2 (and x = b - u^2) makes each half smooth, after which adaptive
     quadrature reaches ~1e-10 relative easily.  Returns +inf when b is +inf
     (a ramp with no far side) and exactly 0 when the energy sits at the peak.
+    scipy.integrate is imported on the first call.
     """
+    # Imported here: scipy.integrate (and the scipy.optimize it pulls in) adds
+    # ~25 MB and ~0.2 s to every linpot process, and only this integral uses it.
+    from scipy.integrate import quad
+
     if isinstance(v, BarrierSpec):
         v = v.potential()
     a, b = turning_points(v, energy, units)

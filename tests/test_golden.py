@@ -1,6 +1,6 @@
 """The CSVs that every CLI command writes for its shipped config, and those
 of the packet PSG and of a free evolve for inline configs, byte for byte;
-and the run manifest that ``evolve`` and ``tunnel`` write beside them.
+and the run manifest that each of these commands writes beside them.
 
 The digests were recorded with numpy 2.4.6 and scipy 1.17.1 on x86_64.  Other
 versions or machines may round the FFTs and reductions differently in the
@@ -9,6 +9,7 @@ last bit, so there the digest tests skip and name what differs.
 
 import hashlib
 import json
+import math
 import platform
 from pathlib import Path
 
@@ -155,11 +156,25 @@ def test_packet_psg_csvs_match_recorded_digests(tmp_path):
     assert _digests(_run("psg", config, tmp_path)) == PACKET_PSG_GOLDEN
 
 
+def test_packet_psg_manifest_carries_the_packet_phase(tmp_path):
+    config = tmp_path / "packet_psg.cfg"
+    config.write_text(PACKET_PSG_CONFIG)
+    run = json.loads((_run("psg", config, tmp_path) / "run.json").read_text())
+    report = _csv_rows(tmp_path / "psg_report.csv")
+    assert run["packet_phase"] == report[0]["packet_phase"]
+
+
 def test_free_evolve_csvs_match_recorded_digests(tmp_path):
     _skip_in_other_environment()
     config = tmp_path / "free.cfg"
     config.write_text(FREE_EVOLVE_CONFIG)
     assert _digests(_run("evolve", config, tmp_path)) == FREE_EVOLVE_GOLDEN
+
+
+def _csv_rows(path):
+    lines = path.read_text().splitlines()
+    header = lines[1].split(",")
+    return [dict(zip(header, map(float, line.split(",")))) for line in lines[2:]]
 
 
 def _manifest(command, shipped):
@@ -185,9 +200,7 @@ def test_evolve_manifest_counts_every_step(shipped):
 
 def test_tunnel_manifest_counts_every_row_step(shipped):
     run, cfg = _manifest("tunnel", shipped)
-    lines = (shipped("tunnel") / "scan.csv").read_text().splitlines()
-    header = lines[1].split(",")
-    rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[2:]]
+    rows = _csv_rows(shipped("tunnel") / "scan.csv")
     steps = [round(row["t_measure"] / cfg.solver_dt) for row in rows]
     assert run["state_steps"] == sum(steps)
     # one stack: as many kernel calls as its longest-lived row needs
@@ -199,3 +212,20 @@ def test_tunnel_manifest_counts_every_row_step(shipped):
         # T and R include what the right and left bands absorbed
         assert 0.0 < r["absorbed_right"] <= row["T"]
         assert 0.0 < r["absorbed_left"] <= row["R"]
+
+
+def test_psg_manifest_holds_the_report_phases(shipped):
+    run, _ = _manifest("psg", shipped)
+    (report,) = _csv_rows(shipped("psg") / "psg_report.csv")
+    assert run["closed_form_phase"] == report["closed_form_phase"]
+    assert run["composed_phase"] == report["composed_phase"]
+    # psg.cfg has no [state]: the CSV's NaN is null in the manifest
+    assert run["packet_phase"] is None
+
+
+def test_spin_manifest_holds_the_control_and_pi_fidelities(shipped):
+    run, _ = _manifest("spin", shipped)
+    rows = _csv_rows(shipped("spin") / "spin_report.csv")
+    assert run["control_fidelity"] == rows[0]["flip_fidelity"]
+    (at_pi,) = [r for r in rows if r["target_phase"] == pytest.approx(math.pi)]
+    assert run["fidelity_at_pi"] == at_pi["flip_fidelity"]
