@@ -31,16 +31,21 @@ returns a :class:`PhaseLedger` naming each acquired term.
 
 Every transform goes through ``core._fft``/``_ifft``, as in the solver:
 the kernel that ``scipy.fft`` itself calls, with the same arguments, so the
-output is bit-identical to ``scipy.fft.fft``/``ifft``.  The kinetic and
-shift tables come from ``core._kinetic``/``_wrap_table``, which evaluate
-them on half the wavenumbers and mirror them, bit-identical to the full
-tables; the x-linear phase stays one full ``np.exp``, since ``grid.x`` is
-symmetric only on some grids.
+output is bit-identical to ``scipy.fft.fft``/``ifft``.  The kinetic table
+is ``core._kinetic``, built on half the wavenumbers and mirrored.  The
+closed form's phases linear in x or k (the argument shift of the left
+ordering, the x-linear phase, the momentum kick, the p-linear phase) are
+``core._ramp`` tables, each the outer product of two short ``exp`` tables.
+The pure phases of one evolution (cubic, offset, the x-linear phase at
+``x_min``) are folded into the ramp's starting phase, so no scalar costs a
+pass over the array.  :func:`spectral_shift` alone keeps the direct ``exp``
+table; its docstring says why.
 The left ordering is written once, as a function of the initial state's
 spectrum: :func:`linear_evolve` transforms its input and calls it, and
 ``linpot evolve``, which compares the solver with the closed form at every
 snapshot, transforms psi0 once per run and reuses that spectrum for every
-snapshot time, with the same result to the last bit.
+snapshot time, with the same result to the last bit.  Given the spectrum,
+it takes two inverse transforms and no forward one.
 
 Sign conventions in one place: mean position gains -V0 dt^2/(2m) (constant
 acceleration -V0/m), mean momentum gains -V0 dt, while the *argument* of the
@@ -67,7 +72,8 @@ from .core import (
     _fft,
     _ifft,
     _kinetic,
-    _wrap_table,
+    _ramp,
+    _shift_table,
     to_momentum_rep,
     to_position_rep,
 )
@@ -190,24 +196,28 @@ def free_evolve(
         hbar, m = units.hbar, units.mass
         phase = np.exp(-1j * psi.p_axis**2 * dt / (2.0 * m * hbar))
         return psi.with_amps(psi.amps * phase, time=psi.time + dt)
-    out = _free_from_spectrum(psi, _fft(psi.amps), dt, units)
+    amps = _ifft(_fft(psi.amps) * _kinetic(psi.grid, dt, units))
+    out = psi.with_amps(amps, time=psi.time + dt)
     _check_boundary(out)
     return out
 
 
-def _free_from_spectrum(psi, spectrum, dt, units):
-    """``psi`` freely evolved by ``dt``, given ``spectrum = fft(psi.amps)``."""
-    kinetic = _kinetic(psi.grid, dt, units)
-    return psi.with_amps(_ifft(spectrum * kinetic), time=psi.time + dt)
-
-
 def spectral_shift(psi: WaveFunction, shift: float) -> WaveFunction:
-    """Exact band-limited translation: returns amps(x) = psi(x + shift)."""
+    """Exact band-limited translation: returns amps(x) = psi(x + shift).
+
+    The spectrum is multiplied by exp(i k shift) and transformed back; a
+    zero shift returns ``psi`` itself.  The table is the direct ``np.exp``
+    over ``k_wrap``, not the ramp of ``core._shift_table``: the delay
+    pre-spread of ``tunneling.width_scan`` runs through this function, and
+    the ramp's roundoff, carried through the 19 750 solver steps of
+    ``configs/tunnel.cfg``, moves ``sigma_at_arrival`` by 1.4e-13, over the
+    1e-13 that a golden-digest re-pin allows (ROADMAP item 6).
+    """
     if shift == 0.0:
         return psi
-    table = _wrap_table(psi.grid, lambda k: np.exp(1j * k * shift), odd=True)
-    amps = _ifft(_fft(psi.amps) * table)
-    return psi.with_amps(amps)
+    spectrum = _fft(psi.amps)
+    spectrum *= np.exp(1j * psi.grid.k_wrap * shift)
+    return psi.with_amps(_ifft(spectrum, out=spectrum))
 
 
 def _wrap_share(amps, axis, lo, hi, width, shift, total=None) -> float:
@@ -291,40 +301,48 @@ def linear_evolve(
     if check_coverage:
         _check_wrap_contamination(psi, -shift)
     phi = spectral_shift(psi, -shift)
-    phi = _position_phases(phi, v0, dt, ledger, units, offset)
-    return EvolutionResult(free_evolve(phi, dt, units), ledger)
+    amps = _position_phases(phi.amps, psi.grid, v0, dt, ledger, units, offset)
+    return EvolutionResult(free_evolve(phi.with_amps(amps), dt, units), ledger)
 
 
 def _left_evolve(psi, spectrum, v0, dt, units, offset=0.0, check_coverage=True):
     """The left ordering of :func:`linear_evolve` for the position state
     ``psi``, given ``spectrum = core._fft(psi.amps)``.
 
-    Free evolution, the boundary warning, the wrap guard, the argument shift,
-    then the x-linear, cubic and offset phases.  A caller that evolves one
-    state to many times transforms it once and passes the same spectrum to
-    every call; the result is bit for bit that of :func:`linear_evolve`.
+    The free-evolved spectrum ``sk`` is transformed once into the state phi
+    that the boundary warning and the wrap guard inspect.  Then ``sk`` times
+    the shift table, transformed in place, is phi translated by the argument
+    shift; it takes the x-linear, cubic and offset phases.  A caller that
+    evolves one state to many times transforms it once and passes the same
+    spectrum to every call; the result is bit for bit that of
+    :func:`linear_evolve`.
     """
     ledger = _ledger(v0, dt, units, "left")
     shift = ledger.argument_shift
-    phi = _free_from_spectrum(psi, spectrum, dt, units)
+    g = psi.grid
+    sk = spectrum * _kinetic(g, dt, units)
+    phi = psi.with_amps(_ifft(sk), time=psi.time + dt)
     # one norm total of phi for both guards
     total = np.vdot(phi.amps, phi.amps).real
     _check_boundary(phi, total)
     if check_coverage:
         _check_wrap_contamination(phi, shift, total)
-    phi = spectral_shift(phi, shift)
-    return EvolutionResult(_position_phases(phi, v0, dt, ledger, units, offset), ledger)
+    amps = phi.amps
+    if shift != 0.0:
+        sk *= _shift_table(g, shift)
+        amps = _ifft(sk, out=sk)
+    amps = _position_phases(amps, g, v0, dt, ledger, units, offset)
+    return EvolutionResult(phi.with_amps(amps), ledger)
 
 
-def _position_phases(psi, v0, dt, ledger, units, offset):
-    """``psi`` times the x-linear phase, the ledger's cubic phase and the
-    offset's global phase, in that order."""
-    hbar = units.hbar
-    x_phase = np.exp(-1j * v0 * psi.grid.x * dt / hbar)
-    offset_phase = np.exp(-1j * offset * dt / hbar) if offset else 1.0
-    return psi.with_amps(
-        psi.amps * x_phase * np.exp(1j * ledger.cubic_phase) * offset_phase
-    )
+def _position_phases(amps, grid, v0, dt, ledger, units, offset):
+    """``amps`` times exp(-i a x), a = v0 dt/hbar, the ledger's cubic phase
+    and the offset's global phase exp(-i offset dt/hbar), as one table: the
+    three pure phases and the x-linear phase at ``x_min`` are one starting
+    phase of the ramp over ``x_min + j*dx``."""
+    a = v0 * dt / units.hbar
+    phase = ledger.cubic_phase - offset * dt / units.hbar - a * grid.x_min
+    return amps * _ramp(-a * grid.dx, grid.n, phase)
 
 
 def linear_evolve_momentum(
@@ -357,14 +375,15 @@ def linear_evolve_momentum(
                 "norm around the momentum-grid edge"
             )
         pos = to_position_rep(phi, units)
-        pos = pos.with_amps(pos.amps * np.exp(-1j * kick * pos.grid.x / hbar))
-        phi = to_momentum_rep(pos, units)
+        g = pos.grid
+        ramp = _ramp(-kick * g.dx / hbar, g.n, -kick * g.x_min / hbar)
+        phi = to_momentum_rep(pos.with_amps(pos.amps * ramp), units)
 
     ledger = _ledger(v0, dt, units, "right")
-    phase = np.exp(
-        1j * (ledger.cubic_phase + v0 * phi.p_axis * dt**2 / (2.0 * m * hbar))
-    )
-    out = phi.with_amps(phi.amps * phase)
+    # the p-linear phase on the ascending axis p_j = p_axis[0] + j*dp
+    c = v0 * dt**2 / (2.0 * m * hbar)
+    ramp = _ramp(c * phi.dstep, len(phi.amps), ledger.cubic_phase + c * phi.p_axis[0])
+    out = phi.with_amps(phi.amps * ramp)
     # Eq-11 form carries the right-ordering cubic but the +V0 p dt^2/(2m hbar)
     # coefficient; record what was actually applied.
     ledger = replace(ledger, momentum_shift_phase_coeff=+v0 * dt**2 / (2.0 * m * hbar))

@@ -23,13 +23,16 @@ Conventions
   kernel that ``scipy.fft.fft``/``ifft`` themselves end in, with the
   arguments those pass; the output is bit-identical, without the dispatch
   layer's fixed cost per call.  ``fftfreq`` and ``fftshift`` are numpy's.
-* Wrap-order phase tables (the kinetic factor, spectral shifts, the
-  ``exp(-+i k x_min)`` factor of the Fourier pair) go through
-  ``_wrap_table``: ``k_wrap[n-j] == -k_wrap[j]`` holds bit for bit, so each
-  table is evaluated on ``k_wrap[:n//2+1]`` only and mirrored (conjugated
-  for an odd table), which halves its complex ``exp`` and leaves every value
-  as the full evaluation gives it.  The kinetic table itself has one owner,
-  ``_kinetic``, shared by the closed form and the solver.
+* Phase tables come from two builders.  The kinetic table has one owner,
+  ``_kinetic``, shared by the closed form and the solver: it is even in k
+  and ``k_wrap[n-j] == -k_wrap[j]`` holds bit for bit, so it is evaluated on
+  ``k_wrap[:n//2+1]`` only and mirrored, which halves its complex ``exp``
+  and leaves every value as the full evaluation gives it.  A table linear
+  in a uniform axis (x, or k in wrap order: the closed form's argument
+  shift, the ``exp(-+i k x_min)`` factor of the Fourier pair) is ``_ramp``,
+  the outer product of two short ``exp`` tables; ``_shift_table`` mirrors
+  it, conjugated, onto wrap order.  Each ramp value is within a few ulp
+  times max(1, |phase|) of the direct ``np.exp``.
 * The Fourier pair is unitary in the discrete inner products::
 
       psi_tilde(p) = dx/sqrt(2*pi*hbar) * sum_j psi(x_j) exp(-i p x_j / hbar)
@@ -131,34 +134,51 @@ def _ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _pocketfft.c2c(_asfarray(a) if out is None else a, (-1,), False, 2, out, 1)
 
 
-def _wrap_table(grid: SpatialGrid, f, odd: bool = False) -> np.ndarray:
-    """``f(grid.k_wrap)`` for an elementwise phase table ``f``, evaluated on
-    the half spectrum ``k_wrap[:n//2 + 1]`` and mirrored onto the rest.
+def _ramp(c: float, count: int, phase: float = 0.0) -> np.ndarray:
+    """exp(i*(phase + c*j)) for j = 0..count-1.
 
-    ``k_wrap[n - j] == -k_wrap[j]`` holds bit for bit, so an even table (a
-    function of k**2) is mirrored as it is, and an odd one (``exp(+-i k a)``,
-    whose value at -k is the conjugate of its value at k) is mirrored
-    conjugated.  The result is the full evaluation bit for bit, for an odd
-    table wherever ``k * a`` is non-zero; where it is zero (a grid with
-    ``x_min == 0``) only the sign of a zero imaginary part can differ.
+    With j = b*q + r and b a power of two near sqrt(count), the table is the
+    outer product of exp(i*(phase + c*b*q)) and exp(i*c*r): about
+    2*sqrt(count) complex exps and count multiplies instead of count exps.
+    Each value is within a few ulp times max(1, |phase + c*j|) of
+    ``np.exp(1j*(phase + c*j))``.
+    """
+    b = 1 << (count.bit_length() // 2)
+    coarse = np.exp(1j * (phase + (c * b) * np.arange(-(-count // b))))
+    fine = np.exp(1j * (c * np.arange(b)))
+    return np.multiply.outer(coarse, fine).ravel()[:count]
+
+
+def _shift_table(grid: SpatialGrid, shift: float) -> np.ndarray:
+    """exp(i k shift) in wrap order; a spectrum times it is the state
+    translated to amps(x + shift).
+
+    ``k_wrap`` is ``j*dk`` for j < n/2 and ``(j - n)*dk`` from the Nyquist
+    point on, so the table is ``_ramp(shift*dk, n/2 + 1)`` on the first half
+    and its mirror, conjugated, on the rest.
     """
     h = grid.n // 2
-    half = f(grid.k_wrap[: h + 1])
-    out = np.empty(grid.n, dtype=half.dtype)
-    out[: h + 1] = half
-    mirror = half[h - 1 : 0 : -1]
-    if odd:
-        np.conjugate(mirror, out=out[h + 1 :])
-    else:
-        out[h + 1 :] = mirror
+    half = _ramp(shift * grid.dk, h + 1)
+    out = np.empty(grid.n, dtype=complex)
+    out[:h] = half[:h]
+    np.conjugate(half[h:0:-1], out=out[h:])
     return out
 
 
 def _kinetic(grid: SpatialGrid, dt: float, units: UnitSystem) -> np.ndarray:
-    """The free-evolution table exp(-i hbar k^2 dt / 2m) in wrap order."""
-    return _wrap_table(
-        grid, lambda k: np.exp(-1j * units.hbar * k**2 * dt / (2.0 * units.mass))
-    )
+    """The free-evolution table exp(-i hbar k^2 dt / 2m) in wrap order.
+
+    It is evaluated on the half spectrum ``k_wrap[:n//2 + 1]`` and mirrored
+    onto the rest: ``k_wrap[n - j] == -k_wrap[j]`` holds bit for bit, so the
+    table is the full evaluation bit for bit.
+    """
+    h = grid.n // 2
+    k = grid.k_wrap[: h + 1]
+    half = np.exp(-1j * units.hbar * k**2 * dt / (2.0 * units.mass))
+    out = np.empty(grid.n, dtype=complex)
+    out[: h + 1] = half
+    out[h + 1 :] = half[h - 1 : 0 : -1]
+    return out
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -417,8 +437,8 @@ def to_momentum_rep(psi: WaveFunction, units: UnitSystem = NATURAL) -> WaveFunct
     if psi.space == "momentum":
         return psi
     g = psi.grid
-    phase = _wrap_table(g, lambda k: np.exp(-1j * k * g.x_min), odd=True)
-    tilde_wrap = _fft(psi.amps) * (g.dx / np.sqrt(2.0 * np.pi * units.hbar)) * phase
+    tilde_wrap = _fft(psi.amps) * (g.dx / np.sqrt(2.0 * np.pi * units.hbar))
+    tilde_wrap *= _shift_table(g, -g.x_min)
     return WaveFunction(
         g,
         np.fft.fftshift(tilde_wrap),
@@ -434,8 +454,8 @@ def to_position_rep(psi: WaveFunction, units: UnitSystem = NATURAL) -> WaveFunct
         return psi
     g = psi.grid
     tilde_wrap = np.fft.ifftshift(psi.amps)
-    phase = _wrap_table(g, lambda k: np.exp(1j * k * g.x_min), odd=True)
-    amps = _ifft(tilde_wrap * phase) * (np.sqrt(2.0 * np.pi * units.hbar) / g.dx)
+    amps = _ifft(tilde_wrap * _shift_table(g, g.x_min))
+    amps *= np.sqrt(2.0 * np.pi * units.hbar) / g.dx
     return WaveFunction(g, amps, psi.time, space="position")
 
 

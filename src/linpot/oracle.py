@@ -342,7 +342,8 @@ def split_step_evolve(
                     f"norm drifted to {n2!r} from {initial_norm!r} "
                     f"at step {step} with no absorber"
                 )
-            if not warned and _band_share(row) > _EDGE_THRESHOLD:
+            # the snapshot's norm^2 over dx is the row's sum |amps|^2
+            if not warned and _band_share(row, n2 / psi.grid.dx) > _EDGE_THRESHOLD:
                 # attributed to split_step_evolve's caller, past the loop
                 warnings.warn(
                     f"state reached a non-absorbing boundary at t={t!r}",

@@ -32,7 +32,7 @@ RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1", "machine": "x86_64"}
 GOLDEN = {
     "evolve": {
         "final_state.csv": "17b0629e06d3fe0cb55c31392d1a992f7efe580102b046487be0816a7b605f85",
-        "trajectory.csv": "06eb754fbd356a18491b6e1bf97aad9f885ef8a01ca4aa99589627b5f7551103",
+        "trajectory.csv": "e84468b71fb1424ca95f5a18a714a7302125606112b42a566a53310eb010487c",
     },
     "tunnel": {
         "potential_profile.csv": "ad115f8e51a14c6a855a2fc4fb527e9c3e3ce377b2d00c892282c36c75fb0c12",
@@ -63,7 +63,7 @@ length = 100.0
 speed = 1.0
 """
 PACKET_PSG_GOLDEN = {
-    "psg_report.csv": "5a8acb22777cc7b6907150069b602ede4a6485a28214a2f6aa513c56706cbb2e",
+    "psg_report.csv": "86018fc3b30d4ff1d83dffca4168b08802bff8b972e4f6e4d73bd80c9063d698",
     "psg_sweep.csv": "fd36eba5f9f722fcbd40747dc2683802f1cd8a7465ccf6da378a312c020e7c3a",
 }
 

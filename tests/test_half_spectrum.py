@@ -1,9 +1,14 @@
-"""Phase tables built from their half spectrum, and the reductions behind the
-moments, against the full-table code they replace, bit for bit.
+"""Phase tables, the closed form and the reductions behind the moments
+against the full-table code they replace.
 
-The ``_reference_*`` functions are the earlier full-table forms, kept here as
-the reference: every wrap-order table is one ``np.exp`` over all of
-``k_wrap`` and every reduction is ``np.sum``.
+The ``_reference_*`` functions are the earlier forms, kept here as the
+reference: every table is one ``np.exp`` over its whole axis, the left
+ordering takes three transforms and every reduction is ``np.sum``.  Even
+(kinetic) tables and the reductions agree bit for bit.  Linear tables are
+ramps (``core._ramp``), the outer product of two short ``exp`` tables; they
+agree within ULPS ulp times max(1, |phase|) elementwise, and a state built
+from them within ULPS ulp times max(1, largest phase) times its largest
+amplitude.
 """
 
 import warnings
@@ -24,11 +29,16 @@ from linpot import (
     to_momentum_rep,
     to_position_rep,
 )
-from linpot.analytic import _ledger, _left_evolve, _position_phases
-from linpot.core import _kinetic, _moments, _wrap_table
+import linpot.analytic as analytic
+from linpot.analytic import _ledger, _left_evolve
+from linpot.core import _kinetic, _moments, _ramp, _shift_table
 from linpot.oracle import _Propagator
 
 SI = si_units(9.1e-31)
+EPS = np.finfo(float).eps
+# budget in ulp; the measured worst case is 1.9 ulp (a shift table), and
+# 1.6 ulp for a state
+ULPS = 4.0
 
 GRIDS = {
     "dyadic": SpatialGrid(-32.0, 32.0, 2048),
@@ -45,17 +55,40 @@ def _same_bits(got, want):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _close(got, want, phase):
+    """|got - want| <= ULPS * eps * max(1, |phase|), elementwise."""
+    err = np.abs(np.asarray(got) - want) / (EPS * np.maximum(1.0, np.abs(phase)))
+    assert np.all(err <= ULPS), f"{err.max():.2f} ulp"
+
+
+def _close_state(got, want, phase):
+    """A state within ULPS ulp times max(1, ``phase``), its largest phase
+    argument, times its largest amplitude."""
+    scale = np.abs(want).max()
+    _close(got / scale, want / scale, phase)
+
+
 def _reference_left_evolve(psi, v0, dt, units, offset):
-    """``analytic._left_evolve`` with full-table kinetic and shift phases."""
+    """``analytic._left_evolve`` as three transforms and full-table phases,
+    with the largest phase argument that enters it."""
     g = psi.grid
+    hbar = units.hbar
     ledger = _ledger(v0, dt, units, "left")
-    kinetic = np.exp(-1j * units.hbar * g.k_wrap**2 * dt / (2.0 * units.mass))
-    phi = psi.with_amps(sp_fft.ifft(sp_fft.fft(psi.amps) * kinetic), time=psi.time + dt)
+    kinetic = np.exp(-1j * hbar * g.k_wrap**2 * dt / (2.0 * units.mass))
+    amps = sp_fft.ifft(sp_fft.fft(psi.amps) * kinetic)
     shift = ledger.argument_shift
     if shift != 0.0:
-        amps = sp_fft.ifft(sp_fft.fft(phi.amps) * np.exp(1j * g.k_wrap * shift))
-        phi = phi.with_amps(amps)
-    return _position_phases(phi, v0, dt, ledger, units, offset), ledger
+        amps = sp_fft.ifft(sp_fft.fft(amps) * np.exp(1j * g.k_wrap * shift))
+    x_phase = np.exp(-1j * v0 * g.x * dt / hbar)
+    offset_phase = np.exp(-1j * offset * dt / hbar) if offset else 1.0
+    amps = amps * x_phase * np.exp(1j * ledger.cubic_phase) * offset_phase
+    phase = (
+        np.abs(g.k_wrap * shift).max()
+        + np.abs(v0 * g.x * dt / hbar).max()
+        + abs(ledger.cubic_phase)
+        + abs(offset * dt / hbar)
+    )
+    return psi.with_amps(amps, time=psi.time + dt), ledger, phase
 
 
 def _reference_moments(amps, grid, hbar):
@@ -113,19 +146,20 @@ class TestAgainstFullTables:
             warnings.simplefilter("ignore")
             for t in times:
                 got = _left_evolve(psi, spectrum, v0, t, units, offset, False)
-                want, ledger = _reference_left_evolve(psi, v0, t, units, offset)
-                _same_bits(got.psi.amps, want.amps)
+                want, ledger, phase = _reference_left_evolve(psi, v0, t, units, offset)
+                _close_state(got.psi.amps, want.amps, phase)
                 assert got.psi.time == want.time
                 assert got.ledger == ledger
+                # the reductions, on the same input, stay bit for bit
                 assert _moments(got.psi.amps, g, units.hbar) == _reference_moments(
-                    want.amps, g, units.hbar
+                    got.psi.amps, g, units.hbar
                 )
-                assert l2_distance(got.psi, psi) == _reference_l2(want, psi)
+                assert l2_distance(got.psi, psi) == _reference_l2(got.psi, psi)
                 # the public entry point goes through the same tables
                 public = linear_evolve(
                     psi, v0, t, units=units, offset=offset, check_coverage=False
                 )
-                _same_bits(public.psi.amps, want.amps)
+                _same_bits(public.psi.amps, got.psi.amps)
 
     @pytest.mark.parametrize("name", list(GRIDS))
     def test_representation_pair(self, name):
@@ -135,9 +169,12 @@ class TestAgainstFullTables:
             0.5 * (g.x_min + g.x_max), 0.7, 0.8
         )
         psi = sample_gaussian(spec, g, units)
+        # the exp(-+i k x_min) table is the largest phase
+        phase = np.abs(g.k_wrap * g.x_min).max()
         tilde = to_momentum_rep(psi, units)
-        _same_bits(tilde.amps, _reference_momentum_rep(psi, units))
-        _same_bits(to_position_rep(tilde, units).amps, _reference_position_rep(tilde, units))
+        _close_state(tilde.amps, _reference_momentum_rep(psi, units), phase)
+        back = to_position_rep(tilde, units).amps
+        _close_state(back, _reference_position_rep(tilde, units), phase)
 
     @pytest.mark.parametrize("name", ["dyadic", "non-dyadic", "si"])
     def test_propagator_kinetic_table(self, name):
@@ -150,8 +187,9 @@ class TestAgainstFullTables:
 
 
 class TestWrapTable:
-    """Each mirrored table equals the full-table evaluation to the last bit,
-    for phase arguments up to about 1e6."""
+    """For phase arguments up to about 1e6, each even table equals the
+    full-table evaluation to the last bit, and each linear (shift) table is
+    within ULPS ulp times max(1, |phase|) of it."""
 
     @staticmethod
     def _coefficients(kmax, power):
@@ -164,9 +202,9 @@ class TestWrapTable:
         g = GRIDS[name]
         assert np.array_equal(g.k_wrap[g.n // 2 + 1:], -g.k_wrap[g.n // 2 - 1:0:-1])
         for a in self._coefficients(np.abs(g.k_wrap).max(), 1):
-            for sign in (1j, -1j):
-                got = _wrap_table(g, lambda k: np.exp(sign * k * a), odd=True)
-                _same_bits(got, np.exp(sign * g.k_wrap * a))
+            for shift in (a, -a):
+                phase = g.k_wrap * shift
+                _close(_shift_table(g, shift), np.exp(1j * phase), phase)
 
     @pytest.mark.parametrize("name", list(GRIDS))
     def test_even_tables(self, name):
@@ -176,3 +214,37 @@ class TestWrapTable:
             got = _kinetic(g, c, units)
             want = np.exp(-1j * units.hbar * g.k_wrap**2 * c / (2.0 * units.mass))
             _same_bits(got, want)
+
+
+class TestRamp:
+    @pytest.mark.parametrize("count", [16, 17, 100, 1025, 2048, 4097, 8192])
+    def test_against_direct_exp(self, count):
+        j = np.arange(count)
+        for top in np.geomspace(1e-6, 1e3, 19):
+            for c in (top / count, -top / count):
+                for start in (0.0, 0.7, -123.4):
+                    got = _ramp(c, count, start)
+                    assert got.shape == (count,) and got[0] == np.exp(1j * start)
+                    want = np.exp(1j * (start + c * j))
+                    # start and c*j may cancel; each carries its own roundoff
+                    _close(got, want, abs(start) + np.abs(c * j))
+
+
+def test_left_evolve_takes_two_inverse_transforms(monkeypatch):
+    calls = {"fft": 0, "ifft": 0}
+
+    def counting(name, kernel):
+        def transform(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        return transform
+
+    monkeypatch.setattr(analytic, "_fft", counting("fft", analytic._fft))
+    monkeypatch.setattr(analytic, "_ifft", counting("ifft", analytic._ifft))
+    g = GRIDS["dyadic"]
+    psi = sample_gaussian(GaussianSpec(-2.0, 3.0, 1.0), g)
+    spectrum = sp_fft.fft(psi.amps)
+    res = _left_evolve(psi, spectrum, 1.5, 0.9, NATURAL)
+    assert res.ledger.argument_shift != 0.0
+    assert calls == {"fft": 0, "ifft": 2}
