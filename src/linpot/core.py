@@ -266,10 +266,6 @@ class WaveFunction:
             return self.grid.dx
         return float(self.p_axis[1] - self.p_axis[0])
 
-    @property
-    def axis(self) -> np.ndarray:
-        return self.grid.x if self.space == "position" else self.p_axis
-
     def norm2(self) -> float:
         """Squared norm sum(|amps|^2) * dstep."""
         return float(np.sum(np.abs(self.amps) ** 2) * self.dstep)

@@ -8,7 +8,8 @@ One step applies the second-order symmetric (Strang) splitting
 
 whose global error is O(dt^2).  Each factor is exactly unitary, so without an
 absorber the norm is conserved to roundoff; the measured convergence order is
-itself a test asset (see :func:`convergence_study`).
+itself a test asset: one dt ladder measures it for :func:`convergence_study`
+and, against the closed form, for ``linpot verify``'s c01.
 
 Absorbing boundaries are a smooth amplitude mask applied once per step:
 ``exp(-strength * ramp(x) * dt / hbar)`` with a cos^2 ramp rising from the
@@ -55,7 +56,7 @@ one ``np.multiply``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,7 +160,6 @@ class Trajectory:
     absorbed_left: np.ndarray
     absorbed_right: np.ndarray
     final_state: WaveFunction
-    extras: dict = field(default_factory=dict)
     state_steps: int = 0
     transforms: int = 0
 
@@ -363,12 +363,13 @@ def split_step_evolve(
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """(dt, error) pairs against a Richardson reference, with a log-log fit.
+    """(dt, error) pairs against a reference state, with a log-log fit.
 
-    ``non_monotone`` flags sequences that stop improving at first order or
-    better between adjacent dts (outright increases included): the roundoff
-    or grid-resolution floor was reached inside the dt range.  The slope is
-    fitted over the clean leading entries only.
+    Each dt is the one the run stepped: the requested dt snapped to a whole
+    number of steps.  ``non_monotone`` flags sequences that stop improving
+    at first order or better between adjacent dts (outright increases
+    included): the roundoff or grid-resolution floor was reached inside the
+    dt range.  The slope is fitted over the clean leading entries only.
     """
 
     entries: tuple
@@ -389,6 +390,32 @@ def _single_run(psi, potential, total_time, dt, units=NATURAL):
     return split_step_evolve(psi, potential, cfg, units)
 
 
+def _study(psi, potential, total_time, dts, reference, units=NATURAL):
+    """The dt ladder: each run's L2 distance from ``reference`` (the exact
+    state, or a finer run) at its stepped dt, which must strictly decrease."""
+    entries = []
+    for dt in dts:
+        run = _single_run(psi, potential, total_time, dt, units)
+        dt_run = total_time / run.state_steps
+        if entries and dt_run >= entries[-1][0]:
+            raise ValueError(f"stepped dts must be strictly decreasing: {dt!r} steps {dt_run!r}")
+        entries.append((dt_run, l2_distance(run.final_state, reference)))
+    dts_run, errors = np.array(entries).T
+    # local order between adjacent dts; a stall (order < 1) marks the floor
+    stop = len(errors)
+    for i in range(1, len(errors)):
+        ratio_e = errors[i] / max(errors[i - 1], 1e-300)
+        ratio_d = dts_run[i] / dts_run[i - 1]
+        if ratio_e >= 1.0 or np.log(ratio_e) / np.log(ratio_d) < 1.0:
+            stop = i
+            break
+    non_monotone = stop < len(errors)
+    fit_d = np.log(dts_run[:stop])
+    fit_e = np.log(np.maximum(errors[:stop], 1e-300))
+    slope = float(np.polyfit(fit_d, fit_e, 1)[0]) if stop >= 2 else float("nan")
+    return ConvergenceStudy(tuple(entries), slope, non_monotone)
+
+
 def convergence_study(
     psi: WaveFunction,
     potential: Potential,
@@ -397,28 +424,9 @@ def convergence_study(
     units: UnitSystem = NATURAL,
     refine: int = 4,
 ) -> ConvergenceStudy:
-    """L2 error of the final state at each dt, against a reference run at
-    ``min(dt)/refine``.  dt_list must be decreasing; each dt is snapped to an
-    integer number of steps."""
+    """L2 error of the final state at each dt, against a Richardson
+    reference run at ``min(dt)/refine``.  Each dt is snapped to an integer
+    number of steps, and the snapped dts must be strictly decreasing."""
     dts = [float(d) for d in dt_list]
-    if any(b >= a for a, b in zip(dts, dts[1:])):
-        raise ValueError("dt_list must be strictly decreasing")
-    reference = _single_run(psi, potential, total_time, dts[-1] / refine, units).final_state
-    entries = []
-    for dt in dts:
-        final = _single_run(psi, potential, total_time, dt, units).final_state
-        entries.append((dt, l2_distance(final, reference)))
-    errors = np.array([e for _, e in entries])
-    # local order between adjacent dts; a stall (order < 1) marks the floor
-    stop = len(errors)
-    for i in range(1, len(errors)):
-        ratio_e = errors[i] / max(errors[i - 1], 1e-300)
-        ratio_d = dts[i] / dts[i - 1]
-        if ratio_e >= 1.0 or np.log(ratio_e) / np.log(ratio_d) < 1.0:
-            stop = i
-            break
-    non_monotone = stop < len(errors)
-    fit_d = np.log([d for d, _ in entries[:stop]])
-    fit_e = np.log(np.maximum(errors[:stop], 1e-300))
-    slope = float(np.polyfit(fit_d, fit_e, 1)[0]) if stop >= 2 else float("nan")
-    return ConvergenceStudy(tuple(entries), slope, non_monotone)
+    reference = _single_run(psi, potential, total_time, min(dts) / refine, units).final_state
+    return _study(psi, potential, total_time, dts, reference, units)

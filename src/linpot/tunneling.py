@@ -302,6 +302,7 @@ class TunnelingResult:
     roundoff.  ``t_a_measured`` is the time the mean position reaches (or
     comes closest to) the first turning point; ``t_a_linear`` is the
     linear-front prediction: free flight to the barrier base plus p0/slope.
+    ``transmitted_fraction`` is T at each of ``trajectory``'s snapshot times.
     """
 
     T: float
@@ -315,6 +316,7 @@ class TunnelingResult:
     t_a_linear: float
     converged: bool
     trajectory: Trajectory
+    transmitted_fraction: np.ndarray
 
     def norm_defect(self) -> float:
         """|T + R + residual - 1|; the accounting invariant."""
@@ -424,8 +426,6 @@ def _measure(states, barrier, cfg, grid, units, launch):
     results = []
     for i, traj in enumerate(trajectories):
         T, R = history[i][-1]
-        fractions = [launched[i]] + [h[0] for h in history[i]]
-        traj.extras["transmitted_fraction"] = np.array(fractions)
         t_a_measured = _crossing_time(traj.times, traj.mean_x, a)
         results.append(
             TunnelingResult(
@@ -440,6 +440,7 @@ def _measure(states, barrier, cfg, grid, units, launch):
                 t_a_linear=t_a_linear,
                 converged=i not in drifting,
                 trajectory=traj,
+                transmitted_fraction=np.array([launched[i]] + [h[0] for h in history[i]]),
             )
         )
     if drifting:

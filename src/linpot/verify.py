@@ -4,7 +4,7 @@ and from the test suite.
 Each check pins its tolerance here, measures, and reports; nothing is
 deferred to later calibration.  Checks c01..c12 cover the numbered criteria;
 the runtime budget (criterion 13: everything at desk scale in under ten
-minutes) is asserted over their summed wall time.
+minutes) is built here over their summed seconds and ends a full run.
 """
 
 from __future__ import annotations
@@ -75,19 +75,20 @@ def c01_analytic_vs_oracle() -> CheckResult:
     v0, total = 2.0, 0.4
     psi = sample_gaussian(GaussianSpec(x0=-1.0, p0=2.0, sigma=1.0), grid)
     exact = analytic.linear_evolve(psi, v0, total).psi
-    errs, dts = [], []
-    for nominal in (4e-3, 2e-3, 1e-3, 5e-4):
-        run = oracle._single_run(psi, Linear(v0), total, nominal)
-        dts.append(total / run.state_steps)  # the snapped dt the run stepped
-        errs.append(l2_distance(exact, run.final_state))
-    slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
+    study = oracle._study(psi, Linear(v0), total, (4e-3, 2e-3, 1e-3, 5e-4), exact)
     elapsed = time.perf_counter() - start
-    passed = worst <= 1e-7 and abs(slope - 2.0) <= 0.1 and elapsed < 60.0
+    # the slope is fitted up to the first stall only, so a stall fails
+    passed = (
+        worst <= 1e-7
+        and not study.non_monotone
+        and abs(study.slope - 2.0) <= 0.1
+        and elapsed < 60.0
+    )
     return CheckResult(
         "c01",
         "analytic vs oracle <= 1e-7 at dt=1e-4; slope 2.0+-0.1; < 60 s",
         passed,
-        {"max_l2": _fmt(worst), "slope": f"{slope:.4f}", "runtime_s": f"{elapsed:.1f}"},
+        {"max_l2": _fmt(worst), "slope": f"{study.slope:.4f}", "runtime_s": f"{elapsed:.1f}"},
     )
 
 
@@ -534,10 +535,24 @@ def run_check(name: str) -> CheckResult:
     raise KeyError(f"unknown check {name!r}")
 
 
+def _c13_runtime_budget(results) -> CheckResult:
+    total = sum(r.seconds for r in results)
+    criterion = f"all checks at desk scale in under {RUNTIME_BUDGET_SECONDS:.0f} s"
+    passed = total < RUNTIME_BUDGET_SECONDS
+    return CheckResult("c13", criterion, passed, {"total_s": round(total, 1)})
+
+
 def run_all(only=None) -> list:
-    results = []
-    for name, _ in CHECKS:
-        if only is not None and name not in only:
-            continue
-        results.append(run_check(name))
+    """The checks in ``only``, or all of them and then c13.  An unknown name,
+    or an ``only`` that names no check, raises ValueError before any check
+    runs."""
+    names = [name for name, _ in CHECKS]
+    unknown = sorted(set(only or ()) - set(names))
+    if unknown:
+        raise ValueError(f"unknown check names: {', '.join(unknown)}; known: {', '.join(names)}")
+    if only is not None and not only:
+        raise ValueError("no check names given")
+    results = [run_check(name) for name in names if only is None or name in only]
+    if only is None:
+        results.append(_c13_runtime_budget(results))
     return results

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from linpot import verify
 from linpot.cli import EXIT_VALIDATION, main
 
 FREE_CFG = """\
@@ -307,6 +308,41 @@ class TestVerifyCommand:
         assert summary["c02"]["passed"] is True
         assert summary["c06"]["passed"] is True
         assert "c13" not in summary
+
+    def test_unknown_check_name_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["verify", "--only", "c02,c99,c13", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "c13, c99" in err
+        # rejected before any check ran or any summary was written
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names", [",", ""])
+    def test_only_without_names_rejected(self, tmp_path, capsys, names):
+        out = tmp_path / "out"
+        assert main(["verify", "--only", names, "--out", str(out)]) == EXIT_VALIDATION
+        assert "no check names given" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_full_run_ends_with_c13(self, tmp_path, capsys, monkeypatch):
+        # c13 is built in verify, from the checks' summed seconds; stub
+        # checks keep the full run fast
+        stubs = [
+            (name, lambda name=name: verify.CheckResult(name, "stub", True))
+            for name, _ in verify.CHECKS
+        ]
+        monkeypatch.setattr(verify, "CHECKS", stubs)
+        out = tmp_path / "out"
+        assert main(["verify", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("c13 PASS [all checks at desk scale in under 600 s]")
+        summary = json.loads((out / "verify_summary.json").read_text())
+        assert set(summary) == {name for name, _ in stubs} | {"c13"}
+        assert summary["c13"]["passed"] is True
+        # one criterion string, on stdout and in the JSON
+        assert summary["c13"]["criterion"] == "all checks at desk scale in under 600 s"
+        assert set(summary["c13"]["measured"]) == {"total_s"}
 
 
 class TestFlags:

@@ -84,7 +84,8 @@ NON_FINITE = [
 ]
 
 
-SHIPPED = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
+SHIPPED_DIR = Path(__file__).parents[1] / "configs"
+SHIPPED = sorted(SHIPPED_DIR.glob("*.cfg"))
 
 
 class TestParsing:
@@ -151,6 +152,14 @@ class TestParsing:
     def test_scan_lists(self):
         cfg = ExperimentConfig.from_text("[scan]\ndelays = 0.0,2.0,4.0\n")
         assert cfg.scan.delays == (0.0, 2.0, 4.0)
+
+    def test_scan_takes_delays_or_sigmas_not_both(self):
+        # the tunnel command scans one list; the other would be dropped
+        text = (SHIPPED_DIR / "tunnel.cfg").read_text().replace(
+            "delays = 0.0,2.0,4.0,7.0", "delays = 0.0\nsigmas = 1.0,2.0"
+        )
+        with pytest.raises(ConfigError, match=r"^\[scan\] sigmas: "):
+            ExperimentConfig.from_text(text)
 
     def test_byte_stable_round_trip(self):
         cfg = ExperimentConfig.from_text(BASE)

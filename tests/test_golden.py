@@ -5,6 +5,12 @@ and the run manifest that each of these commands writes beside them.
 The digests were recorded with numpy 2.4.6 and scipy 1.17.1 on x86_64.  Other
 versions or machines may round the FFTs and reductions differently in the
 last bit, so there the digest tests skip and name what differs.
+
+A digest is re-pinned only for a deliberate change of roundoff, and only
+after every value of the old and the new CSV has been compared.  A value
+that comes out of a solver run may move by at most 1e-13 * max(1, |value|);
+the roundoff of thousands of steps scales with the value.  Any other value
+may move by at most 1e-13.  A larger move is a change of results.
 """
 
 import hashlib
@@ -36,7 +42,7 @@ GOLDEN = {
     },
     "tunnel": {
         "potential_profile.csv": "ad115f8e51a14c6a855a2fc4fb527e9c3e3ce377b2d00c892282c36c75fb0c12",
-        "scan.csv": "a989066bd31c27506e819cf169f7394ff0a25042533cf35f9e0670fc7ae2e0b4",
+        "scan.csv": "a367e3d4cb88b7eac83fcbbab19d9ce9f79603db094569e1c46ab9b078402655",
     },
     "psg": {
         "psg_report.csv": "7b47c2ded8db78d0645aa84ade26702b72aa0aa561cb2aec7c1e65d1813e63fd",

@@ -409,3 +409,14 @@ class TestConvergence:
         with pytest.raises(ValueError):
             convergence_study(packet, Free(), 0.1, (1e-3, 1e-3))
 
+    def test_duplicate_step_counts_rejected(self, grid):
+        # 0.01 / 3e-3 and 0.01 / 2.9e-3 both round to 3 steps: the two runs
+        # are one run, not a roundoff floor
+        psi = sample_gaussian(GaussianSpec(0.0, 0.0, 1.0), grid)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            convergence_study(psi, Linear(1.0), 0.01, (3e-3, 2.9e-3))
+
+    def test_entries_carry_the_stepped_dt(self, grid):
+        psi = sample_gaussian(GaussianSpec(0.0, 0.0, 1.0), grid)
+        study = convergence_study(psi, Linear(1.0), 0.01, (3e-3, 1e-3))
+        assert [dt for dt, _ in study.entries] == [0.01 / 3, 0.01 / 10]

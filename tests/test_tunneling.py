@@ -414,7 +414,7 @@ class TestWidthScan:
         low = BarrierSpec(x_start=10.0, slope=25.0, peak_height=25.0)
         res = run_tunneling(packet, low, cfg, grid)
         traj = res.trajectory
-        frac = traj.extras["transmitted_fraction"]
+        frac = res.transmitted_fraction
         assert len(frac) == len(traj.times)
         assert frac[0] == pytest.approx(0.0, abs=1e-12)
         assert frac[-1] == pytest.approx(res.T, rel=1e-12)
