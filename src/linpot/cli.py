@@ -12,10 +12,12 @@ Subcommands::
 Exit codes: 0 success, 1 config/validation error (a usage error included),
 2 numerical failure, 3 precondition violation.  Identical configs produce
 byte-identical CSV output on the same platform; every CSV starts with a
-``# schema:`` line and a header row.  ``evolve`` and ``tunnel`` also write
-``run.json``: the canonical config and its sha256, the linpot/numpy/scipy
-versions, the solver's state-step and FFT counts and the probability
-absorbed per side (per scan row for ``tunnel``).
+``# schema:`` line and a header row.  Every command also writes
+``run.json``: the linpot/numpy/scipy versions, the canonical config and its
+sha256 (for the commands that read one) and the command's headline numbers:
+for ``evolve`` and ``tunnel`` the solver's state-step and FFT counts and the
+probability absorbed per side (per scan row for ``tunnel``), for ``verify``
+the checks that ran and their seconds, each and in total.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -77,13 +80,10 @@ def _write_csv(path: Path, schema: str, header, rows):
             f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _write_run(out: Path, cfg: ExperimentConfig, **record):
-    """Write ``run.json``: what ran (canonical config, its sha256, versions)
-    and the ``record`` of how it went."""
-    text = cfg.to_text()
+def _write_run(out: Path, cfg: ExperimentConfig | None, **record):
+    """Write ``run.json``: what ran (versions and, given a config, its
+    canonical text and sha256) and the ``record`` of how it went."""
     manifest = {
-        "config": text,
-        "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "versions": {
             "linpot": __version__,
             "numpy": np.__version__,
@@ -91,6 +91,10 @@ def _write_run(out: Path, cfg: ExperimentConfig, **record):
         },
         **record,
     }
+    if cfg is not None:
+        text = cfg.to_text()
+        manifest["config"] = text
+        manifest["config_sha256"] = hashlib.sha256(text.encode()).hexdigest()
     with open(out / "run.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -244,14 +248,16 @@ def cmd_psg(args) -> int:
     composed = devices.psg_compose(g, 0.0, units).relative_phase
 
     # a [state] section also drives a transverse packet through the segments;
-    # the narrow-beam guard is subject to --override-preconditions
+    # the narrow-beam guard is subject to --override-preconditions.  Its phase
+    # is written on the closed form's branch, so roundoff at an odd multiple
+    # of pi cannot move it by 2 pi.
     packet_phase = math.nan
     if cfg.state_present:
         psi = sample_gaussian(cfg.state, cfg.grid(), units)
         comp = devices.psg_compose(
             g, psi, units, override_width_check=args.override_preconditions
         )
-        packet_phase = comp.relative_phase
+        packet_phase = closed + math.remainder(comp.relative_phase - closed, 2 * math.pi)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -327,7 +333,9 @@ def cmd_verify(args) -> int:
     only = None
     if args.only is not None:
         only = {tok.strip() for tok in args.only.split(",") if tok.strip()}
+    start = time.perf_counter()
     results = verify.run_all(only=only)
+    total = time.perf_counter() - start
     for r in results:
         print(r.summary_line())
     out = Path(args.out)
@@ -343,6 +351,13 @@ def cmd_verify(args) -> int:
     }
     with open(out / "verify_summary.json", "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
+    _write_run(
+        out,
+        None,
+        checks=[r.name for r in results],
+        seconds={r.name: round(r.seconds, 3) for r in results},
+        total_seconds=round(total, 3),
+    )
     all_passed = all(r.passed for r in results)
     print(f"verify: {'all checks passed' if all_passed else 'FAILURES PRESENT'}")
     return EXIT_OK if all_passed else EXIT_NUMERICAL

@@ -22,7 +22,11 @@ Conventions
 * Transforms go through ``_fft`` and ``_ifft``, which call the pocketfft
   kernel that ``scipy.fft.fft``/``ifft`` themselves end in, with the
   arguments those pass; the output is bit-identical, without the dispatch
-  layer's fixed cost per call.  ``fftfreq`` and ``fftshift`` are numpy's.
+  layer's fixed cost per call.  The kernel extension is loaded from scipy's
+  install by file, so the ``scipy.fft`` package (and the scipy.special its
+  fftlog backend imports) is never loaded; ``_asfarray`` is linpot's copy
+  of ``scipy.fft``'s input conversion.  ``fftfreq`` and ``fftshift`` are
+  numpy's.
 * Phase tables come from two builders.  The kinetic table has one owner,
   ``_kinetic``, shared by the closed form and the solver: it is even in k
   and ``k_wrap[n-j] == -k_wrap[j]`` holds bit for bit, so it is evaluated on
@@ -50,13 +54,14 @@ Conventions
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.fft._pocketfft import pypocketfft as _pocketfft
-from scipy.fft._pocketfft.helper import _asfarray
 
 from .errors import CoverageError, NormalizationError
 
@@ -115,6 +120,46 @@ NATURAL = UnitSystem(1.0, 1.0, "natural")
 def si_units(mass: float) -> UnitSystem:
     """SI convention for a particle of the given mass in kg."""
     return UnitSystem(HBAR_SI, mass, "si")
+
+
+def _load_pocketfft(directory: str):
+    """scipy's ``pypocketfft`` extension, loaded from ``directory`` (the
+    ``fft/_pocketfft`` folder of scipy's install) without importing the
+    ``scipy.fft`` package around it.  Raises ImportError naming the directory
+    and the installed scipy version when the extension is not there."""
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.fft._pocketfft.pypocketfft", [directory]
+    )
+    if spec is None:
+        from scipy import __version__
+
+        raise ImportError(
+            f"scipy's pocketfft kernel (pypocketfft) not found in {directory} "
+            f"(scipy {__version__})"
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_pocketfft = _load_pocketfft(
+    os.path.join(
+        importlib.util.find_spec("scipy").submodule_search_locations[0], "fft", "_pocketfft"
+    )
+)
+
+
+def _asfarray(a) -> np.ndarray:
+    """``a`` as ``scipy.fft`` converts its input: float16 to float32, any
+    other non-float, non-complex dtype to float64, and float or complex
+    input to a native-order, aligned array (copied only if it was not)."""
+    a = np.asarray(a)
+    if a.dtype == np.float16:
+        return np.asarray(a, np.float32)
+    if a.dtype.kind not in "fc":
+        return np.asarray(a, np.float64)
+    a = np.asarray(a, a.dtype.newbyteorder("="))
+    return a if a.flags.aligned else a.copy()
 
 
 def _fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

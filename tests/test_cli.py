@@ -281,10 +281,10 @@ class TestPsg:
             == 0
         )
         _, rows = read_csv(out / "psg_report.csv")
-        # -pi modulo 2 pi: at the branch cut of the phase, roundoff picks
-        # the sign
-        phase = rows[0]["packet_phase"]
-        assert abs(math.remainder(phase + math.pi, 2.0 * math.pi)) <= 1e-6
+        # written on the closed form's branch: at -pi, the branch cut of the
+        # raw phase, roundoff cannot move it by 2 pi (c10's 1e-4 rad)
+        row = rows[0]
+        assert abs(row["packet_phase"] - row["closed_form_phase"]) <= 1e-4
 
 
 class TestSpin:
@@ -308,6 +308,17 @@ class TestVerifyCommand:
         assert summary["c02"]["passed"] is True
         assert summary["c06"]["passed"] is True
         assert "c13" not in summary
+
+    def test_manifest_records_versions_checks_and_seconds(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["verify", "--only", "c02", "--out", str(out)]) == 0
+        run = json.loads((out / "run.json").read_text())
+        summary = json.loads((out / "verify_summary.json").read_text())
+        assert set(run["versions"]) == {"linpot", "numpy", "scipy"}
+        assert "config" not in run
+        assert run["checks"] == ["c02"]
+        assert run["seconds"] == {"c02": summary["c02"]["seconds"]}
+        assert run["total_seconds"] >= run["seconds"]["c02"]
 
     def test_unknown_check_name_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"

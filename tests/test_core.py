@@ -23,7 +23,7 @@ from linpot import (
     to_momentum_rep,
     to_position_rep,
 )
-from linpot.core import _fft, _ifft
+from linpot.core import _fft, _ifft, _load_pocketfft
 from linpot.errors import CoverageError, NormalizationError
 from linpot.tunneling import animation_scenario
 
@@ -199,10 +199,20 @@ class TestFourierPair:
         assert l2_distance(psi, to_position_rep(tilde)) < 1e-13
 
 
+def _unaligned(n):
+    """n float64 values in a buffer one byte off alignment."""
+    a = np.empty(8 * n + 1, np.uint8)[1:].view(np.float64)
+    a[:] = np.linspace(0.0, 1.0, n)
+    assert not a.flags.aligned
+    return a
+
+
 class TestKernelPair:
     """``_fft``/``_ifft`` call scipy's pocketfft kernel directly; they must
     give what ``scipy.fft.fft``/``ifft`` give, bit for bit.  A scipy release
-    that moves or changes the private kernel fails here by name."""
+    that changes the private kernel fails here by name; one that moves it
+    fails at ``import linpot``, with an ImportError naming the directory
+    searched and the scipy version."""
 
     @staticmethod
     def _complex(shape, seed):
@@ -220,13 +230,25 @@ class TestKernelPair:
 
     @pytest.mark.parametrize(
         "a",
-        [[1, 2, 0, -1], np.arange(16), np.linspace(0.0, 1.0, 16)],
-        ids=["list", "int", "float"],
+        [
+            [1, 2, 0, -1],
+            np.arange(16),
+            np.linspace(0.0, 1.0, 16),
+            np.linspace(0.0, 1.0, 16, dtype=np.float16),
+            np.linspace(0.0, 1.0, 16).astype(">f8"),
+            _unaligned(16),
+        ],
+        ids=["list", "int", "float", "float16", "big-endian", "unaligned"],
     )
     def test_converts_input_as_scipy_fft(self, a):
         # a WaveFunction may be built from any array-like amplitudes
         np.testing.assert_array_equal(_fft(a), scipy.fft.fft(a))
         np.testing.assert_array_equal(_ifft(a), scipy.fft.ifft(a))
+
+    def test_moved_kernel_fails_by_name(self, tmp_path):
+        with pytest.raises(ImportError) as failure:
+            _load_pocketfft(str(tmp_path))
+        assert f"not found in {tmp_path} (scipy {scipy.__version__})" in str(failure.value)
 
     @pytest.mark.parametrize("n", [16, 1024, 8192])
     @pytest.mark.parametrize("rows", [None, 3], ids=["single", "stack"])

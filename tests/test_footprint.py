@@ -1,7 +1,11 @@
-"""What a linpot process loads: importing the CLI must not pull in
-scipy.integrate (nor the scipy.optimize and scipy.linalg it brings), which
-only the WKB action integral uses; the first :func:`linpot.wkb_sigma_R` call
-loads it and gives the same action as a call in a process that had it loaded.
+"""What a linpot process loads: importing the CLI must not pull in the
+scipy.fft package (nor the scipy.special its fftlog backend brings), since
+linpot loads only scipy's pocketfft extension, and a later ``import
+scipy.fft`` in the same process must still transform bit for bit as linpot
+does.  Nor must it pull in scipy.integrate (nor the scipy.optimize and
+scipy.linalg it brings), which only the WKB action integral uses; the first
+:func:`linpot.wkb_sigma_R` call loads it and gives the same action as a call
+in a process that had it loaded.
 
 Each check runs in a fresh interpreter, since this one has imported
 everything the other tests use.
@@ -15,7 +19,7 @@ from pathlib import Path
 import linpot
 
 SRC = Path(__file__).parents[1] / "src"
-HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
+HEAVY = ("scipy.fft", "scipy.special", "scipy.integrate", "scipy.optimize", "scipy.linalg")
 
 # c06's first barrier, at 0.3 of its peak
 BARRIER = {"x_start": 0.0, "slope": 2.0, "peak_height": 5.0}
@@ -25,6 +29,10 @@ SCRIPT = f"""
 import sys
 import linpot.cli
 print([m for m in {HEAVY!r} if m in sys.modules])
+import numpy as np
+import scipy.fft
+a = np.linspace(-1.0, 1.0, 64) * (1.0 + 0.5j)
+print(np.array_equal(scipy.fft.fft(a), linpot.core._fft(a)))
 import linpot
 print(repr(linpot.wkb_sigma_R(linpot.BarrierSpec(**{BARRIER!r}), {ENERGY!r})))
 print("scipy.integrate" in sys.modules)
@@ -47,7 +55,8 @@ def _fresh_python(script):
 
 
 def test_cli_import_leaves_quadrature_unloaded_until_first_action():
-    loaded, action, integrate_loaded = _fresh_python(SCRIPT)
+    loaded, fft_agrees, action, integrate_loaded = _fresh_python(SCRIPT)
     assert loaded == "[]"
+    assert fft_agrees == "True"
     assert integrate_loaded == "True"
     assert action == repr(linpot.wkb_sigma_R(linpot.BarrierSpec(**BARRIER), ENERGY))
