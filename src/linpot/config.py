@@ -61,6 +61,8 @@ class PotentialSpec:
     descent_slope: float | None = None
 
     def __post_init__(self):
+        if self.kind not in ("free", "linear", "barrier"):
+            raise ValueError(f"kind must be free, linear or barrier, got {self.kind!r}")
         if not math.isfinite(self.v0):
             raise ValueError("v0 must be finite")
 
@@ -195,10 +197,6 @@ class ExperimentConfig:
         kw["state_present"] = parser.has_section("state")
 
         kind = get("potential", "kind", str, "free")
-        if kind not in ("free", "linear", "barrier"):
-            raise ConfigError(
-                f"[potential] kind: must be free, linear or barrier, got {kind!r}"
-            )
         kw["potential"] = built(
             "potential",
             PotentialSpec,

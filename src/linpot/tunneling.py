@@ -4,11 +4,13 @@ measured transmission/reflection of Gaussian packets.
 The canonical barrier rises linearly with slope ``slope`` from its base at
 ``x_start`` to ``peak_height``, then descends (mirror-linear by default) back
 to zero.  For an incident energy E below the peak the classical turning
-points a < b satisfy V(a) = V(b) = E; the stretch D' between the far edge of
-the linear front and ``a`` controls whether the incident packet ever samples
-anything but the linear front.  When D' is much larger than half the packet
-width at arrival, the packet is wholly pushed backwards; this module
-operationalizes "tunneling suppressed" as T < 1e-4.
+points a < b satisfy V(a) = V(b) = E.  Every barrier here is the polyline
+through its knots, which is what the solver steps, so a and b are that
+polyline's exact roots, one interpolation each.  The stretch D' between the
+far edge of the linear front and ``a`` controls whether the incident packet
+ever samples anything but the linear front.  When D' is much larger than
+half the packet width at arrival, the packet is wholly pushed backwards;
+this module operationalizes "tunneling suppressed" as T < 1e-4.
 
 Transmission is *measured*, not derived: T is the probability found beyond b
 plus whatever the right absorbing band removed, R the same on the left, and
@@ -102,7 +104,8 @@ class BarrierSpec:
     x_peak = x_start + peak_height/slope; the descent beyond the peak has
     slope ``descent_slope`` (mirror of the front by default).  D'(E), the
     distance from the far edge of the front to the first turning point, is
-    derived from the incident energy, never set directly.
+    derived from the incident energy through :func:`turning_points`, never
+    set directly.
     """
 
     x_start: float
@@ -141,92 +144,66 @@ class BarrierSpec:
             )
         )
 
-    def turning_point_a(self, energy: float) -> float:
-        """Front-flank solution of V(a) = E (closed form)."""
-        if not 0.0 < energy <= self.peak_height:
-            raise NoTurningPointsError(
-                f"energy {energy!r} outside (0, {self.peak_height!r}]"
-            )
-        return self.x_start + energy / self.slope
-
     def d_prime(self, energy: float) -> float:
         """x_peak - a: how much linear front lies beyond the turning point."""
-        return self.x_peak - self.turning_point_a(energy)
+        return self.x_peak - turning_points(self, energy)[0]
 
 
-def _bisect_flank(f, lo, hi, target, tol):
-    """Bisection for f(x) = target on a flank where f is monotone.
-
-    The bracket may arrive in either order; iterates until the residual is
-    inside ``tol`` and the interval has collapsed to roundoff.
-    """
-    f_lo = f(lo) - target
-    f_hi = f(hi) - target
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
-        raise ValueError("bisection bracket does not straddle the target")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid) - target
-        width_done = abs(hi - lo) <= 4e-16 * max(abs(lo), abs(hi), 1.0)
-        if f_mid == 0.0 or (abs(f_mid) <= tol and width_done):
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-def _barrier_profile(v: Potential):
-    """(peak position, peak value, left base x, right base x) for root brackets."""
+def _knots(v):
+    """(xs, vs): the knots of the polyline the solver steps for a barrier
+    (``np.interp`` through them), for every potential with two flanks."""
+    if isinstance(v, BarrierSpec):
+        v = v.potential()
     if isinstance(v, PiecewiseLinear):
-        xs, vs = v.xs, v.vs
-    elif isinstance(v, Sampled):
-        xs, vs = v.grid.x, np.asarray(v.values, dtype=float)
-    else:
-        raise TypeError(
-            "turning_points needs a Linear, PiecewiseLinear or Sampled "
-            f"potential (or a BarrierSpec), got {type(v).__name__}"
-        )
-    i = int(np.argmax(vs))
-    return float(xs[i]), float(vs[i]), float(xs[0]), float(xs[-1])
+        return v.xs, v.vs
+    if isinstance(v, Sampled):
+        return v.grid.x, np.asarray(v.values, dtype=float)
+    raise TypeError(
+        "turning_points needs a Linear, PiecewiseLinear or Sampled "
+        f"potential (or a BarrierSpec), got {type(v).__name__}"
+    )
+
+
+def _crossing(xs, vs, at, out, energy):
+    """Where the segment from knot ``out`` (below E) to knot ``at`` (at or
+    above E) crosses E; knot ``at`` itself when it sits exactly at E."""
+    if vs[at] == energy:
+        return float(xs[at])
+    return float(xs[out] + (energy - vs[out]) * (xs[at] - xs[out]) / (vs[at] - vs[out]))
 
 
 def turning_points(v, energy: float, units: UnitSystem = NATURAL):
     """Classical turning points (a, b) with V(a) = V(b) = E.
 
-    Bisection on each monotone flank, to |V - E| <= 1e-12 * E.  For a pure
+    Every barrier is the polyline through its knots (:func:`_knots`), which
+    is what the solver steps, so each turning point is that polyline's exact
+    root: a on the segment into the first knot at or above E before the
+    peak, b on the segment out of the last such knot after it.  For a pure
     Linear ramp the potential never comes back down, so b is +inf.  Energy
     exactly at the peak degenerates to a = b.  Raises
     :class:`NoTurningPointsError` above the peak and
-    :class:`DegenerateEnergyError` at or below the base line.
+    :class:`DegenerateEnergyError` at or below the base line (the higher of
+    the two ends).
     """
-    if isinstance(v, BarrierSpec):
-        v = v.potential()
     if isinstance(v, Linear):
         if energy <= v.offset:
             raise DegenerateEnergyError(f"energy {energy!r} at or below the ramp base")
         return (energy - v.offset) / v.v0, math.inf
 
-    x_peak, v_peak, x_lo, x_hi = _barrier_profile(v)
-    base = min(float(v(x_lo)), float(v(x_hi)))
-    if energy > v_peak:
+    xs, vs = _knots(v)
+    i = int(np.argmax(vs))
+    base = float(max(vs[0], vs[-1]))
+    if energy > vs[i]:
         raise NoTurningPointsError(
-            f"energy {energy!r} exceeds the barrier peak {v_peak!r}"
+            f"energy {energy!r} exceeds the barrier peak {float(vs[i])!r}"
         )
     if energy <= base:
         raise DegenerateEnergyError(
             f"energy {energy!r} is not above the barrier base {base!r}"
         )
-    tol = 1e-12 * abs(energy)
-    f = lambda x: float(v(x))
-    a = _bisect_flank(f, x_lo, x_peak, energy, tol)
-    b = _bisect_flank(f, x_hi, x_peak, energy, tol)
-    return a, b
+    j = int(np.argmax(vs[: i + 1] >= energy))
+    k = i + int(np.flatnonzero(vs[i:] >= energy)[-1])
+    return _crossing(xs, vs, j, j - 1, energy), _crossing(xs, vs, k, k + 1, energy)
 
 
 def wkb_sigma_R(v: Potential, energy: float, units: UnitSystem = NATURAL) -> float:
@@ -236,12 +213,8 @@ def wkb_sigma_R(v: Potential, energy: float, units: UnitSystem = NATURAL) -> flo
     x = a + u^2 (and x = b - u^2) makes each half smooth, after which adaptive
     quadrature reaches ~1e-10 relative easily.  Returns +inf when b is +inf
     (a ramp with no far side) and exactly 0 when the energy sits at the peak.
-    scipy.integrate is imported on the first call.
+    scipy.integrate is imported on the first call that integrates.
     """
-    # Imported here: scipy.integrate (and the scipy.optimize it pulls in) adds
-    # ~25 MB and ~0.2 s to every linpot process, and only this integral uses it.
-    from scipy.integrate import quad
-
     if isinstance(v, BarrierSpec):
         v = v.potential()
     a, b = turning_points(v, energy, units)
@@ -249,7 +222,12 @@ def wkb_sigma_R(v: Potential, energy: float, units: UnitSystem = NATURAL) -> flo
         return math.inf
     if b <= a:
         return 0.0
-    x_peak, _, _, _ = _barrier_profile(v)
+    # Imported here: scipy.integrate (and the scipy.optimize it pulls in) adds
+    # ~25 MB and ~0.2 s to every linpot process, and only this integral uses it.
+    from scipy.integrate import quad
+
+    xs, vs = _knots(v)
+    x_peak = float(xs[np.argmax(vs)])
     if not a < x_peak < b:
         x_peak = 0.5 * (a + b)
     pref = math.sqrt(2.0 * units.mass) / units.hbar
@@ -403,22 +381,22 @@ def _measure(states, barrier, cfg, grid, units, launch):
             )
     prop = _Propagator(grid, barrier.potential(), cfg.dt, cfg.absorber, units)
     dx = grid.dx
-    region_R = grid.x < a
-    region_res = (grid.x >= a) & (grid.x <= b)
-    region_T = grid.x > b
+    # R is x < a, the residual a <= x <= b and T x > b
+    cut_a = int(np.searchsorted(grid.x, a))
+    cut_b = int(np.searchsorted(grid.x, b, "right"))
 
     # per state: the transmitted fraction at launch, the (T, R) history of
     # the snapshots after it and the latest residual
-    launched = [float(np.sum(psi.density()[region_T]) * dx) for psi in states]
+    launched = [float(np.sum(psi.density()[cut_b:]) * dx) for psi in states]
     history = [[] for _ in states]
     residuals = [None] * len(states)
 
     def keep_stepping(i, row, step, t, norm2, absorbed):
         left, right = absorbed
         rho = np.abs(row) ** 2
-        T = float(np.sum(rho[region_T]) * dx) + right
-        R = float(np.sum(rho[region_R]) * dx) + left
-        residuals[i] = float(np.sum(rho[region_res]) * dx)
+        T = float(np.sum(rho[cut_b:]) * dx) + right
+        R = float(np.sum(rho[:cut_a]) * dx) + left
+        residuals[i] = float(np.sum(rho[cut_a:cut_b]) * dx)
         history[i].append((T, R))
         return not (t >= t_a_linear and _stationary(history[i]))
 

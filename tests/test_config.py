@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from linpot.config import ExperimentConfig
+from linpot.config import ExperimentConfig, PotentialSpec
 from linpot.errors import ConfigError
 
 BASE = """\
@@ -184,6 +184,13 @@ class TestParsing:
         cfg = ExperimentConfig.from_text(text)
         b = cfg.potential.barrier()
         assert b.x_peak == pytest.approx(11.4)
+
+    def test_potential_spec_rejects_unknown_kind(self):
+        # the dataclass checks kind itself, so a spec built in code is held
+        # to the same rule as one parsed from text
+        with pytest.raises(ValueError, match=r"^kind must be free, linear or barrier"):
+            PotentialSpec(kind="quartic")
+        assert PotentialSpec(kind="barrier").kind == "barrier"
 
     def test_materialized_solver(self):
         text = "[solver]\ndt = 0.001\nn_steps = 10\nabsorber = on\n"

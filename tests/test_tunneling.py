@@ -58,7 +58,7 @@ class TestBarrierSpec:
         b = BarrierSpec(x_start=0.0, slope=2.0, peak_height=5.0)
         assert b.x_peak == 2.5
         assert b.x_end == 5.0
-        assert b.turning_point_a(3.0) == pytest.approx(1.5)
+        assert turning_points(b, 3.0)[0] == pytest.approx(1.5)
         assert b.d_prime(3.0) == pytest.approx(1.0)
 
     def test_potential_profile(self):
@@ -95,6 +95,14 @@ class TestTurningPoints:
             assert bb == pytest.approx(b_exact, rel=1e-12)
             assert abs(b.potential()(np.array([a]))[0] - energy) <= 1e-12 * energy
 
+    def test_roots_of_the_knot_polyline_are_exact(self):
+        # tunnel.cfg's barrier at its packet energy: one interpolation per
+        # flank lands on the closed-form roots to the last bit
+        b = BarrierSpec(x_start=36.0, slope=8.0, peak_height=11.2)
+        assert turning_points(b, 8.0) == (37.0, 37.8)
+        for energy in (0.5, 3.0, 8.0, 11.2):
+            assert b.d_prime(energy) == b.x_peak - turning_points(b, energy)[0]
+
     def test_energy_above_peak(self):
         b = BarrierSpec(0.0, 2.0, 5.0)
         with pytest.raises(NoTurningPointsError):
@@ -117,6 +125,9 @@ class TestTurningPoints:
         b = BarrierSpec(0.0, 2.0, 5.0)
         with pytest.raises(DegenerateEnergyError):
             turning_points(b, -1.0)
+        # below the higher end one flank never comes down to E
+        with pytest.raises(DegenerateEnergyError):
+            turning_points(PiecewiseLinear(((0.0, 3.0), (1.0, 5.0), (2.0, 0.0))), 2.0)
 
 
 class TestWkb:
