@@ -215,30 +215,35 @@ def spectral_shift(psi: WaveFunction, shift: float) -> WaveFunction:
     return psi.with_amps(_ifft(spectrum, out=spectrum))
 
 
-def _wrap_share(amps, axis, lo, hi, width, shift, total=None) -> float:
+def _wrap_share(amps, axis, width, shift, total=None) -> float:
     """Share of the norm on the edge strip that translating the argument by
-    ``shift`` wraps around: axis < lo + width for a positive shift, axis >
-    hi - width for a negative one (``axis`` ascending)."""
+    ``shift`` wraps around: axis < axis[0] + width for a positive shift,
+    axis > axis[-1] - width for a negative one (``axis`` ascending)."""
     if shift > 0:
-        n_lo = int(np.searchsorted(axis, lo + width, "left"))
+        n_lo = int(np.searchsorted(axis, axis[0] + width, "left"))
         return _edge_share(amps, n_lo, 0, total)
-    n_hi = len(axis) - int(np.searchsorted(axis, hi - width, "right"))
+    n_hi = len(axis) - int(np.searchsorted(axis, axis[-1] - width, "right"))
     return _edge_share(amps, 0, n_hi, total)
 
 
-def _check_wrap_contamination(psi: WaveFunction, shift: float, total=None) -> None:
-    """Translating by ``shift`` wraps an edge strip of that width around; a
-    state with real mass there would corrupt the opposite edge."""
-    if shift == 0.0:
-        return
-    g = psi.grid
-    width = min(abs(shift), g.span)
-    share = _wrap_share(psi.amps, g.x, g.x[0], g.x[-1], width, shift, total)
+def _check_wrap(amps, axis, shift, width, what, grid, total=None) -> None:
+    """Translating the argument by ``shift`` wraps an edge strip of
+    ``width`` around ``axis``; a state with real mass there would corrupt
+    the opposite edge.  The CoverageError names the translation (``what``)
+    and the ``grid`` it leaves."""
+    share = _wrap_share(amps, axis, width, shift, total)
     if share > _EDGE_THRESHOLD:
         raise CoverageError(
-            f"argument shift {shift!r} would wrap {share:.2e} of the "
-            f"norm around the grid edge; widen the grid by at least {width!r}"
+            f"{what} {shift!r} would wrap {share:.2e} of the norm around the "
+            f"{grid} edge; widen it by at least {width!r}"
         )
+
+
+def _check_wrap_contamination(psi: WaveFunction, shift: float, total=None) -> None:
+    """:func:`_check_wrap` for an argument shift on the position grid."""
+    if shift != 0.0:
+        width = min(abs(shift), psi.grid.span)
+        _check_wrap(psi.amps, psi.grid.x, shift, width, "argument shift", "grid", total)
 
 
 def _ledger(v0: float, dt: float, units: UnitSystem, ordering: str) -> PhaseLedger:
@@ -363,12 +368,7 @@ def linear_evolve_momentum(
     if kick != 0.0:
         p = phi.p_axis
         width = min(abs(kick), (p[-1] - p[0]) / 2.0)
-        share = _wrap_share(phi.amps, p, p[0], p[-1], width, kick)
-        if share > _EDGE_THRESHOLD:
-            raise CoverageError(
-                f"momentum kick {kick!r} would wrap {share:.2e} of the "
-                "norm around the momentum-grid edge"
-            )
+        _check_wrap(phi.amps, p, kick, width, "momentum kick", "momentum-grid")
         pos = to_position_rep(phi, units)
         g = pos.grid
         ramp = _ramp(-kick * g.dx / hbar, g.n, -kick * g.x_min / hbar)

@@ -10,9 +10,9 @@ Subcommands::
     linpot verify [--out DIR] [--only c01,..]           full acceptance check suite
 
 Exit codes: 0 success, 1 config/validation error (a usage error included),
-2 numerical failure, 3 precondition violation.  Identical configs produce
-byte-identical CSV output on the same platform; every CSV starts with a
-``# schema:`` line and a header row.  Every command also writes
+2 numerical failure (any other package error), 3 precondition violation.
+Identical configs produce byte-identical CSV output on the same platform;
+every CSV starts with a ``# schema:`` line and a header row.  Every command also writes
 ``run.json``: the linpot/numpy/scipy versions, the canonical config and its
 sha256 (for the commands that read one) and the command's headline numbers:
 for ``evolve`` and ``tunnel`` the solver's state-step and FFT counts and the
@@ -37,21 +37,8 @@ import scipy
 from . import __version__, devices, oracle, tunneling, verify
 from .analytic import _left_evolve
 from .config import ExperimentConfig
-from .core import Free, Linear, _fft, l2_distance, sample_gaussian
-from .errors import (
-    BranchMismatchError,
-    ConfigError,
-    CoverageError,
-    DegenerateEnergyError,
-    GeometryError,
-    InfeasibleError,
-    NoTurningPointsError,
-    NormalizationError,
-    PreconditionError,
-    QuadratureError,
-    StabilityError,
-    StationarityTimeout,
-)
+from .core import _fft, l2_distance, sample_gaussian
+from .errors import ConfigError, CoverageError, LinpotError, NormalizationError, PreconditionError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -60,16 +47,6 @@ EXIT_PRECONDITION = 3
 
 _VALIDATION_ERRORS = (ConfigError, ValueError)
 _PRECONDITION_ERRORS = (PreconditionError, CoverageError, NormalizationError)
-_NUMERICAL_ERRORS = (
-    StabilityError,
-    QuadratureError,
-    StationarityTimeout,
-    GeometryError,
-    BranchMismatchError,
-    InfeasibleError,
-    NoTurningPointsError,
-    DegenerateEnergyError,
-)
 
 
 def _write_csv(path: Path, schema: str, header, rows):
@@ -118,14 +95,9 @@ def cmd_evolve(args) -> int:
     solver = cfg.solver()
     psi0 = sample_gaussian(cfg.state, grid, units)
 
-    kind = cfg.potential.kind
-    if kind == "free":
-        potential, v0 = Free(), 0.0
-    elif kind == "linear":
-        v0 = cfg.potential.v0
-        potential = Linear(v0)
-    else:
-        potential, v0 = cfg.potential.barrier().potential(), None
+    potential = cfg.potential.potential()
+    # the free and linear kinds have a closed form (v0 is 0 for free)
+    v0 = None if cfg.potential.kind == "barrier" else cfg.potential.v0
 
     # each snapshot is compared with the closed form as it arrives, so no
     # snapshot state outlives its row; psi0 is transformed once for all rows
@@ -419,7 +391,7 @@ def main(argv=None) -> int:
     except _PRECONDITION_ERRORS as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except _NUMERICAL_ERRORS as exc:
+    except LinpotError as exc:  # every other package error is numerical
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

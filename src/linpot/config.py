@@ -26,19 +26,42 @@ unit inference.  Example::
     record_every = 100
     absorber = off
 
+One table, ``_SECTIONS``, owns every key: for each section, its keys in
+canonical order, the converter that reads each and, where the section sets
+flat ``ExperimentConfig`` fields (units, grid, solver), the field it sets.
+Every other section builds the dataclass of the ``ExperimentConfig`` field
+of its name, one field per key.  ``from_text`` and ``to_text`` both walk the
+table.  A key's default is its dataclass field's default: a key the file
+leaves out is not set.
+
+Validation belongs to the dataclasses a config builds, and to the
+``units()``, ``grid()`` and ``solver()`` objects of the flat sections.  The
+parser builds each of them and reports its ``ValueError`` as
+``[section] key: …``.  A key that its section does not define is such an
+error too, and so is a potential key that the potential's kind does not read
+(``_KIND_KEYS``).  Sections the table does not name are ignored.
+
 Serialization is canonical (fixed section and key order, ``repr`` floats), so
-config -> file -> config -> file round trips are byte-stable.  Validation
-errors name the offending section and key.
+config -> file -> config -> file round trips are byte-stable, and
+``from_text(cfg.to_text()) == cfg`` for every config that parses.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
-from .core import NATURAL, GaussianSpec, SpatialGrid, UnitSystem, si_units
+from .core import (
+    NATURAL,
+    Free,
+    GaussianSpec,
+    Linear,
+    Potential,
+    SpatialGrid,
+    UnitSystem,
+    si_units,
+)
 from .devices import PsgGeometry, SgSpec
 from .errors import ConfigError
 from .oracle import Absorber, SolverConfig
@@ -46,12 +69,18 @@ from .tunneling import BarrierSpec
 
 __all__ = ["ExperimentConfig", "PotentialSpec", "ScanSpec"]
 
-_MISSING = object()
+# the keys each potential kind reads besides ``kind``
+_KIND_KEYS = {
+    "free": (),
+    "linear": ("v0",),
+    "barrier": ("x_start", "slope", "peak_height", "descent_slope"),
+}
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """kind is one of free, linear, barrier."""
+    """kind is one of free, linear, barrier; ``_KIND_KEYS`` names the fields
+    each kind reads."""
 
     kind: str = "free"
     v0: float = 0.0
@@ -61,13 +90,24 @@ class PotentialSpec:
     descent_slope: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("free", "linear", "barrier"):
-            raise ValueError(f"kind must be free, linear or barrier, got {self.kind!r}")
+        if self.kind not in _KIND_KEYS:
+            *kinds, last = _KIND_KEYS
+            raise ValueError(f"kind must be {', '.join(kinds)} or {last}, got {self.kind!r}")
         if not math.isfinite(self.v0):
             raise ValueError("v0 must be finite")
+        if self.kind == "barrier":
+            self.barrier()
 
     def barrier(self) -> BarrierSpec:
         return BarrierSpec(self.x_start, self.slope, self.peak_height, self.descent_slope)
+
+    def potential(self) -> Potential:
+        """Free, Linear(v0) or the barrier's knot polyline."""
+        if self.kind == "free":
+            return Free()
+        if self.kind == "linear":
+            return Linear(self.v0)
+        return self.barrier().potential()
 
 
 @dataclass(frozen=True)
@@ -149,207 +189,128 @@ class ExperimentConfig:
         except configparser.Error as exc:
             raise ConfigError(f"config syntax: {exc}") from exc
 
-        def get(section, key, conv, default=_MISSING):
-            if not parser.has_option(section, key):
-                if default is _MISSING:
-                    raise ConfigError(f"[{section}] {key}: required key is missing")
-                return default
-            raw = parser.get(section, key)
-            try:
-                return conv(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"[{section}] {key}: {exc}") from exc
-
-        def built(section, cls, *args, prefix=""):
-            # the dataclasses name the offending field first in their
-            # ValueError; the config key is that field behind ``prefix``
-            try:
-                return cls(*args)
-            except ValueError as exc:
-                field_name = str(exc).split(maxsplit=1)[0]
-                raise ConfigError(f"[{section}] {prefix}{field_name}: {exc}") from exc
-
-        kw = {}
-        system = get("units", "system", str, "natural")
-        if system not in ("natural", "si"):
-            raise ConfigError(f"[units] system: must be natural or si, got {system!r}")
-        kw["units_system"] = system
-        kw["mass"] = get("units", "mass", float, 1.0)
-        built("units", UnitSystem, 1.0, kw["mass"])
-        if parser.has_option("units", "hbar"):
-            raise ConfigError(
-                "[units] hbar: not a setting; natural units fix hbar = 1 and si "
-                "uses the CODATA value"
-            )
-
-        kw["grid_x_min"] = get("grid", "x_min", float, -32.0)
-        kw["grid_x_max"] = get("grid", "x_max", float, 32.0)
-        kw["grid_n"] = get("grid", "n", int, 2048)
-        built("grid", SpatialGrid, kw["grid_x_min"], kw["grid_x_max"], kw["grid_n"])
-
-        kw["state"] = built(
-            "state",
-            GaussianSpec,
-            get("state", "x0", float, 0.0),
-            get("state", "p0", float, 0.0),
-            get("state", "sigma", float, 1.0),
-        )
-        kw["state_present"] = parser.has_section("state")
-
-        kind = get("potential", "kind", str, "free")
-        kw["potential"] = built(
-            "potential",
-            PotentialSpec,
-            kind,
-            get("potential", "v0", float, 0.0),
-            get("potential", "x_start", float, 0.0),
-            get("potential", "slope", float, 1.0),
-            get("potential", "peak_height", float, 1.0),
-            get("potential", "descent_slope", float, None),
-        )
-        if kind == "barrier":
-            built("potential", kw["potential"].barrier)
-
-        kw["solver_dt"] = get("solver", "dt", float, 1e-3)
-        kw["solver_n_steps"] = get("solver", "n_steps", int, 1000)
-        kw["solver_record_every"] = get("solver", "record_every", int, 100)
-        built(
-            "solver",
-            SolverConfig,
-            kw["solver_dt"],
-            kw["solver_n_steps"],
-            None,
-            kw["solver_record_every"],
-        )
-        onoff = get("solver", "absorber", str, "off")
-        if onoff not in ("on", "off"):
-            raise ConfigError(f"[solver] absorber: must be on or off, got {onoff!r}")
-        kw["absorber_on"] = onoff == "on"
-        kw["absorber_width_fraction"] = get(
-            "solver", "absorber_width_fraction", float, 0.15
-        )
-        kw["absorber_strength"] = get("solver", "absorber_strength", float, 5.0)
-        if kw["absorber_on"]:
-            built(
-                "solver",
-                Absorber,
-                kw["absorber_width_fraction"],
-                kw["absorber_strength"],
-                prefix="absorber_",
-            )
-
-        if parser.has_section("psg"):
-            kw["psg"] = built(
-                "psg",
-                PsgGeometry,
-                get("psg", "v0", float),
-                get("psg", "length", float),
-                get("psg", "speed", float),
-                get("psg", "mass", float, 1.0),
-            )
-        if parser.has_section("sg"):
-            kw["sg"] = built(
-                "sg", SgSpec, get("sg", "coupling", float), get("sg", "duration", float)
-            )
-
-        def float_list(section, key):
-            raw = get(section, key, str, "")
-            if not raw.strip():
-                return ()
-            try:
-                return tuple(float(tok) for tok in raw.split(","))
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: {exc}") from exc
-
-        kw["scan"] = built(
-            "scan", ScanSpec, float_list("scan", "delays"), float_list("scan", "sigmas")
-        )
-        return ExperimentConfig(**kw)
+        kw = {"state_present": parser.has_section("state")}
+        for name, cls, keys, required in _TABLE:
+            present = parser.has_section(name)
+            values = {}
+            for key, raw in parser.items(name) if present else ():
+                if key not in keys:
+                    raise ConfigError(
+                        f"[{name}] {key}: not a key of [{name}], which takes "
+                        + ", ".join(keys)
+                    )
+                conv, attr = keys[key]
+                try:
+                    values[attr] = conv(raw)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"[{name}] {key}: {exc}") from exc
+            if cls is None:
+                kw.update(values)
+            elif present or not required:
+                missing = [key for key in keys if key in required and key not in values]
+                if missing:
+                    raise ConfigError(f"[{name}] {missing[0]}: required key is missing")
+                kw[name] = obj = _built(name, keys, cls, **values)
+                unread = [key for key in values if key not in _read_keys(name, obj, keys)]
+                if unread:
+                    raise ConfigError(f"[{name}] {unread[0]}: not read by kind = {obj.kind}")
+        cfg = ExperimentConfig(**kw)
+        for name, cls, keys, _ in _TABLE:
+            if cls is None:
+                _built(name, keys, getattr(cfg, name))
+        return cfg
 
     # -- canonical serialization ----------------------------------------------
 
     def to_text(self) -> str:
-        def fmt(v):
-            if isinstance(v, bool):
-                return "on" if v else "off"
-            if isinstance(v, float):
-                return repr(v)
-            return str(v)
-
-        out = io.StringIO()
-
-        def section(name, pairs):
-            pairs = [(k, v) for k, v in pairs if v is not None]
-            if not pairs:
-                return
-            out.write(f"[{name}]\n")
-            for k, v in pairs:
-                out.write(f"{k} = {fmt(v)}\n")
-            out.write("\n")
-
-        section(
-            "units",
-            [("system", self.units_system), ("mass", self.mass)],
-        )
-        section(
-            "grid",
-            [("x_min", self.grid_x_min), ("x_max", self.grid_x_max), ("n", self.grid_n)],
-        )
-        if self.state_present:
-            section(
-                "state",
-                [
-                    ("x0", self.state.x0),
-                    ("p0", self.state.p0),
-                    ("sigma", self.state.sigma),
-                ],
-            )
-        pot = [("kind", self.potential.kind)]
-        if self.potential.kind == "linear":
-            pot.append(("v0", self.potential.v0))
-        elif self.potential.kind == "barrier":
-            pot += [
-                ("x_start", self.potential.x_start),
-                ("slope", self.potential.slope),
-                ("peak_height", self.potential.peak_height),
-                ("descent_slope", self.potential.descent_slope),
-            ]
-        section("potential", pot)
-        section(
-            "solver",
-            [
-                ("dt", self.solver_dt),
-                ("n_steps", self.solver_n_steps),
-                ("record_every", self.solver_record_every),
-                ("absorber", self.absorber_on),
-                ("absorber_width_fraction", self.absorber_width_fraction),
-                ("absorber_strength", self.absorber_strength),
-            ],
-        )
-        if self.psg is not None:
-            section(
-                "psg",
-                [
-                    ("v0", self.psg.v0),
-                    ("length", self.psg.length),
-                    ("speed", self.psg.speed),
-                    ("mass", self.psg.mass),
-                ],
-            )
-        if self.sg is not None:
-            section(
-                "sg",
-                [("coupling", self.sg.coupling), ("duration", self.sg.duration)],
-            )
-        if self.scan.delays or self.scan.sigmas:
-            pairs = []
-            if self.scan.delays:
-                pairs.append(("delays", ",".join(repr(d) for d in self.scan.delays)))
-            if self.scan.sigmas:
-                pairs.append(("sigmas", ",".join(repr(s) for s in self.scan.sigmas)))
-            section("scan", pairs)
-        return out.getvalue()
+        out = []
+        for name, cls, keys, _ in _TABLE:
+            owner = self if cls is None else getattr(self, name)
+            if owner is None or (name == "state" and not self.state_present):
+                continue
+            pairs = [(key, getattr(owner, keys[key][1])) for key in _read_keys(name, owner, keys)]
+            pairs = [(key, v) for key, v in pairs if v is not None and v != ()]
+            if pairs:
+                out.append(f"[{name}]\n")
+                out += [f"{key} = {_fmt(v)}\n" for key, v in pairs]
+                out.append("\n")
+        return "".join(out)
 
     def to_file(self, path) -> None:
         with open(path, "w") as f:
             f.write(self.to_text())
+
+
+def _on_off(raw: str) -> bool:
+    if raw not in ("on", "off"):
+        raise ValueError(f"must be on or off, got {raw!r}")
+    return raw == "on"
+
+
+def _floats(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.split(",")) if raw.strip() else ()
+
+
+def _fmt(v) -> str:
+    if isinstance(v, bool):
+        return "on" if v else "off"
+    if isinstance(v, tuple):
+        return ",".join(repr(x) for x in v)
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+# (section, the dataclass it builds or None where its keys set flat
+# ExperimentConfig fields, its keys in canonical order as (key, converter)
+# or, where the field a key sets is not named after it, (key, converter,
+# field))
+_SECTIONS = (
+    ("units", None, (("system", str, "units_system"), ("mass", float))),
+    ("grid", None, (("x_min", float, "grid_x_min"), ("x_max", float, "grid_x_max"),
+                    ("n", int, "grid_n"))),
+    ("state", GaussianSpec, (("x0", float), ("p0", float), ("sigma", float))),
+    ("potential", PotentialSpec, (("kind", str), ("v0", float), ("x_start", float),
+                                  ("slope", float), ("peak_height", float),
+                                  ("descent_slope", float))),
+    ("solver", None, (("dt", float, "solver_dt"), ("n_steps", int, "solver_n_steps"),
+                      ("record_every", int, "solver_record_every"),
+                      ("absorber", _on_off, "absorber_on"),
+                      ("absorber_width_fraction", float), ("absorber_strength", float))),
+    ("psg", PsgGeometry, (("v0", float), ("length", float), ("speed", float),
+                          ("mass", float))),
+    ("sg", SgSpec, (("coupling", float), ("duration", float))),
+    ("scan", ScanSpec, (("delays", _floats), ("sigmas", _floats))),
+)
+
+# _SECTIONS as lookups, built once: (section, class, {key: (converter,
+# field)}, the fields with no default)
+_TABLE = tuple(
+    (
+        name,
+        cls,
+        {key: (conv, attr[0] if attr else key) for key, conv, *attr in keys},
+        {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+        if cls
+        else set(),
+    )
+    for name, cls, keys in _SECTIONS
+)
+
+
+def _read_keys(name, owner, keys):
+    """The keys of section ``name`` that ``owner`` reads: a potential reads
+    ``kind`` and its kind's keys, every other section all of its keys."""
+    return ("kind", *_KIND_KEYS[owner.kind]) if name == "potential" else keys
+
+
+def _built(section, keys, make, **kwargs):
+    """``make(**kwargs)``, its ``ValueError`` as a keyed ConfigError.  The
+    dataclasses name the offending field first in their ValueError; the key
+    is the section's key of that name or else the one ending in ``_name``
+    (the absorber's fields sit behind ``absorber_``)."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        name = str(exc).split(maxsplit=1)[0]
+        if name not in keys:
+            name = next((k for k in keys if k.endswith("_" + name)), name)
+        raise ConfigError(f"[{section}] {name}: {exc}") from exc

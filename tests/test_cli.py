@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linpot import verify
+from linpot import cli, errors, verify
 from linpot.cli import EXIT_VALIDATION, main
 
 FREE_CFG = """\
@@ -105,6 +105,32 @@ sigma = 2.5
 coupling = 1.0
 duration = 1.0
 """
+
+
+# (command, config, misspelled key): one per command that reads a config
+MISSPELLED = [
+    ("evolve", LINEAR_CFG.replace("[solver]\n", "[solver]\nn_step = 10\n"), "[solver] n_step"),
+    ("tunnel", TUNNEL_CFG.replace("[grid]\n", "[grid]\nxmin = -5.0\n"), "[grid] xmin"),
+    ("psg", PSG_CFG.replace("[psg]\n", "[psg]\nlenght = 2.0\n"), "[psg] lenght"),
+    ("spin", SPIN_CFG.replace("[sg]\n", "[sg]\naxis = -1\n"), "[sg] axis"),
+]
+
+
+class LaterError(errors.LinpotError):
+    """A package error that no exit-code clause names."""
+
+
+PACKAGE_ERRORS = [
+    obj
+    for obj in vars(errors).values()
+    if isinstance(obj, type) and issubclass(obj, errors.LinpotError)
+] + [LaterError]
+EXIT_CODES = {
+    errors.ConfigError: 1,
+    errors.PreconditionError: 3,
+    errors.CoverageError: 3,
+    errors.NormalizationError: 3,
+}
 
 
 def write(tmp_path, name, text):
@@ -354,6 +380,26 @@ class TestVerifyCommand:
         # one criterion string, on stdout and in the JSON
         assert summary["c13"]["criterion"] == "all checks at desk scale in under 600 s"
         assert set(summary["c13"]["measured"]) == {"total_s"}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command, text, key", MISSPELLED, ids=[c for c, _, _ in MISSPELLED])
+    def test_misspelled_key_is_a_keyed_config_error(self, tmp_path, capsys, command, text, key):
+        cfg = write(tmp_path, "typo.cfg", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cls", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+    def test_every_package_error_has_an_exit_code(self, capsys, monkeypatch, cls):
+        # validation 1 and precondition 3 by name; every other package
+        # error, one added later included, is a numerical failure
+        def fail(args):
+            raise cls("stub failure")
+
+        monkeypatch.setitem(cli._COMMANDS, "verify", fail)
+        assert main(["verify"]) == EXIT_CODES.get(cls, 2)
+        assert "stub failure" in capsys.readouterr().err
 
 
 class TestFlags:

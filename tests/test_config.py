@@ -1,8 +1,11 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linpot.config import ExperimentConfig, PotentialSpec
+from linpot.core import Free, Linear
 from linpot.errors import ConfigError
 
 BASE = """\
@@ -83,6 +86,21 @@ NON_FINITE = [
     ("scan", "sigmas", "1.0,inf", "[scan]\nsigmas = 1.0,inf\n"),
 ]
 
+# (section, key, text): one misspelled or foreign key per section, and a
+# potential key that the kind does not read
+UNKNOWN_KEYS = [
+    ("units", "sytem", "[units]\nsytem = si\n"),
+    ("grid", "xmin", "[grid]\nxmin = -5.0\n"),
+    ("state", "sigma_x", "[state]\nsigma_x = 2.0\n"),
+    ("potential", "v_0", "[potential]\nkind = linear\nv_0 = 1.0\n"),
+    ("solver", "n_step", "[solver]\nn_step = 10\n"),
+    ("psg", "lenght", PSG + "length = 1.0\nspeed = 1.0\nlenght = 2.0\n"),
+    ("sg", "axis", "[sg]\ncoupling = 1.0\nduration = 1.0\naxis = -1\n"),
+    ("scan", "delay", "[scan]\ndelay = 1.0\n"),
+    ("potential", "v0", "[potential]\nkind = free\nv0 = 3.0\n"),
+    ("potential", "x_start", "[potential]\nkind = linear\nv0 = 1.0\nx_start = 2.0\n"),
+    ("potential", "v0", BARRIER + "v0 = 0.0\n"),
+]
 
 SHIPPED_DIR = Path(__file__).parents[1] / "configs"
 SHIPPED = sorted(SHIPPED_DIR.glob("*.cfg"))
@@ -139,6 +157,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: .*finite"):
             ExperimentConfig.from_text(text)
 
+    @pytest.mark.parametrize(
+        "section, key, text",
+        UNKNOWN_KEYS,
+        ids=[f"{s}-{k}-{i}" for i, (s, k, _) in enumerate(UNKNOWN_KEYS)],
+    )
+    def test_unknown_keys_name_the_key(self, section, key, text):
+        # a key that would be dropped unread is an error, not a default run
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: "):
+            ExperimentConfig.from_text(text)
+
     def test_off_absorber_is_not_checked(self):
         # an absorber that is off is not built, so its settings are not checked
         off = "[solver]\nabsorber = off\nabsorber_width_fraction = 0.3\n"
@@ -192,6 +220,12 @@ class TestParsing:
             PotentialSpec(kind="quartic")
         assert PotentialSpec(kind="barrier").kind == "barrier"
 
+    def test_potential_of_each_kind(self):
+        assert PotentialSpec().potential() == Free()
+        assert PotentialSpec("linear", v0=1.5).potential() == Linear(1.5)
+        barrier = PotentialSpec("barrier", x_start=36.0, slope=8.0, peak_height=11.2)
+        assert barrier.potential() == barrier.barrier().potential()
+
     def test_materialized_solver(self):
         text = "[solver]\ndt = 0.001\nn_steps = 10\nabsorber = on\n"
         solver = ExperimentConfig.from_text(text).solver()
@@ -211,3 +245,82 @@ def test_shipped_config_round_trips(path):
 def test_every_command_has_a_shipped_config():
     names = {p.name for p in SHIPPED}
     assert names == {"linear.cfg", "psg.cfg", "spin.cfg", "tunnel.cfg"}
+
+
+def _section(name, keys):
+    """Text of section ``name`` from any subset of ``keys`` (key -> strategy
+    of its value text), or no section at all."""
+    return st.one_of(
+        st.just(""),
+        st.fixed_dictionaries({}, optional=keys).map(
+            lambda d: f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in d.items())
+        ),
+    )
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False).map(repr)
+
+
+def _float_list(lo, hi):
+    return st.lists(st.floats(lo, hi, allow_nan=False), min_size=1, max_size=4).map(
+        lambda xs: ",".join(map(repr, xs))
+    )
+
+
+CONFIG_TEXTS = st.tuples(
+    _section("units", {"system": st.sampled_from(["natural", "si"]), "mass": _floats(0.1, 10)}),
+    _section(
+        "grid",
+        {
+            "x_min": _floats(-100, -1),
+            "x_max": _floats(1, 100),
+            "n": st.sampled_from([16, 256, 2048]).map(str),
+        },
+    ),
+    _section("state", {"x0": _floats(-5, 5), "p0": _floats(-5, 5), "sigma": _floats(0.1, 5)}),
+    _section(
+        "potential",
+        {
+            "kind": st.sampled_from(["free", "linear", "barrier"]),
+            "v0": _floats(-5, 5),
+            "x_start": _floats(-10, 10),
+            "slope": _floats(0.1, 10),
+            "peak_height": _floats(0.1, 20),
+            "descent_slope": _floats(0.1, 10),
+        },
+    ),
+    _section(
+        "solver",
+        {
+            "dt": _floats(1e-4, 0.1),
+            "n_steps": st.integers(1, 10**5).map(str),
+            "record_every": st.integers(1, 1000).map(str),
+            "absorber": st.sampled_from(["on", "off"]),
+            "absorber_width_fraction": _floats(0.01, 0.25),
+            "absorber_strength": _floats(0, 50),
+        },
+    ),
+    _section(
+        "psg",
+        {"v0": _floats(-5, 5), "length": _floats(0.1, 5), "speed": _floats(0.1, 5), "mass": _floats(0.1, 5)},
+    ),
+    _section("sg", {"coupling": _floats(0, 5), "duration": _floats(0.1, 5)}),
+    _section("scan", {"delays": _float_list(-10, 10), "sigmas": _float_list(0.1, 10)}),
+).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONFIG_TEXTS)
+def test_every_accepted_config_round_trips(text):
+    # every key the parser accepts is one that to_text writes back, so the
+    # canonical text holds the whole config and is its own fixed point
+    try:
+        cfg = ExperimentConfig.from_text(text)
+    except ConfigError:
+        cfg = None
+    assume(cfg is not None)
+    canonical = cfg.to_text()
+    again = ExperimentConfig.from_text(canonical)
+    assert again == cfg
+    assert again.to_text() == canonical

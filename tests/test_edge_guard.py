@@ -89,7 +89,7 @@ KICKS = [s * f * DP for f in (0.5, 3.7) for s in (1, -1)] + [P_RANGE, -P_RANGE]
 def test_position_strip_share(shift):
     amps = dense_amps(GRID.n, 1)
     width = min(abs(shift), GRID.span)
-    share = _wrap_share(amps, GRID.x, GRID.x[0], GRID.x[-1], width, shift)
+    share = _wrap_share(amps, GRID.x, width, shift)
     ref = ref_share(amps, ref_position_strip(GRID, shift), DX)
     assert share == pytest.approx(ref, rel=1e-14)
 
@@ -102,7 +102,7 @@ def test_whole_dx_shifts_wrap_one_edge_point():
     amps = dense_amps(GRID.n, 4)
     total = np.vdot(amps, amps).real
     for shift, j in ((DX, 0), (-DX, GRID.n - 1)):
-        share = _wrap_share(amps, GRID.x, GRID.x[0], GRID.x[-1], DX, shift)
+        share = _wrap_share(amps, GRID.x, DX, shift)
         assert share == pytest.approx(abs(amps[j]) ** 2 / total, rel=1e-14)
 
 
@@ -111,7 +111,7 @@ def test_momentum_strip_share(kick):
     p = GRID.p_sorted()
     amps = dense_amps(GRID.n, 2)
     width = min(abs(kick), (p[-1] - p[0]) / 2.0)
-    share = _wrap_share(amps, p, p[0], p[-1], width, kick)
+    share = _wrap_share(amps, p, width, kick)
     ref = ref_share(amps, ref_momentum_strip(p, kick), DP)
     assert share == pytest.approx(ref, rel=1e-14)
 
