@@ -39,7 +39,9 @@ Validation belongs to the dataclasses a config builds, and to the
 parser builds each of them and reports its ``ValueError`` as
 ``[section] key: …``.  A key that its section does not define is such an
 error too, and so is a potential key that the potential's kind does not read
-(``_KIND_KEYS``).  Sections the table does not name are ignored.
+(``_KIND_KEYS``).  Sections the table does not name are ignored, and
+``[DEFAULT]`` is one of them: configparser would copy its keys into every
+section.
 
 Serialization is canonical (fixed section and key order, ``repr`` floats), so
 config -> file -> config -> file round trips are byte-stable, and
@@ -183,7 +185,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_text(text: str) -> "ExperimentConfig":
-        parser = configparser.ConfigParser(interpolation=None)
+        # no section header can spell the empty name, so [DEFAULT] is an
+        # ordinary section, ignored like any other the table does not name
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             parser.read_string(text)
         except configparser.Error as exc:

@@ -177,6 +177,15 @@ class TestParsing:
         legacy = ExperimentConfig.from_text(BASE + "\n[run]\nseed = 7\n")
         assert legacy == ExperimentConfig.from_text(BASE)
 
+    def test_default_section_is_ignored(self):
+        # configparser would copy [DEFAULT] keys into every section: n would
+        # set grid_n, and v0 would fail as an unknown key of [grid]
+        grid_only = ExperimentConfig.from_text("[grid]\nx_min = -8.0\n")
+        for extra in ("n = 1024", "v0 = 3.0"):
+            cfg = ExperimentConfig.from_text(f"[DEFAULT]\n{extra}\n[grid]\nx_min = -8.0\n")
+            assert cfg == grid_only
+            assert cfg.grid_n == ExperimentConfig().grid_n != 1024
+
     def test_scan_lists(self):
         cfg = ExperimentConfig.from_text("[scan]\ndelays = 0.0,2.0,4.0\n")
         assert cfg.scan.delays == (0.0, 2.0, 4.0)

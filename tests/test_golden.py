@@ -42,7 +42,7 @@ GOLDEN = {
     },
     "tunnel": {
         "potential_profile.csv": "ad115f8e51a14c6a855a2fc4fb527e9c3e3ce377b2d00c892282c36c75fb0c12",
-        "scan.csv": "9a74a279c22eff0a09b2e289e2dccb13b38a36f36e9eb86d62571ebc1e5ed14c",
+        "scan.csv": "84e6ef8b033dab542570921b4a3beaf57e680e04f79dcbee9e4e16fde34d29a5",
     },
     "psg": {
         "psg_report.csv": "7b47c2ded8db78d0645aa84ade26702b72aa0aa561cb2aec7c1e65d1813e63fd",

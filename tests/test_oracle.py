@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -308,29 +309,67 @@ class TestPropagatorStack:
             # the first two packets run into opposite bands
             assert ledger[0, 1] > 0.1 and ledger[1, 0] > 0.1
 
+    def test_shrinking_stack_matches_rows_bit_for_bit(self):
+        # the stride loop drops rows between calls: 4 rows, then 3, then 1
+        g = SpatialGrid(-24.0, 24.0, 512)
+        rows = [
+            sample_gaussian(GaussianSpec(x0, p0, 1.0), g).amps
+            for x0, p0 in ((6.0, 8.0), (-6.0, -8.0), (0.0, 3.0), (3.0, -5.0))
+        ]
+        prop = _Propagator(g, Linear(0.5), 5e-3, Absorber(width_fraction=0.2, strength=5.0))
+        stack, ledger, live = np.array(rows), np.zeros((4, 2)), [0, 1, 2, 3]
+        calls = ((137, [0, 1, 3]), (163, [1]), (120, []))
+        left = {}
+        for c, (k, keep) in enumerate(calls):
+            stack = prop.advance(stack, k, ledger)
+            for r, i in enumerate(live):
+                if i not in keep:
+                    left[i] = (c, stack[r].copy(), ledger[r].copy())
+            kept = [live.index(i) for i in keep]
+            stack, ledger, live = stack[kept], ledger[kept], keep
+        for i, amps in enumerate(rows):
+            c, stacked, stacked_ledger = left[i]
+            alone, own = amps.copy(), np.zeros(2)
+            for k, _ in calls[: c + 1]:
+                alone = prop.advance(alone, k, own)
+            np.testing.assert_array_equal(stacked, alone)
+            np.testing.assert_array_equal(stacked_ledger, own)
+        # the first two packets run into opposite bands
+        assert left[0][2][1] > 0.1 and left[1][2][0] > 0.1
 
-def _scipy_fft_advance(prop, amps, k, ledger):
+
+def _scipy_fft_advance(prop, amps, k, ledger, terms=None):
     """``_Propagator.advance`` as written on ``scipy.fft.fft/ifft(overwrite_x=
-    True)``; the direct kernel calls must reproduce it bit for bit."""
+    True)``; the direct kernel calls must reproduce it bit for bit.  The band
+    densities are summed per point over the steps and weighted once at the
+    end, the order ``advance`` sums them in.  Given ``terms``, a pair of
+    lists, each step's weighted band squares are appended to them."""
     half, full, last, exp_k = prop.half, prop.full, prop.last, prop.exp_k
-    absorbing, single = prop.absorbing, amps.ndim == 1
+    absorbing = prop.absorbing
     if absorbing:
         n_left, w_left, start, w_right = prop.bands
-        acc = ledger.reshape(-1, 2).tolist()
+        sum_left = sum_right = 0.0
     amps *= half
     for j in range(k):
         amps = scipy.fft.fft(amps, overwrite_x=True)
         amps *= exp_k
         amps = scipy.fft.ifft(amps, overwrite_x=True)
         if absorbing:
-            for row, a in zip((amps,) if single else amps, acc):
-                u = row[:n_left].view(float)
-                a[0] += np.dot(u * u, w_left)
-                u = row[start:].view(float)
-                a[1] += np.dot(u * u, w_right)
+            rows = amps.reshape(-1, amps.shape[-1])
+            u = rows[:, :n_left].view(float)
+            sq_left = u * u
+            u = rows[:, start:].view(float)
+            sq_right = u * u
+            sum_left = sum_left + sq_left
+            sum_right = sum_right + sq_right
+            if terms is not None:
+                terms[0].append(sq_left * w_left)
+                terms[1].append(sq_right * w_right)
         amps *= last if j == k - 1 else full
     if absorbing:
-        ledger[...] = np.reshape(acc, ledger.shape)
+        for a, s_l, s_r in zip(ledger.reshape(-1, 2), sum_left, sum_right):
+            a[0] += np.dot(s_l, w_left)
+            a[1] += np.dot(s_r, w_right)
     return amps
 
 
@@ -369,6 +408,26 @@ class TestKernelBypass:
             per_row = ledger.reshape(-1, 2)
             assert per_row[0, 1] > 0.1
             assert len(rows) == 1 or per_row[1, 0] > 0.1
+
+    def test_ledger_matches_exactly_rounded_per_step_sum(self):
+        # one long call: the per-point sums over 2500 steps, weighted once,
+        # against the exactly rounded sum of every step's weighted squares
+        g = SpatialGrid(-24.0, 24.0, 512)
+        prop = _Propagator(g, Linear(0.5), 5e-3, Absorber(width_fraction=0.2, strength=5.0))
+        right = sample_gaussian(GaussianSpec(6.0, 4.0, 1.0), g)
+        left = sample_gaussian(GaussianSpec(-6.0, -4.0, 1.0), g)
+        psi = (right.amps + left.amps) / np.sqrt(2.0)
+        ledger, ref_ledger, terms = np.zeros(2), np.zeros(2), ([], [])
+        got = prop.advance(psi.copy(), 2500, ledger)
+        ref = _scipy_fft_advance(prop, psi.copy(), 2500, ref_ledger, terms)
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(ledger, ref_ledger)
+        for side in (0, 1):
+            exact = math.fsum(np.concatenate(terms[side], axis=None))
+            gap = abs(ledger[side] - exact) / exact
+            print(f"side {side}: ledger {ledger[side]!r}, exact {exact!r}, relative gap {gap:.2e}")
+            assert exact > 0.1
+            assert gap <= 1e-13
 
 
 class TestConvergence:
