@@ -316,13 +316,18 @@ def cmd_verify(args) -> int:
         r.name: {
             "criterion": r.criterion,
             "passed": r.passed,
-            "measured": r.measured,
+            "gates": {
+                g.name: {"value": g.value, "op": g.op, "bound": g.bound, "margin": g.margin}
+                for g in r.gates
+            },
+            "info": r.info,
             "seconds": round(r.seconds, 3),
         }
         for r in results
     }
     with open(out / "verify_summary.json", "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+        # numpy scalars are written as the Python numbers they hold
+        json.dump(summary, f, indent=2, sort_keys=True, default=np.generic.item)
     _write_run(
         out,
         None,

@@ -225,7 +225,7 @@ def compose_segments(
     and, when ``check`` is set, demands both return to zero at exit -- the
     geometry consistency condition for an interferometer arm.
     """
-    u = UnitSystem(units.hbar, mass, units.label)
+    u = units.with_mass(mass)
     total = 0.0
     t_total = 0.0
     disp, kick = 0.0, 0.0
@@ -283,7 +283,7 @@ def psg_compose(
             f"width {width!r}; pass override_width_check=True to force"
         )
     ledger = compose_segments(g.segments(), 0.0, g.mass, units)
-    u = UnitSystem(units.hbar, g.mass, units.label)
+    u = units.with_mass(g.mass)
     state = psi
     for v, dt in g.segments():
         state = linear_evolve(state, v, dt, ordering="left", units=u).psi

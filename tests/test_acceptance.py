@@ -2,10 +2,10 @@
 
 Each test delegates to the corresponding check in :mod:`linpot.verify` (the
 same code ``linpot verify`` runs), asserts it passed, and prints one
-PASS/FAIL line with the measured values.  The final test asserts the whole
-suite stayed inside the desk-scale runtime budget; run the module in order
-(plain ``pytest tests/test_acceptance.py``) so the recorded durations cover
-all twelve checks, otherwise it re-runs what is missing.
+PASS/FAIL line with each gate's value and margin.  The final test asserts
+the whole suite stayed inside the desk-scale runtime budget; run the module
+in order (plain ``pytest tests/test_acceptance.py``) so the recorded
+durations cover all twelve checks, otherwise it re-runs what is missing.
 """
 
 import pytest
@@ -19,13 +19,16 @@ def _run(name: str) -> verify.CheckResult:
     result = verify.run_check(name)
     _RECORDED[name] = result
     print(result.summary_line())
+    names = [gate.name for gate in result.gates]
+    assert names and len(set(names)) == len(names), names
     assert result.passed, result.summary_line()
     return result
 
 
 def test_c01_analytic_vs_oracle_with_convergence_order():
-    # a stall fails c01 whatever its slope, so the summary names it
-    assert _run("c01").measured["stall"] is False
+    # a stall fails c01 whatever its slope, so it is a gate of its own
+    gates = {gate.name: gate for gate in _run("c01").gates}
+    assert gates["stall"].value is False
 
 
 def test_c02_ordering_equivalence():

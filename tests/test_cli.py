@@ -1,12 +1,15 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from linpot import cli, errors, verify
+from linpot import cli, errors, tunneling, verify
 from linpot.cli import EXIT_VALIDATION, main
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 FREE_CFG = """\
 [grid]
@@ -209,6 +212,33 @@ class TestEvolve:
                 tracemalloc.stop()
         assert peaks[1000] - peaks[100] < 2_000_000, peaks
 
+    @pytest.mark.parametrize(
+        "dt, steps, total", [(2e-4, 2500, 0.5), (3e-4, 1667, 0.5001)], ids=["exact", "rounded"]
+    )
+    def test_dt_flag_keeps_total_time_to_half_a_step(self, tmp_path, dt, steps, total):
+        # linear.cfg runs 5000 steps of 1e-4: --dt keeps round(0.5 / dt) steps
+        out = tmp_path / "out"
+        argv = ["evolve", "--config", str(CONFIGS / "linear.cfg"), "--out", str(out)]
+        assert main([*argv, "--dt", repr(dt)]) == 0
+        assert json.loads((out / "run.json").read_text())["state_steps"] == steps
+        _, rows = read_csv(out / "trajectory.csv")
+        assert rows[-1]["t"] == pytest.approx(total, abs=1e-12)
+
+    def test_barrier_has_no_analytic_column(self, tmp_path):
+        # no closed form for a barrier, so every l2_vs_analytic entry is nan
+        barrier = "kind = barrier\nx_start = 4.0\nslope = 2.0\npeak_height = 3.0"
+        text = (
+            FREE_CFG.replace("n = 1024", "n = 256")
+            .replace("kind = free", barrier)
+            .replace("n_steps = 1000", "n_steps = 300")
+            .replace("record_every = 200", "record_every = 100")
+        )
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", write(tmp_path, "b.cfg", text), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "trajectory.csv")
+        assert len(rows) == 4
+        assert all(math.isnan(row["l2_vs_analytic"]) for row in rows)
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write(tmp_path, "bad.cfg", "[grid]\nn = 1000\n")
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -260,6 +290,24 @@ class TestTunnel:
         peak = max(r["V"] for r in profile)
         # grid-sampled profile: the true apex sits between grid points
         assert 11.2 * 0.95 <= peak <= 11.2
+
+    def test_sigmas_scan_passes_sigma_list(self, tmp_path, monkeypatch):
+        # the config gives sigmas, so the scan gets them and no delays
+        seen = {}
+
+        def fake_scan(**kwargs):
+            seen.update(kwargs)
+            row = tunneling.ScanRow(1.0, 0.25, 0.75, 0.0, 10.0, 0.0, 0.0)
+            return tunneling.ScanResult((row,))
+
+        monkeypatch.setattr(tunneling, "width_scan", fake_scan)
+        text = TUNNEL_CFG.replace("delays = 0.0,2.0", "sigmas = 1.0,2.0")
+        out = tmp_path / "out"
+        assert main(["tunnel", "--config", write(tmp_path, "s.cfg", text), "--out", str(out)]) == 0
+        assert seen["sigma_list"] == (1.0, 2.0)
+        assert "delay_list" not in seen
+        _, rows = read_csv(out / "scan.csv")
+        assert [row["T"] for row in rows] == [0.25]
 
     def test_wrong_potential_kind(self, tmp_path):
         cfg = write(tmp_path, "t.cfg", TUNNEL_CFG.replace("kind = barrier", "kind = free"))
@@ -365,21 +413,46 @@ class TestVerifyCommand:
     def test_full_run_ends_with_c13(self, tmp_path, capsys, monkeypatch):
         # c13 is built in verify, from the checks' summed seconds; stub
         # checks keep the full run fast
+        gates = (verify.Gate("stub", 0.0, "<=", 1.0),)
         stubs = [
-            (name, lambda name=name: verify.CheckResult(name, "stub", True))
-            for name, _ in verify.CHECKS
+            (name, lambda name=name: verify.CheckResult(name, gates)) for name, _ in verify.CHECKS
         ]
         monkeypatch.setattr(verify, "CHECKS", stubs)
         out = tmp_path / "out"
         assert main(["verify", "--out", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[-2].startswith("c13 PASS [all checks at desk scale in under 600 s]")
+        assert lines[-2].startswith("c13 PASS [total_s < 600.0] total_s=")
         summary = json.loads((out / "verify_summary.json").read_text())
         assert set(summary) == {name for name, _ in stubs} | {"c13"}
         assert summary["c13"]["passed"] is True
-        # one criterion string, on stdout and in the JSON
-        assert summary["c13"]["criterion"] == "all checks at desk scale in under 600 s"
-        assert set(summary["c13"]["measured"]) == {"total_s"}
+        # one criterion string, on stdout and in the JSON, from c13's one gate
+        assert summary["c13"]["criterion"] == "total_s < 600.0"
+        assert set(summary["c13"]["gates"]) == {"total_s"}
+        gate = summary["c13"]["gates"]["total_s"]
+        assert (gate["op"], gate["bound"]) == ("<", 600.0)
+        assert gate["margin"] == pytest.approx(gate["value"] / 600.0)
+
+    def test_failing_gate_exits_numerical_with_its_margin(self, tmp_path, capsys, monkeypatch):
+        def stub():
+            gates = (
+                verify.Gate("flag", np.bool_(True), "==", True),
+                verify.Gate("max_l2", 3e-12, "<=", 1e-12),
+            )
+            return verify.CheckResult("c02", gates, {"draws": np.int64(100)})
+
+        monkeypatch.setattr(verify, "CHECKS", [("c02", stub)])
+        out = tmp_path / "out"
+        assert main(["verify", "--only", "c02", "--out", str(out)]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().out.startswith("c02 FAIL [flag == True; max_l2 <= 1e-12]")
+        summary = json.loads((out / "verify_summary.json").read_text())["c02"]
+        assert summary["passed"] is False
+        # numpy scalars are written as plain JSON values
+        flag = summary["gates"]["flag"]
+        assert flag == {"value": True, "op": "==", "bound": True, "margin": None}
+        assert summary["info"] == {"draws": 100}
+        failing = summary["gates"]["max_l2"]
+        assert (failing["value"], failing["op"], failing["bound"]) == (3e-12, "<=", 1e-12)
+        assert failing["margin"] == pytest.approx(3.0)
 
 
 class TestExitCodes:
