@@ -216,14 +216,13 @@ def compose_segments(
     p: float,
     mass: float,
     units: UnitSystem = NATURAL,
-    check: bool = True,
 ) -> PsgComposition:
     """Exact phase of a plane wave |p> through a sequence of (slope, dt)
     segments, relative to free flight over the same total time.
 
     Tracks the classical (displacement, momentum) pair through the sequence
-    and, when ``check`` is set, demands both return to zero at exit -- the
-    geometry consistency condition for an interferometer arm.
+    and demands both return to zero at exit -- the geometry consistency
+    condition for an interferometer arm.
     """
     u = units.with_mass(mass)
     total = 0.0
@@ -242,7 +241,7 @@ def compose_segments(
         p_now = part.kicked_momentum
         t_total += dt
     free = -(p**2) * t_total / (2.0 * mass * units.hbar)
-    if check and (
+    if (
         abs(kick) > 1e-12 * max(1.0, kick_scale)
         or abs(disp) > 1e-12 * max(1.0, disp_scale)
     ):
@@ -368,17 +367,10 @@ class SgSpec:
             raise ValueError("coupling must be non-negative and finite")
 
     @staticmethod
-    def from_field(
-        b0: float,
-        duration: float,
-        axis: int = +1,
-        charge: float = ELEMENTARY_CHARGE_SI,
-        carrier_mass: float = ELECTRON_MASS_SI,
-        hbar: float | None = None,
-    ) -> "SgSpec":
-        """Coupling = charge*hbar/(2*carrier_mass) * B0 (SI by default)."""
-        h = HBAR_SI if hbar is None else hbar
-        return SgSpec(charge * h / (2.0 * carrier_mass) * b0, duration, axis)
+    def from_field(b0: float, duration: float, axis: int = +1) -> "SgSpec":
+        """Coupling = e*hbar/(2*m_e) * B0 for an electron, SI units."""
+        coupling = ELEMENTARY_CHARGE_SI * HBAR_SI / (2.0 * ELECTRON_MASS_SI) * b0
+        return SgSpec(coupling, duration, axis)
 
     @property
     def delta_p(self) -> float:

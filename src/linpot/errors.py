@@ -17,10 +17,6 @@ class StabilityError(LinpotError):
     """The solver lost norm without an absorber, or produced non-finite values."""
 
 
-class QuadratureError(LinpotError):
-    """An adaptive quadrature failed to reach the requested tolerance."""
-
-
 class NoTurningPointsError(LinpotError):
     """Requested energy lies above the barrier peak: no classically forbidden region."""
 

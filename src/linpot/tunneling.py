@@ -19,10 +19,10 @@ the run ends when both are stationary.  The semiclassical reference
     T(E) = exp(-2 sigma_R) / (1 + exp(-2 sigma_R)/4)^2,
     sigma_R = integral_a^b sqrt(2 m (V(x) - E)) / hbar dx
 
-is provided for comparison; the width dependence of the measured T has no
-closed form here and the width scan reports what it finds, including any
-monotonicity violations.  Its quadrature is the only user of scipy.integrate,
-which therefore loads on the first :func:`wkb_sigma_R` call, not on import.
+is provided for comparison, with sigma_R the exact action of the same knot
+polyline, summed in closed form segment by segment; the width dependence of
+the measured T has no closed form here and the width scan reports what it
+finds, including any monotonicity violations.
 
 Every measurement goes through one propagator (``oracle._Propagator``) built
 once for the run and the solver's one stride loop (``oracle._stride_loop``),
@@ -64,7 +64,6 @@ from .errors import (
     DegenerateEnergyError,
     NoTurningPointsError,
     PreconditionError,
-    QuadratureError,
     StationarityTimeout,
 )
 from .oracle import (
@@ -209,11 +208,15 @@ def turning_points(v, energy: float, units: UnitSystem = NATURAL):
 def wkb_sigma_R(v: Potential, energy: float, units: UnitSystem = NATURAL) -> float:
     """Dimensionless action integral sigma_R = int_a^b sqrt(2m(V-E))/hbar dx.
 
-    The integrand vanishes like sqrt at both turning points; substituting
-    x = a + u^2 (and x = b - u^2) makes each half smooth, after which adaptive
-    quadrature reaches ~1e-10 relative easily.  Returns +inf when b is +inf
-    (a ramp with no far side) and exactly 0 when the energy sits at the peak.
-    scipy.integrate is imported on the first call that integrates.
+    Exact for the polyline through the barrier's knots (:func:`_knots`),
+    summed segment by segment between the turning points.  On a segment of
+    width dx where h = V - E runs linearly from h1 to h2, the integral of
+    sqrt(h) is (2/3) dx (h1 + sqrt(h1 h2) + h2) / (sqrt(h1) + sqrt(h2)) when
+    both ends are at or above E (no cancellation on a flat segment), and
+    (2/3) dx h+^(3/2) / |h2 - h1| when h changes sign, h+ being the end
+    above E; a stretch below E between a and b adds nothing.  Returns +inf
+    when b is +inf (a ramp with no far side) and exactly 0 when the energy
+    sits at the peak.
     """
     if isinstance(v, BarrierSpec):
         v = v.potential()
@@ -222,39 +225,19 @@ def wkb_sigma_R(v: Potential, energy: float, units: UnitSystem = NATURAL) -> flo
         return math.inf
     if b <= a:
         return 0.0
-    # Imported here: scipy.integrate (and the scipy.optimize it pulls in) adds
-    # ~25 MB and ~0.2 s to every linpot process, and only this integral uses it.
-    from scipy.integrate import quad
-
     xs, vs = _knots(v)
-    x_peak = float(xs[np.argmax(vs)])
-    if not a < x_peak < b:
-        x_peak = 0.5 * (a + b)
-    pref = math.sqrt(2.0 * units.mass) / units.hbar
-
-    def over(x):
-        return np.maximum(v.evaluate(np.asarray(x)) - energy, 0.0)
-
-    def left(u):
-        return 2.0 * u * np.sqrt(over(a + u * u))
-
-    def right(u):
-        return 2.0 * u * np.sqrt(over(b - u * u))
-
+    inside = (xs > a) & (xs < b)
+    x = [a, *xs[inside].tolist(), b]
+    h = [0.0, *(vs[inside] - energy).tolist(), 0.0]
     total = 0.0
-    for fn, upper in (
-        (left, math.sqrt(max(x_peak - a, 0.0))),
-        (right, math.sqrt(max(b - x_peak, 0.0))),
-    ):
-        if upper == 0.0:
-            continue
-        val, err = quad(fn, 0.0, upper, epsabs=1e-13, epsrel=1e-11, limit=200)
-        if err > max(1e-10, 1e-8 * abs(val)):
-            raise QuadratureError(
-                f"action quadrature achieved only {err!r} absolute error"
-            )
-        total += val
-    return pref * total
+    for dx, h1, h2 in zip(np.diff(x).tolist(), h, h[1:]):
+        if min(h1, h2) >= 0.0:
+            if h1 + h2 > 0.0:
+                root1, root2 = math.sqrt(h1), math.sqrt(h2)
+                total += dx * (h1 + root1 * root2 + h2) / (root1 + root2)
+        else:
+            total += dx * max(h1, h2, 0.0) ** 1.5 / abs(h2 - h1)
+    return (2.0 / 3.0) * math.sqrt(2.0 * units.mass) / units.hbar * total
 
 
 def wkb_transmission_from_action(sigma_r: float) -> float:

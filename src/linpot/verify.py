@@ -254,7 +254,7 @@ def c06_wkb_anchor() -> CheckResult:
     for barrier in cases:
         for frac in (0.3, 0.6, 0.9):
             energy = frac * barrier.peak_height
-            quad_val = tunneling.wkb_sigma_R(barrier, energy)
+            action = tunneling.wkb_sigma_R(barrier, energy)
             dv = barrier.peak_height - energy
             closed = (
                 (2.0 / 3.0)
@@ -262,7 +262,7 @@ def c06_wkb_anchor() -> CheckResult:
                 * dv**1.5
                 * (1.0 / barrier.slope + 1.0 / barrier.down_slope)
             )
-            worst = max(worst, abs(quad_val - closed) / closed)
+            worst = max(worst, abs(action - closed) / closed)
     gates = (Gate("T_at_zero", t0, "==", 0.64), Gate("max_rel", worst, "<=", 1e-8))
     return CheckResult("c06", gates)
 

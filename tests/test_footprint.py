@@ -3,10 +3,10 @@ scipy.fft package (nor the scipy.special its fftlog backend brings), since
 linpot loads only scipy's pocketfft extension, and a later ``import
 scipy.fft`` in the same process must still transform bit for bit as linpot
 does.  Nor must it pull in scipy.integrate (nor the scipy.optimize and
-scipy.linalg it brings), which only the WKB action integral uses; the first
-:func:`linpot.wkb_sigma_R` call that integrates loads it (a ramp's infinite
-action does not) and gives the same action as a call in a process that had
-it loaded.
+scipy.linalg it brings), and the WKB action stays free of it: a
+:func:`linpot.wkb_sigma_R` call sums the knot polyline in closed form, for a
+ramp's infinite action and for a barrier alike, and gives the same action
+as a call in this process, whatever else it has loaded.
 
 Each check runs in a fresh interpreter, since this one has imported
 everything the other tests use.
@@ -57,14 +57,14 @@ def _fresh_python(script):
     return done.stdout.splitlines()
 
 
-def test_cli_import_leaves_quadrature_unloaded_until_first_action():
+def test_cli_import_and_wkb_action_never_load_scipy_integrate():
     loaded, fft_agrees, ramp_action, ramp_loaded, action, integrate_loaded = (
         _fresh_python(SCRIPT)
     )
     assert loaded == "[]"
     assert fft_agrees == "True"
-    # a ramp has no far turning point: its action is inf with nothing to integrate
+    # a ramp has no far turning point: its action is inf
     assert ramp_action == "inf"
     assert ramp_loaded == "False"
-    assert integrate_loaded == "True"
+    assert integrate_loaded == "False"
     assert action == repr(linpot.wkb_sigma_R(linpot.BarrierSpec(**BARRIER), ENERGY))

@@ -9,6 +9,7 @@ from linpot import (
     GaussianSpec,
     Linear,
     PiecewiseLinear,
+    Sampled,
     SolverConfig,
     SpatialGrid,
     free_evolve,
@@ -51,6 +52,25 @@ def sigma_r_closed_form(barrier: BarrierSpec, energy: float) -> float:
         * dv**1.5
         * (1.0 / barrier.slope + 1.0 / barrier.down_slope)
     )
+
+
+def sigma_r_by_quadrature(xs, vs, energy: float) -> float:
+    """Independent reference for the action of the polyline through (xs, vs):
+    adaptive quadrature of sqrt(2 max(V - E, 0)) piece by piece, split at
+    the turning points and at every knot between them."""
+    from scipy.integrate import quad
+
+    a, b = turning_points(PiecewiseLinear(tuple(zip(xs, vs))), energy)
+    cuts = [a, *xs[(xs > a) & (xs < b)], b]
+
+    def over(x):
+        return math.sqrt(max(float(np.interp(x, xs, vs)) - energy, 0.0))
+
+    total = sum(
+        quad(over, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(cuts, cuts[1:])
+    )
+    return math.sqrt(2.0) * total
 
 
 class TestBarrierSpec:
@@ -141,16 +161,32 @@ class TestWkb:
             t = wkb_transmission_from_action(s)
             assert t == pytest.approx(math.exp(-2 * s), rel=1e-3)
 
-    def test_quadrature_matches_closed_form(self):
+    def test_action_matches_closed_form(self):
         cases = [
             (BarrierSpec(0.0, 2.0, 5.0), 3.0),
             (BarrierSpec(-1.0, 1.5, 8.0, descent_slope=4.0), 2.5),
             (BarrierSpec(2.0, 0.7, 3.0, descent_slope=2.1), 2.9),
         ]
         for barrier, energy in cases:
-            quad_val = wkb_sigma_R(barrier, energy)
+            action = wkb_sigma_R(barrier, energy)
             closed = sigma_r_closed_form(barrier, energy)
-            assert quad_val == pytest.approx(closed, rel=1e-8)
+            assert action == pytest.approx(closed, rel=1e-8)
+
+    @pytest.mark.parametrize("energy", [1.0, 3.0])
+    def test_action_of_sampled_barrier(self, energy):
+        g = SpatialGrid(-10.0, 10.0, 256)
+        barrier = Sampled(g, 5.0 * np.exp(-(g.x**2)))
+        reference = sigma_r_by_quadrature(g.x, barrier.values, energy)
+        assert wkb_sigma_R(barrier, energy) == pytest.approx(reference, rel=1e-10)
+
+    @pytest.mark.parametrize("energy", [0.5, 2.0, 4.9])
+    def test_action_of_double_hump(self, energy):
+        # at E = 2 the valley knot (2, 1) dips below E between a and b
+        knots = ((0.0, 0.0), (1.0, 5.0), (2.0, 1.0), (3.0, 6.0), (4.0, 0.0))
+        xs, vs = np.array(knots).T
+        reference = sigma_r_by_quadrature(xs, vs, energy)
+        action = wkb_sigma_R(PiecewiseLinear(knots), energy)
+        assert action == pytest.approx(reference, rel=1e-10)
 
     def test_action_vanishes_continuously_at_peak(self):
         b = BarrierSpec(0.0, 2.0, 5.0)
