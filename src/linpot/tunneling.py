@@ -214,7 +214,8 @@ def wkb_sigma_R(v: Potential, energy: float, units: UnitSystem = NATURAL) -> flo
     sqrt(h) is (2/3) dx (h1 + sqrt(h1 h2) + h2) / (sqrt(h1) + sqrt(h2)) when
     both ends are at or above E (no cancellation on a flat segment), and
     (2/3) dx h+^(3/2) / |h2 - h1| when h changes sign, h+ being the end
-    above E; a stretch below E between a and b adds nothing.  Returns +inf
+    above E; a stretch at or below E between a and b (a flat valley too)
+    adds nothing.  Returns +inf
     when b is +inf (a ramp with no far side) and exactly 0 when the energy
     sits at the peak.
     """
@@ -235,8 +236,8 @@ def wkb_sigma_R(v: Potential, energy: float, units: UnitSystem = NATURAL) -> flo
             if h1 + h2 > 0.0:
                 root1, root2 = math.sqrt(h1), math.sqrt(h2)
                 total += dx * (h1 + root1 * root2 + h2) / (root1 + root2)
-        else:
-            total += dx * max(h1, h2, 0.0) ** 1.5 / abs(h2 - h1)
+        elif max(h1, h2) > 0.0:
+            total += dx * max(h1, h2) ** 1.5 / abs(h2 - h1)
     return (2.0 / 3.0) * math.sqrt(2.0 * units.mass) / units.hbar * total
 
 

@@ -188,6 +188,23 @@ class TestWkb:
         action = wkb_sigma_R(PiecewiseLinear(knots), energy)
         assert action == pytest.approx(reference, rel=1e-10)
 
+    @pytest.mark.parametrize("energy", [0.5, 2.0])
+    def test_action_across_flat_valley(self, energy):
+        # at E = 2 the flat valley between (2, 1) and (3, 1) lies below E
+        knots = ((0.0, 0.0), (1.0, 5.0), (2.0, 1.0), (3.0, 1.0), (4.0, 6.0), (5.0, 0.0))
+        xs, vs = np.array(knots).T
+        reference = sigma_r_by_quadrature(xs, vs, energy)
+        action = wkb_sigma_R(PiecewiseLinear(knots), energy)
+        assert action == pytest.approx(reference, rel=1e-10)
+
+    def test_action_of_sampled_double_barrier(self):
+        # two square barriers with a zero gap: flat segments below E between a and b
+        g = SpatialGrid(-10.0, 10.0, 256)
+        values = 5.0 * ((np.abs(g.x - 2.0) < 1.0) | (np.abs(g.x + 2.0) < 1.0))
+        reference = sigma_r_by_quadrature(g.x, values, 3.0)
+        action = wkb_sigma_R(Sampled(g, values), 3.0)
+        assert action == pytest.approx(reference, rel=1e-10)
+
     def test_action_vanishes_continuously_at_peak(self):
         b = BarrierSpec(0.0, 2.0, 5.0)
         actions = [wkb_sigma_R(b, e) for e in (4.0, 4.9, 4.99, 4.9999)]
