@@ -68,7 +68,6 @@ from .core import (
     UnitSystem,
     WaveFunction,
     _band_share,
-    _edge_share,
     _fft,
     _ifft,
     _kinetic,
@@ -218,12 +217,15 @@ def spectral_shift(psi: WaveFunction, shift: float) -> WaveFunction:
 def _wrap_share(amps, axis, width, shift, total=None) -> float:
     """Share of the norm on the edge strip that translating the argument by
     ``shift`` wraps around: axis < axis[0] + width for a positive shift,
-    axis > axis[-1] - width for a negative one (``axis`` ascending)."""
+    axis > axis[-1] - width for a negative one (``axis`` ascending); 0 for
+    a null state.  One slice and one sum, as every closed-form call runs it."""
     if shift > 0:
-        n_lo = int(np.searchsorted(axis, axis[0] + width, "left"))
-        return _edge_share(amps, n_lo, 0, total)
-    n_hi = len(axis) - int(np.searchsorted(axis, axis[-1] - width, "right"))
-    return _edge_share(amps, 0, n_hi, total)
+        strip = amps[: int(axis.searchsorted(axis[0] + width, "left"))]
+    else:
+        strip = amps[int(axis.searchsorted(axis[-1] - width, "right")) :]
+    if total is None:
+        total = np.vdot(amps, amps).real
+    return float(np.vdot(strip, strip).real / total) if total > 0 else 0.0
 
 
 def _check_wrap(amps, axis, shift, width, what, grid, total=None) -> None:
@@ -246,7 +248,20 @@ def _check_wrap_contamination(psi: WaveFunction, shift: float, total=None) -> No
         _check_wrap(psi.amps, psi.grid.x, shift, width, "argument shift", "grid", total)
 
 
+def _check_kick(lower, upper, p, kick, total) -> None:
+    """:func:`_check_wrap` for a momentum kick, given the state's amplitudes
+    on the lower and upper half of the ascending momentum axis ``p`` (slices:
+    a wrap-order spectrum needs no copy) and its sum |amps|^2.  The strip is
+    clipped to half the axis, so a wider kick is checked on one half alone."""
+    if kick != 0.0:
+        width = min(abs(kick), float(p[-1] - p[0]) / 2.0)
+        h = len(lower)
+        amps, axis = (lower, p[:h]) if kick > 0 else (upper, p[h:])
+        _check_wrap(amps, axis, kick, width, "momentum kick", "momentum-grid", total)
+
+
 def _ledger(v0: float, dt: float, units: UnitSystem, ordering: str) -> PhaseLedger:
+    """The factorization's coefficients: the one place their formulas live."""
     hbar, m = units.hbar, units.mass
     if ordering == "left":
         cubic = -(v0**2) * dt**3 / (6.0 * m * hbar)
@@ -281,9 +296,10 @@ def linear_evolve(
     and nothing else.
 
     Raises :class:`CoverageError` when the argument shift would wrap real
-    probability around the periodic grid; ``check_coverage=False`` disables
-    that guard for deliberately periodic states (plane waves), for which the
-    wraparound is exact.
+    probability around the periodic grid, or the momentum kick around the
+    momentum grid; ``check_coverage=False`` disables both guards for
+    deliberately periodic states (plane waves), for which the wraparound is
+    exact.
     """
     if psi.space != "position":
         raise ValueError("linear_evolve expects a position-representation state; "
@@ -298,11 +314,19 @@ def linear_evolve(
         )
     ledger = _ledger(v0, dt, units, ordering)
     shift = ledger.argument_shift
-    if check_coverage:
-        _check_wrap_contamination(psi, -shift)
-    phi = spectral_shift(psi, -shift)
-    amps = _position_phases(phi.amps, psi.grid, v0, dt, ledger, units, offset)
-    return EvolutionResult(free_evolve(phi.with_amps(amps), dt, units), ledger)
+    g = psi.grid
+    amps = psi.amps
+    if shift != 0.0:
+        sk = _fft(amps)  # spectral_shift's body, on the spectrum the kick guard reads
+        if check_coverage:
+            total = np.vdot(amps, amps).real
+            _check_wrap_contamination(psi, -shift, total)
+            h, kick = g.n // 2, ledger.momentum_kick
+            _check_kick(sk[h:], sk[:h], g.p_sorted(units), kick, g.n * total)
+        sk *= _shift_table(g, -shift)
+        amps = _ifft(sk, out=sk)
+    amps = _position_phases(amps, g, dt, ledger, units, offset)
+    return EvolutionResult(free_evolve(psi.with_amps(amps), dt, units), ledger)
 
 
 def _left_evolve(psi, spectrum, v0, dt, units, offset=0.0, check_coverage=True):
@@ -310,39 +334,41 @@ def _left_evolve(psi, spectrum, v0, dt, units, offset=0.0, check_coverage=True):
     ``psi``, given ``spectrum = core._fft(psi.amps)``.
 
     The free-evolved spectrum ``sk`` is transformed once into the state phi
-    that the boundary warning and the wrap guard inspect.  Then ``sk`` times
-    the shift table, transformed in place, is phi translated by the argument
-    shift; it takes the x-linear, cubic and offset phases.  A caller that
-    evolves one state to many times transforms it once and passes the same
-    spectrum to every call; the result is bit for bit that of
-    :func:`linear_evolve`.
+    that the boundary warning and the wrap guard inspect (the kick guard
+    reads ``sk``).  Then ``sk`` times the shift table, transformed in place,
+    is phi translated by the argument shift; it takes the x-linear, cubic
+    and offset phases.  A caller that evolves one state to many times
+    transforms it once and passes the same spectrum to every call; the
+    result is bit for bit that of :func:`linear_evolve`.
     """
     ledger = _ledger(v0, dt, units, "left")
     shift = ledger.argument_shift
     g = psi.grid
     sk = spectrum * _kinetic(g, dt, units)
     phi = psi.with_amps(_ifft(sk), time=psi.time + dt)
-    # one norm total of phi for both guards
+    # one norm total of phi for every guard (Parseval: n times it for sk)
     total = np.vdot(phi.amps, phi.amps).real
     _check_boundary(phi, total)
     if check_coverage:
         _check_wrap_contamination(phi, shift, total)
+        h, kick = g.n // 2, ledger.momentum_kick
+        _check_kick(sk[h:], sk[:h], g.p_sorted(units), kick, g.n * total)
     amps = phi.amps
     if shift != 0.0:
         sk *= _shift_table(g, shift)
         amps = _ifft(sk, out=sk)
-    amps = _position_phases(amps, g, v0, dt, ledger, units, offset)
+    amps = _position_phases(amps, g, dt, ledger, units, offset)
     return EvolutionResult(phi.with_amps(amps), ledger)
 
 
-def _position_phases(amps, grid, v0, dt, ledger, units, offset):
-    """``amps`` times exp(-i a x), a = v0 dt/hbar, the ledger's cubic phase
+def _position_phases(amps, grid, dt, ledger, units, offset):
+    """``amps`` times the ledger's x-linear phase exp(i c x) and cubic phase
     and the offset's global phase exp(-i offset dt/hbar), as one table: the
     three pure phases and the x-linear phase at ``x_min`` are one starting
     phase of the ramp over ``x_min + j*dx``."""
-    a = v0 * dt / units.hbar
-    phase = ledger.cubic_phase - offset * dt / units.hbar - a * grid.x_min
-    return amps * _ramp(-a * grid.dx, grid.n, phase)
+    c = ledger.potential_phase_coeff
+    phase = ledger.cubic_phase - offset * dt / units.hbar + c * grid.x_min
+    return amps * _ramp(c * grid.dx, grid.n, phase)
 
 
 def linear_evolve_momentum(
@@ -359,30 +385,27 @@ def linear_evolve_momentum(
     """
     if psi_tilde.space != "momentum":
         raise ValueError("linear_evolve_momentum expects a momentum-representation state")
-    hbar, m = units.hbar, units.mass
-    kick = v0 * dt
+    ledger = _ledger(v0, dt, units, "right")
+    kick = ledger.momentum_kick
     phi = free_evolve(psi_tilde, dt, units)
 
     # g(p) -> g(p + kick): wrap check on the receiving edge, then translate
     # via the conjugate (position) domain.
     if kick != 0.0:
-        p = phi.p_axis
-        width = min(abs(kick), (p[-1] - p[0]) / 2.0)
-        _check_wrap(phi.amps, p, kick, width, "momentum kick", "momentum-grid")
+        h = len(phi.amps) // 2
+        total = np.vdot(phi.amps, phi.amps).real
+        _check_kick(phi.amps[:h], phi.amps[h:], phi.p_axis, kick, total)
         pos = to_position_rep(phi, units)
         g = pos.grid
-        ramp = _ramp(-kick * g.dx / hbar, g.n, -kick * g.x_min / hbar)
+        ramp = _ramp(-kick * g.dx / units.hbar, g.n, -kick * g.x_min / units.hbar)
         phi = to_momentum_rep(pos.with_amps(pos.amps * ramp), units)
 
-    ledger = _ledger(v0, dt, units, "right")
-    # the p-linear phase on the ascending axis p_j = p_axis[0] + j*dp
-    c = v0 * dt**2 / (2.0 * m * hbar)
+    # Eq-11 form: the right-ordering cubic and p-linear coefficient negated,
+    # as the ledger records; the phase runs on p_j = p_axis[0] + j*dp
+    c = -ledger.momentum_shift_phase_coeff
     ramp = _ramp(c * phi.dstep, len(phi.amps), ledger.cubic_phase + c * phi.p_axis[0])
     out = phi.with_amps(phi.amps * ramp)
-    # Eq-11 form carries the right-ordering cubic but the +V0 p dt^2/(2m hbar)
-    # coefficient; record what was actually applied.
-    ledger = replace(ledger, momentum_shift_phase_coeff=+v0 * dt**2 / (2.0 * m * hbar))
-    return EvolutionResult(out, ledger)
+    return EvolutionResult(out, replace(ledger, momentum_shift_phase_coeff=c))
 
 
 def plane_wave_phase(
@@ -394,12 +417,12 @@ def plane_wave_phase(
     (the only part that survives kick-balanced segment compositions); the
     outgoing eigenstate is |p - v0*dt>.
     """
-    hbar, m = units.hbar, units.mass
-    kicked = p - v0 * dt
+    ledger = _ledger(v0, dt, units, "right")
+    kicked = p - ledger.momentum_kick
     return PlaneWavePhase(
-        cubic=v0**2 * dt**3 / (3.0 * m * hbar),
-        p_linear=-v0 * p * dt**2 / (2.0 * m * hbar),
-        free_kicked=-(kicked**2) * dt / (2.0 * m * hbar),
+        cubic=ledger.cubic_phase,
+        p_linear=ledger.momentum_shift_phase_coeff * p,
+        free_kicked=-(kicked**2) * dt / (2.0 * units.mass * units.hbar),
         kicked_momentum=kicked,
     )
 
@@ -411,8 +434,7 @@ def zassenhaus_terms(
 
     c2_coeff scales as dt^2 and c3_coeff as dt^3; both vanish at v0 = 0.
     """
-    hbar, m = units.hbar, units.mass
+    ledger = _ledger(v0, dt, units, "left")
     return ZassenhausTerms(
-        c2_coeff=v0 * dt**2 / (2.0 * m * hbar),
-        c3_coeff=-(v0**2) * dt**3 / (6.0 * m * hbar),
+        c2_coeff=ledger.momentum_shift_phase_coeff, c3_coeff=ledger.cubic_phase
     )

@@ -353,7 +353,6 @@ def sample_gaussian(
     spec: GaussianSpec,
     grid: SpatialGrid,
     units: UnitSystem = NATURAL,
-    t_i: float = 0.0,
 ) -> WaveFunction:
     """Sample the Gaussian packet onto the grid.
 
@@ -385,7 +384,7 @@ def sample_gaussian(
         * spec.sigma ** -0.5
         * np.exp(1j * spec.p0 * u / units.hbar - u**2 / (2.0 * spec.sigma**2))
     )
-    return WaveFunction(grid, amps, time=t_i)
+    return WaveFunction(grid, amps)
 
 
 def _edge_share(amps: np.ndarray, n_lo: int, n_hi: int, total=None) -> float:

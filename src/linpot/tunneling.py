@@ -33,10 +33,10 @@ them as one ``(B, n)`` stack.  This module adds only what a barrier run
 measures: after every stride each row's T, R and residual, its transmitted
 fraction and its stationarity test; a row that has become stationary leaves
 the stack while the others step on.  Rows are stepped, summed and tested
-exactly as they would be alone, so a scan entry equals a run of that entry to
-the last bit.  A run's trajectory times count from launch; for a state at
-time 0 the trajectory equals :func:`split_step_evolve` of it for the same
-number of steps, also to the last bit.
+exactly as they would be alone, so a scan row is the result of a run of that
+entry to the last bit.  A run's trajectory times count from launch; for a
+state at time 0 the trajectory equals :func:`split_step_evolve` of it for the
+same number of steps, also to the last bit.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ from .oracle import (
 __all__ = [
     "BarrierSpec",
     "TunnelingResult",
-    "ScanRow",
     "ScanResult",
     "turning_points",
     "wkb_sigma_R",
@@ -171,7 +170,7 @@ def _crossing(xs, vs, at, out, energy):
     return float(xs[out] + (energy - vs[out]) * (xs[at] - xs[out]) / (vs[at] - vs[out]))
 
 
-def turning_points(v, energy: float, units: UnitSystem = NATURAL):
+def turning_points(v, energy: float):
     """Classical turning points (a, b) with V(a) = V(b) = E.
 
     Every barrier is the polyline through its knots (:func:`_knots`), which
@@ -219,9 +218,7 @@ def wkb_sigma_R(v: Potential, energy: float, units: UnitSystem = NATURAL) -> flo
     when b is +inf (a ramp with no far side) and exactly 0 when the energy
     sits at the peak.
     """
-    if isinstance(v, BarrierSpec):
-        v = v.potential()
-    a, b = turning_points(v, energy, units)
+    a, b = turning_points(v, energy)
     if math.isinf(b):
         return math.inf
     if b <= a:
@@ -262,8 +259,9 @@ class TunnelingResult:
     ``residual`` is what remains between the measurement boundaries at
     ``t_measure``, so T + R + residual equals the initial norm up to solver
     roundoff.  ``t_a_measured`` is the time the mean position reaches (or
-    comes closest to) the first turning point; ``t_a_linear`` is the
-    linear-front prediction: free flight to the barrier base plus p0/slope.
+    comes closest to) the first turning point, where the packet width is
+    ``sigma_at_arrival``; ``t_a_linear`` is the linear-front prediction:
+    free flight to the barrier base plus p0/slope.
     ``transmitted_fraction`` is T at each of ``trajectory``'s snapshot times.
     """
 
@@ -273,7 +271,7 @@ class TunnelingResult:
     absorbed_left: float
     absorbed_right: float
     t_measure: float
-    sigma_at_turning: float
+    sigma_at_arrival: float
     t_a_measured: float
     t_a_linear: float
     converged: bool
@@ -319,7 +317,7 @@ def _launch(packet, barrier, cfg, grid, units):
     energy = packet.p0**2 / (2.0 * units.mass)
 
     if energy <= barrier.peak_height:
-        a, b = turning_points(barrier, energy, units)
+        a, b = turning_points(barrier, energy)
     else:
         a, b = barrier.x_start, barrier.x_end
     absorber_width = cfg.absorber.width_fraction * grid.span
@@ -351,8 +349,7 @@ def _measure(states, barrier, cfg, grid, units, launch):
     After every stride each row gets its T, R and residual and its
     stationarity test; a row that has become stationary leaves the stack and
     the others keep stepping.  Returns one :class:`TunnelingResult` per
-    state, in input order, and the propagator, whose counters hold the work
-    of the whole stack.  If ``cfg.n_steps`` runs out first, raises
+    state, in input order.  If ``cfg.n_steps`` runs out first, raises
     :class:`StationarityTimeout` carrying the partial result of the first
     state, in input order, that was still drifting.
     """
@@ -397,7 +394,7 @@ def _measure(states, barrier, cfg, grid, units, launch):
                 absorbed_left=traj.absorbed_left[-1],
                 absorbed_right=traj.absorbed_right[-1],
                 t_measure=traj.state_steps * cfg.dt,
-                sigma_at_turning=float(np.interp(t_a_measured, traj.times, traj.width)),
+                sigma_at_arrival=float(np.interp(t_a_measured, traj.times, traj.width)),
                 t_a_measured=t_a_measured,
                 t_a_linear=t_a_linear,
                 converged=i not in drifting,
@@ -410,7 +407,7 @@ def _measure(states, barrier, cfg, grid, units, launch):
         raise StationarityTimeout(
             f"T and R still drifting after {first.trajectory.state_steps} steps", first
         )
-    return results, prop
+    return results
 
 
 def run_tunneling(
@@ -442,32 +439,24 @@ def run_tunneling(
         if initial_state is not None
         else sample_gaussian(packet, grid, units)
     )
-    results, _ = _measure([psi0], barrier, cfg, grid, units, launch)
-    return results[0]
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    """One entry's measurement; the absorbed probabilities are per side and
-    already included in T and R."""
-
-    sigma_at_arrival: float
-    T: float
-    R: float
-    residual: float
-    t_measure: float
-    absorbed_left: float
-    absorbed_right: float
+    return _measure([psi0], barrier, cfg, grid, units, launch)[0]
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Width-scan table, sorted by sigma at arrival, with the state-steps
-    (summed over the rows) and FFT kernel calls the scan's one stack took."""
+    """Width-scan table: one :class:`TunnelingResult` per entry, sorted by
+    sigma at arrival, and the state-steps and FFT kernel calls of the scan's
+    one stack, read off the rows' trajectories."""
 
     rows: tuple
-    state_steps: int = 0
-    transforms: int = 0
+
+    @property
+    def state_steps(self) -> int:
+        return sum(r.trajectory.state_steps for r in self.rows)
+
+    @property
+    def transforms(self) -> int:
+        return max(r.trajectory.transforms for r in self.rows)
 
     def monotonicity_violations(self, slack: float = 0.0):
         """Adjacent pairs where T decreases by more than ``slack`` as sigma
@@ -494,17 +483,19 @@ def width_scan(
     Exactly one of ``sigma_list`` (fresh packets of different widths) or
     ``delay_list`` (one packet free-evolved for each delay before launch, so
     its width at arrival has grown by the spreading law while its momentum
-    distribution is untouched) must be given.  The delay pre-evolution is
-    performed in place: the drifted profile is translated back to the launch
-    point, which is the same state a longer free approach would deliver.
+    distribution is untouched) must be given, and not empty.  The delay
+    pre-evolution is performed in place: the drifted profile is translated
+    back to the launch point, the same state a longer free approach delivers.
     The entries step together as one stack, each measured exactly as a
-    :func:`run_tunneling` of it alone would be; the table is assembled in
-    input order, then stably sorted by measured sigma at arrival.  If any
+    :func:`run_tunneling` of it alone would be; the table is the results in
+    input order, stably sorted by measured sigma at arrival.  If any
     entry exhausts ``cfg.n_steps``, :class:`StationarityTimeout` carries the
     partial result of the first such entry in input order.
     """
-    if (sigma_list is None) == (delay_list is None):
-        raise ValueError("give exactly one of sigma_list or delay_list")
+    given = [arg for arg in (sigma_list, delay_list) if arg is not None]
+    entries = tuple(given[0]) if len(given) == 1 else ()
+    if not entries:
+        raise ValueError("give exactly one non-empty sigma_list or delay_list")
     base = base_packet or GaussianSpec(x0=0.0, p0=p0, sigma=1.0)
     if base.p0 != p0:
         base = GaussianSpec(base.x0, p0, base.sigma)
@@ -519,22 +510,9 @@ def width_scan(
             psi = spectral_shift(free_evolve(psi, float(arg), units), drift)
         return psi
 
-    states = [state(a) for a in (sigma_list if sigma_list is not None else delay_list)]
-    results, prop = _measure(states, barrier, cfg, grid, units, launch)
-    rows = [
-        ScanRow(
-            sigma_at_arrival=res.sigma_at_turning,
-            T=res.T,
-            R=res.R,
-            residual=res.residual,
-            t_measure=res.t_measure,
-            absorbed_left=res.absorbed_left,
-            absorbed_right=res.absorbed_right,
-        )
-        for res in results
-    ]
-    rows.sort(key=lambda r: r.sigma_at_arrival)
-    return ScanResult(tuple(rows), prop.state_steps, prop.transforms)
+    states = [state(a) for a in entries]
+    results = _measure(states, barrier, cfg, grid, units, launch)
+    return ScanResult(tuple(sorted(results, key=lambda r: r.sigma_at_arrival)))
 
 
 # ---------------------------------------------------------------------------

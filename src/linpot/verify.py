@@ -284,7 +284,7 @@ def c07_transmission_regimes() -> CheckResult:
     )
     res_blocked = tunneling.run_tunneling(packet, blocked, cfg, grid)
     d_prime = blocked.d_prime(energy)
-    ratio = d_prime / res_blocked.sigma_at_turning
+    ratio = d_prime / res_blocked.sigma_at_arrival
 
     over = tunneling.BarrierSpec(x_start=10.0, slope=25.0, peak_height=0.5 * energy)
     res_over = tunneling.run_tunneling(packet, over, cfg, grid)

@@ -172,6 +172,20 @@ class TestLinearEvolve:
         with pytest.raises(CoverageError, match="wrap"):
             linear_evolve(psi, -40.0, 1.0)
 
+    @pytest.mark.parametrize("ordering", ["left", "right"])
+    def test_kick_leaving_momentum_grid_raises(self, ordering):
+        # a kick of v0*dt = 30 on a grid whose momenta end at +-25: the
+        # argument shift (1.5) stays on the grid, but unchecked the kick
+        # aliases the packet to <p> = +20.27 instead of -30
+        g = SpatialGrid(-16.0, 16.0, 256)
+        psi = sample_gaussian(GaussianSpec(0.0, 0.0, 1.0), g)
+        with pytest.raises(CoverageError, match="momentum kick 30.0 .* momentum-grid"):
+            linear_evolve(psi, 300.0, 0.1, ordering=ordering)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryContaminationWarning)
+            res = linear_evolve(psi, 300.0, 0.1, ordering, check_coverage=False)
+        assert mean_momentum(res.psi) == pytest.approx(20.27, abs=0.01)
+
     def test_constant_offset_is_global_phase(self, packet):
         v0, dt, c = 1.1, 0.4, 2.7
         plain = linear_evolve(packet, v0, dt).psi

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -297,7 +298,17 @@ class TestTunnel:
 
         def fake_scan(**kwargs):
             seen.update(kwargs)
-            row = tunneling.ScanRow(1.0, 0.25, 0.75, 0.0, 10.0, 0.0, 0.0)
+            # a stand-in row with the fields the command reads
+            row = SimpleNamespace(
+                sigma_at_arrival=1.0,
+                T=0.25,
+                R=0.75,
+                residual=0.0,
+                t_measure=10.0,
+                absorbed_left=0.0,
+                absorbed_right=0.0,
+                trajectory=SimpleNamespace(state_steps=0, transforms=0),
+            )
             return tunneling.ScanResult((row,))
 
         monkeypatch.setattr(tunneling, "width_scan", fake_scan)

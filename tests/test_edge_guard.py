@@ -20,6 +20,7 @@ from linpot import (
     linear_evolve,
     linear_evolve_momentum,
     split_step_evolve,
+    to_position_rep,
 )
 from linpot.analytic import _wrap_share
 from linpot.core import _band_share
@@ -203,9 +204,17 @@ def test_momentum_guard_threshold(kick):
         tilde = WaveFunction(
             GRID, spiked(p, mask, j, factor), space="momentum", p_axis=p
         )
+        psi = to_position_rep(tilde)
         expected.append(ref_triggers(tilde.amps, mask, DP))
-        call = lambda: linear_evolve_momentum(tilde, kick, 1.0)
-        assert raises_coverage(call, "momentum") == expected[-1], (j, factor)
+        # the position closed forms guard the same kick v0*dt; so short a
+        # dt keeps their argument shift kick*dt/2 below one dx
+        dt = 1e-3
+        calls = [lambda: linear_evolve_momentum(tilde, kick, 1.0)] + [
+            lambda o=o: linear_evolve(psi, kick / dt, dt, ordering=o)
+            for o in ("left", "right")
+        ]
+        for call in calls:
+            assert raises_coverage(call, "momentum kick") == expected[-1], (j, factor)
     assert expected == [True, False, False]
 
 

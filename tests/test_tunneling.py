@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from linpot.errors import (
 )
 from linpot.tunneling import (
     ScanResult,
-    ScanRow,
     animation_scenario,
     animation_surrogate,
     wkb_transmission_from_action,
@@ -264,7 +264,7 @@ class TestRunTunneling:
         grid, cfg, packet, barrier = _blocked_setup()
         res = run_tunneling(packet, barrier, cfg, grid)
         energy = packet.p0**2 / 2
-        assert barrier.d_prime(energy) >= 10 * res.sigma_at_turning
+        assert barrier.d_prime(energy) >= 10 * res.sigma_at_arrival
         assert res.T < 1e-4
         assert res.R == pytest.approx(1.0, abs=1e-6)
         assert res.norm_defect() < 1e-6
@@ -343,12 +343,13 @@ class TestWidthScan:
             4.0, barrier, grid, cfg, base_packet=base, delay_list=(0.0,)
         )
         assert scan.rows[0].T == direct.T
-        assert scan.rows[0].sigma_at_arrival == direct.sigma_at_turning
+        assert scan.rows[0].sigma_at_arrival == direct.sigma_at_arrival
 
     @staticmethod
     def _row(res):
-        return ScanRow(
-            res.sigma_at_turning,
+        """The seven values a scan row reports, sigma at arrival first."""
+        return (
+            res.sigma_at_arrival,
             res.T,
             res.R,
             res.residual,
@@ -356,6 +357,10 @@ class TestWidthScan:
             res.absorbed_left,
             res.absorbed_right,
         )
+
+    def _table(self, runs):
+        """The rows' values sorted as the scan sorts them: stably, by sigma."""
+        return sorted(map(self._row, runs), key=lambda row: row[0])
 
     def test_delay_scan_equals_one_run_per_entry(self, run_alone):
         # the scan steps its entries as one stack; each row must be exactly
@@ -368,8 +373,7 @@ class TestWidthScan:
         # the entries become stationary at different strides (about 15 250
         # and 19 750 steps), so one leaves the stack while the other steps on
         assert runs[0].t_measure < runs[1].t_measure
-        expected = sorted(map(self._row, runs), key=lambda r: r.sigma_at_arrival)
-        assert scan.rows == tuple(expected)
+        assert list(map(self._row, scan.rows)) == self._table(runs)
         # each row steps as often in the stack as alone; the stack makes the
         # kernel calls of its longest-lived row
         assert scan.state_steps == sum(r.trajectory.state_steps for r in runs)
@@ -385,8 +389,7 @@ class TestWidthScan:
             run_tunneling(GaussianSpec(0.0, 4.0, s), barrier, cfg, grid) for s in sigmas[1:]
         ]
         assert runs[0].t_measure != runs[1].t_measure
-        expected = sorted(map(self._row, runs), key=lambda r: r.sigma_at_arrival)
-        assert scan.rows == tuple(expected)
+        assert list(map(self._row, scan.rows)) == self._table(runs)
 
     @pytest.mark.parametrize(
         "delays, n_steps",
@@ -461,11 +464,21 @@ class TestWidthScan:
         with pytest.raises(ValueError):
             width_scan(4.0, barrier, grid, cfg, sigma_list=(1,), delay_list=(0,))
 
+    @pytest.mark.parametrize(
+        "entries", [{"delay_list": ()}, {"sigma_list": []}], ids=["delays", "sigmas"]
+    )
+    def test_empty_list_is_a_value_error(self, entries):
+        # an empty list used to reach the stride loop and fail there with a
+        # bare IndexError
+        grid, cfg, barrier = _scan_setup()
+        with pytest.raises(ValueError, match="non-empty"):
+            width_scan(4.0, barrier, grid, cfg, **entries)
+
     def test_violations_reported_not_suppressed(self):
-        rows = (
-            ScanRow(1.0, 0.10, 0.9, 0.0, 1.0, 0.0, 0.0),
-            ScanRow(2.0, 0.05, 0.95, 0.0, 1.0, 0.0, 0.0),
-            ScanRow(3.0, 0.20, 0.8, 0.0, 1.0, 0.0, 0.0),
+        # stand-in rows: the check reads only sigma at arrival and T
+        rows = tuple(
+            SimpleNamespace(sigma_at_arrival=sigma, T=T)
+            for sigma, T in ((1.0, 0.10), (2.0, 0.05), (3.0, 0.20))
         )
         scan = ScanResult(rows)
         violations = scan.monotonicity_violations()
@@ -489,7 +502,7 @@ class TestWidthScan:
         assert np.all(np.isfinite(traj.mean_p))
         assert traj.mean_p[0] == pytest.approx(packet.p0, rel=1e-10)
         width_at = np.interp(res.t_a_measured, traj.times, traj.width)
-        assert width_at == res.sigma_at_turning
+        assert width_at == res.sigma_at_arrival
 
 
 class TestAnimationScenario:
