@@ -40,12 +40,16 @@ The pure phases of one evolution (cubic, offset, the x-linear phase at
 ``x_min``) are folded into the ramp's starting phase, so no scalar costs a
 pass over the array.  :func:`spectral_shift` multiplies by
 ``core._shift_table``, the argument-shift ramp in wrap order.
-The left ordering is written once, as a function of the initial state's
-spectrum: :func:`linear_evolve` transforms its input and calls it, and
-``linpot evolve``, which compares the solver with the closed form at every
-snapshot, transforms psi0 once per run and reuses that spectrum for every
-snapshot time, with the same result to the last bit.  Given the spectrum,
-it takes two inverse transforms and no forward one.
+The left ordering takes one forward and two inverse transforms.  The wrap
+guards (``core._check_wrap`` on the position grid, ``core._check_kick`` on
+the momentum grid) raise rather than let the periodic grid alias a state.
+
+``linpot evolve`` compares the solver with the exact state at every
+snapshot, and its packets are Gaussians, which a linear potential keeps
+Gaussian.  So its reference is ``_gaussian_evolve``: the same ledger's
+argument shift, x-linear phase and cubic phase applied to the free
+Gaussian in closed form, one complex ``exp`` per state.  It shares no
+transform, table or guard with the solver or with :func:`linear_evolve`.
 
 Sign conventions in one place: mean position gains -V0 dt^2/(2m) (constant
 acceleration -V0/m), mean momentum gains -V0 dt, while the *argument* of the
@@ -56,6 +60,8 @@ inverse evolution.
 
 from __future__ import annotations
 
+import cmath
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -65,9 +71,13 @@ from .core import (
     _EDGE_BAND,
     _EDGE_THRESHOLD,
     NATURAL,
+    GaussianSpec,
+    SpatialGrid,
     UnitSystem,
     WaveFunction,
     _band_share,
+    _check_kick,
+    _check_wrap,
     _fft,
     _ifft,
     _kinetic,
@@ -76,7 +86,7 @@ from .core import (
     to_momentum_rep,
     to_position_rep,
 )
-from .errors import BoundaryContaminationWarning, CoverageError
+from .errors import BoundaryContaminationWarning
 
 __all__ = [
     "PhaseLedger",
@@ -214,52 +224,6 @@ def spectral_shift(psi: WaveFunction, shift: float) -> WaveFunction:
     return psi.with_amps(_ifft(spectrum, out=spectrum))
 
 
-def _wrap_share(amps, axis, width, shift, total=None) -> float:
-    """Share of the norm on the edge strip that translating the argument by
-    ``shift`` wraps around: axis < axis[0] + width for a positive shift,
-    axis > axis[-1] - width for a negative one (``axis`` ascending); 0 for
-    a null state.  One slice and one sum, as every closed-form call runs it."""
-    if shift > 0:
-        strip = amps[: int(axis.searchsorted(axis[0] + width, "left"))]
-    else:
-        strip = amps[int(axis.searchsorted(axis[-1] - width, "right")) :]
-    if total is None:
-        total = np.vdot(amps, amps).real
-    return float(np.vdot(strip, strip).real / total) if total > 0 else 0.0
-
-
-def _check_wrap(amps, axis, shift, width, what, grid, total=None) -> None:
-    """Translating the argument by ``shift`` wraps an edge strip of
-    ``width`` around ``axis``; a state with real mass there would corrupt
-    the opposite edge.  The CoverageError names the translation (``what``)
-    and the ``grid`` it leaves."""
-    share = _wrap_share(amps, axis, width, shift, total)
-    if share > _EDGE_THRESHOLD:
-        raise CoverageError(
-            f"{what} {shift!r} would wrap {share:.2e} of the norm around the "
-            f"{grid} edge; widen it by at least {width!r}"
-        )
-
-
-def _check_wrap_contamination(psi: WaveFunction, shift: float, total=None) -> None:
-    """:func:`_check_wrap` for an argument shift on the position grid."""
-    if shift != 0.0:
-        width = min(abs(shift), psi.grid.span)
-        _check_wrap(psi.amps, psi.grid.x, shift, width, "argument shift", "grid", total)
-
-
-def _check_kick(lower, upper, p, kick, total) -> None:
-    """:func:`_check_wrap` for a momentum kick, given the state's amplitudes
-    on the lower and upper half of the ascending momentum axis ``p`` (slices:
-    a wrap-order spectrum needs no copy) and its sum |amps|^2.  The strip is
-    clipped to half the axis, so a wider kick is checked on one half alone."""
-    if kick != 0.0:
-        width = min(abs(kick), float(p[-1] - p[0]) / 2.0)
-        h = len(lower)
-        amps, axis = (lower, p[:h]) if kick > 0 else (upper, p[h:])
-        _check_wrap(amps, axis, kick, width, "momentum kick", "momentum-grid", total)
-
-
 def _ledger(v0: float, dt: float, units: UnitSystem, ordering: str) -> PhaseLedger:
     """The factorization's coefficients: the one place their formulas live."""
     hbar, m = units.hbar, units.mass
@@ -308,57 +272,40 @@ def linear_evolve(
         raise ValueError(f"unknown ordering {ordering!r}")
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
-    if ordering == "left":
-        return _left_evolve(
-            psi, _fft(psi.amps), v0, dt, units, offset, check_coverage
-        )
     ledger = _ledger(v0, dt, units, ordering)
-    shift = ledger.argument_shift
+    shift, kick = ledger.argument_shift, ledger.momentum_kick
     g = psi.grid
+    if ordering == "left":
+        # the free-evolved spectrum sk is transformed once into the state phi
+        # that the boundary warning and the wrap guard inspect (the kick guard
+        # reads sk); then sk times the shift table, transformed in place, is
+        # phi translated by the argument shift
+        sk = _fft(psi.amps)
+        sk *= _kinetic(g, dt, units)
+        phi = psi.with_amps(_ifft(sk), time=psi.time + dt)
+        # one norm total of phi for every guard (Parseval: n times it for sk)
+        total = np.vdot(phi.amps, phi.amps).real
+        _check_boundary(phi, total)
+        if check_coverage:
+            _check_wrap(phi, shift, total)
+            _check_kick(sk, g, units, kick, g.n * total)
+        amps = phi.amps
+        if shift != 0.0:
+            sk *= _shift_table(g, shift)
+            amps = _ifft(sk, out=sk)
+        amps = _position_phases(amps, g, dt, ledger, units, offset)
+        return EvolutionResult(phi.with_amps(amps), ledger)
     amps = psi.amps
     if shift != 0.0:
         sk = _fft(amps)  # spectral_shift's body, on the spectrum the kick guard reads
         if check_coverage:
             total = np.vdot(amps, amps).real
-            _check_wrap_contamination(psi, -shift, total)
-            h, kick = g.n // 2, ledger.momentum_kick
-            _check_kick(sk[h:], sk[:h], g.p_sorted(units), kick, g.n * total)
+            _check_wrap(psi, -shift, total)
+            _check_kick(sk, g, units, kick, g.n * total)
         sk *= _shift_table(g, -shift)
         amps = _ifft(sk, out=sk)
     amps = _position_phases(amps, g, dt, ledger, units, offset)
     return EvolutionResult(free_evolve(psi.with_amps(amps), dt, units), ledger)
-
-
-def _left_evolve(psi, spectrum, v0, dt, units, offset=0.0, check_coverage=True):
-    """The left ordering of :func:`linear_evolve` for the position state
-    ``psi``, given ``spectrum = core._fft(psi.amps)``.
-
-    The free-evolved spectrum ``sk`` is transformed once into the state phi
-    that the boundary warning and the wrap guard inspect (the kick guard
-    reads ``sk``).  Then ``sk`` times the shift table, transformed in place,
-    is phi translated by the argument shift; it takes the x-linear, cubic
-    and offset phases.  A caller that evolves one state to many times
-    transforms it once and passes the same spectrum to every call; the
-    result is bit for bit that of :func:`linear_evolve`.
-    """
-    ledger = _ledger(v0, dt, units, "left")
-    shift = ledger.argument_shift
-    g = psi.grid
-    sk = spectrum * _kinetic(g, dt, units)
-    phi = psi.with_amps(_ifft(sk), time=psi.time + dt)
-    # one norm total of phi for every guard (Parseval: n times it for sk)
-    total = np.vdot(phi.amps, phi.amps).real
-    _check_boundary(phi, total)
-    if check_coverage:
-        _check_wrap_contamination(phi, shift, total)
-        h, kick = g.n // 2, ledger.momentum_kick
-        _check_kick(sk[h:], sk[:h], g.p_sorted(units), kick, g.n * total)
-    amps = phi.amps
-    if shift != 0.0:
-        sk *= _shift_table(g, shift)
-        amps = _ifft(sk, out=sk)
-    amps = _position_phases(amps, g, dt, ledger, units, offset)
-    return EvolutionResult(phi.with_amps(amps), ledger)
 
 
 def _position_phases(amps, grid, dt, ledger, units, offset):
@@ -369,6 +316,51 @@ def _position_phases(amps, grid, dt, ledger, units, offset):
     c = ledger.potential_phase_coeff
     phase = ledger.cubic_phase - offset * dt / units.hbar + c * grid.x_min
     return amps * _ramp(c * grid.dx, grid.n, phase)
+
+
+def _gaussian_evolve(
+    spec: GaussianSpec,
+    grid: SpatialGrid,
+    v0: float,
+    t: float,
+    units: UnitSystem = NATURAL,
+) -> WaveFunction:
+    """The packet ``sample_gaussian(spec, grid, units)`` evolved for ``t``
+    under V(x) = v0*x, exactly and pointwise on ``grid``.
+
+    Free flight keeps the packet Gaussian; with d = 1 + i hbar t/(m sigma^2)::
+
+        psi_free(x', t) = pi^(-1/4) sigma^(-1/2) d^(-1/2)
+            exp[-(x' - x0 - p0 t/m)^2 / (2 sigma^2 d)
+                + i p0 (x' - x0)/hbar - i p0^2 t/(2 m hbar)]
+
+    The left ordering's ledger takes it at x' = x + s (the argument shift),
+    times the x-linear phase exp(i c x), c = -v0 t/hbar, and the cubic
+    phase.  In w = x - X, with X = x0 + p0 t/m - s the classical centre,
+    that is one quadratic exponent::
+
+        -w^2 / (2 sigma^2 d) + i (p0/hbar + c) w
+            + i (p0^2 t/(2 m hbar) + c X + cubic)
+            - log(pi^(1/4) sigma^(1/2) d^(1/2))
+
+    so the state is one ``np.exp`` over the grid: no transform, no phase
+    table and no periodic grid, so no guard either.  A packet that leaves
+    the grid is sampled as it is, not wrapped.
+    """
+    hbar, m, sigma = units.hbar, units.mass, spec.sigma
+    ledger = _ledger(v0, t, units, "left")
+    c = ledger.potential_phase_coeff
+    centre = spec.x0 + spec.p0 * t / m - ledger.argument_shift
+    d = complex(1.0, hbar * t / (m * sigma**2))
+    phase = spec.p0**2 * t / (2.0 * m * hbar) + c * centre + ledger.cubic_phase
+    log_norm = -0.25 * math.log(math.pi) - 0.5 * math.log(sigma)
+    const = complex(log_norm, phase) - 0.5 * cmath.log(d)
+    w = grid.x - centre
+    exponent = (-0.5 / (sigma**2 * d)) * w
+    exponent += 1j * (spec.p0 / hbar + c)
+    exponent *= w
+    exponent += const
+    return WaveFunction(grid, np.exp(exponent, out=exponent), time=t)
 
 
 def linear_evolve_momentum(
@@ -392,9 +384,7 @@ def linear_evolve_momentum(
     # g(p) -> g(p + kick): wrap check on the receiving edge, then translate
     # via the conjugate (position) domain.
     if kick != 0.0:
-        h = len(phi.amps) // 2
-        total = np.vdot(phi.amps, phi.amps).real
-        _check_kick(phi.amps[:h], phi.amps[h:], phi.p_axis, kick, total)
+        _check_kick(np.fft.ifftshift(phi.amps), phi.grid, units, kick)
         pos = to_position_rep(phi, units)
         g = pos.grid
         ramp = _ramp(-kick * g.dx / units.hbar, g.n, -kick * g.x_min / units.hbar)

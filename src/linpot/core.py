@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -403,6 +404,81 @@ def _band_share(amps: np.ndarray, total=None) -> float:
     """Share of sum |amps|^2 on the outer _EDGE_BAND of the points at each edge."""
     m = max(1, round(_EDGE_BAND * len(amps)))
     return _edge_share(amps, m, m, total)
+
+
+def _wrap_share(amps, axis, width, shift, total=None) -> float:
+    """Share of the norm on the edge strip that translating the argument by
+    ``shift`` wraps around: axis < axis[0] + width for a positive shift,
+    axis > axis[-1] - width for a negative one (``axis`` ascending); 0 for
+    a null state.  One slice and one sum, as every guarded call runs it."""
+    if shift > 0:
+        strip = amps[: int(axis.searchsorted(axis[0] + width, "left"))]
+    else:
+        strip = amps[int(axis.searchsorted(axis[-1] - width, "right")) :]
+    if total is None:
+        total = np.vdot(amps, amps).real
+    return float(np.vdot(strip, strip).real / total) if total > 0 else 0.0
+
+
+def _check_wrap(psi: WaveFunction, shift: float, total=None) -> None:
+    """Raise :class:`CoverageError` when translating the argument of the
+    position state ``psi`` by ``shift`` would wrap more than _EDGE_THRESHOLD
+    of its norm around the periodic grid (the strip of width |shift|,
+    clipped at the span); ``total`` is its sum |amps|^2 if known."""
+    if shift != 0.0:
+        width = min(abs(shift), psi.grid.span)
+        share = _wrap_share(psi.amps, psi.grid.x, width, shift, total)
+        if share > _EDGE_THRESHOLD:
+            raise CoverageError(
+                f"argument shift {shift!r} would wrap {share:.2e} of the norm "
+                f"around the grid edge; widen it by at least {width!r}"
+            )
+
+
+def _kick_share(ascending, grid: SpatialGrid, units: UnitSystem, kick: float, total=None) -> float:
+    """Share of the norm that the momentum kick ``kick`` (the mean momentum
+    changes by -kick) carries around the momentum grid.
+
+    ``ascending`` is the state's spectrum on the ascending momentum axis and
+    ``total`` its sum |ascending|^2 if known.  The strip is every point
+    p < p_min + kick for a positive kick, p > p_max + kick for a negative
+    one: ceil(|kick|/dp) points at one end of the axis, counted in steps of
+    dp so no roundoff of p moves its end.  It is clipped at the whole axis,
+    so a kick that wide takes all points but one.
+    """
+    m = math.ceil(min(grid.n - 1, abs(kick) / (units.hbar * grid.dk)))
+    return _edge_share(ascending, m, 0, total) if kick > 0 else _edge_share(ascending, 0, m, total)
+
+
+def _check_kick(spectrum, grid: SpatialGrid, units: UnitSystem, kick: float, total=None) -> None:
+    """Raise :class:`CoverageError` when more than _EDGE_THRESHOLD of the
+    norm is on :func:`_kick_share`'s strip.  ``spectrum`` is the state's
+    ``_fft`` (wrap order) and ``total`` its sum |spectrum|^2 if known.
+
+    The momentum axis reaches pi hbar / dx on either side, so the remedy is
+    a finer dx, not a wider span.  The message names the dx whose axis
+    still holds, after the kick, the outermost point of the receiving side
+    with more than _EDGE_THRESHOLD of the norm beyond it, and the
+    power-of-two n that gives that dx on the same span.
+    """
+    if kick == 0.0:
+        return
+    ascending = np.fft.fftshift(spectrum)
+    share = _kick_share(ascending, grid, units, kick, total)
+    if share > _EDGE_THRESHOLD:
+        # mirrored for a negative kick, so the receiving side is the low end
+        p, rho = grid.p_sorted(units), np.abs(ascending) ** 2
+        if kick < 0:
+            p, rho = -p[::-1], rho[::-1]
+        cum = np.cumsum(rho)
+        edge = p[int(cum.searchsorted(_EDGE_THRESHOLD * cum[-1], "right"))]
+        dx = np.pi * units.hbar / (abs(kick) - edge)
+        n = 1 << (math.ceil(grid.span / dx) - 1).bit_length()
+        raise CoverageError(
+            f"momentum kick {kick!r} would wrap {share:.2e} of the norm around "
+            f"the momentum-grid edge; dx <= {dx:.4g} (n >= {n} on this span) "
+            "makes room for it"
+        )
 
 
 def _position_rep(psi: WaveFunction, units: UnitSystem) -> WaveFunction:

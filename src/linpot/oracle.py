@@ -69,11 +69,13 @@ import numpy as np
 from .core import (
     _EDGE_THRESHOLD,
     NATURAL,
+    Linear,
     Potential,
     SpatialGrid,
     UnitSystem,
     WaveFunction,
     _band_share,
+    _check_kick,
     _fft,
     _ifft,
     _kinetic,
@@ -335,6 +337,10 @@ def split_step_evolve(
     drifts by more than 1e-6 with the absorber off (which for this unitary
     scheme can only mean non-finite input somewhere); warns once if the state
     touches a non-absorbing boundary.  ``psi`` itself is left unchanged.
+    For a :class:`Linear` potential, raises :class:`CoverageError` before
+    the first step if the run's momentum kick ``v0 * n_steps * dt`` would
+    wrap the state around the momentum grid (``core._check_kick``, one
+    forward transform).
 
     ``on_snapshot``, if given, is called with each snapshot state (a copy
     the caller may keep, stamped with its time) once that snapshot has
@@ -343,6 +349,11 @@ def split_step_evolve(
     """
     if psi.space != "position":
         raise ValueError("split_step_evolve expects a position-representation state")
+    if isinstance(potential, Linear):
+        # the run translates the spectrum by its whole kick v0*T and leaves
+        # its modulus alone, so the initial spectrum shows what would wrap
+        kick = potential.v0 * cfg.n_steps * cfg.dt
+        _check_kick(_fft(psi.amps), psi.grid, units, kick)
     prop = _Propagator(psi.grid, potential, cfg.dt, cfg.absorber, units)
     initial_norm = float(np.sum(psi.density()) * psi.grid.dx)
     warned = False

@@ -2,7 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.fft as sp_fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +25,8 @@ from linpot import (
     to_momentum_rep,
     zassenhaus_terms,
 )
-from linpot.analytic import _left_evolve
+import linpot.analytic as analytic
+from linpot.analytic import _gaussian_evolve
 from linpot.errors import BoundaryContaminationWarning, CoverageError
 from linpot.oracle import SolverConfig, split_step_evolve
 
@@ -178,13 +178,34 @@ class TestLinearEvolve:
         # argument shift (1.5) stays on the grid, but unchecked the kick
         # aliases the packet to <p> = +20.27 instead of -30
         g = SpatialGrid(-16.0, 16.0, 256)
-        psi = sample_gaussian(GaussianSpec(0.0, 0.0, 1.0), g)
-        with pytest.raises(CoverageError, match="momentum kick 30.0 .* momentum-grid"):
+        spec = GaussianSpec(0.0, 0.0, 1.0)
+        psi = sample_gaussian(spec, g)
+        # the advice is a finer dx, not a wider span: the kicked packet's
+        # tail reaches p = -34.5, and an axis of +-pi/dx reaches it at dx = 0.091
+        advice = r"dx <= 0\.09102 \(n >= 512 on this span\) makes room for it$"
+        with pytest.raises(CoverageError, match="momentum kick 30.0 .* momentum-grid.*" + advice):
             linear_evolve(psi, 300.0, 0.1, ordering=ordering)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryContaminationWarning)
             res = linear_evolve(psi, 300.0, 0.1, ordering, check_coverage=False)
         assert mean_momentum(res.psi) == pytest.approx(20.27, abs=0.01)
+        # taken, the advice holds the kick
+        fine = sample_gaussian(spec, SpatialGrid(-16.0, 16.0, 512))
+        res = linear_evolve(fine, 300.0, 0.1, ordering=ordering)
+        assert mean_momentum(res.psi) == pytest.approx(-30.0, abs=1e-9)
+
+    def test_kick_wider_than_half_the_momentum_axis_raises(self):
+        # p0 = 4 sits on the upper half of the +-25 momentum axis, which a
+        # strip clipped at half the axis never reaches; unchecked the kick
+        # of 30 aliases the packet to <p> = +23.6 instead of -26
+        g = SpatialGrid(-16.0, 16.0, 256)
+        psi = sample_gaussian(GaussianSpec(0.0, 4.0, 2.0), g)
+        with pytest.raises(CoverageError, match="momentum kick 30.0"):
+            linear_evolve(psi, 300.0, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryContaminationWarning)
+            res = linear_evolve(psi, 300.0, 0.1, check_coverage=False)
+        assert mean_momentum(res.psi) == pytest.approx(23.57, abs=0.01)
 
     def test_constant_offset_is_global_phase(self, packet):
         v0, dt, c = 1.1, 0.4, 2.7
@@ -199,62 +220,59 @@ SI = si_units(9.1e-31)
 SI_GRID = SpatialGrid(-2e-6, 2e-6, 1024)
 
 
-def _guarded(fn):
-    """(outcome, warning messages) of one evolution: the amplitudes' bytes,
-    or the CoverageError's message."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            outcome = fn().psi.amps.tobytes()
-        except CoverageError as exc:
-            outcome = f"CoverageError: {exc}"
-    return outcome, [
-        str(w.message)
-        for w in caught
-        if issubclass(w.category, BoundaryContaminationWarning)
-    ]
+GAUSSIAN_CASES = pytest.mark.parametrize(
+    "spec, v0, times, units",
+    [
+        (GaussianSpec(-2.0, 3.0, 1.0), 1.5, (0.05, 0.3, 0.9, 1.6), NATURAL),
+        (GaussianSpec(-2.0, 3.0, 1.0), -1.5, (-0.05, -0.3, -0.9, -1.6), NATURAL),
+        (GaussianSpec(1.0, -2.0, 0.8), 0.0, (0.05, 0.3, 0.9, 1.6), NATURAL),
+        (GaussianSpec(0.0, 1e-28, 1e-7), 4e-17, (1e-11, 3e-11, 6e-11), SI),
+    ],
+    ids=["t-positive", "t-negative", "v0-zero", "si"],
+)
 
 
-class TestSharedSpectrum:
-    """``_left_evolve`` given fft(psi) once must be ``linear_evolve`` bit for bit."""
+class TestGaussianEvolve:
+    """``_gaussian_evolve``, the pointwise closed form behind ``linpot
+    evolve``'s l2_vs_analytic column, against the FFT closed form, the
+    sampled packet and the free-spreading density law."""
 
-    @pytest.mark.parametrize(
-        "spec, v0, times, units",
-        [
-            (GaussianSpec(-2.0, 3.0, 1.0), 1.5, (0.05, 0.3, 0.9, 1.6), NATURAL),
-            (GaussianSpec(-2.0, 3.0, 1.0), -1.5, (-0.05, -0.3, -0.9, -1.6), NATURAL),
-            (GaussianSpec(1.0, -2.0, 0.8), 0.0, (0.05, 0.3, 0.9, 1.6), NATURAL),
-            (GaussianSpec(0.0, 1e-28, 1e-7), 4e-17, (1e-11, 3e-11, 6e-11), SI),
-        ],
-        ids=["t-positive", "t-negative", "v0-zero", "si"],
-    )
+    @GAUSSIAN_CASES
     def test_equals_linear_evolve(self, grid, spec, v0, times, units):
         g = SI_GRID if units is SI else grid
         psi = sample_gaussian(spec, g, units)
-        spectrum = sp_fft.fft(psi.amps)
         for t in times:
-            want = linear_evolve(psi, v0, t, units=units)
-            got = _left_evolve(psi, spectrum, v0, t, units)
-            np.testing.assert_array_equal(got.psi.amps, want.psi.amps)
-            assert got.psi.time == want.psi.time
-            assert got.ledger == want.ledger
-            # the shift is not a trivial one in the cases that have a slope
-            assert (got.ledger.argument_shift != 0.0) == (v0 != 0.0)
+            want = linear_evolve(psi, v0, t, units=units).psi
+            got = _gaussian_evolve(spec, g, v0, t, units)
+            assert got.time == want.time
+            assert l2_distance(got, want) < 1e-13
 
-    def test_guards_fire_at_the_same_times(self):
-        # a packet running into the left edge: no guard, then the boundary
-        # warning alone, then the warning and the wrap guard's CoverageError
-        g = SpatialGrid(-16.0, 16.0, 512)
-        psi = sample_gaussian(GaussianSpec(-6.0, -6.0, 1.0), g)
-        spectrum = sp_fft.fft(psi.amps)
-        seen = set()
-        for t in np.linspace(0.1, 1.2, 12):
-            t = float(t)
-            want = _guarded(lambda: linear_evolve(psi, 6.0, t))
-            got = _guarded(lambda: _left_evolve(psi, spectrum, 6.0, t, NATURAL))
-            assert got == want
-            seen.add((isinstance(want[0], str), len(want[1])))
-        assert seen == {(False, 0), (False, 1), (True, 1)}
+    @GAUSSIAN_CASES
+    def test_zero_time_is_the_sampled_packet(self, grid, spec, v0, times, units):
+        g = SI_GRID if units is SI else grid
+        psi = sample_gaussian(spec, g, units)
+        for t in (0.0, 1e-300, -1e-300):
+            assert l2_distance(_gaussian_evolve(spec, g, v0, t, units), psi) < 1e-15
+
+    def test_no_transform_no_table_no_guard(self, monkeypatch):
+        # a packet that falls off the grid (centre -48 on +-32) is sampled
+        # as it is: every FFT-side helper refuses, and nothing warns
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pointwise closed form called an FFT helper or a guard")
+
+        helpers = ("_fft", "_ifft", "_kinetic", "_ramp", "_shift_table")
+        guards = ("_band_share", "_check_wrap", "_check_kick")
+        for name in helpers + guards:
+            monkeypatch.setattr(analytic, name, refuse)
+        g = SpatialGrid(-32.0, 32.0, 1024)
+        t = 8.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = _gaussian_evolve(GaussianSpec(0.0, 0.0, 1.0), g, 1.5, t)
+        # |psi|^2 is the spread Gaussian around x = -V0 t^2/2m, pointwise
+        width = np.sqrt(1.0 + t**2)
+        density = np.exp(-(((g.x + 48.0) / width) ** 2)) / (np.sqrt(np.pi) * width)
+        np.testing.assert_allclose(psi.density(), density, rtol=1e-12)
 
 
 class TestMomentumRepresentation:

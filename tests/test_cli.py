@@ -276,6 +276,34 @@ class TestEvolve:
         cfg = write(tmp_path, "narrow.cfg", narrow)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    def test_packet_drifting_off_the_grid_is_reported_not_refused(self, tmp_path):
+        # over 8 time units the packet falls to x = -48, past the grid's
+        # left end: the solver warns and wraps, and the pointwise closed form
+        # does not, so the column shows the wrap error
+        text = LINEAR_CFG.replace("n_steps = 1000", "n_steps = 8000").replace(
+            "record_every = 200", "record_every = 1000"
+        )
+        out = tmp_path / "out"
+        with pytest.warns(errors.BoundaryContaminationWarning, match="non-absorbing boundary"):
+            code = main(["evolve", "--config", write(tmp_path, "d.cfg", text), "--out", str(out)])
+        assert code == 0
+        _, rows = read_csv(out / "trajectory.csv")
+        assert rows[-1]["t"] == pytest.approx(8.0)
+        assert rows[-1]["l2_vs_analytic"] > 1e-7
+
+    def test_kick_leaving_the_momentum_grid_exits_precondition(self, tmp_path, capsys):
+        # a kick of v0 * T = 30 on a momentum grid that ends at +-25
+        text = (
+            LINEAR_CFG.replace("x_min = -32.0", "x_min = -16.0")
+            .replace("x_max = 32.0", "x_max = 16.0")
+            .replace("n = 1024", "n = 256")
+            .replace("v0 = 1.5", "v0 = 300.0")
+            .replace("dt = 0.001", "dt = 0.0001")
+        )
+        argv = ["evolve", "--config", write(tmp_path, "k.cfg", text), "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        assert "momentum kick 30.0" in capsys.readouterr().err
+
 
 class TestTunnel:
     def test_scan_outputs(self, tmp_path):

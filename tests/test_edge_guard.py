@@ -13,6 +13,7 @@ import pytest
 
 from linpot import (
     Free,
+    Linear,
     SolverConfig,
     SpatialGrid,
     WaveFunction,
@@ -22,8 +23,7 @@ from linpot import (
     split_step_evolve,
     to_position_rep,
 )
-from linpot.analytic import _wrap_share
-from linpot.core import _band_share
+from linpot.core import NATURAL, _band_share, _kick_share, _wrap_share
 from linpot.errors import BoundaryContaminationWarning, CoverageError
 
 THRESHOLD = 1e-10
@@ -44,8 +44,12 @@ def ref_position_strip(g, shift):
 
 
 def ref_momentum_strip(p, kick):
-    width = min(abs(kick), (p[-1] - p[0]) / 2.0)
-    return p < p[0] + width if kick > 0 else p > p[-1] - width
+    # the points a kick carries past the end of the axis, p - p[0] < kick
+    # for a positive kick and p[-1] - p < -kick for a negative one, in whole
+    # steps of dp; clipped at the whole axis, all points but one
+    strip = np.arange(len(p)) * (p[1] - p[0]) < abs(kick)
+    strip[-1] = False
+    return strip if kick > 0 else strip[::-1]
 
 
 def ref_band(n):
@@ -111,14 +115,24 @@ def test_whole_dx_shifts_wrap_one_edge_point():
 def test_momentum_strip_share(kick):
     p = GRID.p_sorted()
     amps = dense_amps(GRID.n, 2)
-    width = min(abs(kick), (p[-1] - p[0]) / 2.0)
-    share = _wrap_share(amps, p, width, kick)
+    share = _kick_share(amps, GRID, NATURAL, kick)
     ref = ref_share(amps, ref_momentum_strip(p, kick), DP)
     assert share == pytest.approx(ref, rel=1e-14)
 
 
-def test_clipped_kick_covers_half_the_axis():
-    assert ref_momentum_strip(GRID.p_sorted(), P_RANGE).sum() == GRID.n // 2
+def test_clipped_kick_covers_all_points_but_one():
+    p = GRID.p_sorted()
+    assert np.flatnonzero(~ref_momentum_strip(p, P_RANGE)).tolist() == [GRID.n - 1]
+    assert np.flatnonzero(~ref_momentum_strip(p, -P_RANGE)).tolist() == [0]
+    for kick in (P_RANGE, -P_RANGE, 3.0 * P_RANGE, -3.0 * P_RANGE):
+        mask = ref_momentum_strip(p, kick)
+        # a wider kick is clipped to the same strip
+        assert np.array_equal(mask, ref_momentum_strip(p, np.sign(kick) * P_RANGE))
+        # and the guard wraps exactly the points of the strip
+        for j in range(GRID.n):
+            amps = np.zeros(GRID.n, dtype=complex)
+            amps[j] = 1.0
+            assert _kick_share(amps, GRID, NATURAL, kick) == mask[j]
 
 
 @pytest.mark.parametrize("n", [16, 512, 2048])
@@ -136,10 +150,11 @@ def test_null_state_has_no_edge_share():
 
 
 def spiked(axis, mask, j, factor):
-    """A bump centred away from the strip ``mask`` plus one spike at index
-    ``j`` that carries ``factor`` times the threshold share of the norm."""
+    """A bump centred on the points off the strip ``mask`` and zero on it,
+    plus one spike at index ``j`` that carries ``factor`` times the
+    threshold share of the norm."""
     centre = float(np.mean(axis[~mask]))
-    amps = np.exp(-0.5 * (axis - centre) ** 2).astype(complex)
+    amps = np.where(mask, 0.0, np.exp(-0.5 * (axis - centre) ** 2)).astype(complex)
     amps[j] = 0.0
     base = np.vdot(amps, amps).real
     share = factor * THRESHOLD
@@ -149,9 +164,14 @@ def spiked(axis, mask, j, factor):
 
 def edge_cases(mask):
     """Spikes just inside the inner end of a one-sided strip, on either side
-    of the threshold, and just outside it, above the threshold."""
+    of the threshold, and just outside it, above the threshold.  A strip of
+    all points but one leaves no outside point but the bump's own, so its
+    third spike sits mid-axis, past the half of the axis where the strip
+    starts, and trips the guard too."""
     idx = np.flatnonzero(mask)
     inside, outside = (idx[-1], idx[-1] + 1) if mask[0] else (idx[0], idx[0] - 1)
+    if len(idx) == len(mask) - 1:
+        outside = len(mask) // 2 if mask[0] else len(mask) // 2 - 1
     return [(inside, 1.01), (inside, 0.99), (outside, 1.01)]
 
 
@@ -199,6 +219,7 @@ def test_position_guard_threshold(shift):
 def test_momentum_guard_threshold(kick):
     p = GRID.p_sorted()
     mask = ref_momentum_strip(p, kick)
+    whole = mask.sum() == GRID.n - 1
     expected = []
     for j, factor in edge_cases(mask):
         tilde = WaveFunction(
@@ -206,16 +227,24 @@ def test_momentum_guard_threshold(kick):
         )
         psi = to_position_rep(tilde)
         expected.append(ref_triggers(tilde.amps, mask, DP))
-        # the position closed forms guard the same kick v0*dt; so short a
-        # dt keeps their argument shift kick*dt/2 below one dx
+        # the position closed forms and the solver guard the same kick
+        # v0*dt; so short a dt keeps the argument shift kick*dt/2 below one
+        # dx, and one solver step takes the whole kick
         dt = 1e-3
-        calls = [lambda: linear_evolve_momentum(tilde, kick, 1.0)] + [
-            lambda o=o: linear_evolve(psi, kick / dt, dt, ordering=o)
-            for o in ("left", "right")
+        calls = [
+            lambda: linear_evolve_momentum(tilde, kick, 1.0),
+            lambda: split_step_evolve(psi, Linear(kick / dt), SolverConfig(dt=dt, n_steps=1)),
         ]
+        if not whole:
+            # a bump on one momentum point is a plane wave, which the
+            # position closed forms' argument-shift guard stops first
+            calls += [
+                lambda o=o: linear_evolve(psi, kick / dt, dt, ordering=o)
+                for o in ("left", "right")
+            ]
         for call in calls:
             assert raises_coverage(call, "momentum kick") == expected[-1], (j, factor)
-    assert expected == [True, False, False]
+    assert expected == [True, False, whole]
 
 
 @pytest.mark.parametrize("n", [16, 512, 2048])

@@ -38,7 +38,7 @@ RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1", "machine": "x86_64"}
 GOLDEN = {
     "evolve": {
         "final_state.csv": "17b0629e06d3fe0cb55c31392d1a992f7efe580102b046487be0816a7b605f85",
-        "trajectory.csv": "e84468b71fb1424ca95f5a18a714a7302125606112b42a566a53310eb010487c",
+        "trajectory.csv": "88db3f3e7008e619ad78c7b784955714e67aa920aeb0ac9c3170895bc1e6981c",
     },
     "tunnel": {
         "potential_profile.csv": "ad115f8e51a14c6a855a2fc4fb527e9c3e3ce377b2d00c892282c36c75fb0c12",
@@ -73,7 +73,7 @@ PACKET_PSG_GOLDEN = {
     "psg_sweep.csv": "fd36eba5f9f722fcbd40747dc2683802f1cd8a7465ccf6da378a312c020e7c3a",
 }
 
-# kind = free: v0 = 0, so the closed-form column takes the zero-shift path
+# kind = free: v0 = 0, so the closed-form column is the free Gaussian
 FREE_EVOLVE_CONFIG = """\
 [grid]
 x_min = -32.0
@@ -95,7 +95,7 @@ record_every = 100
 """
 FREE_EVOLVE_GOLDEN = {
     "final_state.csv": "cd0deabf921ec7b854d907a55b34739b4c0eaaafe0bb7f5647dea870b8e05a1c",
-    "trajectory.csv": "93dfdc6a40877f6181fbe510b638b930560430cd8655cfc5637cdd8ef6eb9c6d",
+    "trajectory.csv": "3709e7aaad0204e76492aad6262412fe078ad1d2c742f9465b5185779dc9f131",
 }
 
 

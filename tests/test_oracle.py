@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from linpot import (
     spatial_width,
     split_step_evolve,
 )
-from linpot.errors import BoundaryContaminationWarning, StabilityError
+from linpot.errors import BoundaryContaminationWarning, CoverageError, StabilityError
 from linpot.oracle import _Propagator
 
 
@@ -78,6 +79,21 @@ class TestSplitStep:
         assert traj.mean_x[-1] == mean_position(final)
         assert traj.mean_p[-1] == mean_momentum(final)
         assert traj.width[-1] == spatial_width(final)
+
+    @pytest.mark.parametrize("v0", [300.0, -300.0])
+    def test_kick_leaving_momentum_grid_raises(self, v0):
+        # the run's kick v0 * T = +-30 exceeds the +-25 momentum grid:
+        # unchecked, v0 = 300 ends at <p> = +20.27 instead of -30
+        g = SpatialGrid(-16.0, 16.0, 256)
+        psi = sample_gaussian(GaussianSpec(0.0, 0.0, 1.0), g)
+        cfg = SolverConfig(dt=1e-4, n_steps=1000)
+        with pytest.raises(CoverageError, match="momentum kick") as exc:
+            split_step_evolve(psi, Linear(v0), cfg)
+        # the n the message asks for holds the kick
+        n = int(re.search(r"n >= (\d+) on this span", str(exc.value)).group(1))
+        fine = sample_gaussian(GaussianSpec(0.0, 0.0, 1.0), SpatialGrid(-16.0, 16.0, n))
+        traj = split_step_evolve(fine, Linear(v0), cfg)
+        assert traj.mean_p[-1] == pytest.approx(-v0 * 0.1, abs=1e-6)
 
     def test_unitarity_long_run(self, grid, packet):
         cfg = SolverConfig(dt=1e-4, n_steps=10000, record_every=1000)
