@@ -31,18 +31,16 @@ returns a :class:`PhaseLedger` naming each acquired term.
 
 Every transform goes through ``core._fft``/``_ifft``, as in the solver:
 the kernel that ``scipy.fft`` itself calls, with the same arguments, so the
-output is bit-identical to ``scipy.fft.fft``/``ifft``.  The kinetic table
-is ``core._kinetic``, built on half the wavenumbers and mirrored.  The
-closed form's phases linear in x or k (the argument shift of the left
-ordering, the x-linear phase, the momentum kick, the p-linear phase) are
-``core._ramp`` tables, each the outer product of two short ``exp`` tables.
-The pure phases of one evolution (cubic, offset, the x-linear phase at
-``x_min``) are folded into the ramp's starting phase, so no scalar costs a
-pass over the array.  :func:`spectral_shift` multiplies by
-``core._shift_table``, the argument-shift ramp in wrap order.
-The left ordering takes one forward and two inverse transforms.  The wrap
-guards (``core._check_wrap`` on the position grid, ``core._check_kick`` on
-the momentum grid) raise rather than let the periodic grid alias a state.
+output is bit-identical to ``scipy.fft.fft``/``ifft``.  Every phase table
+is one ``np.exp`` of its formula.  The kinetic table is ``core._kinetic``,
+the one the solver steps with, and every argument shift
+(:func:`spectral_shift` and both orderings') multiplies by
+``core._shift_table``.  The pure phases of one evolution (cubic, offset)
+enter the exponent of its x-linear or p-linear phase, so one table
+carries them all.  The left ordering takes one forward and two inverse
+transforms.  The wrap guards (``core._check_wrap`` on the position grid,
+``core._check_kick`` on the momentum grid) raise rather than let the
+periodic grid alias a state.
 
 ``linpot evolve`` compares the solver with the exact state at every
 snapshot, and its packets are Gaussians, which a linear potential keeps
@@ -81,7 +79,6 @@ from .core import (
     _fft,
     _ifft,
     _kinetic,
-    _ramp,
     _shift_table,
     to_momentum_rep,
     to_position_rep,
@@ -310,12 +307,9 @@ def linear_evolve(
 
 def _position_phases(amps, grid, dt, ledger, units, offset):
     """``amps`` times the ledger's x-linear phase exp(i c x) and cubic phase
-    and the offset's global phase exp(-i offset dt/hbar), as one table: the
-    three pure phases and the x-linear phase at ``x_min`` are one starting
-    phase of the ramp over ``x_min + j*dx``."""
-    c = ledger.potential_phase_coeff
-    phase = ledger.cubic_phase - offset * dt / units.hbar + c * grid.x_min
-    return amps * _ramp(c * grid.dx, grid.n, phase)
+    and the offset's global phase exp(-i offset dt/hbar), as one table."""
+    phase = ledger.cubic_phase - offset * dt / units.hbar
+    return amps * np.exp(1j * (ledger.potential_phase_coeff * grid.x + phase))
 
 
 def _gaussian_evolve(
@@ -386,15 +380,13 @@ def linear_evolve_momentum(
     if kick != 0.0:
         _check_kick(np.fft.ifftshift(phi.amps), phi.grid, units, kick)
         pos = to_position_rep(phi, units)
-        g = pos.grid
-        ramp = _ramp(-kick * g.dx / units.hbar, g.n, -kick * g.x_min / units.hbar)
-        phi = to_momentum_rep(pos.with_amps(pos.amps * ramp), units)
+        kicked = pos.amps * np.exp((-1j * kick / units.hbar) * pos.grid.x)
+        phi = to_momentum_rep(pos.with_amps(kicked), units)
 
     # Eq-11 form: the right-ordering cubic and p-linear coefficient negated,
-    # as the ledger records; the phase runs on p_j = p_axis[0] + j*dp
+    # as the ledger records
     c = -ledger.momentum_shift_phase_coeff
-    ramp = _ramp(c * phi.dstep, len(phi.amps), ledger.cubic_phase + c * phi.p_axis[0])
-    out = phi.with_amps(phi.amps * ramp)
+    out = phi.with_amps(phi.amps * np.exp(1j * (c * phi.p_axis + ledger.cubic_phase)))
     return EvolutionResult(out, replace(ledger, momentum_shift_phase_coeff=c))
 
 

@@ -27,16 +27,11 @@ Conventions
   fftlog backend imports) is never loaded; ``_asfarray`` is linpot's copy
   of ``scipy.fft``'s input conversion.  ``fftfreq`` and ``fftshift`` are
   numpy's.
-* Phase tables come from two builders.  The kinetic table has one owner,
-  ``_kinetic``, shared by the closed form and the solver: it is even in k
-  and ``k_wrap[n-j] == -k_wrap[j]`` holds bit for bit, so it is evaluated on
-  ``k_wrap[:n//2+1]`` only and mirrored, which halves its complex ``exp``
-  and leaves every value as the full evaluation gives it.  A table linear
-  in a uniform axis (x, or k in wrap order: the closed form's argument
-  shift, the ``exp(-+i k x_min)`` factor of the Fourier pair) is ``_ramp``,
-  the outer product of two short ``exp`` tables; ``_shift_table`` mirrors
-  it, conjugated, onto wrap order.  Each ramp value is within a few ulp
-  times max(1, |phase|) of the direct ``np.exp``.
+* Every phase table is one ``np.exp`` of its formula.  Two have one owner
+  each: the kinetic table ``_kinetic``, shared by the closed form and the
+  solver, and the argument-shift table ``_shift_table``, exp(i k shift) in
+  wrap order, which also carries the ``exp(-+i k x_min)`` factor of the
+  Fourier pair.
 * The Fourier pair is unitary in the discrete inner products::
 
       psi_tilde(p) = dx/sqrt(2*pi*hbar) * sum_j psi(x_j) exp(-i p x_j / hbar)
@@ -180,51 +175,15 @@ def _ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _pocketfft.c2c(_asfarray(a) if out is None else a, (-1,), False, 2, out, 1)
 
 
-def _ramp(c: float, count: int, phase: float = 0.0) -> np.ndarray:
-    """exp(i*(phase + c*j)) for j = 0..count-1.
-
-    With j = b*q + r and b a power of two near sqrt(count), the table is the
-    outer product of exp(i*(phase + c*b*q)) and exp(i*c*r): about
-    2*sqrt(count) complex exps and count multiplies instead of count exps.
-    Each value is within a few ulp times max(1, |phase + c*j|) of
-    ``np.exp(1j*(phase + c*j))``.
-    """
-    b = 1 << (count.bit_length() // 2)
-    coarse = np.exp(1j * (phase + (c * b) * np.arange(-(-count // b))))
-    fine = np.exp(1j * (c * np.arange(b)))
-    return np.multiply.outer(coarse, fine).ravel()[:count]
-
-
 def _shift_table(grid: SpatialGrid, shift: float) -> np.ndarray:
     """exp(i k shift) in wrap order; a spectrum times it is the state
-    translated to amps(x + shift).
-
-    ``k_wrap`` is ``j*dk`` for j < n/2 and ``(j - n)*dk`` from the Nyquist
-    point on, so the table is ``_ramp(shift*dk, n/2 + 1)`` on the first half
-    and its mirror, conjugated, on the rest.
-    """
-    h = grid.n // 2
-    half = _ramp(shift * grid.dk, h + 1)
-    out = np.empty(grid.n, dtype=complex)
-    out[:h] = half[:h]
-    np.conjugate(half[h:0:-1], out=out[h:])
-    return out
+    translated to amps(x + shift)."""
+    return np.exp(1j * shift * grid.k_wrap)
 
 
 def _kinetic(grid: SpatialGrid, dt: float, units: UnitSystem) -> np.ndarray:
-    """The free-evolution table exp(-i hbar k^2 dt / 2m) in wrap order.
-
-    It is evaluated on the half spectrum ``k_wrap[:n//2 + 1]`` and mirrored
-    onto the rest: ``k_wrap[n - j] == -k_wrap[j]`` holds bit for bit, so the
-    table is the full evaluation bit for bit.
-    """
-    h = grid.n // 2
-    k = grid.k_wrap[: h + 1]
-    half = np.exp(-1j * units.hbar * k**2 * dt / (2.0 * units.mass))
-    out = np.empty(grid.n, dtype=complex)
-    out[: h + 1] = half
-    out[h + 1 :] = half[h - 1 : 0 : -1]
-    return out
+    """The free-evolution table exp(-i hbar k^2 dt / 2m) in wrap order."""
+    return np.exp(-1j * units.hbar * grid.k_wrap**2 * dt / (2.0 * units.mass))
 
 
 def _is_power_of_two(n: int) -> bool:

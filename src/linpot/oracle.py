@@ -28,8 +28,10 @@ form too, and steps either one state or a ``(B, n)`` stack of states in place
 with ``core._fft``/``_ifft`` along the last axis.  These call the kernel that
 ``scipy.fft`` itself calls, with the same arguments, so the output is
 bit-identical to ``scipy.fft.fft/ifft(overwrite_x=True)``.  The propagator
-counts its own work: ``state_steps`` (rows times steps) and ``transforms``
-(kernel calls), which every :class:`Trajectory` carries.
+counts the kernel calls of a run: its own two per step, the one
+``_moments`` makes per row and snapshot, and the kick guard's of
+:func:`split_step_evolve`.  Every :class:`Trajectory` carries that count as
+``transforms``, beside its ``state_steps``.
 
 One private stride loop drives the propagator for every run, stops it at
 exactly ``n_steps`` and owns the snapshot record, the non-finite check and the
@@ -156,8 +158,9 @@ class Trajectory:
     that needs the snapshot states themselves receives them one at a time
     through ``split_step_evolve``'s ``on_snapshot``.  Observables are
     expectation values of the current (renormalized) state; ``norm2`` tracks
-    the surviving probability.  ``state_steps`` and ``transforms`` count the
-    steps taken and the FFT kernel calls made for this evolution.
+    the surviving probability.  ``state_steps`` counts the steps taken and
+    ``transforms`` the FFT kernel calls the run made up to this state's last
+    snapshot: the steps', the snapshots' and the kick guard's.
     """
 
     times: np.ndarray
@@ -176,8 +179,9 @@ class _Propagator:
     """Strang stepping for one grid, potential, dt and absorber.
 
     Builds the phase factors and the absorber's band weights once; every
-    caller then steps its states with :meth:`advance`, which counts the
-    state-steps (rows times steps) and FFT kernel calls it makes.
+    caller then steps its states with :meth:`advance`.  ``transforms``
+    counts the FFT kernel calls of the run: :meth:`advance` adds its own,
+    and its callers add those they make on the run's states.
     """
 
     def __init__(self, grid, potential, dt, absorber=None, units=NATURAL):
@@ -190,7 +194,6 @@ class _Propagator:
         self.full = self.half * self.half
         self.last = self.half.copy()
         self.absorbing = absorber is not None and absorber.strength > 0
-        self.state_steps = 0
         self.transforms = 0
         if self.absorbing:
             mask = np.exp(-absorber.ramp(grid) * dt / hbar)
@@ -251,7 +254,6 @@ class _Propagator:
             for a, s_l, s_r in zip(np.atleast_2d(ledger), sum_left, sum_right):
                 a[0] += np.dot(s_l, w_left)
                 a[1] += np.dot(s_r, w_right)
-        self.state_steps += k * len(rows)
         self.transforms += 2 * k
         return amps
 
@@ -269,14 +271,16 @@ def _stride_loop(prop, states, cfg, units, keep_stepping, t0=0.0):
     ``keep_stepping(i, row, step, t, norm2, (left, right))`` says whether
     row ``i`` (input order) steps on; a row that stops leaves the stack.
     Each trajectory counts its own row's steps and the kernel calls made
-    while it was in the stack; its final state is stamped ``t0 + step * dt``,
-    the clock of its ``times``.
+    while it was in the stack, the snapshots' included; its final state is
+    stamped ``t0 + step * dt``, the clock of its ``times``.
     """
     dt, grid = cfg.dt, states[0].grid
     amps = np.array([psi.amps for psi in states], dtype=complex)
 
     def snapshot(row, step, absorbed):
         n2, mx, mp, rms = _moments(row, grid, units.hbar)
+        if n2 > 0.0:  # _moments transforms every row that is not null
+            prop.transforms += 1
         return (t0 + step * dt, n2, mx, mp, rms * np.sqrt(2.0), *absorbed)
 
     records = [[snapshot(row, 0, (0.0, 0.0))] for row in amps]
@@ -349,12 +353,13 @@ def split_step_evolve(
     """
     if psi.space != "position":
         raise ValueError("split_step_evolve expects a position-representation state")
+    prop = _Propagator(psi.grid, potential, cfg.dt, cfg.absorber, units)
     if isinstance(potential, Linear):
         # the run translates the spectrum by its whole kick v0*T and leaves
         # its modulus alone, so the initial spectrum shows what would wrap
         kick = potential.v0 * cfg.n_steps * cfg.dt
         _check_kick(_fft(psi.amps), psi.grid, units, kick)
-    prop = _Propagator(psi.grid, potential, cfg.dt, cfg.absorber, units)
+        prop.transforms += 1
     initial_norm = float(np.sum(psi.density()) * psi.grid.dx)
     warned = False
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import linpot.core as core
+import linpot.oracle as oracle
 from linpot import GaussianSpec, SpatialGrid, sample_gaussian
 
 
@@ -12,6 +14,25 @@ def grid():
 @pytest.fixture
 def packet(grid):
     return sample_gaussian(GaussianSpec(x0=-2.0, p0=3.0, sigma=1.0), grid)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """``calls["n"]`` counts the FFT kernel calls made from now on through
+    ``core`` and ``oracle``, the modules the solver transforms in."""
+    calls = {"n": 0}
+
+    def counting(kernel):
+        def transform(*args, **kwargs):
+            calls["n"] += 1
+            return kernel(*args, **kwargs)
+
+        return transform
+
+    for module in (core, oracle):
+        for name in ("_fft", "_ifft"):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    return calls
 
 
 def direct_dft(psi, hbar=1.0):

@@ -260,7 +260,7 @@ class TestGaussianEvolve:
         def refuse(*args, **kwargs):
             raise AssertionError("the pointwise closed form called an FFT helper or a guard")
 
-        helpers = ("_fft", "_ifft", "_kinetic", "_ramp", "_shift_table")
+        helpers = ("_fft", "_ifft", "_kinetic", "_shift_table")
         guards = ("_band_share", "_check_wrap", "_check_kick")
         for name in helpers + guards:
             monkeypatch.setattr(analytic, name, refuse)

@@ -213,6 +213,12 @@ class TestEvolve:
                 tracemalloc.stop()
         assert peaks[1000] - peaks[100] < 2_000_000, peaks
 
+    def test_transforms_counts_every_kernel_call(self, tmp_path, kernel_calls):
+        out = tmp_path / "out"
+        cfg = write(tmp_path, "linear.cfg", LINEAR_CFG)
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["transforms"] == kernel_calls["n"]
+
     @pytest.mark.parametrize(
         "dt, steps, total", [(2e-4, 2500, 0.5), (3e-4, 1667, 0.5001)], ids=["exact", "rounded"]
     )

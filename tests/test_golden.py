@@ -42,7 +42,7 @@ GOLDEN = {
     },
     "tunnel": {
         "potential_profile.csv": "ad115f8e51a14c6a855a2fc4fb527e9c3e3ce377b2d00c892282c36c75fb0c12",
-        "scan.csv": "84e6ef8b033dab542570921b4a3beaf57e680e04f79dcbee9e4e16fde34d29a5",
+        "scan.csv": "97985c866eb434dd54ea35465b656e7b4bc9baddfe54bf6c77bdc58aee867084",
     },
     "psg": {
         "psg_report.csv": "7b47c2ded8db78d0645aa84ade26702b72aa0aa561cb2aec7c1e65d1813e63fd",
@@ -69,7 +69,7 @@ length = 100.0
 speed = 1.0
 """
 PACKET_PSG_GOLDEN = {
-    "psg_report.csv": "86018fc3b30d4ff1d83dffca4168b08802bff8b972e4f6e4d73bd80c9063d698",
+    "psg_report.csv": "45bcec6781e456779287400a2363968580bf7619a8da410313ba14e4c045efac",
     "psg_sweep.csv": "fd36eba5f9f722fcbd40747dc2683802f1cd8a7465ccf6da378a312c020e7c3a",
 }
 
@@ -198,8 +198,10 @@ def _manifest(command, shipped):
 
 def test_evolve_manifest_counts_every_step(shipped):
     run, cfg = _manifest("evolve", shipped)
+    snapshots = len(_csv_rows(shipped("evolve") / "trajectory.csv"))
     assert run["state_steps"] == cfg.solver_n_steps
-    assert run["transforms"] == 2 * cfg.solver_n_steps
+    # two per step, one per snapshot and the kick guard's (linear.cfg is linear)
+    assert run["transforms"] == 2 * cfg.solver_n_steps + snapshots + 1
     # linear.cfg has no absorber
     assert (run["absorbed_left"], run["absorbed_right"]) == (0.0, 0.0)
 
@@ -209,8 +211,10 @@ def test_tunnel_manifest_counts_every_row_step(shipped):
     rows = _csv_rows(shipped("tunnel") / "scan.csv")
     steps = [round(row["t_measure"] / cfg.solver_dt) for row in rows]
     assert run["state_steps"] == sum(steps)
-    # one stack: as many kernel calls as its longest-lived row needs
-    assert run["transforms"] == 2 * max(steps)
+    # one stack: the step transforms of its longest-lived row, and one per
+    # row and snapshot, the launch included
+    snapshots = sum(s // cfg.solver_record_every + 1 for s in steps)
+    assert run["transforms"] == 2 * max(steps) + snapshots
     assert [r["sigma_at_arrival"] for r in run["rows"]] == [
         row["sigma_at_arrival"] for row in rows
     ]

@@ -375,15 +375,19 @@ class TestWidthScan:
         assert runs[0].t_measure < runs[1].t_measure
         assert list(map(self._row, scan.rows)) == self._table(runs)
         # each row steps as often in the stack as alone; the stack makes the
-        # kernel calls of its longest-lived row
-        assert scan.state_steps == sum(r.trajectory.state_steps for r in runs)
-        assert scan.transforms == max(r.trajectory.transforms for r in runs)
-        assert runs[1].trajectory.transforms == 2 * runs[1].trajectory.state_steps
+        # step transforms of its longest-lived row and every row's snapshot
+        # transform
+        steps = [r.trajectory.state_steps for r in runs]
+        snapshots = [len(r.trajectory.times) for r in runs]
+        assert scan.state_steps == sum(steps)
+        assert scan.transforms == 2 * max(steps) + sum(snapshots)
+        assert runs[1].trajectory.transforms == 2 * steps[1] + snapshots[1]
 
-    def test_sigma_scan_equals_one_run_per_entry(self, run_alone):
+    def test_sigma_scan_equals_one_run_per_entry(self, run_alone, kernel_calls):
         grid, cfg, barrier = _scan_setup()
         sigmas = (1.0, 2.5)
         scan = width_scan(4.0, barrier, grid, cfg, sigma_list=sigmas)
+        assert scan.transforms == kernel_calls["n"]
         # sigma = 1 is the delay-0 packet
         runs = [run_alone[0.0]] + [
             run_tunneling(GaussianSpec(0.0, 4.0, s), barrier, cfg, grid) for s in sigmas[1:]
