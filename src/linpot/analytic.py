@@ -33,14 +33,15 @@ Every transform goes through ``core._fft``/``_ifft``, as in the solver:
 the kernel that ``scipy.fft`` itself calls, with the same arguments, so the
 output is bit-identical to ``scipy.fft.fft``/``ifft``.  Every phase table
 is one ``np.exp`` of its formula.  The kinetic table is ``core._kinetic``,
-the one the solver steps with, and every argument shift
-(:func:`spectral_shift` and both orderings') multiplies by
-``core._shift_table``.  The pure phases of one evolution (cubic, offset)
-enter the exponent of its x-linear or p-linear phase, so one table
-carries them all.  The left ordering takes one forward and two inverse
-transforms.  The wrap guards (``core._check_wrap`` on the position grid,
-``core._check_kick`` on the momentum grid) raise rather than let the
-periodic grid alias a state.
+the one the solver steps with, and every argument shift multiplies by
+``core._shift_table`` in :func:`spectral_shift`.  The pure phases of one
+evolution (cubic, offset) enter the exponent of its x-linear or p-linear
+phase, so one table carries them all.  :func:`linear_evolve` is the
+product of its factors: :func:`free_evolve`, :func:`spectral_shift` and
+the position phases, in the order its ordering names.  The wrap guards
+(``core._check_wrap`` on the position grid, ``core._check_kick`` on the
+momentum grid) raise rather than let the periodic grid alias a state;
+each measures the state it is given.
 
 ``linpot evolve`` compares the solver with the exact state at every
 snapshot, and its packets are Gaussians, which a linear potential keeps
@@ -60,7 +61,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,7 +83,7 @@ from .core import (
     to_momentum_rep,
     to_position_rep,
 )
-from .errors import BoundaryContaminationWarning
+from .errors import BoundaryContaminationWarning, _warn
 
 __all__ = [
     "PhaseLedger",
@@ -178,18 +178,6 @@ class ZassenhausTerms:
     c3_coeff: float
 
 
-def _check_boundary(psi: WaveFunction, total=None) -> None:
-    share = _band_share(psi.amps, total)
-    if share > _EDGE_THRESHOLD:
-        warnings.warn(
-            f"{share:.2e} of the norm sits in the outer "
-            f"{_EDGE_BAND:.0%} of the grid; results are "
-            "contaminated by periodic wraparound",
-            BoundaryContaminationWarning,
-            stacklevel=3,
-        )
-
-
 def free_evolve(
     psi: WaveFunction, dt: float, units: UnitSystem = NATURAL
 ) -> WaveFunction:
@@ -203,9 +191,14 @@ def free_evolve(
         phase = np.exp(-1j * psi.p_axis**2 * dt / (2.0 * m * hbar))
         return psi.with_amps(psi.amps * phase, time=psi.time + dt)
     amps = _ifft(_fft(psi.amps) * _kinetic(psi.grid, dt, units))
-    out = psi.with_amps(amps, time=psi.time + dt)
-    _check_boundary(out)
-    return out
+    share = _band_share(amps)
+    if share > _EDGE_THRESHOLD:
+        _warn(
+            f"{share:.2e} of the norm sits in the outer {_EDGE_BAND:.0%} of the grid; "
+            "results are contaminated by periodic wraparound",
+            BoundaryContaminationWarning,
+        )
+    return psi.with_amps(amps, time=psi.time + dt)
 
 
 def spectral_shift(psi: WaveFunction, shift: float) -> WaveFunction:
@@ -271,38 +264,18 @@ def linear_evolve(
         raise ValueError("dt must be finite")
     ledger = _ledger(v0, dt, units, ordering)
     shift, kick = ledger.argument_shift, ledger.momentum_kick
-    g = psi.grid
-    if ordering == "left":
-        # the free-evolved spectrum sk is transformed once into the state phi
-        # that the boundary warning and the wrap guard inspect (the kick guard
-        # reads sk); then sk times the shift table, transformed in place, is
-        # phi translated by the argument shift
-        sk = _fft(psi.amps)
-        sk *= _kinetic(g, dt, units)
-        phi = psi.with_amps(_ifft(sk), time=psi.time + dt)
-        # one norm total of phi for every guard (Parseval: n times it for sk)
-        total = np.vdot(phi.amps, phi.amps).real
-        _check_boundary(phi, total)
-        if check_coverage:
-            _check_wrap(phi, shift, total)
-            _check_kick(sk, g, units, kick, g.n * total)
-        amps = phi.amps
-        if shift != 0.0:
-            sk *= _shift_table(g, shift)
-            amps = _ifft(sk, out=sk)
-        amps = _position_phases(amps, g, dt, ledger, units, offset)
-        return EvolutionResult(phi.with_amps(amps), ledger)
-    amps = psi.amps
-    if shift != 0.0:
-        sk = _fft(amps)  # spectral_shift's body, on the spectrum the kick guard reads
-        if check_coverage:
-            total = np.vdot(amps, amps).real
-            _check_wrap(psi, -shift, total)
-            _check_kick(sk, g, units, kick, g.n * total)
-        sk *= _shift_table(g, -shift)
-        amps = _ifft(sk, out=sk)
-    amps = _position_phases(amps, g, dt, ledger, units, offset)
-    return EvolutionResult(free_evolve(psi.with_amps(amps), dt, units), ledger)
+    # left: free flight, then the argument shift and the position phases;
+    # right: the reversed shift and the phases on psi, then free flight
+    left = ordering == "left"
+    state = free_evolve(psi, dt, units) if left else psi
+    by = shift if left else -shift
+    if check_coverage:
+        _check_wrap(state, by)
+        if kick != 0.0:  # free flight leaves |spectrum| alone: psi's shows the wrap
+            _check_kick(_fft(psi.amps), psi.grid, units, kick)
+    amps = spectral_shift(state, by).amps
+    out = state.with_amps(_position_phases(amps, psi.grid, dt, ledger, units, offset))
+    return EvolutionResult(out if left else free_evolve(out, dt, units), ledger)
 
 
 def _position_phases(amps, grid, dt, ledger, units, offset):

@@ -17,7 +17,9 @@ every CSV starts with a ``# schema:`` line and a header row.  Every command also
 sha256 (for the commands that read one) and the command's headline numbers:
 for ``evolve`` and ``tunnel`` the solver's state-step and FFT counts and the
 probability absorbed per side (per scan row for ``tunnel``), for ``verify``
-the checks that ran and their seconds, each and in total.
+the checks that ran and their seconds, each and in total.  Its ``warnings``
+list holds the category and message of each warning the run showed, in
+the order raised; each still goes to stderr as well.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,9 +60,10 @@ def _write_csv(path: Path, schema: str, header, rows):
             f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _write_run(out: Path, cfg: ExperimentConfig | None, **record):
-    """Write ``run.json``: what ran (versions and, given a config, its
-    canonical text and sha256) and the ``record`` of how it went."""
+def _write_run(args, cfg: ExperimentConfig | None, **record):
+    """Write ``run.json`` into ``args.out``: what ran (versions and, given a
+    config, its canonical text and sha256), the ``record`` of how it went
+    and the warnings the run has shown so far."""
     manifest = {
         "versions": {
             "linpot": __version__,
@@ -67,12 +71,13 @@ def _write_run(out: Path, cfg: ExperimentConfig | None, **record):
             "scipy": scipy.__version__,
         },
         **record,
+        "warnings": args.warnings,
     }
     if cfg is not None:
         text = cfg.to_text()
         manifest["config"] = text
         manifest["config_sha256"] = hashlib.sha256(text.encode()).hexdigest()
-    with open(out / "run.json", "w") as f:
+    with open(Path(args.out) / "run.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -130,7 +135,7 @@ def cmd_evolve(args) -> int:
         zip(grid.x, final.amps.real, final.amps.imag, final.density()),
     )
     _write_run(
-        out,
+        args,
         cfg,
         state_steps=traj.state_steps,
         transforms=traj.transforms,
@@ -183,7 +188,7 @@ def cmd_tunnel(args) -> int:
         [(r.sigma_at_arrival, r.T, r.R, r.residual, r.t_measure) for r in scan.rows],
     )
     _write_run(
-        out,
+        args,
         cfg,
         state_steps=scan.state_steps,
         transforms=scan.transforms,
@@ -244,7 +249,7 @@ def cmd_psg(args) -> int:
         sweep.append((gg.v0, devices.psg_phase(gg, units)))
     _write_csv(out / "psg_sweep.csv", "psg-sweep-v1", ("v0", "phase"), sweep)
     _write_run(
-        out,
+        args,
         cfg,
         closed_form_phase=closed,
         composed_phase=composed,
@@ -290,7 +295,7 @@ def cmd_spin(args) -> int:
     )
     flip_row = rows[1 + 3]  # pi entry of the sweep
     _write_run(
-        out,
+        args,
         cfg,
         control_fidelity=float(rows[0][2]),
         fidelity_at_pi=float(flip_row[2]),
@@ -328,7 +333,7 @@ def cmd_verify(args) -> int:
         # numpy scalars are written as the Python numbers they hold
         json.dump(summary, f, indent=2, sort_keys=True, default=np.generic.item)
     _write_run(
-        out,
+        args,
         None,
         checks=[r.name for r in results],
         seconds={r.name: round(r.seconds, 3) for r in results},
@@ -387,17 +392,27 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _PRECONDITION_ERRORS as exc:
-        print(f"precondition: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except LinpotError as exc:  # every other package error is numerical
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    args.warnings = []
+    with warnings.catch_warnings():
+        # each warning the run shows is recorded for run.json, then shown
+        show = warnings.showwarning
+
+        def record(message, category, *where):
+            args.warnings.append({"category": category.__name__, "message": str(message)})
+            show(message, category, *where)
+
+        warnings.showwarning = record
+        try:
+            return _COMMANDS[args.command](args)
+        except _VALIDATION_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except _PRECONDITION_ERRORS as exc:
+            print(f"precondition: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
+        except LinpotError as exc:  # every other package error is numerical
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

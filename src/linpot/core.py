@@ -53,13 +53,12 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import CoverageError, NormalizationError
+from .errors import CoverageError, NormalizationError, _warn
 
 __all__ = [
     "UnitSystem",
@@ -333,11 +332,7 @@ def sample_gaussian(
             f"need at least 6 sigma on both sides of x0={spec.x0!r}"
         )
     if deficit < 8.0:
-        warnings.warn(
-            f"grid covers only {deficit:.2f} sigma around x0; "
-            "norm error may exceed 1e-10",
-            stacklevel=2,
-        )
+        _warn(f"grid covers only {deficit:.2f} sigma around x0; norm error may exceed 1e-10")
     u = grid.x - spec.x0
     amps = (
         np.pi ** -0.25
@@ -347,46 +342,40 @@ def sample_gaussian(
     return WaveFunction(grid, amps)
 
 
-def _edge_share(amps: np.ndarray, n_lo: int, n_hi: int, total=None) -> float:
+def _edge_share(amps: np.ndarray, n_lo: int, n_hi: int) -> float:
     """Share of sum |amps|^2 on the first ``n_lo`` and the last ``n_hi``
-    points; 0 for a null state.  A caller that guards one state twice passes
-    its ``total = np.vdot(amps, amps).real`` to both."""
+    points; 0 for a null state."""
     lo, hi = amps[:n_lo], amps[len(amps) - n_hi:]
-    if total is None:
-        total = np.vdot(amps, amps).real
+    total = np.vdot(amps, amps).real
     if not total > 0:
         return 0.0
     return float((np.vdot(lo, lo).real + np.vdot(hi, hi).real) / total)
 
 
-def _band_share(amps: np.ndarray, total=None) -> float:
+def _band_share(amps: np.ndarray) -> float:
     """Share of sum |amps|^2 on the outer _EDGE_BAND of the points at each edge."""
     m = max(1, round(_EDGE_BAND * len(amps)))
-    return _edge_share(amps, m, m, total)
+    return _edge_share(amps, m, m)
 
 
-def _wrap_share(amps, axis, width, shift, total=None) -> float:
+def _wrap_share(amps, axis, width, shift) -> float:
     """Share of the norm on the edge strip that translating the argument by
     ``shift`` wraps around: axis < axis[0] + width for a positive shift,
     axis > axis[-1] - width for a negative one (``axis`` ascending); 0 for
-    a null state.  One slice and one sum, as every guarded call runs it."""
+    a null state."""
     if shift > 0:
-        strip = amps[: int(axis.searchsorted(axis[0] + width, "left"))]
-    else:
-        strip = amps[int(axis.searchsorted(axis[-1] - width, "right")) :]
-    if total is None:
-        total = np.vdot(amps, amps).real
-    return float(np.vdot(strip, strip).real / total) if total > 0 else 0.0
+        return _edge_share(amps, int(axis.searchsorted(axis[0] + width, "left")), 0)
+    return _edge_share(amps, 0, len(amps) - int(axis.searchsorted(axis[-1] - width, "right")))
 
 
-def _check_wrap(psi: WaveFunction, shift: float, total=None) -> None:
+def _check_wrap(psi: WaveFunction, shift: float) -> None:
     """Raise :class:`CoverageError` when translating the argument of the
     position state ``psi`` by ``shift`` would wrap more than _EDGE_THRESHOLD
     of its norm around the periodic grid (the strip of width |shift|,
-    clipped at the span); ``total`` is its sum |amps|^2 if known."""
+    clipped at the span)."""
     if shift != 0.0:
         width = min(abs(shift), psi.grid.span)
-        share = _wrap_share(psi.amps, psi.grid.x, width, shift, total)
+        share = _wrap_share(psi.amps, psi.grid.x, width, shift)
         if share > _EDGE_THRESHOLD:
             raise CoverageError(
                 f"argument shift {shift!r} would wrap {share:.2e} of the norm "
@@ -394,25 +383,25 @@ def _check_wrap(psi: WaveFunction, shift: float, total=None) -> None:
             )
 
 
-def _kick_share(ascending, grid: SpatialGrid, units: UnitSystem, kick: float, total=None) -> float:
+def _kick_share(ascending, grid: SpatialGrid, units: UnitSystem, kick: float) -> float:
     """Share of the norm that the momentum kick ``kick`` (the mean momentum
     changes by -kick) carries around the momentum grid.
 
-    ``ascending`` is the state's spectrum on the ascending momentum axis and
-    ``total`` its sum |ascending|^2 if known.  The strip is every point
-    p < p_min + kick for a positive kick, p > p_max + kick for a negative
-    one: ceil(|kick|/dp) points at one end of the axis, counted in steps of
-    dp so no roundoff of p moves its end.  It is clipped at the whole axis,
-    so a kick that wide takes all points but one.
+    ``ascending`` is the state's spectrum on the ascending momentum axis.
+    The strip is every point p < p_min + kick for a positive kick,
+    p > p_max + kick for a negative one: ceil(|kick|/dp) points at one end
+    of the axis, counted in steps of dp so no roundoff of p moves its end.
+    It is clipped at the whole axis, so a kick that wide takes all points
+    but one.
     """
     m = math.ceil(min(grid.n - 1, abs(kick) / (units.hbar * grid.dk)))
-    return _edge_share(ascending, m, 0, total) if kick > 0 else _edge_share(ascending, 0, m, total)
+    return _edge_share(ascending, m, 0) if kick > 0 else _edge_share(ascending, 0, m)
 
 
-def _check_kick(spectrum, grid: SpatialGrid, units: UnitSystem, kick: float, total=None) -> None:
+def _check_kick(spectrum, grid: SpatialGrid, units: UnitSystem, kick: float) -> None:
     """Raise :class:`CoverageError` when more than _EDGE_THRESHOLD of the
     norm is on :func:`_kick_share`'s strip.  ``spectrum`` is the state's
-    ``_fft`` (wrap order) and ``total`` its sum |spectrum|^2 if known.
+    ``_fft`` (wrap order).
 
     The momentum axis reaches pi hbar / dx on either side, so the remedy is
     a finer dx, not a wider span.  The message names the dx whose axis
@@ -423,7 +412,7 @@ def _check_kick(spectrum, grid: SpatialGrid, units: UnitSystem, kick: float, tot
     if kick == 0.0:
         return
     ascending = np.fft.fftshift(spectrum)
-    share = _kick_share(ascending, grid, units, kick, total)
+    share = _kick_share(ascending, grid, units, kick)
     if share > _EDGE_THRESHOLD:
         # mirrored for a negative kick, so the receiving side is the low end
         p, rho = grid.p_sorted(units), np.abs(ascending) ** 2

@@ -1,4 +1,8 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one
+place that raises a warning."""
+
+import sys
+import warnings
 
 
 class LinpotError(Exception):
@@ -58,3 +62,18 @@ class ConfigError(LinpotError):
 
 class BoundaryContaminationWarning(UserWarning):
     """A state carries non-negligible probability near a non-absorbing grid edge."""
+
+
+def _warn(message: str, category: type[Warning] = UserWarning) -> None:
+    """``warnings.warn(message, category)``, attributed to the first frame
+    outside linpot's library modules: the caller's line that led to it,
+    however deep in the package it is raised.  ``linpot.cli`` counts as a
+    caller, so a command's warning names the command's line."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and _in_library(frame.f_globals.get("__name__", "")):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
+
+def _in_library(module: str) -> bool:
+    return module.split(".")[0] == __package__ and module != f"{__package__}.cli"

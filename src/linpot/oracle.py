@@ -63,7 +63,6 @@ the ``(n,)`` tables themselves.  Nothing is allocated inside the step loop.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +83,7 @@ from .core import (
     _moments,
     l2_distance,
 )
-from .errors import BoundaryContaminationWarning, StabilityError
+from .errors import BoundaryContaminationWarning, StabilityError, _warn
 
 __all__ = [
     "Absorber",
@@ -371,13 +370,10 @@ def split_step_evolve(
                     f"norm drifted to {n2!r} from {initial_norm!r} "
                     f"at step {step} with no absorber"
                 )
-            # the snapshot's norm^2 over dx is the row's sum |amps|^2
-            if not warned and _band_share(row, n2 / psi.grid.dx) > _EDGE_THRESHOLD:
-                # attributed to split_step_evolve's caller, past the loop
-                warnings.warn(
+            if not warned and _band_share(row) > _EDGE_THRESHOLD:
+                _warn(
                     f"state reached a non-absorbing boundary at t={t!r}",
                     BoundaryContaminationWarning,
-                    stacklevel=4,
                 )
                 warned = True
         if on_snapshot is not None:

@@ -84,6 +84,15 @@ class TestSpectralShift:
 
 
 class TestLinearEvolve:
+    def test_boundary_warning_points_at_the_caller(self):
+        # the free flight reaches the edge band; the guards are not under test
+        g = SpatialGrid(-16.0, 16.0, 512)
+        psi = sample_gaussian(GaussianSpec(0.0, 8.0, 1.0), g)
+        for ordering in ("left", "right"):
+            with pytest.warns(BoundaryContaminationWarning) as record:
+                linear_evolve(psi, 0.5, 1.6, ordering, check_coverage=False)
+            assert [w.filename for w in record] == [__file__], ordering
+
     def test_zero_slope_equals_free(self, packet):
         res = linear_evolve(packet, 0.0, 0.8)
         free = free_evolve(packet, 0.8)

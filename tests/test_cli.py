@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,6 +14,7 @@ from linpot import cli, errors, tunneling, verify
 from linpot.cli import EXIT_VALIDATION, main
 
 CONFIGS = Path(__file__).parents[1] / "configs"
+SRC = Path(__file__).parents[1] / "src"
 
 FREE_CFG = """\
 [grid]
@@ -296,6 +300,44 @@ class TestEvolve:
         _, rows = read_csv(out / "trajectory.csv")
         assert rows[-1]["t"] == pytest.approx(8.0)
         assert rows[-1]["l2_vs_analytic"] > 1e-7
+        # the manifest says so too
+        assert json.loads((out / "run.json").read_text())["warnings"] == [
+            {
+                "category": "BoundaryContaminationWarning",
+                "message": "state reached a non-absorbing boundary at t=4.0",
+            }
+        ]
+
+    def test_warnings_reach_stderr_and_the_manifest(self, tmp_path):
+        # sampled 7 sigma from the left edge: sample_gaussian warns, and the
+        # solver once the packet spreads into the edge band.  A fresh
+        # interpreter, so the warnings go to stderr as they do outside pytest.
+        text = FREE_CFG.replace("x0 = 0.0", "x0 = -25.0")
+        out = tmp_path / "out"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        argv = ["evolve", "--config", write(tmp_path, "w.cfg", text), "--out", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-m", "linpot.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        raised = json.loads((out / "run.json").read_text())["warnings"]
+        assert raised == [
+            {
+                "category": "UserWarning",
+                "message": "grid covers only 7.00 sigma around x0; norm error may exceed 1e-10",
+            },
+            {
+                "category": "BoundaryContaminationWarning",
+                "message": "state reached a non-absorbing boundary at t=0.2",
+            },
+        ]
+        # each on stderr as warnings shows it, at the command's line
+        shown = [line for line in done.stderr.splitlines() if "Warning: " in line]
+        assert len(shown) == 2
+        for line, w in zip(shown, raised):
+            assert line.startswith(str(SRC / "linpot" / "cli.py:"))
+            assert line.endswith(f": {w['category']}: {w['message']}")
 
     def test_kick_leaving_the_momentum_grid_exits_precondition(self, tmp_path, capsys):
         # a kick of v0 * T = 30 on a momentum grid that ends at +-25

@@ -23,6 +23,7 @@ from linpot import (
 )
 from linpot.devices import compose_segments
 from linpot.errors import (
+    BoundaryContaminationWarning,
     BranchMismatchError,
     GeometryError,
     InfeasibleError,
@@ -112,6 +113,16 @@ class TestPsgCompose:
     def test_unbalanced_segments_rejected(self):
         with pytest.raises(GeometryError, match="balanced"):
             compose_segments(((1.0, 1.0), (-1.0, 1.0), (1.0, 1.0)), 0.0, 1.0)
+
+    def test_boundary_warnings_point_at_the_caller(self):
+        # the packet spreads into the edge band by the last segment, short of
+        # the edge strip that segment's argument shift would wrap
+        grid = SpatialGrid(-32.0, 32.0, 512)
+        psi = sample_gaussian(GaussianSpec(0.0, 0.0, 1.0), grid)
+        with pytest.warns(BoundaryContaminationWarning) as record:
+            psg_compose(PsgGeometry(1e-3, 21.0, 12.0), psi)
+        # the last segment's and the free reference's, both at this line
+        assert [w.filename for w in record] == [__file__] * 2
 
     def test_packet_needs_narrow_width(self, spin_grid):
         psi = sample_gaussian(GaussianSpec(0.0, 0.0, 1.0), spin_grid)

@@ -69,7 +69,7 @@ length = 100.0
 speed = 1.0
 """
 PACKET_PSG_GOLDEN = {
-    "psg_report.csv": "45bcec6781e456779287400a2363968580bf7619a8da410313ba14e4c045efac",
+    "psg_report.csv": "5a8acb22777cc7b6907150069b602ede4a6485a28214a2f6aa513c56706cbb2e",
     "psg_sweep.csv": "fd36eba5f9f722fcbd40747dc2683802f1cd8a7465ccf6da378a312c020e7c3a",
 }
 
@@ -202,8 +202,9 @@ def test_evolve_manifest_counts_every_step(shipped):
     assert run["state_steps"] == cfg.solver_n_steps
     # two per step, one per snapshot and the kick guard's (linear.cfg is linear)
     assert run["transforms"] == 2 * cfg.solver_n_steps + snapshots + 1
-    # linear.cfg has no absorber
+    # linear.cfg has no absorber, and its packet stays clear of the edges
     assert (run["absorbed_left"], run["absorbed_right"]) == (0.0, 0.0)
+    assert run["warnings"] == []
 
 
 def test_tunnel_manifest_counts_every_row_step(shipped):

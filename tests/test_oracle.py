@@ -493,6 +493,14 @@ class TestConvergence:
         )
         assert study.non_monotone
 
+    def test_boundary_warnings_point_at_the_caller(self):
+        # the packet reaches the edge band in each of the three runs
+        g = SpatialGrid(-16.0, 16.0, 256)
+        psi = sample_gaussian(GaussianSpec(0.0, 8.0, 1.0), g)
+        with pytest.warns(BoundaryContaminationWarning) as record:
+            convergence_study(psi, Free(), 1.6, (2e-2, 1e-2))
+        assert [w.filename for w in record] == [__file__] * 3
+
     def test_requires_decreasing_dts(self, grid, packet):
         with pytest.raises(ValueError):
             convergence_study(packet, Free(), 0.1, (1e-3, 1e-3))

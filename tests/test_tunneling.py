@@ -248,6 +248,19 @@ class TestRunTunneling:
             with pytest.raises(ValueError, match="position-representation state on"):
                 run_tunneling(packet, barrier, cfg, grid, initial_state=psi)
 
+    def test_coverage_warning_points_at_the_caller(self):
+        # the packet is sampled 7 sigma from the left edge; ten steps then
+        # run out before the barrier is reached
+        grid, cfg, _, barrier = _blocked_setup()
+        short = SolverConfig(
+            dt=cfg.dt, n_steps=10, absorber=cfg.absorber, record_every=cfg.record_every
+        )
+        packet = GaussianSpec(x0=grid.x_min + 7.0, p0=10.0, sigma=1.0)
+        with pytest.warns(UserWarning, match="7.00 sigma") as record:
+            with pytest.raises(StationarityTimeout):
+                run_tunneling(packet, barrier, short, grid)
+        assert [w.filename for w in record] == [__file__]
+
     def test_timeout_carries_partial_result(self):
         grid, cfg, packet, barrier = _blocked_setup()
         short = SolverConfig(
