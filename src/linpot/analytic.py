@@ -47,7 +47,9 @@ each measures the state it is given.
 snapshot, and its packets are Gaussians, which a linear potential keeps
 Gaussian.  So its reference is ``_gaussian_evolve``: the same ledger's
 argument shift, x-linear phase and cubic phase applied to the free
-Gaussian in closed form, one complex ``exp`` per state.  It shares no
+Gaussian in closed form, one complex ``exp`` per state, taken only over
+the packet's support: the points where |psi| is at least eps^2 of its peak
+(eps the float64 epsilon), every other point is 0.  It shares no
 transform, table or guard with the solver or with :func:`linear_evolve`.
 
 Sign conventions in one place: mean position gains -V0 dt^2/(2m) (constant
@@ -84,6 +86,9 @@ from .core import (
     to_position_rep,
 )
 from .errors import BoundaryContaminationWarning, _warn
+
+# log(eps^2): ``_gaussian_evolve`` leaves |psi| below eps^2 of its peak at 0
+_LOG_TAIL = 2.0 * math.log(np.finfo(float).eps)
 
 __all__ = [
     "PhaseLedger",
@@ -310,9 +315,12 @@ def _gaussian_evolve(
             + i (p0^2 t/(2 m hbar) + c X + cubic)
             - log(pi^(1/4) sigma^(1/2) d^(1/2))
 
-    so the state is one ``np.exp`` over the grid: no transform, no phase
-    table and no periodic grid, so no guard either.  A packet that leaves
-    the grid is sampled as it is, not wrapped.
+    so the state is one ``np.exp``: no transform, no phase table and no
+    periodic grid, so no guard either.  A packet that leaves the grid is
+    sampled as it is, not wrapped.  The ``exp`` runs only on the grid slice
+    within ``reach`` of the centre, where |psi| >= eps^2 times its peak
+    (eps the float64 epsilon); every other point is 0.  Each value in the
+    slice is the one a full-grid evaluation gives, bit for bit.
     """
     hbar, m, sigma = units.hbar, units.mass, spec.sigma
     ledger = _ledger(v0, t, units, "left")
@@ -322,12 +330,19 @@ def _gaussian_evolve(
     phase = spec.p0**2 * t / (2.0 * m * hbar) + c * centre + ledger.cubic_phase
     log_norm = -0.25 * math.log(math.pi) - 0.5 * math.log(sigma)
     const = complex(log_norm, phase) - 0.5 * cmath.log(d)
-    w = grid.x - centre
-    exponent = (-0.5 / (sigma**2 * d)) * w
+    alpha = -0.5 / (sigma**2 * d)
+    # |psi| / peak = exp(Re(alpha) w^2), and Re(alpha) < 0 for every t
+    reach = math.sqrt(_LOG_TAIL / alpha.real)
+    lo = np.searchsorted(grid.x, centre - reach)
+    hi = np.searchsorted(grid.x, centre + reach, side="right")
+    amps = np.zeros(grid.n, dtype=complex)
+    w = grid.x[lo:hi] - centre
+    exponent = alpha * w
     exponent += 1j * (spec.p0 / hbar + c)
     exponent *= w
     exponent += const
-    return WaveFunction(grid, np.exp(exponent, out=exponent), time=t)
+    np.exp(exponent, out=amps[lo:hi])
+    return WaveFunction(grid, amps, time=t)
 
 
 def linear_evolve_momentum(

@@ -16,10 +16,12 @@ every CSV starts with a ``# schema:`` line and a header row.  Every command also
 ``run.json``: the linpot/numpy/scipy versions, the canonical config and its
 sha256 (for the commands that read one) and the command's headline numbers:
 for ``evolve`` and ``tunnel`` the solver's state-step and FFT counts and the
-probability absorbed per side (per scan row for ``tunnel``), for ``verify``
-the checks that ran and their seconds, each and in total.  Its ``warnings``
-list holds the category and message of each warning the run showed, in
-the order raised; each still goes to stderr as well.
+probability absorbed per side (per scan row for ``tunnel``), for ``evolve``
+also the worst norm drift, the first boundary-contact time and the seconds
+spent solving (the reference included), on the reference and writing, for
+``verify`` the checks that ran and their seconds, each and in total.  Its
+``warnings`` list holds the category and message of each warning the run
+showed, in the order raised; each still goes to stderr as well.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _write_csv(path: Path, schema: str, header, rows):
         f.write(f"# schema: {schema}\n")
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+            f.write(",".join(map(repr, map(float, row))) + "\n")
 
 
 def _write_run(args, cfg: ExperimentConfig | None, **record):
@@ -109,18 +111,26 @@ def cmd_evolve(args) -> int:
     # so a packet that leaves the grid shows in the column, not as an error
     l2 = []
     on_snapshot = None
+    reference = 0.0  # seconds inside on_snapshot
     if v0 is not None:
         def on_snapshot(state):
+            nonlocal reference
+            start = time.perf_counter()
             t = state.time
             exact = _gaussian_evolve(cfg.state, grid, v0, t, units) if t else psi0
             l2.append(l2_distance(exact, state))
+            reference += time.perf_counter() - start
 
+    start = time.perf_counter()
     traj = oracle.split_step_evolve(psi0, potential, solver, units, on_snapshot)
+    solve = time.perf_counter() - start
     if v0 is None:
         l2 = [math.nan] * len(traj.times)
-    rows = list(zip(traj.times, traj.mean_x, traj.mean_p, traj.width, traj.norm2, l2))
+    columns = (traj.times, traj.mean_x, traj.mean_p, traj.width, traj.norm2)
+    rows = list(zip(*(c.tolist() for c in columns), l2))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
     _write_csv(
         out / "trajectory.csv",
         "evolve-v1",
@@ -128,12 +138,14 @@ def cmd_evolve(args) -> int:
         rows,
     )
     final = traj.final_state
+    columns = (grid.x, final.amps.real, final.amps.imag, final.density())
     _write_csv(
         out / "final_state.csv",
         "state-v1",
         ("x", "re", "im", "density"),
-        zip(grid.x, final.amps.real, final.amps.imag, final.density()),
+        zip(*(c.tolist() for c in columns)),
     )
+    write = time.perf_counter() - start
     _write_run(
         args,
         cfg,
@@ -141,6 +153,13 @@ def cmd_evolve(args) -> int:
         transforms=traj.transforms,
         absorbed_left=float(traj.absorbed_left[-1]),
         absorbed_right=float(traj.absorbed_right[-1]),
+        max_norm_drift=traj.max_norm_drift,
+        boundary_time=traj.boundary_time,
+        seconds={
+            "solve": round(solve, 3),
+            "reference": round(reference, 3),
+            "write": round(write, 3),
+        },
     )
     print(f"evolve: wrote {out / 'trajectory.csv'} ({len(rows)} snapshots)")
     if v0 is not None:

@@ -160,6 +160,12 @@ class Trajectory:
     the surviving probability.  ``state_steps`` counts the steps taken and
     ``transforms`` the FFT kernel calls the run made up to this state's last
     snapshot: the steps', the snapshots' and the kick guard's.
+
+    For an absorber-free :func:`split_step_evolve` run, ``max_norm_drift``
+    is the largest |norm^2 - initial norm^2| over the snapshots after the
+    first, and ``boundary_time`` the time of the first snapshot whose
+    outer edge band held more than ``core._EDGE_THRESHOLD`` of the norm
+    (``None`` if none did).  Both are ``None`` for any other run.
     """
 
     times: np.ndarray
@@ -172,6 +178,8 @@ class Trajectory:
     final_state: WaveFunction
     state_steps: int = 0
     transforms: int = 0
+    max_norm_drift: float | None = None
+    boundary_time: float | None = None
 
 
 class _Propagator:
@@ -339,7 +347,9 @@ def split_step_evolve(
     ``cfg.record_every`` steps.  Raises :class:`StabilityError` if the norm
     drifts by more than 1e-6 with the absorber off (which for this unitary
     scheme can only mean non-finite input somewhere); warns once if the state
-    touches a non-absorbing boundary.  ``psi`` itself is left unchanged.
+    touches a non-absorbing boundary.  The returned trajectory records the
+    largest drift and the time of that warning (``max_norm_drift``,
+    ``boundary_time``).  ``psi`` itself is left unchanged.
     For a :class:`Linear` potential, raises :class:`CoverageError` before
     the first step if the run's momentum kick ``v0 * n_steps * dt`` would
     wrap the state around the momentum grid (``core._check_kick``, one
@@ -360,22 +370,24 @@ def split_step_evolve(
         _check_kick(_fft(psi.amps), psi.grid, units, kick)
         prop.transforms += 1
     initial_norm = float(np.sum(psi.density()) * psi.grid.dx)
-    warned = False
+    max_drift, boundary_time = (None if prop.absorbing else 0.0), None
 
     def keep_stepping(_, row, step, t, n2, absorbed):
-        nonlocal warned
+        nonlocal max_drift, boundary_time
         if not prop.absorbing:
-            if abs(n2 - initial_norm) > 1e-6 * max(initial_norm, 1.0):
+            drift = abs(n2 - initial_norm)
+            if drift > 1e-6 * max(initial_norm, 1.0):
                 raise StabilityError(
                     f"norm drifted to {n2!r} from {initial_norm!r} "
                     f"at step {step} with no absorber"
                 )
-            if not warned and _band_share(row) > _EDGE_THRESHOLD:
+            max_drift = max(max_drift, drift)
+            if boundary_time is None and _band_share(row) > _EDGE_THRESHOLD:
                 _warn(
                     f"state reached a non-absorbing boundary at t={t!r}",
                     BoundaryContaminationWarning,
                 )
-                warned = True
+                boundary_time = t
         if on_snapshot is not None:
             on_snapshot(psi.with_amps(row.copy(), time=t))
         return True
@@ -383,6 +395,7 @@ def split_step_evolve(
     if on_snapshot is not None:
         on_snapshot(psi.with_amps(np.array(psi.amps, dtype=complex)))
     (trajectory,), _ = _stride_loop(prop, [psi], cfg, units, keep_stepping, psi.time)
+    trajectory.max_norm_drift, trajectory.boundary_time = max_drift, boundary_time
     return trajectory
 
 

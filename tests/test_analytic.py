@@ -1,3 +1,5 @@
+import cmath
+import math
 import warnings
 
 import numpy as np
@@ -241,10 +243,57 @@ GAUSSIAN_CASES = pytest.mark.parametrize(
 )
 
 
+EPS = np.finfo(float).eps
+
+
+def full_grid_gaussian(spec, grid, v0, t, units):
+    """``_gaussian_evolve``'s exponent and ``exp`` over every grid point,
+    in the same sequence of operations, with no cutoff; and the packet's
+    centre, peak modulus and reach, the distance from the centre beyond
+    which |psi| < eps^2 * peak, each from its own formula."""
+    hbar, m, sigma = units.hbar, units.mass, spec.sigma
+    ledger = analytic._ledger(v0, t, units, "left")
+    c = ledger.potential_phase_coeff
+    centre = spec.x0 + spec.p0 * t / m - ledger.argument_shift
+    d = complex(1.0, hbar * t / (m * sigma**2))
+    phase = spec.p0**2 * t / (2.0 * m * hbar) + c * centre + ledger.cubic_phase
+    log_norm = -0.25 * math.log(math.pi) - 0.5 * math.log(sigma)
+    const = complex(log_norm, phase) - 0.5 * cmath.log(d)
+    w = grid.x - centre
+    exponent = (-0.5 / (sigma**2 * d)) * w
+    exponent += 1j * (spec.p0 / hbar + c)
+    exponent *= w
+    exponent += const
+    # |psi| = peak * exp(-w^2 / (2 sigma^2 |d|^2))
+    peak = math.pi**-0.25 * sigma**-0.5 * abs(d) ** -0.5
+    reach = 2.0 * sigma * abs(d) * math.sqrt(-math.log(EPS))
+    return np.exp(exponent), centre, peak, reach
+
+
+def assert_cut_of_full_grid(spec, grid, v0, t, units):
+    """``_gaussian_evolve`` equals the full-grid evaluation bit for bit
+    within ``reach`` of the centre and is exactly 0 beyond it, where the
+    full value is below eps^2 * peak.  A point within 1e-9 relative of
+    ``reach`` may be either.  Returns the number of points cut."""
+    got = _gaussian_evolve(spec, grid, v0, t, units).amps
+    full, centre, peak, reach = full_grid_gaussian(spec, grid, v0, t, units)
+    dist = np.abs(grid.x - centre)
+    inside, outside = dist < reach * (1 - 1e-9), dist > reach * (1 + 1e-9)
+    # (re, im) bits of each point
+    same = (got.view(np.int64) == full.view(np.int64)).reshape(-1, 2).all(axis=1)
+    assert np.all(same[inside])
+    assert np.all(got[outside] == 0.0)
+    assert np.all(np.abs(full[outside]) < EPS**2 * peak)
+    edge = ~(inside | outside)
+    assert np.all(same[edge] | (got[edge] == 0.0))
+    return int(np.count_nonzero(got == 0.0))
+
+
 class TestGaussianEvolve:
     """``_gaussian_evolve``, the pointwise closed form behind ``linpot
     evolve``'s l2_vs_analytic column, against the FFT closed form, the
-    sampled packet and the free-spreading density law."""
+    sampled packet, the free-spreading density law and its own full-grid
+    evaluation."""
 
     @GAUSSIAN_CASES
     def test_equals_linear_evolve(self, grid, spec, v0, times, units):
@@ -282,6 +331,33 @@ class TestGaussianEvolve:
         width = np.sqrt(1.0 + t**2)
         density = np.exp(-(((g.x + 48.0) / width) ** 2)) / (np.sqrt(np.pi) * width)
         np.testing.assert_allclose(psi.density(), density, rtol=1e-12)
+
+    @GAUSSIAN_CASES
+    def test_cut_of_the_full_grid_evaluation(self, grid, spec, v0, times, units):
+        # reach is about 12 sigma |d|: every case here, the SI one
+        # included, has points beyond it at every time
+        g = SI_GRID if units is SI else grid
+        for t in (0.0, *times):
+            assert assert_cut_of_full_grid(spec, g, v0, t, units) > 0
+
+    def test_packet_wider_than_the_grid_has_no_zeros(self):
+        # sigma = 4 on +-8: reach (about 48) covers the grid at every t
+        g = SpatialGrid(-8.0, 8.0, 256)
+        for t in (0.0, 0.7, -2.5):
+            spec = GaussianSpec(0.5, 1.0, 4.0)
+            assert assert_cut_of_full_grid(spec, g, 0.8, t, NATURAL) == 0
+
+    @pytest.mark.parametrize(
+        "x0, t, inside",
+        [(-40.0, 0.5, True), (-40.0, 0.0, True), (100.0, 1.0, False)],
+        ids=["past-the-left-edge", "past-the-left-edge-at-0", "far-right-of-the-grid"],
+    )
+    def test_packet_centred_off_the_grid(self, grid, x0, t, inside):
+        # centre off the grid: only the points within reach of it, if any,
+        # are evaluated; far away, every point is 0
+        spec = GaussianSpec(x0, 0.0, 1.0)
+        cut = assert_cut_of_full_grid(spec, grid, 0.0, t, NATURAL)
+        assert 0 < cut < grid.n if inside else cut == grid.n
 
 
 class TestMomentumRepresentation:

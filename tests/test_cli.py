@@ -339,6 +339,30 @@ class TestEvolve:
             assert line.startswith(str(SRC / "linpot" / "cli.py:"))
             assert line.endswith(f": {w['category']}: {w['message']}")
 
+    def test_manifest_reports_the_drift_run_boundary_time(self, tmp_path):
+        # the drift run above: its first edge-band contact is the warning's
+        text = LINEAR_CFG.replace("n_steps = 1000", "n_steps = 8000").replace(
+            "record_every = 200", "record_every = 1000"
+        )
+        out = tmp_path / "out"
+        with pytest.warns(errors.BoundaryContaminationWarning, match="at t=4.0$"):
+            main(["evolve", "--config", write(tmp_path, "d.cfg", text), "--out", str(out)])
+        run = json.loads((out / "run.json").read_text())
+        assert run["boundary_time"] == 4.0
+        # the wrapped state is still unitary: 8 000 steps of roundoff
+        # (measured 1.5e-12)
+        assert 0.0 < run["max_norm_drift"] < 1e-11
+
+    def test_manifest_reports_seconds_per_layer(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write(tmp_path, "lin.cfg", LINEAR_CFG)
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        seconds = json.loads((out / "run.json").read_text())["seconds"]
+        assert sorted(seconds) == ["reference", "solve", "write"]
+        assert all(s >= 0.0 for s in seconds.values())
+        # the reference runs inside the solver's on_snapshot
+        assert seconds["reference"] <= seconds["solve"]
+
     def test_kick_leaving_the_momentum_grid_exits_precondition(self, tmp_path, capsys):
         # a kick of v0 * T = 30 on a momentum grid that ends at +-25
         text = (
@@ -351,6 +375,28 @@ class TestEvolve:
         argv = ["evolve", "--config", write(tmp_path, "k.cfg", text), "--out", str(tmp_path / "o")]
         assert main(argv) == 3
         assert "momentum kick 30.0" in capsys.readouterr().err
+
+
+class TestWriteCsv:
+    # what the rows held before they were written from columns: numpy
+    # scalars, each passed through repr(float(v)); float32 and int values
+    # too, which the writer takes as well
+    VALUES = [
+        np.float64(-0.0), np.float64(np.nan), np.float64(np.inf), np.float64(-np.inf),
+        np.float64(5e-324), np.float64(1e22), np.float64(0.1) + np.float64(0.2),
+        np.float32(0.1), np.float32(-3.4e38), np.float32(1e-45), 7, np.int64(-3),
+        np.int64(2**53 + 1),
+    ]
+
+    def test_columns_write_what_scalars_wrote(self, tmp_path):
+        scalar_rows = [self.VALUES, self.VALUES[::-1]]
+        want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in scalar_rows)
+        # the same values as columns, each converted as evolve converts them
+        columns = [np.array([v, w]) for v, w in zip(*scalar_rows)]
+        column_rows = zip(*(c.tolist() for c in columns))
+        for name, rows in (("scalars", scalar_rows), ("columns", column_rows)):
+            cli._write_csv(tmp_path / name, "test-v1", ("a", "b"), rows)
+            assert (tmp_path / name).read_text() == "# schema: test-v1\na,b\n" + want
 
 
 class TestTunnel:

@@ -207,6 +207,12 @@ def test_evolve_manifest_counts_every_step(shipped):
     assert run["warnings"] == []
 
 
+def test_evolve_manifest_reports_drift_and_no_boundary_contact(shipped):
+    run, _ = _manifest("evolve", shipped)
+    assert run["boundary_time"] is None
+    assert 0.0 <= run["max_norm_drift"] < 1e-12
+
+
 def test_tunnel_manifest_counts_every_row_step(shipped):
     run, cfg = _manifest("tunnel", shipped)
     rows = _csv_rows(shipped("tunnel") / "scan.csv")

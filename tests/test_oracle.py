@@ -25,6 +25,7 @@ from linpot import (
     spatial_width,
     split_step_evolve,
 )
+from linpot.core import _EDGE_THRESHOLD, _band_share
 from linpot.errors import BoundaryContaminationWarning, CoverageError, StabilityError
 from linpot.oracle import _Propagator
 
@@ -154,6 +155,25 @@ class TestSplitStep:
             split_step_evolve(psi, Free(), cfg)
         # the warning points at the line that called split_step_evolve
         assert [w.filename for w in record] == [__file__]
+
+    def test_drift_and_boundary_time_of_the_snapshots(self):
+        # the packet of the warning test above: it reaches the edge band
+        # between t = 0.6 and 1.8
+        g = SpatialGrid(-16.0, 16.0, 512)
+        psi = sample_gaussian(GaussianSpec(0.0, 8.0, 1.0), g)
+        cfg = SolverConfig(dt=1e-3, n_steps=1800, record_every=300)
+        seen = []
+        with pytest.warns(BoundaryContaminationWarning):
+            traj = split_step_evolve(psi, Free(), cfg, on_snapshot=seen.append)
+        initial = float(np.sum(psi.density()) * g.dx)
+        assert traj.max_norm_drift == np.max(np.abs(traj.norm2[1:] - initial))
+        touched = [s.time for s in seen[1:] if _band_share(s.amps) > _EDGE_THRESHOLD]
+        assert 0.6 < traj.boundary_time == touched[0] < 1.8
+
+    def test_absorbing_run_has_no_drift_or_boundary_time(self, packet):
+        cfg = SolverConfig(dt=1e-3, n_steps=20, absorber=Absorber(), record_every=10)
+        traj = split_step_evolve(packet, Free(), cfg)
+        assert (traj.max_norm_drift, traj.boundary_time) == (None, None)
 
     def test_time_reversal_via_conjugation(self, grid):
         # K U(dt) K = U(-dt) exactly for real potentials, so
