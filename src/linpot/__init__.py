@@ -2,72 +2,23 @@
 split-step Fourier solver, and the experiments built on both: Gaussian-packet
 tunneling at linear-front barriers, a three-capacitor phase-shift generator,
 Stern-Gerlach splitting, and the composed spin-flip gate.
+
+The top-level names are those each module lists in its ``__all__``.
 """
 
-from .analytic import (
-    EvolutionResult,
-    PhaseLedger,
-    PlaneWavePhase,
-    ZassenhausTerms,
-    free_evolve,
-    linear_evolve,
-    linear_evolve_momentum,
-    plane_wave_phase,
-    spectral_shift,
-    zassenhaus_terms,
-)
-from .core import (
-    NATURAL,
-    Free,
-    GaussianSpec,
-    Linear,
-    PiecewiseLinear,
-    Potential,
-    Sampled,
-    SpatialGrid,
-    UnitSystem,
-    WaveFunction,
-    gaussian_width_at,
-    l2_distance,
-    mean_momentum,
-    mean_position,
-    sample_gaussian,
-    si_units,
-    spatial_width,
-    to_momentum_rep,
-    to_position_rep,
-)
-from .devices import (
-    GateResult,
-    PsgGeometry,
-    SgSpec,
-    SpinDensity,
-    SpinorPacket,
-    psg_compose,
-    psg_phase,
-    sg_apply,
-    solve_psg_for_phase,
-    spin_flip_circuit,
-)
-from .oracle import (
-    Absorber,
-    ConvergenceStudy,
-    SolverConfig,
-    Trajectory,
-    convergence_study,
-    split_step_evolve,
-)
-from .tunneling import (
-    BarrierSpec,
-    ScanResult,
-    TunnelingResult,
-    animation_scenario,
-    animation_surrogate,
-    run_tunneling,
-    turning_points,
-    width_scan,
-    wkb_sigma_R,
-    wkb_transmission,
-)
+from . import analytic, core, devices, oracle, tunneling
+from .analytic import *
+from .core import *
+from .devices import *
+from .oracle import *
+from .tunneling import *
+
+__all__ = [
+    *analytic.__all__,
+    *core.__all__,
+    *devices.__all__,
+    *oracle.__all__,
+    *tunneling.__all__,
+]
 
 __version__ = "0.1.0"

@@ -89,7 +89,7 @@ class PotentialSpec:
     x_start: float = 0.0
     slope: float = 1.0
     peak_height: float = 1.0
-    descent_slope: float | None = None
+    descent_slope: float | None = BarrierSpec.descent_slope
 
     def __post_init__(self):
         if self.kind not in _KIND_KEYS:
@@ -138,10 +138,10 @@ class ExperimentConfig:
     potential: PotentialSpec = field(default_factory=PotentialSpec)
     solver_dt: float = 1e-3
     solver_n_steps: int = 1000
-    solver_record_every: int = 100
+    solver_record_every: int = SolverConfig.record_every
     absorber_on: bool = False
-    absorber_width_fraction: float = 0.15
-    absorber_strength: float = 5.0
+    absorber_width_fraction: float = Absorber.width_fraction
+    absorber_strength: float = Absorber.strength
     psg: PsgGeometry | None = None
     sg: SgSpec | None = None
     scan: ScanSpec = field(default_factory=ScanSpec)

@@ -93,11 +93,10 @@ _EDGE_BAND = 0.05
 
 @dataclass(frozen=True)
 class UnitSystem:
-    """Physical constants of one unit convention: hbar, particle mass, label."""
+    """Physical constants of one unit convention: hbar and particle mass."""
 
     hbar: float
     mass: float
-    label: str = "natural"
 
     def __post_init__(self):
         if not 0.0 < self.hbar < np.inf:
@@ -106,15 +105,15 @@ class UnitSystem:
             raise ValueError("mass must be positive and finite")
 
     def with_mass(self, mass: float) -> "UnitSystem":
-        return UnitSystem(self.hbar, mass, self.label)
+        return UnitSystem(self.hbar, mass)
 
 
-NATURAL = UnitSystem(1.0, 1.0, "natural")
+NATURAL = UnitSystem(1.0, 1.0)
 
 
 def si_units(mass: float) -> UnitSystem:
     """SI convention for a particle of the given mass in kg."""
-    return UnitSystem(HBAR_SI, mass, "si")
+    return UnitSystem(HBAR_SI, mass)
 
 
 def _load_pocketfft(directory: str):

@@ -13,10 +13,12 @@ and, against the closed form, for ``linpot verify``'s c01.
 
 Absorbing boundaries are a smooth amplitude mask applied once per step:
 ``exp(-strength * ramp(x) * dt / hbar)`` with a cos^2 ramp rising from the
-inner edge of each absorbing band to the grid boundary.  They are off by
-default and required for tunneling runs so transmitted flux does not wrap
-around.  Probability removed by the mask is tracked per grid side, so norm
-accounting stays exact.  Snapshot observables come from
+inner edge of each absorbing band, x_min + w on the left and x_max - w on the
+right (w = width_fraction * span), to the grid boundary.  Those two edges
+define the bands for the mask and for the absorbed-probability ledger alike.
+They are off by default and required for tunneling runs so transmitted flux
+does not wrap around.  Probability removed by the mask is tracked per grid
+side, so norm accounting stays exact.  Snapshot observables come from
 ``core._moments``, the routine behind the public observables.  The solver
 keeps no snapshot states: a caller that needs them passes ``on_snapshot``
 and receives each one as it is taken, so ``linpot evolve`` holds one state
@@ -115,18 +117,25 @@ class Absorber:
         if not 0.0 <= self.strength < np.inf:
             raise ValueError("strength must be non-negative and finite")
 
+    def _edges(self, grid: SpatialGrid):
+        """(w, x_min + w, x_max - w): each band's width and the inner edges
+        of the left and right bands.  A band is the grid points strictly
+        beyond its inner edge."""
+        w = self.width_fraction * grid.span
+        return w, grid.x_min + w, grid.x_max - w
+
     def ramp(self, grid: SpatialGrid) -> np.ndarray:
         """Damping-rate profile: 0 in the interior, cos^2-shaped rise to
         ``strength`` at each boundary."""
-        w = self.width_fraction * grid.span
+        w, left, right = self._edges(grid)
         x = grid.x
         out = np.zeros(grid.n)
-        left = x < grid.x_min + w
-        right = x > grid.x_max - w
-        s_left = (grid.x_min + w - x[left]) / w
-        s_right = (x[right] - (grid.x_max - w)) / w
-        out[left] = self.strength * np.sin(0.5 * np.pi * s_left) ** 2
-        out[right] = self.strength * np.sin(0.5 * np.pi * s_right) ** 2
+        n_left = np.searchsorted(x, left)
+        start = np.searchsorted(x, right, "right")
+        s_left = (left - x[:n_left]) / w
+        s_right = (x[start:] - right) / w
+        out[:n_left] = self.strength * np.sin(0.5 * np.pi * s_left) ** 2
+        out[start:] = self.strength * np.sin(0.5 * np.pi * s_right) ** 2
         return out
 
 
@@ -209,12 +218,13 @@ class _Propagator:
             # removal weights over each band, repeated for the (re, im) pairs
             # of a float view of the amplitudes: weights . view**2 = sum |psi|^2 w
             removal = (1.0 - mask**2) * grid.dx
-            n_mid = int(np.searchsorted(grid.x, grid.x_min + 0.5 * grid.span))
-            w_left = np.repeat(np.trim_zeros(removal[:n_mid], "b"), 2)
-            w_right = np.repeat(np.trim_zeros(removal[n_mid:], "f"), 2)
+            _, left, right = absorber._edges(grid)
+            n_left = int(np.searchsorted(grid.x, left))
+            start = int(np.searchsorted(grid.x, right, "right"))
             # (points, weights) of the left band, (first point, weights) of
             # the right one
-            self.bands = (len(w_left) // 2, w_left, grid.n - len(w_right) // 2, w_right)
+            w_left, w_right = np.repeat(removal[:n_left], 2), np.repeat(removal[start:], 2)
+            self.bands = (n_left, w_left, start, w_right)
 
     def advance(self, amps, k, ledger):
         """Step ``amps``, one state ``(n,)`` or a stack ``(B, n)`` of

@@ -13,7 +13,9 @@ the roundoff of thousands of steps scales with the value.  Any other value
 may move by at most 1e-13.  A larger move is a change of results.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import platform
@@ -137,13 +139,17 @@ def _digests(out):
 @pytest.fixture(scope="module")
 def shipped(tmp_path_factory):
     """Output directory of a command run on its shipped config, once per
-    module for the digests and the manifest alike."""
+    module for the digests, the manifest and the printed lines alike; what
+    the run printed is in the directory's ``stdout.txt``."""
     outs = {}
 
     def out(command):
         if command not in outs:
-            config = CONFIGS / COMMANDS[command]
-            outs[command] = _run(command, config, tmp_path_factory.mktemp(command))
+            config, path = CONFIGS / COMMANDS[command], tmp_path_factory.mktemp(command)
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                _run(command, config, path)
+            (path / "stdout.txt").write_text(stdout.getvalue())
+            outs[command] = path
         return outs[command]
 
     return out
@@ -229,6 +235,23 @@ def test_tunnel_manifest_counts_every_row_step(shipped):
         # T and R include what the right and left bands absorbed
         assert 0.0 < r["absorbed_right"] <= row["T"]
         assert 0.0 < r["absorbed_left"] <= row["R"]
+
+
+def test_tunnel_verdict_reports_raw_decreases_below_the_floor(shipped):
+    # the shipped delay scan's T is constant up to roundoff: its raw
+    # decreases are below the scan's measurement floor, so the verdict is
+    # non-decreasing and they are reported as a count and the largest
+    lines = (shipped("tunnel") / "stdout.txt").read_text().splitlines()
+    t = [row["T"] for row in _csv_rows(shipped("tunnel") / "scan.csv")]
+    drops = [t0 - t1 for t0, t1 in zip(t, t[1:]) if t1 < t0]
+    assert 0.0 < max(drops) < linpot.tunneling.SCAN_SLACK
+    assert not any("monotonicity violation" in line for line in lines)
+    assert lines[-1] == (
+        "tunnel: transmission non-decreasing in width; "
+        f"{len(drops)} raw decreases below the 1e-05 floor, largest {max(drops):.1e}"
+    )
+    if not _environment_mismatch():
+        assert (len(drops), f"{max(drops):.1e}") == (3, "7.9e-12")
 
 
 def test_psg_manifest_holds_the_report_phases(shipped):

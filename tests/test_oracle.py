@@ -188,7 +188,47 @@ class TestSplitStep:
         assert l2_distance(psi, back) < 1e-9
 
 
+def _mask_ramp(absorber, g):
+    """``Absorber.ramp`` written on boolean masks of the band points."""
+    w = absorber.width_fraction * g.span
+    x, out = g.x, np.zeros(g.n)
+    left, right = x < g.x_min + w, x > g.x_max - w
+    s_left = (g.x_min + w - x[left]) / w
+    s_right = (x[right] - (g.x_max - w)) / w
+    out[left] = absorber.strength * np.sin(0.5 * np.pi * s_left) ** 2
+    out[right] = absorber.strength * np.sin(0.5 * np.pi * s_right) ** 2
+    return out
+
+
+# (grid, absorber, dt): the tunnel.cfg and c09 band, c07's, the default
+# absorber, this suite's 0.2 / 5 band and a step so short that the removal
+# weight of the innermost band points is about 1e-13
+ABSORBER_CASES = {
+    "tunnel": (SpatialGrid(-128.0, 128.0, 2048), Absorber(0.2, 12.0), 2e-3),
+    "c07": (SpatialGrid(-80.0, 80.0, 2048), Absorber(0.15, 40.0), 1e-3),
+    "default": (SpatialGrid(-20.0, 20.0, 512), Absorber(), 1e-3),
+    "suite": (SpatialGrid(-32.0, 32.0, 1024), Absorber(0.2, 5.0), 2e-3),
+    "short-dt": (SpatialGrid(-128.0, 128.0, 2048), Absorber(0.2, 12.0), 1e-9),
+}
+
+
 class TestAbsorber:
+    @pytest.mark.parametrize("case", ABSORBER_CASES)
+    def test_ramp_and_bands_share_the_edges(self, case):
+        g, absorber, dt = ABSORBER_CASES[case]
+        ramp = absorber.ramp(g)
+        assert ramp.tobytes() == _mask_ramp(absorber, g).tobytes()
+        # the propagator's bands are the points beyond the inner edges,
+        # exactly the points where the ramp is positive
+        n_left, w_left, start, w_right = _Propagator(g, Free(), dt, absorber).bands
+        _, left, right = absorber._edges(g)
+        assert g.x[n_left - 1] < left <= g.x[n_left]
+        assert g.x[start - 1] <= right < g.x[start]
+        positive = ramp > 0
+        assert positive[:n_left].all() and positive[start:].all()
+        assert not positive[n_left:start].any()
+        assert (len(w_left), len(w_right)) == (2 * n_left, 2 * (g.n - start))
+
     # A left-moving packet gains about 7e-14 in norm per 200 steps before it
     # reaches the band; 200 bare FFT round trips of it already gain 2.7e-14,
     # so that is the FFT's roundoff floor, not the absorber.
