@@ -16,12 +16,13 @@ every CSV starts with a ``# schema:`` line and a header row.  Every command also
 ``run.json``: the linpot/numpy/scipy versions, the canonical config and its
 sha256 (for the commands that read one) and the command's headline numbers:
 for ``evolve`` and ``tunnel`` the solver's state-step and FFT counts and the
-probability absorbed per side (per scan row for ``tunnel``), for ``evolve``
-also the worst norm drift, the first boundary-contact time and the seconds
-spent solving (the reference included), on the reference and writing, for
-``verify`` the checks that ran and their seconds, each and in total.  Its
-``warnings`` list holds the category and message of each warning the run
-showed, in the order raised; each still goes to stderr as well.
+probability absorbed per side (per scan row for ``tunnel``) and the seconds
+spent solving and writing the CSVs, for ``evolve`` also the worst norm
+drift, the first boundary-contact time and the seconds spent on the
+reference (part of the solve), for ``verify`` the checks that ran and their
+seconds, each and in total.  Its ``warnings`` list holds the category and
+message of each warning the run showed, in the order raised; each still goes
+to stderr as well.
 """
 
 from __future__ import annotations
@@ -179,18 +180,21 @@ def cmd_tunnel(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     profile = barrier.potential()
+    start = time.perf_counter()
     _write_csv(
         out / "potential_profile.csv",
         "potential-v1",
         ("x", "V"),
         zip(grid.x, profile.evaluate(grid.x)),
     )
+    write = time.perf_counter() - start
 
     # the config gives delays or sigmas, not both
     if cfg.scan.sigmas:
         kwargs = {"sigma_list": cfg.scan.sigmas}
     else:
         kwargs = {"delay_list": cfg.scan.delays or (0.0,)}
+    start = time.perf_counter()
     scan = tunneling.width_scan(
         p0=cfg.state.p0,
         barrier=barrier,
@@ -200,12 +204,15 @@ def cmd_tunnel(args) -> int:
         units=units,
         **kwargs,
     )
+    solve = time.perf_counter() - start
+    start = time.perf_counter()
     _write_csv(
         out / "scan.csv",
         "width-scan-v1",
         ("sigma_at_arrival", "T", "R", "residual", "t_measure"),
         [(r.sigma_at_arrival, r.T, r.R, r.residual, r.t_measure) for r in scan.rows],
     )
+    write += time.perf_counter() - start
     _write_run(
         args,
         cfg,
@@ -219,6 +226,7 @@ def cmd_tunnel(args) -> int:
             }
             for r in scan.rows
         ],
+        seconds={"solve": round(solve, 3), "write": round(write, 3)},
     )
     violations = scan.monotonicity_violations()
     print(f"tunnel: wrote {out / 'scan.csv'} ({len(scan.rows)} rows)")

@@ -240,10 +240,6 @@ class ExperimentConfig:
                 out.append("\n")
         return "".join(out)
 
-    def to_file(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(self.to_text())
-
 
 def _on_off(raw: str) -> bool:
     if raw not in ("on", "off"):

@@ -467,21 +467,12 @@ def mean_momentum(psi: WaveFunction, units: UnitSystem = NATURAL) -> float:
     return _normalized_moments(psi, units)[2]
 
 
-def spatial_width(
-    psi: WaveFunction, convention: str = "sigma", units: UnitSystem = NATURAL
-) -> float:
-    """Spatial width of a normalized state.
-
-    convention="rms" gives sqrt(<x^2> - <x>^2); convention="sigma" (default)
-    gives rms*sqrt(2), which equals the sigma parameter of a fresh Gaussian
-    packet.  The free-spreading law sigma(t) uses the sigma convention.
+def spatial_width(psi: WaveFunction, units: UnitSystem = NATURAL) -> float:
+    """Sigma-parameter width of a normalized state: sqrt(2) times the rms
+    width sqrt(<x^2> - <x>^2), so a fresh Gaussian packet's width equals its
+    sigma parameter and the free-spreading law sigma(t) applies as written.
     """
-    rms = _normalized_moments(psi, units)[3]
-    if convention == "rms":
-        return float(rms)
-    if convention == "sigma":
-        return rms * np.sqrt(2.0)
-    raise ValueError(f"unknown width convention {convention!r}")
+    return _normalized_moments(psi, units)[3] * np.sqrt(2.0)
 
 
 def gaussian_width_at(sigma: float, dt: float, units: UnitSystem = NATURAL) -> float:

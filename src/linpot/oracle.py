@@ -424,10 +424,6 @@ class ConvergenceStudy:
     slope: float
     non_monotone: bool
 
-    @property
-    def errors(self):
-        return np.array([e for _, e in self.entries])
-
 
 def _single_run(psi, potential, total_time, dt, units=NATURAL):
     """Evolve ``psi`` for ``total_time`` in ``round(total_time / dt)`` steps

@@ -31,13 +31,15 @@ which records each row's trajectory and stops at exactly ``cfg.n_steps``.
 :func:`run_tunneling` steps a stack of one state; the width scan, whose
 entries share p0, launch point, barrier, grid, dt and absorber, steps all of
 them as one ``(B, n)`` stack.  This module adds only what a barrier run
-measures: after every stride each row's T, R and residual, its transmitted
-fraction and its stationarity test; a row that has become stationary leaves
-the stack while the others step on.  Rows are stepped, summed and tested
-exactly as they would be alone, so a scan row is the result of a run of that
-entry to the last bit.  A run's trajectory times count from launch; for a
-state at time 0 the trajectory equals :func:`split_step_evolve` of it for the
-same number of steps, also to the last bit.
+measures: after every stride each row's T, R and residual and its
+stationarity test; a row that has become stationary leaves the stack while
+the others step on.  Rows are stepped, summed and tested exactly as they
+would be alone, so a scan row is the result of a run of that entry to the
+last bit.  A run's trajectory times count from launch; for a state at time 0
+the trajectory equals :func:`split_step_evolve` of it for the same number of
+steps, also to the last bit.  Every launch state must sit clear of the
+absorbing bands: one with more than ``core._EDGE_THRESHOLD`` of its norm on
+their points would be absorbed on its way in and counted as reflected.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ import numpy as np
 
 from .analytic import free_evolve, spectral_shift
 from .core import (
+    _EDGE_THRESHOLD,
     HBAR_SI,
     NATURAL,
     GaussianSpec,
@@ -59,6 +62,7 @@ from .core import (
     SpatialGrid,
     UnitSystem,
     WaveFunction,
+    _edge_share,
     sample_gaussian,
 )
 from .errors import (
@@ -265,7 +269,6 @@ class TunnelingResult:
     comes closest to) the first turning point, where the packet width is
     ``sigma_at_arrival``; ``t_a_linear`` is the linear-front prediction:
     free flight to the barrier base plus p0/slope.
-    ``transmitted_fraction`` is T at each of ``trajectory``'s snapshot times.
     """
 
     T: float
@@ -277,9 +280,7 @@ class TunnelingResult:
     sigma_at_arrival: float
     t_a_measured: float
     t_a_linear: float
-    converged: bool
     trajectory: Trajectory
-    transmitted_fraction: np.ndarray
 
     def norm_defect(self) -> float:
         """|T + R + residual - 1|; the accounting invariant."""
@@ -363,14 +364,21 @@ def _measure(states, barrier, cfg, grid, units, launch):
                 "tunneling runs need a position-representation state on the run's grid"
             )
     prop = _Propagator(grid, barrier.potential(), cfg.dt, cfg.absorber, units)
+    n_left, _, start, _ = prop.bands
+    for psi in states:
+        share = _edge_share(psi.amps, n_left, grid.n - start)
+        if share > _EDGE_THRESHOLD:
+            _, left, right = cfg.absorber._edges(grid)
+            raise PreconditionError(
+                f"launch state has {share:.2e} of its norm in the absorbing bands "
+                f"(x < {left!r} or x > {right!r}); launch it further in, or widen the grid"
+            )
     dx = grid.dx
     # R is x < a, the residual a <= x <= b and T x > b
     cut_a = int(np.searchsorted(grid.x, a))
     cut_b = int(np.searchsorted(grid.x, b, "right"))
 
-    # per state: the transmitted fraction at launch, the (T, R) history of
-    # the snapshots after it and the latest residual
-    launched = [float(np.sum(psi.density()[cut_b:]) * dx) for psi in states]
+    # per state: the (T, R) history of its snapshots and the latest residual
     history = [[] for _ in states]
     residuals = [None] * len(states)
 
@@ -399,9 +407,7 @@ def _measure(states, barrier, cfg, grid, units, launch):
                 sigma_at_arrival=float(np.interp(t_a_measured, traj.times, traj.width)),
                 t_a_measured=t_a_measured,
                 t_a_linear=t_a_linear,
-                converged=i not in drifting,
                 trajectory=traj,
-                transmitted_fraction=np.array([launched[i]] + [h[0] for h in history[i]]),
             )
         )
     if drifting:
@@ -550,17 +556,11 @@ class AnimationScenario:
     p0: float
     v0: float
     t_a: float
-    energy: float
 
     @property
     def predicted_width_ratio(self) -> float:
         u = HBAR_SI * self.t_a / (self.mass * self.sigma**2)
         return math.sqrt(1.0 + u * u)
-
-    @property
-    def semiclassical_ratio(self) -> float:
-        """p0 * sigma / hbar; sets the grid cost of simulating it directly."""
-        return self.p0 * self.sigma / HBAR_SI
 
 
 def animation_scenario(
@@ -584,7 +584,6 @@ def animation_scenario(
         p0=p0,
         v0=v0,
         t_a=t_a,
-        energy=p0 * speed / 2.0,
     )
 
 
@@ -607,7 +606,6 @@ class SurrogateResult:
     t_a_si: float
     t_a_measured_si: float
     width_ratio_measured: float
-    semiclassical_ratio: float
 
     @property
     def crossing_time_relative_error(self) -> float:
@@ -667,5 +665,4 @@ def animation_surrogate(
         t_a_si=sc.t_a,
         t_a_measured_si=t_meas * scale,
         width_ratio_measured=width_at,
-        semiclassical_ratio=semiclassical_ratio,
     )

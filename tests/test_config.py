@@ -209,7 +209,7 @@ class TestParsing:
     def test_file_round_trip(self, tmp_path):
         cfg = ExperimentConfig.from_text(BASE)
         path = tmp_path / "exp.cfg"
-        cfg.to_file(path)
+        path.write_text(cfg.to_text())
         again = ExperimentConfig.from_file(path)
         assert again == cfg
 

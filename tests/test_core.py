@@ -109,7 +109,6 @@ class TestObservables:
     def test_width_conventions(self, grid):
         psi = sample_gaussian(GaussianSpec(0.0, 0.0, 1.0), grid)
         assert spatial_width(psi) == pytest.approx(1.0, rel=1e-12)
-        assert spatial_width(psi, "rms") == pytest.approx(1.0 / np.sqrt(2), rel=1e-12)
 
     def test_free_width_law_reference_point(self, grid):
         # hbar*dt/(m sigma^2) = 1 doubles the variance: width sqrt(2)

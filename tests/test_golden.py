@@ -237,6 +237,12 @@ def test_tunnel_manifest_counts_every_row_step(shipped):
         assert 0.0 < r["absorbed_left"] <= row["R"]
 
 
+def test_tunnel_manifest_reports_seconds(shipped):
+    run, _ = _manifest("tunnel", shipped)
+    assert sorted(run["seconds"]) == ["solve", "write"]
+    assert all(s >= 0.0 for s in run["seconds"].values())
+
+
 def test_tunnel_verdict_reports_raw_decreases_below_the_floor(shipped):
     # the shipped delay scan's T is constant up to roundoff: its raw
     # decreases are below the scan's measurement floor, so the verdict is

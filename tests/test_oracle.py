@@ -542,7 +542,8 @@ class TestConvergence:
         study = convergence_study(
             psi, Linear(1.5), total_time=0.4, dt_list=(4e-3, 2e-3)
         )
-        ratio = study.errors[0] / study.errors[1]
+        (_, coarse), (_, fine) = study.entries
+        ratio = coarse / fine
         assert ratio == pytest.approx(4.0, rel=0.1)
 
     def test_roundoff_plateau_flagged(self):
