@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,8 +82,6 @@ from .core import (
     _ifft,
     _kinetic,
     _shift_table,
-    to_momentum_rep,
-    to_position_rep,
 )
 from .errors import BoundaryContaminationWarning, _warn
 
@@ -94,12 +92,9 @@ __all__ = [
     "PhaseLedger",
     "EvolutionResult",
     "PlaneWavePhase",
-    "ZassenhausTerms",
     "free_evolve",
     "linear_evolve",
-    "linear_evolve_momentum",
     "plane_wave_phase",
-    "zassenhaus_terms",
     "spectral_shift",
 ]
 
@@ -171,30 +166,17 @@ class PlaneWavePhase:
         return self.cubic + self.p_linear + self.free_kicked
 
 
-@dataclass(frozen=True)
-class ZassenhausTerms:
-    """Scalar coefficients of the two surviving expansion terms.
-
-    C2 = i * c2_coeff * p_hat and C3 = i * c3_coeff * identity; every higher
-    term vanishes because C3 is already a c-number.
-    """
-
-    c2_coeff: float
-    c3_coeff: float
-
-
 def free_evolve(
     psi: WaveFunction, dt: float, units: UnitSystem = NATURAL
 ) -> WaveFunction:
-    """Evolve with no potential: multiply the momentum representation by
-    exp(-i p^2 dt / (2 m hbar)).  Exact to spectral precision; negative dt
-    is the inverse evolution."""
+    """Evolve a position-representation state with no potential: multiply
+    its spectrum by exp(-i p^2 dt / (2 m hbar)).  Exact to spectral
+    precision; negative dt is the inverse evolution."""
+    if psi.space != "position":
+        raise ValueError("free_evolve expects a position-representation state; "
+                         "convert a momentum state with to_position_rep first")
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
-    if psi.space == "momentum":
-        hbar, m = units.hbar, units.mass
-        phase = np.exp(-1j * psi.p_axis**2 * dt / (2.0 * m * hbar))
-        return psi.with_amps(psi.amps * phase, time=psi.time + dt)
     amps = _ifft(_fft(psi.amps) * _kinetic(psi.grid, dt, units))
     share = _band_share(amps)
     if share > _EDGE_THRESHOLD:
@@ -262,7 +244,7 @@ def linear_evolve(
     """
     if psi.space != "position":
         raise ValueError("linear_evolve expects a position-representation state; "
-                         "use linear_evolve_momentum for momentum input")
+                         "convert a momentum state with to_position_rep first")
     if ordering not in ("left", "right"):
         raise ValueError(f"unknown ordering {ordering!r}")
     if not np.isfinite(dt):
@@ -345,39 +327,6 @@ def _gaussian_evolve(
     return WaveFunction(grid, amps, time=t)
 
 
-def linear_evolve_momentum(
-    psi_tilde: WaveFunction,
-    v0: float,
-    dt: float,
-    units: UnitSystem = NATURAL,
-) -> EvolutionResult:
-    """Momentum-representation mirror of :func:`linear_evolve`.
-
-    Applies psi~(p, t) = e^{+i V0^2 dt^3/(3 m hbar)} e^{+i V0 p dt^2/(2 m hbar)}
-    psi~_free(p + V0 dt, t).  The momentum-argument shift is spectral
-    (a position-domain phase multiplication), never interpolation.
-    """
-    if psi_tilde.space != "momentum":
-        raise ValueError("linear_evolve_momentum expects a momentum-representation state")
-    ledger = _ledger(v0, dt, units, "right")
-    kick = ledger.momentum_kick
-    phi = free_evolve(psi_tilde, dt, units)
-
-    # g(p) -> g(p + kick): wrap check on the receiving edge, then translate
-    # via the conjugate (position) domain.
-    if kick != 0.0:
-        _check_kick(np.fft.ifftshift(phi.amps), phi.grid, units, kick)
-        pos = to_position_rep(phi, units)
-        kicked = pos.amps * np.exp((-1j * kick / units.hbar) * pos.grid.x)
-        phi = to_momentum_rep(pos.with_amps(kicked), units)
-
-    # Eq-11 form: the right-ordering cubic and p-linear coefficient negated,
-    # as the ledger records
-    c = -ledger.momentum_shift_phase_coeff
-    out = phi.with_amps(phi.amps * np.exp(1j * (c * phi.p_axis + ledger.cubic_phase)))
-    return EvolutionResult(out, replace(ledger, momentum_shift_phase_coeff=c))
-
-
 def plane_wave_phase(
     p: float, v0: float, dt: float, units: UnitSystem = NATURAL
 ) -> PlaneWavePhase:
@@ -394,17 +343,4 @@ def plane_wave_phase(
         p_linear=ledger.momentum_shift_phase_coeff * p,
         free_kicked=-(kicked**2) * dt / (2.0 * units.mass * units.hbar),
         kicked_momentum=kicked,
-    )
-
-
-def zassenhaus_terms(
-    v0: float, dt: float, units: UnitSystem = NATURAL
-) -> ZassenhausTerms:
-    """Coefficients of the two surviving expansion terms.
-
-    c2_coeff scales as dt^2 and c3_coeff as dt^3; both vanish at v0 = 0.
-    """
-    ledger = _ledger(v0, dt, units, "left")
-    return ZassenhausTerms(
-        c2_coeff=ledger.momentum_shift_phase_coeff, c3_coeff=ledger.cubic_phase
     )

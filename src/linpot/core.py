@@ -428,10 +428,6 @@ def _check_kick(spectrum, grid: SpatialGrid, units: UnitSystem, kick: float) -> 
         )
 
 
-def _position_rep(psi: WaveFunction, units: UnitSystem) -> WaveFunction:
-    return psi if psi.space == "position" else to_position_rep(psi, units)
-
-
 def _moments(amps: np.ndarray, grid: SpatialGrid, hbar: float):
     """(norm^2, <x>, <p>, rms width) of position amplitudes on ``grid``.
 
@@ -452,7 +448,7 @@ def _moments(amps: np.ndarray, grid: SpatialGrid, hbar: float):
 
 
 def _normalized_moments(psi: WaveFunction, units: UnitSystem):
-    psi = _position_rep(psi, units)
+    psi = to_position_rep(psi, units)
     psi.require_normalized()
     return _moments(psi.amps, psi.grid, units.hbar)
 

@@ -206,8 +206,6 @@ class PsgComposition:
     """Outcome of composing the three segments on a plane wave or packet."""
 
     relative_phase: float
-    net_kick: float
-    net_displacement: float
     evolved: WaveFunction | None = None
 
 
@@ -249,9 +247,7 @@ def compose_segments(
             f"segment sequence is not balanced: net kick {kick!r}, "
             f"net displacement {disp!r}"
         )
-    return PsgComposition(
-        relative_phase=total - free, net_kick=kick, net_displacement=disp
-    )
+    return PsgComposition(relative_phase=total - free)
 
 
 def psg_compose(
@@ -266,8 +262,9 @@ def psg_compose(
     For packet input the capacitor length must dominate the packet width
     (length/width >= 20) unless ``override_width_check`` is set; the composed
     evolution then returns the evolved state and the phase extracted against
-    pure free evolution over 4 dt.  The net kick and displacement come from
-    :func:`compose_segments` for either input.
+    pure free evolution over 4 dt.  Either input goes through
+    :func:`compose_segments`, which raises unless the segments' net kick and
+    displacement vanish.
     """
     if isinstance(input_state, (int, float)):
         return compose_segments(g.segments(), float(input_state), g.mass, units)
@@ -281,7 +278,7 @@ def psg_compose(
             f"capacitor length {g.length!r} is less than 20x the packet "
             f"width {width!r}; pass override_width_check=True to force"
         )
-    ledger = compose_segments(g.segments(), 0.0, g.mass, units)
+    compose_segments(g.segments(), 0.0, g.mass, units)  # the balance check
     u = units.with_mass(g.mass)
     state = psi
     for v, dt in g.segments():
@@ -290,12 +287,7 @@ def psg_compose(
     overlap = complex(
         np.sum(np.conj(reference.amps) * state.amps) * state.dstep
     )
-    return PsgComposition(
-        relative_phase=cmath.phase(overlap),
-        net_kick=ledger.net_kick,
-        net_displacement=ledger.net_displacement,
-        evolved=state,
-    )
+    return PsgComposition(relative_phase=cmath.phase(overlap), evolved=state)
 
 
 def solve_psg_for_phase(

@@ -39,7 +39,10 @@ last bit.  A run's trajectory times count from launch; for a state at time 0
 the trajectory equals :func:`split_step_evolve` of it for the same number of
 steps, also to the last bit.  Every launch state must sit clear of the
 absorbing bands: one with more than ``core._EDGE_THRESHOLD`` of its norm on
-their points would be absorbed on its way in and counted as reflected.
+their points would be absorbed on its way in and counted as reflected.  It
+must sit clear of the barrier too: one with more than that share at or
+beyond ``x_start`` starts on the front, or past it, and its T measures no
+transmission.
 """
 
 from __future__ import annotations
@@ -365,6 +368,7 @@ def _measure(states, barrier, cfg, grid, units, launch):
             )
     prop = _Propagator(grid, barrier.potential(), cfg.dt, cfg.absorber, units)
     n_left, _, start, _ = prop.bands
+    on_barrier = grid.n - int(np.searchsorted(grid.x, barrier.x_start))
     for psi in states:
         share = _edge_share(psi.amps, n_left, grid.n - start)
         if share > _EDGE_THRESHOLD:
@@ -372,6 +376,12 @@ def _measure(states, barrier, cfg, grid, units, launch):
             raise PreconditionError(
                 f"launch state has {share:.2e} of its norm in the absorbing bands "
                 f"(x < {left!r} or x > {right!r}); launch it further in, or widen the grid"
+            )
+        share = _edge_share(psi.amps, 0, on_barrier)
+        if share > _EDGE_THRESHOLD:
+            raise PreconditionError(
+                f"launch state has {share:.2e} of its norm at or beyond the barrier's "
+                f"start x_start = {barrier.x_start!r}; launch it further left"
             )
     dx = grid.dx
     # R is x < a, the residual a <= x <= b and T x > b
@@ -428,8 +438,9 @@ def run_tunneling(
 ) -> TunnelingResult:
     """Launch a packet at a barrier and measure where its probability ends up.
 
-    Requires an absorber (transmitted and reflected flux must not wrap) and a
-    grid that holds the packet and the barrier clear of the absorbing bands.
+    Requires an absorber (transmitted and reflected flux must not wrap), a
+    grid that holds the packet and the barrier clear of the absorbing bands,
+    and a launch state clear of the barrier (x < ``barrier.x_start``).
     The run stops once T and R change by less than 1e-8 per snapshot over 10
     consecutive snapshots, tested only after the predicted arrival time so the
     quiet approach phase cannot satisfy it.  Exhausting ``cfg.n_steps`` first

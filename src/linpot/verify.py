@@ -26,6 +26,7 @@ from .core import (
     GaussianSpec,
     Linear,
     SpatialGrid,
+    UnitSystem,
     l2_distance,
     mean_momentum,
     mean_position,
@@ -146,10 +147,19 @@ def c01_analytic_vs_oracle() -> CheckResult:
     psi = sample_gaussian(GaussianSpec(x0=-1.0, p0=2.0, sigma=1.0), grid)
     exact = analytic.linear_evolve(psi, v0, total).psi
     study = oracle._study(psi, Linear(v0), total, (4e-3, 2e-3, 1e-3, 5e-4), exact)
+
+    # one draw with hbar != 1 and m != 1, against the pointwise closed form,
+    # which shares no table with the solver's kinetic phase
+    units, spec = UnitSystem(0.6, 1.7), GaussianSpec(0.7, -1.3, 1.1)
+    psi = sample_gaussian(spec, grid, units)
+    run = oracle._single_run(psi, Linear(1.4), 0.35, 1e-4, units)
+    exact = analytic._gaussian_evolve(spec, grid, 1.4, 0.35, units)
+    units_l2 = l2_distance(exact, run.final_state)
     elapsed = time.perf_counter() - start
     # the slope is fitted up to the first stall, and a stall fails
     gates = (
         Gate("max_l2", worst, "<=", 1e-7),
+        Gate("units_l2", units_l2, "<=", 1e-7),
         Gate("stall", study.non_monotone, "==", False),
         Gate("slope_err", abs(study.slope - 2.0), "<=", 0.1),
         Gate("runtime_s", elapsed, "<", 60.0),
@@ -451,10 +461,15 @@ def c11_sg_outcome() -> CheckResult:
         * 0.5
     )
 
+    # a pure state's coherence is erased once its branches are told apart
+    z_up = devices.sg_apply(devices.SpinDensity([[0.5, 0.5], [0.5, 0.5]]), sg)
+    coherence = float(abs(z_up.matrix[0, 1]))
+
     # unpolarized input splits into +-delta_p branches of probability 0.5
     gates = (
         Gate("branch_momenta", set(probs) == {dp, -dp}, "==", True),
         Gate("prob_err", prob_err, "<=", 1e-12),
+        Gate("coherence", coherence, "==", 0.0),
         Gate("packet_kick_err", kick_err, "<=", 1e-9),
         Gate("down_norm", down_norm, "<=", 1e-20),
         Gate("si_kick_rel_err", abs(si.delta_p / si_expected - 1.0), "<", 1e-12),

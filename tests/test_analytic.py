@@ -16,7 +16,6 @@ from linpot import (
     gaussian_width_at,
     l2_distance,
     linear_evolve,
-    linear_evolve_momentum,
     mean_momentum,
     mean_position,
     plane_wave_phase,
@@ -25,7 +24,6 @@ from linpot import (
     si_units,
     spectral_shift,
     to_momentum_rep,
-    zassenhaus_terms,
 )
 import linpot.analytic as analytic
 from linpot.analytic import _gaussian_evolve
@@ -67,11 +65,10 @@ class TestFreeEvolve:
         with pytest.warns(BoundaryContaminationWarning):
             free_evolve(psi, 1.6)
 
-    def test_momentum_rep_input(self, packet):
-        tilde = to_momentum_rep(packet)
-        a = free_evolve(tilde, 0.5)
-        b = to_momentum_rep(free_evolve(packet, 0.5))
-        assert l2_distance(a, b) < 1e-13
+    def test_momentum_rep_input_refused(self, packet):
+        # a momentum state's amplitudes are not positions to transform
+        with pytest.raises(ValueError, match="to_position_rep"):
+            free_evolve(to_momentum_rep(packet), 0.5)
 
 
 class TestSpectralShift:
@@ -361,58 +358,15 @@ class TestGaussianEvolve:
 
 
 class TestMomentumRepresentation:
-    def test_zero_slope_is_pure_phase(self, packet):
-        tilde = to_momentum_rep(packet)
-        res = linear_evolve_momentum(tilde, 0.0, 0.8)
-        np.testing.assert_allclose(
-            np.abs(res.psi.amps), np.abs(tilde.amps), atol=1e-13
-        )
-
     def test_density_kick_law(self, packet):
         # packet is Gaussian(x0=-2, p0=3, sigma=1): its momentum density has
         # the closed form pi^(-1/2) exp(-(p-3)^2), so |psi~(p,t)|^2 must equal
         # that form evaluated at p + v0*dt, pointwise
         v0, dt = 1.3, 0.6
-        tilde0 = to_momentum_rep(packet)
-        res = linear_evolve_momentum(tilde0, v0, dt)
-        p = res.psi.p_axis
+        tilde = to_momentum_rep(linear_evolve(packet, v0, dt).psi)
+        p = tilde.p_axis
         expected = np.pi**-0.5 * np.exp(-((p + v0 * dt) - 3.0) ** 2)
-        np.testing.assert_allclose(res.psi.density(), expected, atol=1e-12)
-
-    def test_representation_consistency(self, packet):
-        v0, dt = 1.3, 0.6
-        via_position = to_momentum_rep(linear_evolve(packet, v0, dt).psi)
-        via_momentum = linear_evolve_momentum(to_momentum_rep(packet), v0, dt).psi
-        assert l2_distance(via_position, via_momentum) < 1e-10
-
-    def test_exact_pointwise_kick_law_on_grid_multiple(self, grid):
-        # choose the kick an exact multiple of dp so the arrays line up
-        psi = sample_gaussian(GaussianSpec(-2.0, 3.0, 1.0), grid)
-        tilde0 = to_momentum_rep(psi)
-        dp = tilde0.dstep
-        kick = 32 * dp
-        res = linear_evolve_momentum(tilde0, kick, 1.0)
-        np.testing.assert_allclose(
-            res.psi.density(), np.roll(tilde0.density(), -32), atol=1e-12
-        )
-
-    def test_kick_leaving_momentum_grid_raises(self):
-        g = SpatialGrid(-16.0, 16.0, 512)
-        psi = sample_gaussian(GaussianSpec(0.0, -40.0, 1.0), g)
-        tilde = to_momentum_rep(psi)
-        with pytest.raises(CoverageError, match="momentum"):
-            linear_evolve_momentum(tilde, 15.0, 1.0)
-
-    def test_momentum_rep_ledger(self, packet):
-        v0, dt = 1.3, 0.6
-        res = linear_evolve_momentum(to_momentum_rep(packet), v0, dt)
-        led = res.ledger
-        assert led.cubic_phase == pytest.approx(v0**2 * dt**3 / 3.0, rel=1e-15)
-        assert led.momentum_shift_phase_coeff == pytest.approx(
-            v0 * dt**2 / 2.0, rel=1e-15
-        )
-        assert led.momentum_kick == pytest.approx(v0 * dt, rel=1e-15)
-        assert led.argument_shift == pytest.approx(v0 * dt**2 / 2.0, rel=1e-15)
+        np.testing.assert_allclose(tilde.density(), expected, atol=1e-12)
 
 
 class TestPlaneWavePhase:
@@ -465,20 +419,3 @@ class TestPlaneWavePhase:
         assert np.angle(ratio[0] / np.exp(1j * part.total)) == pytest.approx(
             0.0, abs=1e-10
         )
-
-
-class TestZassenhausTerms:
-    def test_unit_values(self):
-        t = zassenhaus_terms(1.0, 1.0)
-        assert t.c2_coeff == pytest.approx(0.5, rel=1e-15)
-        assert t.c3_coeff == pytest.approx(-1.0 / 6.0, rel=1e-15)
-
-    def test_zero_slope(self):
-        t = zassenhaus_terms(0.0, 1.0)
-        assert t.c2_coeff == 0.0 and t.c3_coeff == 0.0
-
-    def test_power_counting(self):
-        one = zassenhaus_terms(1.3, 1.0)
-        two = zassenhaus_terms(1.3, 2.0)
-        assert two.c2_coeff == pytest.approx(4 * one.c2_coeff, rel=1e-15)
-        assert two.c3_coeff == pytest.approx(8 * one.c3_coeff, rel=1e-15)

@@ -107,8 +107,6 @@ class TestPsgCompose:
         for p in (0.0, 0.7, -2.3):
             comp = psg_compose(g, p)
             assert comp.relative_phase == pytest.approx(closed, rel=1e-12)
-            assert comp.net_kick == 0.0
-            assert comp.net_displacement == pytest.approx(0.0, abs=1e-14)
 
     def test_unbalanced_segments_rejected(self):
         with pytest.raises(GeometryError, match="balanced"):

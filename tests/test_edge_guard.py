@@ -19,7 +19,6 @@ from linpot import (
     WaveFunction,
     free_evolve,
     linear_evolve,
-    linear_evolve_momentum,
     split_step_evolve,
     to_position_rep,
 )
@@ -232,7 +231,6 @@ def test_momentum_guard_threshold(kick):
         # dx, and one solver step takes the whole kick
         dt = 1e-3
         calls = [
-            lambda: linear_evolve_momentum(tilde, kick, 1.0),
             lambda: split_step_evolve(psi, Linear(kick / dt), SolverConfig(dt=dt, n_steps=1)),
         ]
         if not whole:

@@ -276,6 +276,20 @@ class TestRunTunneling:
         res = run_tunneling(GaussianSpec(-20.0, 4.0, 1.0), barrier, cfg, grid)
         assert res.T == pytest.approx(0.263, abs=1e-3)
 
+    def test_launch_on_the_barrier_is_refused(self):
+        # the barrier starts at 10: from x0 = 10 half the packet starts on
+        # the front and from 12 nearly all of it, and unchecked they measure
+        # T = 0.496 and 0.984 against the 0.263 it measures from -20 (above)
+        grid = SpatialGrid(-64.0, 64.0, 1024)
+        cfg = SolverConfig(
+            dt=2e-3, n_steps=40000, absorber=Absorber(0.2, 12.0), record_every=250
+        )
+        barrier = BarrierSpec(x_start=10.0, slope=8.0, peak_height=11.2)
+        for x0, share in ((10.0, "5.35e-01"), (12.0, "9.98e-01")):
+            message = share + r" of its norm at or beyond .* x_start = 10\.0; launch it further left"
+            with pytest.raises(PreconditionError, match=message):
+                run_tunneling(GaussianSpec(x0, 4.0, 1.0), barrier, cfg, grid)
+
     def test_timeout_carries_partial_result(self):
         grid, cfg, packet, barrier = _blocked_setup()
         short = SolverConfig(
