@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,8 +99,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhaseLedger:
+class PhaseLedger(NamedTuple):
     """Explicit record of every term one linear evolution produced.
 
     The entries are representation-independent: the position-linear phase
@@ -132,16 +131,14 @@ class PhaseLedger:
     momentum_kick: float = 0.0
 
 
-@dataclass(frozen=True)
-class EvolutionResult:
+class EvolutionResult(NamedTuple):
     """Evolved state plus its phase ledger."""
 
     psi: WaveFunction
     ledger: PhaseLedger
 
 
-@dataclass(frozen=True)
-class PlaneWavePhase:
+class PlaneWavePhase(NamedTuple):
     """Phase acquired by the momentum eigenstate |p> under the right ordering.
 
     |p> evolves to exp(i * total) |kicked_momentum> with

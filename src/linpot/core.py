@@ -7,6 +7,17 @@ One private routine, ``_moments``, computes norm^2, <x>, <p> and the rms
 width of position amplitudes.  The public observables, the solver's
 snapshots and the tunneling rows all call it, so they agree to the last bit.
 
+Inputs and records are two kinds of type, package-wide.  An input is what
+a caller builds and linpot validates (the grid, states, packet and
+potentials here; the absorber, solver config, barrier, spinors, spin
+density and device geometries elsewhere): a frozen dataclass, which checks
+its fields in ``__post_init__``.  A record is what a linpot function returns
+(ledgers, results, trajectories, scans): a ``typing.NamedTuple``, which has
+nothing to check and costs far less to define at import than a dataclass,
+whose generated methods are compiled each time its module is imported.
+Both are immutable once built.  Being tuples, records also take ``len``,
+iteration, unpacking and ``==`` against a plain tuple over their fields.
+
 Conventions
 -----------
 * Natural units (hbar = 1, mass = 1) are the default; SI values enter only

@@ -40,6 +40,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,8 +202,7 @@ def psg_phase(g: PsgGeometry, units: UnitSystem = NATURAL) -> float:
     return -2.0 * g.v0**2 * g.length**3 / (3.0 * units.hbar * g.mass * g.speed**3)
 
 
-@dataclass(frozen=True)
-class PsgComposition:
+class PsgComposition(NamedTuple):
     """Outcome of composing the three segments on a plane wave or packet."""
 
     relative_phase: float
@@ -406,8 +406,7 @@ def sg_apply(state, sg: SgSpec, units: UnitSystem = NATURAL):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GateResult:
+class GateResult(NamedTuple):
     """Output of the spin-flip circuit.
 
     ``spinor`` is the recombined packet in the z basis; ``phase`` is the

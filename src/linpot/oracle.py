@@ -66,6 +66,7 @@ the ``(n,)`` tables themselves.  Nothing is allocated inside the step loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,8 +158,7 @@ class SolverConfig:
             raise ValueError("record_every must be at least 1")
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Snapshot record of one evolution.
 
     Stores reduced observables per snapshot (<x>, <p>, sigma-width, norm^2,
@@ -175,6 +175,10 @@ class Trajectory:
     first, and ``boundary_time`` the time of the first snapshot whose
     outer edge band held more than ``core._EDGE_THRESHOLD`` of the norm
     (``None`` if none did).  Both are ``None`` for any other run.
+
+    Like every record linpot returns, a trajectory is not mutated after it
+    is built: ``split_step_evolve`` returns a ``_replace`` copy carrying
+    the drift and boundary time.
     """
 
     times: np.ndarray
@@ -405,12 +409,10 @@ def split_step_evolve(
     if on_snapshot is not None:
         on_snapshot(psi.with_amps(np.array(psi.amps, dtype=complex)))
     (trajectory,), _ = _stride_loop(prop, [psi], cfg, units, keep_stepping, psi.time)
-    trajectory.max_norm_drift, trajectory.boundary_time = max_drift, boundary_time
-    return trajectory
+    return trajectory._replace(max_norm_drift=max_drift, boundary_time=boundary_time)
 
 
-@dataclass(frozen=True)
-class ConvergenceStudy:
+class ConvergenceStudy(NamedTuple):
     """(dt, error) pairs against a reference state, with a log-log fit.
 
     Each dt is the one the run stepped: the requested dt snapped to a whole

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -261,8 +262,7 @@ def wkb_transmission(v: Potential, energy: float, units: UnitSystem = NATURAL) -
     return wkb_transmission_from_action(wkb_sigma_R(v, energy, units))
 
 
-@dataclass(frozen=True)
-class TunnelingResult:
+class TunnelingResult(NamedTuple):
     """Measured outcome of one barrier run.
 
     T and R include the probability removed by the right/left absorbing band;
@@ -461,8 +461,7 @@ def run_tunneling(
     return _measure([psi0], barrier, cfg, grid, units, launch)[0]
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Width-scan table: one :class:`TunnelingResult` per entry, sorted by
     sigma at arrival, and the state-steps and FFT kernel calls of the scan's
     one stack, read off the rows' trajectories."""
@@ -547,8 +546,7 @@ def width_scan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnimationScenario:
+class AnimationScenario(NamedTuple):
     """SI parameters of the slow-packet deceleration scenario.
 
     A packet with sigma = 2 mm and speed 1 m/s climbs a linear ramp that
@@ -598,8 +596,7 @@ def animation_scenario(
     )
 
 
-@dataclass(frozen=True)
-class SurrogateResult:
+class SurrogateResult(NamedTuple):
     """Desk-scale measurement of the slow-packet scenario's crossing time.
 
     The scenario is scale-free apart from two dimensionless numbers: the

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,7 +78,7 @@ def _show(v) -> str:
     return str(v)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     """A check's gates (at least one), the values it reports but does not
     gate, and its run time."""
@@ -319,7 +319,8 @@ def c07_transmission_regimes() -> CheckResult:
         Gate("norm_defect_blocked", res_blocked.norm_defect(), "<", 1e-6),
         Gate("norm_defect_over", res_over.norm_defect(), "<", 1e-6),
     )
-    return CheckResult("c07", gates)
+    info = {"residual_blocked": res_blocked.residual, "residual_over": res_over.residual}
+    return CheckResult("c07", gates, info)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +381,13 @@ def c09_width_scan() -> CheckResult:
     # T non-decreasing, beyond the scan's measurement floor, over a
     # delay-generated sigma sweep at fixed p0
     gates = (Gate("hard_violations", len(hard), "==", 0), Gate("sigma_growth", growth, ">=", 2.0))
-    info = {"slack": tunneling.SCAN_SLACK, "raw_violations": len(raw), "sigmas": sigmas, "T": ts}
+    info = {
+        "slack": tunneling.SCAN_SLACK,
+        "raw_violations": len(raw),
+        "sigmas": sigmas,
+        "T": ts,
+        "residuals": [r.residual for r in scan.rows],
+    }
     return CheckResult("c09", gates, info)
 
 
@@ -511,10 +518,23 @@ def c12_spin_gate() -> CheckResult:
     chi_b = direct.spinor.spin_vector()
     gate_law_dev = abs(1.0 - abs(np.vdot(chi_a, chi_b)) ** 2)
 
+    # at phi = pi/2 the z-up input leaves as ((1 + e^{i phi})/2, (1 - e^{i phi})/2),
+    # whose populations alone cannot tell phi from -phi; phi is the target,
+    # not the phase the circuit reports
+    phi = math.pi / 2
+    half = devices.solve_psg_for_phase(phi, v0=None, length=1.0, speed=1.0)
+    chi = devices.spin_flip_circuit(state, sg_up, half, sg_down).spinor.spin_vector()
+    turn = np.exp(1j * phi)
+    want = np.array([1.0 + turn, 1.0 - turn]) / 2.0
+    half_pi_fidelity = float(
+        abs(np.vdot(want, chi)) ** 2 / (np.vdot(want, want).real * np.vdot(chi, chi).real)
+    )
+
     gates = (
         Gate("fidelity_pi_err", abs(flip.flip_fidelity - 1.0), "<=", 1e-9),
         Gate("fidelity_removed", control.flip_fidelity, "<=", 1e-9),
         Gate("gate_law_dev", gate_law_dev, "<=", 1e-9),
+        Gate("half_pi_spin_err", 1.0 - half_pi_fidelity, "<=", 1e-9),
     )
     return CheckResult("c12", gates, {"fidelity_pi": flip.flip_fidelity})
 
@@ -540,8 +560,7 @@ def run_check(name: str) -> CheckResult:
         if check_name == name:
             start = time.perf_counter()
             result = fn()
-            result.seconds = time.perf_counter() - start
-            return result
+            return replace(result, seconds=time.perf_counter() - start)
     raise KeyError(f"unknown check {name!r}")
 
 

@@ -8,6 +8,11 @@ scipy.linalg it brings), and the WKB action stays free of it: a
 ramp's infinite action and for a barrier alike, and gives the same action
 as a call in this process, whatever else it has loaded.
 
+The same interpreter lists the dataclasses among linpot's top-level names:
+they are exactly the input types that callers build and linpot validates.
+A record a function returns is a ``typing.NamedTuple``, which costs far less
+to define at import, so a record added as a dataclass fails here.
+
 Each check runs in a fresh interpreter, since this one has imported
 everything the other tests use.
 """
@@ -16,6 +21,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import linpot
 
@@ -26,6 +33,24 @@ HEAVY = ("scipy.fft", "scipy.special", "scipy.integrate", "scipy.optimize", "sci
 BARRIER = {"x_start": 0.0, "slope": 2.0, "peak_height": 5.0}
 ENERGY = 1.5
 
+INPUT_TYPES = [
+    "Absorber",
+    "BarrierSpec",
+    "Free",
+    "GaussianSpec",
+    "Linear",
+    "PiecewiseLinear",
+    "PsgGeometry",
+    "Sampled",
+    "SgSpec",
+    "SolverConfig",
+    "SpatialGrid",
+    "SpinDensity",
+    "SpinorPacket",
+    "UnitSystem",
+    "WaveFunction",
+]
+
 SCRIPT = f"""
 import sys
 import linpot.cli
@@ -35,6 +60,12 @@ import scipy.fft
 a = np.linspace(-1.0, 1.0, 64) * (1.0 + 0.5j)
 print(np.array_equal(scipy.fft.fft(a), linpot.core._fft(a)))
 import linpot
+import dataclasses
+print(sorted(
+    name for name in linpot.__all__
+    if isinstance(getattr(linpot, name), type)
+    and dataclasses.is_dataclass(getattr(linpot, name))
+))
 print(repr(linpot.wkb_sigma_R(linpot.Linear(2.0), 3.0)))
 print("scipy.integrate" in sys.modules)
 print(repr(linpot.wkb_sigma_R(linpot.BarrierSpec(**{BARRIER!r}), {ENERGY!r})))
@@ -57,10 +88,14 @@ def _fresh_python(script):
     return done.stdout.splitlines()
 
 
-def test_cli_import_and_wkb_action_never_load_scipy_integrate():
-    loaded, fft_agrees, ramp_action, ramp_loaded, action, integrate_loaded = (
-        _fresh_python(SCRIPT)
-    )
+@pytest.fixture(scope="module")
+def fresh():
+    """The lines SCRIPT prints in a fresh interpreter."""
+    return _fresh_python(SCRIPT)
+
+
+def test_cli_import_and_wkb_action_never_load_scipy_integrate(fresh):
+    loaded, fft_agrees, _, ramp_action, ramp_loaded, action, integrate_loaded = fresh
     assert loaded == "[]"
     assert fft_agrees == "True"
     # a ramp has no far turning point: its action is inf
@@ -68,3 +103,7 @@ def test_cli_import_and_wkb_action_never_load_scipy_integrate():
     assert ramp_loaded == "False"
     assert integrate_loaded == "False"
     assert action == repr(linpot.wkb_sigma_R(linpot.BarrierSpec(**BARRIER), ENERGY))
+
+
+def test_only_the_input_types_are_dataclasses(fresh):
+    assert fresh[2] == repr(INPUT_TYPES)
