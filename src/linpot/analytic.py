@@ -166,12 +166,9 @@ class PlaneWavePhase(NamedTuple):
 def free_evolve(
     psi: WaveFunction, dt: float, units: UnitSystem = NATURAL
 ) -> WaveFunction:
-    """Evolve a position-representation state with no potential: multiply
-    its spectrum by exp(-i p^2 dt / (2 m hbar)).  Exact to spectral
-    precision; negative dt is the inverse evolution."""
-    if psi.space != "position":
-        raise ValueError("free_evolve expects a position-representation state; "
-                         "convert a momentum state with to_position_rep first")
+    """Evolve a state with no potential: multiply its spectrum by
+    exp(-i p^2 dt / (2 m hbar)).  Exact to spectral precision; negative dt
+    is the inverse evolution."""
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
     amps = _ifft(_fft(psi.amps) * _kinetic(psi.grid, dt, units))
@@ -225,7 +222,7 @@ def linear_evolve(
     offset: float = 0.0,
     check_coverage: bool = True,
 ) -> EvolutionResult:
-    """Evolve a position-representation state under V(x) = v0*x + offset.
+    """Evolve a state under V(x) = v0*x + offset.
 
     ``ordering`` selects which exact factorization is applied ("left" puts
     the free evolution first, "right" last); both produce the same state to
@@ -239,9 +236,6 @@ def linear_evolve(
     deliberately periodic states (plane waves), for which the wraparound is
     exact.
     """
-    if psi.space != "position":
-        raise ValueError("linear_evolve expects a position-representation state; "
-                         "convert a momentum state with to_position_rep first")
     if ordering not in ("left", "right"):
         raise ValueError(f"unknown ordering {ordering!r}")
     if not np.isfinite(dt):

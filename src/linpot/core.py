@@ -28,8 +28,8 @@ Conventions
   outputs are bit-reproducible.
 * The momentum grid is the discrete-Fourier conjugate of the position grid,
   ``p_j = hbar * 2*pi*fftfreq(n, dx)``.  Internally momentum arrays live in
-  FFT wraparound order; every *exported* momentum-space array (and every
-  momentum-representation :class:`WaveFunction`) is re-sorted to ascending p.
+  FFT wraparound order; every *exported* momentum array (the amplitudes
+  :func:`to_momentum_rep` returns among them) is re-sorted to ascending p.
 * Transforms go through ``_fft`` and ``_ifft``, which call the pocketfft
   kernel that ``scipy.fft.fft``/``ifft`` themselves end in, with the
   arguments those pass; the output is bit-identical, without the dispatch
@@ -64,7 +64,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -252,51 +252,27 @@ class SpatialGrid:
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Complex amplitudes on a grid, with a time stamp.
-
-    ``space`` is "position" or "momentum".  A momentum-representation
-    wave-function stores its amplitudes against the ascending momentum axis
-    ``p_axis`` (wraparound ordering never leaves this module) and its norm is
-    measured with dp instead of dx.
-    """
+    """Complex position amplitudes on a grid, with a time stamp."""
 
     grid: SpatialGrid
     amps: np.ndarray
     time: float = 0.0
-    space: str = "position"
-    p_axis: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.space not in ("position", "momentum"):
-            raise ValueError(f"unknown space {self.space!r}")
         if len(self.amps) != self.grid.n:
             raise ValueError("amplitude array does not match grid size")
-        if self.space == "momentum" and self.p_axis is None:
-            raise ValueError("momentum-representation state needs its p axis")
-
-    @property
-    def dstep(self) -> float:
-        if self.space == "position":
-            return self.grid.dx
-        return float(self.p_axis[1] - self.p_axis[0])
 
     def norm2(self) -> float:
-        """Squared norm sum(|amps|^2) * dstep."""
-        return float(np.sum(np.abs(self.amps) ** 2) * self.dstep)
+        """Squared norm sum(|amps|^2) * dx."""
+        return float(np.sum(np.abs(self.amps) ** 2) * self.grid.dx)
 
-    def require_normalized(self, tol: float = 1e-6) -> None:
+    def require_normalized(self) -> None:
         n2 = self.norm2()
-        if not abs(n2 - 1.0) < tol:
+        if not abs(n2 - 1.0) < 1e-6:
             raise NormalizationError(f"state norm^2 = {n2!r}, expected 1")
 
     def with_amps(self, amps: np.ndarray, time: float | None = None) -> "WaveFunction":
-        return WaveFunction(
-            self.grid,
-            amps,
-            self.time if time is None else time,
-            self.space,
-            self.p_axis,
-        )
+        return WaveFunction(self.grid, amps, self.time if time is None else time)
 
     def density(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
@@ -459,7 +435,6 @@ def _moments(amps: np.ndarray, grid: SpatialGrid, hbar: float):
 
 
 def _normalized_moments(psi: WaveFunction, units: UnitSystem):
-    psi = to_position_rep(psi, units)
     psi.require_normalized()
     return _moments(psi.amps, psi.grid, units.hbar)
 
@@ -493,38 +468,34 @@ def gaussian_width_at(sigma: float, dt: float, units: UnitSystem = NATURAL) -> f
     return sigma * float(np.sqrt(1.0 + theta**2))
 
 
-def to_momentum_rep(psi: WaveFunction, units: UnitSystem = NATURAL) -> WaveFunction:
-    """Unitary transform to the momentum representation (ascending p axis)."""
-    if psi.space == "momentum":
-        return psi
+def to_momentum_rep(
+    psi: WaveFunction, units: UnitSystem = NATURAL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary transform to the momentum representation: ``(p, amps)``, the
+    ascending momentum axis ``grid.p_sorted(units)`` and the amplitudes on
+    it, normalized with dp."""
     g = psi.grid
     tilde_wrap = _fft(psi.amps) * (g.dx / np.sqrt(2.0 * np.pi * units.hbar))
     tilde_wrap *= _shift_table(g, -g.x_min)
-    return WaveFunction(
-        g,
-        np.fft.fftshift(tilde_wrap),
-        psi.time,
-        space="momentum",
-        p_axis=g.p_sorted(units),
-    )
+    return g.p_sorted(units), np.fft.fftshift(tilde_wrap)
 
 
-def to_position_rep(psi: WaveFunction, units: UnitSystem = NATURAL) -> WaveFunction:
-    """Inverse of :func:`to_momentum_rep`; round trip is exact to ~1e-15."""
-    if psi.space == "position":
-        return psi
-    g = psi.grid
-    tilde_wrap = np.fft.ifftshift(psi.amps)
-    amps = _ifft(tilde_wrap * _shift_table(g, g.x_min))
-    amps *= np.sqrt(2.0 * np.pi * units.hbar) / g.dx
-    return WaveFunction(g, amps, psi.time, space="position")
+def to_position_rep(
+    grid: SpatialGrid, amps: np.ndarray, units: UnitSystem = NATURAL
+) -> WaveFunction:
+    """Inverse of :func:`to_momentum_rep`: the position state at t = 0 whose
+    ascending-p amplitudes on ``grid`` are ``amps``; the round trip is exact
+    to ~1e-15."""
+    out = _ifft(np.fft.ifftshift(amps) * _shift_table(grid, grid.x_min))
+    out *= np.sqrt(2.0 * np.pi * units.hbar) / grid.dx
+    return WaveFunction(grid, out)
 
 
 def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
-    """sqrt(sum |a-b|^2 dstep) for two states on the same grid and space."""
-    if a.space != b.space or a.grid is not b.grid and a.grid != b.grid:
-        raise ValueError("states live on different grids or representations")
-    return float(np.sqrt((np.abs(a.amps - b.amps) ** 2).sum() * a.dstep))
+    """sqrt(sum |a-b|^2 dx) for two states on the same grid."""
+    if a.grid is not b.grid and a.grid != b.grid:
+        raise ValueError("states live on different grids")
+    return float(np.sqrt((np.abs(a.amps - b.amps) ** 2).sum() * a.grid.dx))
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,8 @@ class SpinorPacket:
         scale = math.sqrt(ref.norm2())
         if scale == 0.0:
             raise ValueError("cannot extract spin amplitudes from a null state")
-        inner_up = np.sum(np.conj(ref.amps) * self.up.amps) * ref.dstep
-        inner_down = np.sum(np.conj(ref.amps) * self.down.amps) * ref.dstep
+        inner_up = np.sum(np.conj(ref.amps) * self.up.amps) * ref.grid.dx
+        inner_down = np.sum(np.conj(ref.amps) * self.down.amps) * ref.grid.dx
         return np.array([inner_up, inner_down]) / scale
 
 
@@ -285,7 +285,7 @@ def psg_compose(
         state = linear_evolve(state, v, dt, ordering="left", units=u).psi
     reference = free_evolve(psi, g.total_time, u)
     overlap = complex(
-        np.sum(np.conj(reference.amps) * state.amps) * state.dstep
+        np.sum(np.conj(reference.amps) * state.amps) * state.grid.dx
     )
     return PsgComposition(relative_phase=cmath.phase(overlap), evolved=state)
 

@@ -374,8 +374,6 @@ def split_step_evolve(
     passed the checks above, so a caller can reduce the states as they
     arrive instead of holding all of them.
     """
-    if psi.space != "position":
-        raise ValueError("split_step_evolve expects a position-representation state")
     prop = _Propagator(psi.grid, potential, cfg.dt, cfg.absorber, units)
     if isinstance(potential, Linear):
         # the run translates the spectrum by its whole kick v0*T and leaves

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -13,6 +15,7 @@ from linpot import (
     Sampled,
     SpatialGrid,
     UnitSystem,
+    WaveFunction,
     gaussian_width_at,
     l2_distance,
     mean_momentum,
@@ -28,6 +31,11 @@ from linpot.errors import CoverageError, NormalizationError
 from linpot.tunneling import animation_scenario
 
 from conftest import direct_dft
+
+
+def momentum_norm2(p, amps):
+    """Squared norm of ascending-p amplitudes, measured with dp."""
+    return float(np.sum(np.abs(amps) ** 2) * (p[1] - p[0]))
 
 
 class TestGrid:
@@ -57,6 +65,12 @@ class TestGrid:
         g = SpatialGrid(-16.0, 16.0, 64)
         with pytest.raises(AttributeError):
             g.x_min = 0.0
+
+
+class TestWaveFunction:
+    def test_fields_are_grid_amps_time(self):
+        names = [f.name for f in dataclasses.fields(WaveFunction)]
+        assert names == ["grid", "amps", "time"]
 
 
 class TestGaussianSampling:
@@ -136,46 +150,55 @@ class TestObservables:
 
 class TestFourierPair:
     def test_round_trip(self, packet):
-        back = to_position_rep(to_momentum_rep(packet))
+        back = to_position_rep(packet.grid, to_momentum_rep(packet)[1])
         assert l2_distance(packet, back) < 1e-13
+
+    def test_array_pair(self):
+        units = UnitSystem(0.7, 1.3)
+        g = SpatialGrid(-16.0, 16.0, 512)
+        psi = sample_gaussian(GaussianSpec(1.0, 2.0, 0.8), g, units)
+        p, amps = to_momentum_rep(psi, units)
+        assert p.tobytes() == g.p_sorted(units).tobytes()
+        back = to_position_rep(g, amps, units)
+        assert back.grid == g and back.time == 0.0
+        assert l2_distance(psi, back) < 1e-13
 
     def test_matches_direct_dft(self):
         g = SpatialGrid(-8.0, 8.0, 64)
         psi = sample_gaussian(GaussianSpec(0.5, 1.0, 0.9), g)
         p_ref, amps_ref = direct_dft(psi)
-        tilde = to_momentum_rep(psi)
-        np.testing.assert_allclose(tilde.p_axis, p_ref, atol=1e-12)
-        np.testing.assert_allclose(tilde.amps, amps_ref, atol=1e-12)
+        p, amps = to_momentum_rep(psi)
+        np.testing.assert_allclose(p, p_ref, atol=1e-12)
+        np.testing.assert_allclose(amps, amps_ref, atol=1e-12)
 
     def test_parseval(self, packet):
-        tilde = to_momentum_rep(packet)
-        assert abs(packet.norm2() - tilde.norm2()) < 1e-12
+        assert abs(packet.norm2() - momentum_norm2(*to_momentum_rep(packet))) < 1e-12
 
     def test_momentum_gaussian_width(self):
         g = SpatialGrid(-32.0, 32.0, 2048)
         for sigma in (0.5, 1.0, 2.0):
             psi = sample_gaussian(GaussianSpec(0.0, 0.0, sigma), g)
-            tilde = to_momentum_rep(psi)
-            rho = tilde.density()
-            mean = np.sum(tilde.p_axis * rho) * tilde.dstep
-            var = np.sum((tilde.p_axis - mean) ** 2 * rho) * tilde.dstep
+            p, amps = to_momentum_rep(psi)
+            rho, dp = np.abs(amps) ** 2, p[1] - p[0]
+            mean = np.sum(p * rho) * dp
+            var = np.sum((p - mean) ** 2 * rho) * dp
             width = np.sqrt(2.0 * var)
             assert width == pytest.approx(1.0 / sigma, rel=1e-10)
 
     def test_shift_theorem(self):
         g = SpatialGrid(-32.0, 32.0, 2048)
         psi = sample_gaussian(GaussianSpec(0.0, 5.0, 1.0), g)
-        tilde = to_momentum_rep(psi)
-        peak_p = tilde.p_axis[np.argmax(tilde.density())]
-        assert peak_p == pytest.approx(5.0, abs=tilde.dstep)
+        p, amps = to_momentum_rep(psi)
+        peak_p = p[np.argmax(np.abs(amps) ** 2)]
+        assert peak_p == pytest.approx(5.0, abs=p[1] - p[0])
 
     def test_si_units_parseval(self):
         units = si_units(9.1e-31)
         g = SpatialGrid(-1e-9, 1e-9, 512)
         psi = sample_gaussian(GaussianSpec(0.0, 0.0, 1e-10), g, units)
-        tilde = to_momentum_rep(psi, units)
-        assert abs(psi.norm2() - tilde.norm2()) < 1e-12 * psi.norm2()
-        back = to_position_rep(tilde, units)
+        p, amps = to_momentum_rep(psi, units)
+        assert abs(psi.norm2() - momentum_norm2(p, amps)) < 1e-12 * psi.norm2()
+        back = to_position_rep(g, amps, units)
         assert l2_distance(psi, back) / np.sqrt(psi.norm2()) < 1e-13
 
     @given(
@@ -193,9 +216,9 @@ class TestFourierPair:
         b = sample_gaussian(GaussianSpec(x0b, p0b, 0.7), g)
         amps = np.sqrt(w) * a.amps + np.sqrt(1 - w) * np.exp(1j * phase) * b.amps
         psi = a.with_amps(amps)
-        tilde = to_momentum_rep(psi)
-        assert abs(psi.norm2() - tilde.norm2()) < 1e-12
-        assert l2_distance(psi, to_position_rep(tilde)) < 1e-13
+        p, amps = to_momentum_rep(psi)
+        assert abs(psi.norm2() - momentum_norm2(p, amps)) < 1e-12
+        assert l2_distance(psi, to_position_rep(g, amps)) < 1e-13
 
 
 def _unaligned(n):

@@ -221,11 +221,9 @@ def test_momentum_guard_threshold(kick):
     whole = mask.sum() == GRID.n - 1
     expected = []
     for j, factor in edge_cases(mask):
-        tilde = WaveFunction(
-            GRID, spiked(p, mask, j, factor), space="momentum", p_axis=p
-        )
-        psi = to_position_rep(tilde)
-        expected.append(ref_triggers(tilde.amps, mask, DP))
+        tilde = spiked(p, mask, j, factor)
+        psi = to_position_rep(GRID, tilde)
+        expected.append(ref_triggers(tilde, mask, DP))
         # the position closed forms and the solver guard the same kick
         # v0*dt; so short a dt keeps the argument shift kick*dt/2 below one
         # dx, and one solver step takes the whole kick

@@ -279,10 +279,8 @@ class TestAbsorber:
         final = traj.final_state
         reflected = 0.0
         if final.norm2() > 0:
-            tilde = to_momentum_rep(final)
-            reflected = float(
-                np.sum(tilde.density()[tilde.p_axis < -0.05]) * tilde.dstep
-            )
+            p, amps = to_momentum_rep(final)
+            reflected = float(np.sum(np.abs(amps[p < -0.05]) ** 2) * (p[1] - p[0]))
         assert reflected < 1e-8
         assert traj.absorbed_right[-1] > 1.0 - 1e-6
 
