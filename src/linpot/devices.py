@@ -178,11 +178,7 @@ class PsgGeometry:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.v0):
-            raise ValueError("v0 must be finite")
-        for name in ("length", "speed", "mass"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        _check_psg(v0=self.v0, length=self.length, speed=self.speed, mass=self.mass)
 
     @property
     def dwell(self) -> float:
@@ -195,6 +191,19 @@ class PsgGeometry:
     def segments(self) -> tuple:
         dt = self.dwell
         return ((self.v0, dt), (-self.v0, 2.0 * dt), (self.v0, dt))
+
+
+def _check_psg(**params) -> None:
+    """Raise ValueError unless v0 is finite and length, speed and mass are
+    positive and finite; a parameter passed as None is not checked."""
+    for name, value in params.items():
+        if value is None:
+            continue
+        if name == "v0":
+            if not np.isfinite(value):
+                raise ValueError("v0 must be finite")
+        elif not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite")
 
 
 def psg_phase(g: PsgGeometry, units: UnitSystem = NATURAL) -> float:
@@ -304,11 +313,14 @@ def solve_psg_for_phase(
     closed form only reaches phases in (-inf, 0], so the target is reduced to
     the representative -theta with theta = (-target) mod 2pi before inverting;
     the round trip then satisfies exp(i*(psg_phase - target)) = 1 to 1e-12.
-    Raises :class:`InfeasibleError` when no positive real parameter exists.
+    The given parameters must satisfy :class:`PsgGeometry`'s rules (else
+    ValueError).  Raises :class:`InfeasibleError` when no positive real
+    parameter exists.
     """
     free = [name for name, val in (("v0", v0), ("length", length), ("speed", speed)) if val is None]
     if len(free) != 1:
         raise ValueError("exactly one of v0, length, speed must be free")
+    _check_psg(v0=v0, length=length, speed=speed, mass=mass)
     theta = (-target) % (2.0 * math.pi)
     hbar = units.hbar
 

@@ -187,17 +187,23 @@ def turning_points(v, energy: float):
     Every barrier is the polyline through its knots (:func:`_knots`), which
     is what the solver steps, so each turning point is that polyline's exact
     root: a on the segment into the first knot at or above E before the
-    peak, b on the segment out of the last such knot after it.  For a pure
-    Linear ramp the potential never comes back down, so b is +inf.  Energy
-    exactly at the peak degenerates to a = b.  Raises
-    :class:`NoTurningPointsError` above the peak and
-    :class:`DegenerateEnergyError` at or below the base line (the higher of
-    the two ends).
+    peak, b on the segment out of the last such knot after it.  A pure
+    Linear ramp never comes back down, so its forbidden side is unbounded:
+    (a, +inf) for a rising ramp, (-inf, a) for a falling one, and a flat
+    one has no turning points.  Energy exactly at the peak degenerates to
+    a = b.  Raises :class:`NoTurningPointsError` above the peak (and above
+    a flat ramp) and :class:`DegenerateEnergyError` at or below the base
+    line (the higher of the two ends; a ramp's offset).
     """
     if isinstance(v, Linear):
         if energy <= v.offset:
             raise DegenerateEnergyError(f"energy {energy!r} at or below the ramp base")
-        return (energy - v.offset) / v.v0, math.inf
+        if v.v0 == 0.0:
+            raise NoTurningPointsError(
+                f"energy {energy!r} is above the flat potential {v.offset!r}"
+            )
+        a = (energy - v.offset) / v.v0
+        return (a, math.inf) if v.v0 > 0.0 else (-math.inf, a)
 
     xs, vs = _knots(v)
     i = int(np.argmax(vs))
@@ -225,12 +231,11 @@ def wkb_sigma_R(v: Potential, energy: float, units: UnitSystem = NATURAL) -> flo
     both ends are at or above E (no cancellation on a flat segment), and
     (2/3) dx h+^(3/2) / |h2 - h1| when h changes sign, h+ being the end
     above E; a stretch at or below E between a and b (a flat valley too)
-    adds nothing.  Returns +inf
-    when b is +inf (a ramp with no far side) and exactly 0 when the energy
-    sits at the peak.
+    adds nothing.  Returns +inf when a turning point is infinite (a ramp
+    with no far side) and exactly 0 when the energy sits at the peak.
     """
     a, b = turning_points(v, energy)
-    if math.isinf(b):
+    if math.isinf(a) or math.isinf(b):
         return math.inf
     if b <= a:
         return 0.0

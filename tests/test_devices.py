@@ -174,6 +174,20 @@ class TestSolvePsg:
         with pytest.raises(ValueError):
             solve_psg_for_phase(1.0, v0=None, length=None, speed=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"v0": None, "length": 0.0, "speed": 1.0}, "length"),
+            ({"v0": 1.0, "length": 1.0, "speed": None, "mass": 0.0}, "mass"),
+            ({"v0": 1.0, "length": None, "speed": -1.0}, "speed"),
+            ({"v0": math.inf, "length": None, "speed": 1.0}, "v0"),
+            ({"v0": 1.0, "length": math.nan, "speed": None}, "length"),
+        ],
+    )
+    def test_given_parameters_are_checked(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            solve_psg_for_phase(1.0, **kwargs)
+
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
             solve_psg_for_phase(0.0, v0=1.0, length=None, speed=1.0)

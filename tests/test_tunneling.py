@@ -104,6 +104,19 @@ class TestTurningPoints:
         assert a == pytest.approx(1.5, rel=1e-12)
         assert math.isinf(b)
 
+    def test_falling_ramp_is_forbidden_on_its_left(self):
+        # V = -2x + 0.5 exceeds E = 1 for x < -0.25, not beyond it
+        a, b = turning_points(Linear(-2.0, 0.5), 1.0)
+        assert a == -math.inf and b == -0.25
+        assert wkb_sigma_R(Linear(-2.0, 0.5), 1.0) == math.inf
+
+    def test_flat_ramp_has_no_turning_points(self):
+        for call in (turning_points, wkb_sigma_R):
+            with pytest.raises(NoTurningPointsError, match="flat"):
+                call(Linear(0.0), 1.0)
+            with pytest.raises(DegenerateEnergyError):
+                call(Linear(0.0, 2.0), 1.0)
+
     def test_matches_analytic_inversion(self):
         b = BarrierSpec(x_start=1.0, slope=3.0, peak_height=7.0, descent_slope=5.0)
         for energy in (1.0, 3.5, 6.3):
