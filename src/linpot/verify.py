@@ -286,7 +286,16 @@ def c06_wkb_anchor() -> CheckResult:
                 * (1.0 / barrier.slope + 1.0 / barrier.down_slope)
             )
             worst = max(worst, abs(action - closed) / closed)
-    gates = (Gate("T_at_zero", t0, "==", 0.64), Gate("max_rel", worst, "<=", 1e-8))
+    # at large action T -> e^{-2 sigma_R}
+    asymptote = max(
+        abs(tunneling.wkb_transmission_from_action(s) * math.exp(2.0 * s) - 1.0)
+        for s in (5.0, 10.0, 20.0)
+    )
+    gates = (
+        Gate("T_at_zero", t0, "==", 0.64),
+        Gate("max_rel", worst, "<=", 1e-8),
+        Gate("T_asymptote_rel", asymptote, "<=", 1e-3),
+    )
     return CheckResult("c06", gates)
 
 
