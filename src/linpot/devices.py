@@ -178,7 +178,7 @@ class PsgGeometry:
     mass: float = 1.0
 
     def __post_init__(self):
-        _check_psg(v0=self.v0, length=self.length, speed=self.speed, mass=self.mass)
+        _check_psg(self.v0, self.length, self.speed, self.mass)
 
     @property
     def dwell(self) -> float:
@@ -193,16 +193,13 @@ class PsgGeometry:
         return ((self.v0, dt), (-self.v0, 2.0 * dt), (self.v0, dt))
 
 
-def _check_psg(**params) -> None:
+def _check_psg(v0, length, speed, mass) -> None:
     """Raise ValueError unless v0 is finite and length, speed and mass are
     positive and finite; a parameter passed as None is not checked."""
-    for name, value in params.items():
-        if value is None:
-            continue
-        if name == "v0":
-            if not np.isfinite(value):
-                raise ValueError("v0 must be finite")
-        elif not 0.0 < value < np.inf:
+    if v0 is not None and not np.isfinite(v0):
+        raise ValueError("v0 must be finite")
+    for name, value in (("length", length), ("speed", speed), ("mass", mass)):
+        if value is not None and not 0.0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite")
 
 
@@ -320,7 +317,7 @@ def solve_psg_for_phase(
     free = [name for name, val in (("v0", v0), ("length", length), ("speed", speed)) if val is None]
     if len(free) != 1:
         raise ValueError("exactly one of v0, length, speed must be free")
-    _check_psg(v0=v0, length=length, speed=speed, mass=mass)
+    _check_psg(v0, length, speed, mass)
     theta = (-target) % (2.0 * math.pi)
     hbar = units.hbar
 
