@@ -157,6 +157,7 @@ class TestFourierPair:
         units = UnitSystem(0.7, 1.3)
         g = SpatialGrid(-16.0, 16.0, 512)
         psi = sample_gaussian(GaussianSpec(1.0, 2.0, 0.8), g, units)
+        psi = psi.with_amps(psi.amps, time=0.5)
         p, amps = to_momentum_rep(psi, units)
         assert p.tobytes() == g.p_sorted(units).tobytes()
         back = to_position_rep(g, amps, units)

@@ -164,7 +164,7 @@ class TestAgainstFullTables:
             0.5 * (g.x_min + g.x_max), 0.7, 0.8
         )
         psi = sample_gaussian(spec, g, units)
-        p, amps = to_momentum_rep(psi, units)
+        _, amps = to_momentum_rep(psi, units)
         _same_bits(amps, _reference_momentum_rep(psi, units))
         back = to_position_rep(g, amps, units).amps
         _same_bits(back, _reference_position_rep(g, amps, units))
