@@ -310,10 +310,12 @@ def solve_psg_for_phase(
     closed form only reaches phases in (-inf, 0], so the target is reduced to
     the representative -theta with theta = (-target) mod 2pi before inverting;
     the round trip then satisfies exp(i*(psg_phase - target)) = 1 to 1e-12.
-    The given parameters must satisfy :class:`PsgGeometry`'s rules (else
-    ValueError).  Raises :class:`InfeasibleError` when no positive real
-    parameter exists.
+    The target must be finite and the given parameters must satisfy
+    :class:`PsgGeometry`'s rules (else ValueError).  Raises
+    :class:`InfeasibleError` when no positive real parameter exists.
     """
+    if not math.isfinite(target):
+        raise ValueError("target must be finite")
     free = [name for name, val in (("v0", v0), ("length", length), ("speed", speed)) if val is None]
     if len(free) != 1:
         raise ValueError("exactly one of v0, length, speed must be free")
@@ -432,6 +434,11 @@ class GateResult(NamedTuple):
         return (self.spinor.up.norm2() / n, self.spinor.down.norm2() / n)
 
 
+def _fidelity(a, b) -> float:
+    """|<a|b>|^2 / (<a|a><b|b>): 1 when the spin vectors agree up to phase."""
+    return float(abs(np.vdot(a, b)) ** 2 / (np.vdot(a, a).real * np.vdot(b, b).real))
+
+
 def spin_flip_circuit(
     state: SpinorPacket,
     sg_up: SgSpec,
@@ -482,9 +489,5 @@ def spin_flip_circuit(
         "z",
     )
     # fidelity against the z-swapped input spin state
-    target = np.array([chi[1], chi[0]])
-    out = np.array([out_up, out_down])
-    fidelity = abs(np.vdot(target, out)) ** 2 / (
-        np.vdot(target, target).real * np.vdot(out, out).real
-    )
-    return GateResult(spinor=spinor, phase=phase, flip_fidelity=float(fidelity))
+    fidelity = _fidelity(np.array([chi[1], chi[0]]), np.array([out_up, out_down]))
+    return GateResult(spinor=spinor, phase=phase, flip_fidelity=fidelity)

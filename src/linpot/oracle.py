@@ -26,8 +26,8 @@ at a time however many snapshots it writes.
 
 One private propagator holds the phase factors of a (grid, potential, dt,
 absorber), its kinetic table the one ``core._kinetic`` builds for the closed
-form too, and steps either one state or a ``(B, n)`` stack of states in place
-with ``core._fft``/``_ifft`` along the last axis.  These call the kernel that
+form too, and steps a ``(B, n)`` stack of states in place with
+``core._fft``/``_ifft`` along the last axis.  These call the kernel that
 ``scipy.fft`` itself calls, with the same arguments, so the output is
 bit-identical to ``scipy.fft.fft/ifft(overwrite_x=True)``.  The propagator
 counts the kernel calls of a run: its own two per step, the one
@@ -59,8 +59,8 @@ from the per-step scheme's; against the exactly rounded sum it stays within
 1e-13 relative over 2500 steps.  Every operation is elementwise per row or
 one dot product per row, so a row of a stack sums exactly as it would alone.
 A stack of two or more rows multiplies by its own copies of the phase
-tables, tiled to the stack's shape once per call; one state multiplies by
-the ``(n,)`` tables themselves.  Nothing is allocated inside the step loop.
+tables, tiled to the stack's shape once per call; a stack of one uses the
+``(n,)`` tables themselves.  Nothing is allocated inside the step loop.
 """
 
 from __future__ import annotations
@@ -231,37 +231,31 @@ class _Propagator:
             self.bands = (n_left, w_left, start, w_right)
 
     def advance(self, amps, k, ledger):
-        """Step ``amps``, one state ``(n,)`` or a stack ``(B, n)`` of
-        C-contiguous complex rows, ``k`` steps in place and return it (the
-        returned array shares the input's buffer).  With the absorber on, the
+        """Step ``amps``, a ``(B, n)`` stack of C-contiguous complex rows,
+        ``k`` steps in place and return it.  With the absorber on, the
         probability each row's bands remove is added to ``ledger``, shape
-        ``(2,)`` or ``(B, 2)``: (left, right) per row.  It is summed per band
-        point over the steps and weighted once, at the end of the call."""
-        rows = amps.reshape(-1, amps.shape[-1])
+        ``(B, 2)``: (left, right) per row.  It is summed per band point over
+        the steps and weighted once, at the end of the call."""
         tables = (self.half, self.full, self.last, self.exp_k)
-        if len(rows) == 1:
-            # one state: every multiply is (n,) by (n,)
-            psi = rows[0]
-        else:
+        if len(amps) > 1:
             # same-shape tables, built once per call, multiply faster than
             # the (n,) ones broadcast over the stack
-            psi = rows
-            tables = [np.tile(t, (len(rows), 1)) for t in tables]
+            tables = [np.tile(t, (len(amps), 1)) for t in tables]
         half, full, last, exp_k = tables
         absorbing = self.absorbing
         if absorbing:
             n_left, w_left, start, w_right = self.bands
             # float views of every row's bands: the transforms run in place,
             # so the views see each step's state
-            u_left = rows[:, :n_left].view(float)
-            u_right = rows[:, start:].view(float)
+            u_left = amps[:, :n_left].view(float)
+            u_right = amps[:, start:].view(float)
             sq_left, sq_right = np.empty_like(u_left), np.empty_like(u_right)
             sum_left, sum_right = np.zeros_like(u_left), np.zeros_like(u_right)
-        psi *= half
+        amps *= half
         for j in range(k):
-            _fft(psi, psi)
-            psi *= exp_k
-            _ifft(psi, psi)
+            _fft(amps, amps)
+            amps *= exp_k
+            _ifft(amps, amps)
             if absorbing:
                 # |half| = 1, so |psi|^2 here equals the density after the
                 # closing half kick, where the per-step scheme applies the
@@ -270,9 +264,9 @@ class _Propagator:
                 sum_left += sq_left
                 np.multiply(u_right, u_right, out=sq_right)
                 sum_right += sq_right
-            psi *= last if j == k - 1 else full
+            amps *= last if j == k - 1 else full
         if absorbing:
-            for a, s_l, s_r in zip(np.atleast_2d(ledger), sum_left, sum_right):
+            for a, s_l, s_r in zip(ledger, sum_left, sum_right):
                 a[0] += np.dot(s_l, w_left)
                 a[1] += np.dot(s_r, w_right)
         self.transforms += 2 * k
@@ -381,7 +375,7 @@ def split_step_evolve(
         kick = potential.v0 * cfg.n_steps * cfg.dt
         _check_kick(_fft(psi.amps), psi.grid, units, kick)
         prop.transforms += 1
-    initial_norm = float(np.sum(psi.density()) * psi.grid.dx)
+    initial_norm = psi.norm2()
     max_drift, boundary_time = (None if prop.absorbing else 0.0), None
 
     def keep_stepping(_, row, step, t, n2, absorbed):

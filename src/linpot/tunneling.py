@@ -187,18 +187,21 @@ def turning_points(v, energy: float):
     Every barrier is the polyline through its knots (:func:`_knots`), which
     is what the solver steps, so each turning point is that polyline's exact
     root: a on the segment into the first knot at or above E before the
-    peak, b on the segment out of the last such knot after it.  A pure
-    Linear ramp never comes back down, so its forbidden side is unbounded:
-    (a, +inf) for a rising ramp, (-inf, a) for a falling one, and a flat
-    one has no turning points.  Energy exactly at the peak degenerates to
-    a = b.  Raises :class:`NoTurningPointsError` above the peak (and above
-    a flat ramp) and :class:`DegenerateEnergyError` at or below the base
-    line (the higher of the two ends; a ramp's offset).
+    peak, b on the segment out of the last such knot after it.  A sloped
+    Linear ramp v0*x + offset crosses every finite energy once and never
+    comes back down, so its forbidden side is unbounded: (a, +inf) for a
+    rising ramp, (-inf, a) for a falling one; a flat one has no turning
+    points.  Energy exactly at the peak degenerates to a = b.  Raises
+    :class:`NoTurningPointsError` above the peak (and above a flat ramp)
+    and :class:`DegenerateEnergyError` at or below the base line (the higher
+    of the two ends; a flat ramp's level).
     """
     if isinstance(v, Linear):
-        if energy <= v.offset:
-            raise DegenerateEnergyError(f"energy {energy!r} at or below the ramp base")
         if v.v0 == 0.0:
+            if energy <= v.offset:
+                raise DegenerateEnergyError(
+                    f"energy {energy!r} is at or below the flat potential {v.offset!r}"
+                )
             raise NoTurningPointsError(
                 f"energy {energy!r} is above the flat potential {v.offset!r}"
             )
@@ -231,8 +234,9 @@ def wkb_sigma_R(v: Potential, energy: float, units: UnitSystem = NATURAL) -> flo
     both ends are at or above E (no cancellation on a flat segment), and
     (2/3) dx h+^(3/2) / |h2 - h1| when h changes sign, h+ being the end
     above E; a stretch at or below E between a and b (a flat valley too)
-    adds nothing.  Returns +inf when a turning point is infinite (a ramp
-    with no far side) and exactly 0 when the energy sits at the peak.
+    adds nothing.  Returns +inf when a turning point is infinite (a sloped
+    :class:`Linear` ramp, at every finite energy: it has no far side) and
+    exactly 0 when the energy sits at the peak.
     """
     a, b = turning_points(v, energy)
     if math.isinf(a) or math.isinf(b):
@@ -341,38 +345,27 @@ def _launch(packet, barrier, cfg, grid, units):
     return a, b, t_a_linear
 
 
-def _stationary(history) -> bool:
-    """T and R moved by less than STATIONARY_TOL at each of the last
-    STATIONARY_SNAPSHOTS snapshots."""
-    if len(history) <= STATIONARY_SNAPSHOTS:
-        return False
-    recent = history[-(STATIONARY_SNAPSHOTS + 1):]
-    drift = max(
-        abs(t1 - t0) + abs(r1 - r0) for (t0, r0), (t1, r1) in zip(recent, recent[1:])
-    )
-    return drift < STATIONARY_TOL
-
-
 def _measure(states, barrier, cfg, grid, units, launch):
     """Launch every state of ``states`` at the barrier and step them as one
     ``(B, n)`` stack (``oracle._stride_loop``) until each is stationary.
 
-    After every stride each row gets its T, R and residual and its
-    stationarity test; a row that has become stationary leaves the stack and
-    the others keep stepping.  Returns one :class:`TunnelingResult` per
-    state, in input order.  If ``cfg.n_steps`` runs out first, raises
+    After every stride each row gets its T, R and residual.  A snapshot is
+    quiet when |dT| + |dR| since the row's previous one is below
+    ``STATIONARY_TOL``; a row with ``STATIONARY_SNAPSHOTS`` quiet snapshots
+    in a row at or after ``t_a_linear`` leaves the stack while the others
+    step on.  Returns one :class:`TunnelingResult` per state, in input
+    order, with its latest T and R.  If ``cfg.n_steps`` runs out first, raises
     :class:`StationarityTimeout` carrying the partial result of the first
     state, in input order, that was still drifting.
     """
     a, b, t_a_linear = launch
-    for psi in states:
-        psi.require_normalized()
-        if psi.grid != grid:
-            raise ValueError("tunneling runs need a state on the run's grid")
     prop = _Propagator(grid, barrier.potential(), cfg.dt, cfg.absorber, units)
     n_left, _, start, _ = prop.bands
     on_barrier = grid.n - int(np.searchsorted(grid.x, barrier.x_start))
     for psi in states:
+        psi.require_normalized()
+        if psi.grid != grid:
+            raise ValueError("tunneling runs need a state on the run's grid")
         share = _edge_share(psi.amps, n_left, grid.n - start)
         if share > _EDGE_THRESHOLD:
             _, left, right = cfg.absorber._edges(grid)
@@ -391,29 +384,31 @@ def _measure(states, barrier, cfg, grid, units, launch):
     cut_a = int(np.searchsorted(grid.x, a))
     cut_b = int(np.searchsorted(grid.x, b, "right"))
 
-    # per state: the (T, R) history of its snapshots and the latest residual
-    history = [[] for _ in states]
-    residuals = [None] * len(states)
+    # per state: its latest (T, R, residual), infinite before the first
+    # stride so the first move is never quiet, and its run of quiet snapshots
+    latest = [(math.inf, math.inf, None)] * len(states)
+    quiet = [0] * len(states)
 
     def keep_stepping(i, row, step, t, norm2, absorbed):
         left, right = absorbed
         rho = np.abs(row) ** 2
         T = float(np.sum(rho[cut_b:]) * dx) + right
         R = float(np.sum(rho[:cut_a]) * dx) + left
-        residuals[i] = float(np.sum(rho[cut_a:cut_b]) * dx)
-        history[i].append((T, R))
-        return not (t >= t_a_linear and _stationary(history[i]))
+        move = abs(T - latest[i][0]) + abs(R - latest[i][1])
+        quiet[i] = quiet[i] + 1 if move < STATIONARY_TOL else 0
+        latest[i] = (T, R, float(np.sum(rho[cut_a:cut_b]) * dx))
+        return not (t >= t_a_linear and quiet[i] >= STATIONARY_SNAPSHOTS)
 
     trajectories, drifting = _stride_loop(prop, states, cfg, units, keep_stepping)
     results = []
     for i, traj in enumerate(trajectories):
-        T, R = history[i][-1]
+        T, R, residual = latest[i]
         t_a_measured = _crossing_time(traj.times, traj.mean_x, a)
         results.append(
             TunnelingResult(
                 T=T,
                 R=R,
-                residual=residuals[i],
+                residual=residual,
                 absorbed_left=traj.absorbed_left[-1],
                 absorbed_right=traj.absorbed_right[-1],
                 t_measure=traj.state_steps * cfg.dt,

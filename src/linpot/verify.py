@@ -535,9 +535,7 @@ def c12_spin_gate() -> CheckResult:
     chi = devices.spin_flip_circuit(state, sg_up, half, sg_down).spinor.spin_vector()
     turn = np.exp(1j * phi)
     want = np.array([1.0 + turn, 1.0 - turn]) / 2.0
-    half_pi_fidelity = float(
-        abs(np.vdot(want, chi)) ** 2 / (np.vdot(want, want).real * np.vdot(chi, chi).real)
-    )
+    half_pi_fidelity = devices._fidelity(want, chi)
 
     gates = (
         Gate("fidelity_pi_err", abs(flip.flip_fidelity - 1.0), "<=", 1e-9),

@@ -188,6 +188,13 @@ class TestSolvePsg:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             solve_psg_for_phase(1.0, **kwargs)
 
+    @pytest.mark.parametrize("free", ["v0", "length", "speed"])
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_target_is_checked(self, target, free):
+        kwargs = {"v0": 1.0, "length": 1.0, "speed": 1.0, free: None}
+        with pytest.raises(ValueError, match="^target must be finite$"):
+            solve_psg_for_phase(target, **kwargs)
+
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
             solve_psg_for_phase(0.0, v0=1.0, length=None, speed=1.0)

@@ -386,11 +386,11 @@ class TestPropagatorStack:
             stack = prop.advance(stack, k, ledger)
         assert np.shares_memory(stack, buffer)
         for i, amps in enumerate(rows):
-            alone, own = amps.copy(), np.zeros(2)
+            alone, own = amps[None].copy(), np.zeros((1, 2))
             for k in (137, 163):
                 alone = prop.advance(alone, k, own)
-            np.testing.assert_array_equal(stack[i], alone)
-            np.testing.assert_array_equal(ledger[i], own)
+            np.testing.assert_array_equal(stack[i], alone[0])
+            np.testing.assert_array_equal(ledger[i], own[0])
         if absorber is None:
             assert not ledger.any()
         else:
@@ -417,11 +417,11 @@ class TestPropagatorStack:
             stack, ledger, live = stack[kept], ledger[kept], keep
         for i, amps in enumerate(rows):
             c, stacked, stacked_ledger = left[i]
-            alone, own = amps.copy(), np.zeros(2)
+            alone, own = amps[None].copy(), np.zeros((1, 2))
             for k, _ in calls[: c + 1]:
                 alone = prop.advance(alone, k, own)
-            np.testing.assert_array_equal(stacked, alone)
-            np.testing.assert_array_equal(stacked_ledger, own)
+            np.testing.assert_array_equal(stacked, alone[0])
+            np.testing.assert_array_equal(stacked_ledger, own[0])
         # the first two packets run into opposite bands
         assert left[0][2][1] > 0.1 and left[1][2][0] > 0.1
 
@@ -480,15 +480,17 @@ class TestKernelBypass:
         g = SpatialGrid(-24.0, 24.0, 2048)
         starts = ((6.0, 8.0), (-6.0, -8.0), (0.0, 3.0))[: max(shape, default=1)]
         rows = [sample_gaussian(GaussianSpec(x0, p0, 1.0), g).amps for x0, p0 in starts]
-        amps = np.array(rows).reshape(*shape, g.n)
+        # the reference steps a lone state as an (n,) array; advance steps
+        # it as a stack of one
+        ref = np.array(rows).reshape(*shape, g.n)
+        got = ref.reshape(-1, g.n).copy()
         prop = _Propagator(g, Linear(0.5), 5e-3, absorber)
-        ref, got = amps.copy(), amps.copy()
-        ref_ledger, ledger = np.zeros((*shape, 2)), np.zeros((*shape, 2))
+        ref_ledger, ledger = np.zeros((*shape, 2)), np.zeros((len(got), 2))
         for k in (137, 163):
             ref = _scipy_fft_advance(prop, ref, k, ref_ledger)
             got = prop.advance(got, k, ledger)
-        np.testing.assert_array_equal(got, ref)
-        np.testing.assert_array_equal(ledger, ref_ledger)
+        np.testing.assert_array_equal(got.reshape(ref.shape), ref)
+        np.testing.assert_array_equal(ledger.reshape(ref_ledger.shape), ref_ledger)
         assert prop.transforms == 600
         if absorber is not None:
             # the first packet runs into the right band, the second the left
@@ -504,8 +506,9 @@ class TestKernelBypass:
         right = sample_gaussian(GaussianSpec(6.0, 4.0, 1.0), g)
         left = sample_gaussian(GaussianSpec(-6.0, -4.0, 1.0), g)
         psi = (right.amps + left.amps) / np.sqrt(2.0)
-        ledger, ref_ledger, terms = np.zeros(2), np.zeros(2), ([], [])
-        got = prop.advance(psi.copy(), 2500, ledger)
+        ledger, ref_ledger, terms = np.zeros((1, 2)), np.zeros(2), ([], [])
+        got = prop.advance(psi[None].copy(), 2500, ledger)[0]
+        ledger = ledger[0]
         ref = _scipy_fft_advance(prop, psi.copy(), 2500, ref_ledger, terms)
         np.testing.assert_array_equal(got, ref)
         np.testing.assert_array_equal(ledger, ref_ledger)

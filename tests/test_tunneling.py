@@ -110,6 +110,16 @@ class TestTurningPoints:
         assert a == -math.inf and b == -0.25
         assert wkb_sigma_R(Linear(-2.0, 0.5), 1.0) == math.inf
 
+    @pytest.mark.parametrize(
+        "ramp, energy, want",
+        [(Linear(2.0), -1.0, (-0.5, math.inf)), (Linear(-2.0, 0.5), 0.0, (-math.inf, 0.25))],
+        ids=["rising", "falling"],
+    )
+    def test_ramp_crosses_energies_below_its_offset(self, ramp, energy, want):
+        # Linear is v0*x + offset on the whole line: its offset is no floor
+        assert turning_points(ramp, energy) == want
+        assert wkb_sigma_R(ramp, energy) == math.inf
+
     def test_flat_ramp_has_no_turning_points(self):
         for call in (turning_points, wkb_sigma_R):
             with pytest.raises(NoTurningPointsError, match="flat"):
