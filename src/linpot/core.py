@@ -439,9 +439,9 @@ def _normalized_moments(psi: WaveFunction, units: UnitSystem):
     return _moments(psi.amps, psi.grid, units.hbar)
 
 
-def mean_position(psi: WaveFunction, units: UnitSystem = NATURAL) -> float:
+def mean_position(psi: WaveFunction) -> float:
     """<x> = sum x |psi|^2 dx.  Requires a normalized state."""
-    return _normalized_moments(psi, units)[1]
+    return _normalized_moments(psi, NATURAL)[1]
 
 
 def mean_momentum(psi: WaveFunction, units: UnitSystem = NATURAL) -> float:
@@ -449,12 +449,12 @@ def mean_momentum(psi: WaveFunction, units: UnitSystem = NATURAL) -> float:
     return _normalized_moments(psi, units)[2]
 
 
-def spatial_width(psi: WaveFunction, units: UnitSystem = NATURAL) -> float:
+def spatial_width(psi: WaveFunction) -> float:
     """Sigma-parameter width of a normalized state: sqrt(2) times the rms
     width sqrt(<x^2> - <x>^2), so a fresh Gaussian packet's width equals its
     sigma parameter and the free-spreading law sigma(t) applies as written.
     """
-    return _normalized_moments(psi, units)[3] * np.sqrt(2.0)
+    return _normalized_moments(psi, NATURAL)[3] * np.sqrt(2.0)
 
 
 def gaussian_width_at(sigma: float, dt: float, units: UnitSystem = NATURAL) -> float:
@@ -527,6 +527,11 @@ class Linear(Potential):
 
     v0: float
     offset: float = 0.0
+
+    def __post_init__(self):
+        for name in ("v0", "offset"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     def evaluate(self, x):
         return self.v0 * x + self.offset

@@ -76,6 +76,12 @@ ELECTRON_MASS_SI = 9.1093837015e-31
 # ---------------------------------------------------------------------------
 
 
+def _hadamard(a, b):
+    """((a + b)/sqrt(2), (a - b)/sqrt(2)): the change between the z and x
+    spin bases, its own inverse."""
+    return (a + b) / _SQRT2, (a - b) / _SQRT2
+
+
 @dataclass(frozen=True)
 class SpinorPacket:
     """Two-component wave-function in a labelled spin basis ("z" or "x")."""
@@ -97,9 +103,8 @@ class SpinorPacket:
         """Hadamard change between the z and x bases (involutive)."""
         if basis == self.basis:
             return self
-        plus = self.up.with_amps((self.up.amps + self.down.amps) / _SQRT2)
-        minus = self.up.with_amps((self.up.amps - self.down.amps) / _SQRT2)
-        return SpinorPacket(plus, minus, basis)
+        plus, minus = _hadamard(self.up.amps, self.down.amps)
+        return SpinorPacket(self.up.with_amps(plus), self.up.with_amps(minus), basis)
 
     def spin_vector(self) -> np.ndarray:
         """Global spin amplitudes (c_up, c_down) for a product state.
@@ -370,10 +375,10 @@ class SgSpec:
             raise ValueError("coupling must be non-negative and finite")
 
     @staticmethod
-    def from_field(b0: float, duration: float, axis: int = +1) -> "SgSpec":
-        """Coupling = e*hbar/(2*m_e) * B0 for an electron, SI units."""
+    def from_field(b0: float, duration: float) -> "SgSpec":
+        """A +x stage of coupling e*hbar/(2*m_e) * B0 for an electron, SI units."""
         coupling = ELEMENTARY_CHARGE_SI * HBAR_SI / (2.0 * ELECTRON_MASS_SI) * b0
-        return SgSpec(coupling, duration, axis)
+        return SgSpec(coupling, duration)
 
     @property
     def delta_p(self) -> float:
@@ -470,14 +475,12 @@ def spin_flip_circuit(
         )
     z = state.to_basis("z")
     chi = z.spin_vector()  # (c_up, c_down) in z basis
-    x_plus = (chi[0] + chi[1]) / _SQRT2
-    x_minus = (chi[0] - chi[1]) / _SQRT2
+    x_plus, x_minus = _hadamard(chi[0], chi[1])
 
     phase = psg_phase(psg, units) if psg is not None else 0.0
     x_minus = x_minus * cmath.exp(1j * phase)
 
-    out_up = (x_plus + x_minus) / _SQRT2
-    out_down = (x_plus - x_minus) / _SQRT2
+    out_up, out_down = _hadamard(x_plus, x_minus)
 
     duration = 2.0 * sg_up.duration + (psg.total_time if psg is not None else 0.0)
     profile = z.up if z.up.norm2() >= z.down.norm2() else z.down

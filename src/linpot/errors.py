@@ -26,7 +26,8 @@ class NoTurningPointsError(LinpotError):
 
 
 class DegenerateEnergyError(LinpotError):
-    """Requested energy lies at or below the potential base line."""
+    """Requested energy is not finite, or lies at or below the potential base
+    line."""
 
 
 class StationarityTimeout(LinpotError):

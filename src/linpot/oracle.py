@@ -25,9 +25,9 @@ and receives each one as it is taken, so ``linpot evolve`` holds one state
 at a time however many snapshots it writes.
 
 One private propagator holds the phase factors of a (grid, potential, dt,
-absorber), its kinetic table the one ``core._kinetic`` builds for the closed
-form too, and steps a ``(B, n)`` stack of states in place with
-``core._fft``/``_ifft`` along the last axis.  These call the kernel that
+absorber) as ``(B, n)`` tables, its kinetic table the one ``core._kinetic``
+builds for the closed form too, and steps a stack of up to B states in place
+with ``core._fft``/``_ifft`` along the last axis.  These call the kernel that
 ``scipy.fft`` itself calls, with the same arguments, so the output is
 bit-identical to ``scipy.fft.fft/ifft(overwrite_x=True)``.  The propagator
 counts the kernel calls of a run: its own two per step, the one
@@ -35,20 +35,20 @@ counts the kernel calls of a run: its own two per step, the one
 :func:`split_step_evolve`.  Every :class:`Trajectory` carries that count as
 ``transforms``, beside its ``state_steps``.
 
-One private stride loop drives the propagator for every run, stops it at
-exactly ``n_steps`` and owns the snapshot record, the non-finite check and the
-absorbed sums.  :func:`split_step_evolve` is a stack of one; the tunneling
-measurement stacks all its entries.  Each adds only a per-row callback that
-says whether the row steps on, so a tunneling row and
-:func:`split_step_evolve` of the same state agree to the last bit.  Between two
-snapshots nobody looks at the state, so the closing half kick of one step and
-the opening half kick of the next are merged into one full kick.  k steps
+One private stride loop builds the propagator for its stack, drives it for
+every run, stops it at exactly ``n_steps`` and owns the snapshot record, the
+non-finite check and the absorbed sums.  :func:`split_step_evolve` is a stack
+of one; the tunneling measurement stacks all its entries.  Each adds only a
+per-row callback that says whether the row steps on, so a tunneling row and
+:func:`split_step_evolve` of the same state agree to the last bit.  Between
+two snapshots nobody looks at the state, so the closing half kick of one step
+and the opening half kick of the next are merged into one full kick.  k steps
 apply the half kick once, then k times the kinetic factor followed by
 ``half**2 * mask``, except that the last of them is followed by
-``half * mask``.  This is the same product of operators, not an
-approximation: the potential phase and the mask are both diagonal in position,
-so they commute, and only roundoff differs from the per-step form.  The phase
-has modulus 1, so the density on the absorbing bands just before a merged kick
+``half * mask``.  This is the same product of operators, not an approximation:
+the potential phase and the mask are both diagonal in position, so they
+commute, and only roundoff differs from the per-step form.  The phase has
+modulus 1, so the density on the absorbing bands just before a merged kick
 equals the density the per-step scheme masks.  That density is summed there
 per point: each step squares all rows of a side, the two contiguous edge
 slices of the bands, with one ``np.multiply`` and adds the squares to
@@ -56,11 +56,11 @@ per-point sums in place.  At the end of a :meth:`_Propagator.advance` call,
 one dot product per row and side with the removal weights adds the call's
 removed probability to the ledger.  Only the order of that summation differs
 from the per-step scheme's; against the exactly rounded sum it stays within
-1e-13 relative over 2500 steps.  Every operation is elementwise per row or
-one dot product per row, so a row of a stack sums exactly as it would alone.
-A stack of two or more rows multiplies by its own copies of the phase
-tables, tiled to the stack's shape once per call; a stack of one uses the
-``(n,)`` tables themselves.  Nothing is allocated inside the step loop.
+1e-13 relative over 2500 steps.  Every operation is elementwise per row or one
+dot product per row, so a row of a stack sums exactly as it would alone.  The
+phase tables are tiled to the stack's shape once, when the propagator is
+built; a stack that has shrunk multiplies by views of their first rows.
+Nothing is allocated inside the step loop.
 """
 
 from __future__ import annotations
@@ -125,19 +125,28 @@ class Absorber:
         w = self.width_fraction * grid.span
         return w, grid.x_min + w, grid.x_max - w
 
+    def _bands(self, grid: SpatialGrid):
+        """(n_left, start): the left band's point count, the right band's first point."""
+        _, left, right = self._edges(grid)
+        return int(np.searchsorted(grid.x, left)), int(np.searchsorted(grid.x, right, "right"))
+
     def ramp(self, grid: SpatialGrid) -> np.ndarray:
         """Damping-rate profile: 0 in the interior, cos^2-shaped rise to
         ``strength`` at each boundary."""
         w, left, right = self._edges(grid)
         x = grid.x
         out = np.zeros(grid.n)
-        n_left = np.searchsorted(x, left)
-        start = np.searchsorted(x, right, "right")
+        n_left, start = self._bands(grid)
         s_left = (left - x[:n_left]) / w
         s_right = (x[start:] - right) / w
         out[:n_left] = self.strength * np.sin(0.5 * np.pi * s_left) ** 2
         out[start:] = self.strength * np.sin(0.5 * np.pi * s_right) ** 2
         return out
+
+
+def _absorbing(absorber: Absorber | None) -> bool:
+    """Whether ``absorber`` is given and removes anything."""
+    return absorber is not None and absorber.strength > 0
 
 
 @dataclass(frozen=True)
@@ -198,50 +207,43 @@ class Trajectory(NamedTuple):
 class _Propagator:
     """Strang stepping for one grid, potential, dt and absorber.
 
-    Builds the phase factors and the absorber's band weights once; every
-    caller then steps its states with :meth:`advance`.  ``transforms``
-    counts the FFT kernel calls of the run: :meth:`advance` adds its own,
-    and its callers add those they make on the run's states.
+    Builds the phase factors, as ``(rows, n)`` tables, and the absorber's band
+    weights once; :meth:`advance` then steps a stack of up to ``rows`` states.
+    ``transforms`` counts the FFT kernel calls of the run: :meth:`advance`
+    adds its own, and the stride loop those of its snapshots.
     """
 
-    def __init__(self, grid, potential, dt, absorber=None, units=NATURAL):
+    def __init__(self, grid, potential, dt, absorber, units, rows):
         hbar = units.hbar
         v = np.asarray(potential.evaluate(grid.x), dtype=float)
         if not np.all(np.isfinite(v)):
             raise StabilityError("potential evaluates to non-finite values on the grid")
-        self.half = np.exp(-0.5j * v * dt / hbar)
-        self.exp_k = _kinetic(grid, dt, units)
-        self.full = self.half * self.half
-        self.last = self.half.copy()
-        self.absorbing = absorber is not None and absorber.strength > 0
+        half = np.exp(-0.5j * v * dt / hbar)
+        full, last = half * half, half
+        self.absorbing = _absorbing(absorber)
         self.transforms = 0
         if self.absorbing:
             mask = np.exp(-absorber.ramp(grid) * dt / hbar)
-            self.full *= mask
-            self.last *= mask
+            full, last = full * mask, half * mask
             # removal weights over each band, repeated for the (re, im) pairs
             # of a float view of the amplitudes: weights . view**2 = sum |psi|^2 w
             removal = (1.0 - mask**2) * grid.dx
-            _, left, right = absorber._edges(grid)
-            n_left = int(np.searchsorted(grid.x, left))
-            start = int(np.searchsorted(grid.x, right, "right"))
+            n_left, start = absorber._bands(grid)
             # (points, weights) of the left band, (first point, weights) of
             # the right one
             w_left, w_right = np.repeat(removal[:n_left], 2), np.repeat(removal[start:], 2)
             self.bands = (n_left, w_left, start, w_right)
+        tables = (half, full, last, _kinetic(grid, dt, units))
+        self.half, self.full, self.last, self.exp_k = (np.tile(t, (rows, 1)) for t in tables)
 
     def advance(self, amps, k, ledger):
-        """Step ``amps``, a ``(B, n)`` stack of C-contiguous complex rows,
-        ``k`` steps in place and return it.  With the absorber on, the
-        probability each row's bands remove is added to ``ledger``, shape
-        ``(B, 2)``: (left, right) per row.  It is summed per band point over
-        the steps and weighted once, at the end of the call."""
+        """Step ``amps``, a ``(B, n)`` stack of C-contiguous complex rows, B at
+        most ``rows``, ``k`` steps in place and return it.  With the absorber
+        on, the probability each row's bands remove is added to ``ledger``,
+        shape ``(B, 2)``: (left, right) per row.  It is summed per band point
+        over the steps and weighted once, at the end of the call."""
         tables = (self.half, self.full, self.last, self.exp_k)
-        if len(amps) > 1:
-            # same-shape tables, built once per call, multiply faster than
-            # the (n,) ones broadcast over the stack
-            tables = [np.tile(t, (len(amps), 1)) for t in tables]
-        half, full, last, exp_k = tables
+        half, full, last, exp_k = (t[: len(amps)] for t in tables)
         absorbing = self.absorbing
         if absorbing:
             n_left, w_left, start, w_right = self.bands
@@ -273,10 +275,10 @@ class _Propagator:
         return amps
 
 
-def _stride_loop(prop, states, cfg, units, keep_stepping, t0=0.0):
-    """Step ``states`` as one ``(B, n)`` stack through ``prop``; return one
-    :class:`Trajectory` per state, in input order, and the indices of the
-    rows still stepping when ``cfg.n_steps`` ran out.
+def _stride_loop(states, potential, cfg, units, keep_stepping, t0=0.0):
+    """Step ``states`` as one ``(B, n)`` stack through a propagator built here
+    for it; return one :class:`Trajectory` per state, in input order, and the
+    indices of the rows still stepping when ``cfg.n_steps`` ran out.
 
     Each stride is ``min(cfg.record_every, steps left)`` steps.  After it
     every row in the stack gets a snapshot ``(t, norm^2, <x>, <p>, width,
@@ -290,6 +292,7 @@ def _stride_loop(prop, states, cfg, units, keep_stepping, t0=0.0):
     stamped ``t0 + step * dt``, the clock of its ``times``.
     """
     dt, grid = cfg.dt, states[0].grid
+    prop = _Propagator(grid, potential, dt, cfg.absorber, units, len(states))
     amps = np.array([psi.amps for psi in states], dtype=complex)
 
     def snapshot(row, step, absorbed):
@@ -368,19 +371,18 @@ def split_step_evolve(
     passed the checks above, so a caller can reduce the states as they
     arrive instead of holding all of them.
     """
-    prop = _Propagator(psi.grid, potential, cfg.dt, cfg.absorber, units)
-    if isinstance(potential, Linear):
+    guard = isinstance(potential, Linear)  # the kick guard: one transform
+    if guard:
         # the run translates the spectrum by its whole kick v0*T and leaves
         # its modulus alone, so the initial spectrum shows what would wrap
         kick = potential.v0 * cfg.n_steps * cfg.dt
         _check_kick(_fft(psi.amps), psi.grid, units, kick)
-        prop.transforms += 1
     initial_norm = psi.norm2()
-    max_drift, boundary_time = (None if prop.absorbing else 0.0), None
+    max_drift, boundary_time = (None if _absorbing(cfg.absorber) else 0.0), None
 
     def keep_stepping(_, row, step, t, n2, absorbed):
         nonlocal max_drift, boundary_time
-        if not prop.absorbing:
+        if max_drift is not None:  # no absorber
             drift = abs(n2 - initial_norm)
             if drift > 1e-6 * max(initial_norm, 1.0):
                 raise StabilityError(
@@ -400,8 +402,10 @@ def split_step_evolve(
 
     if on_snapshot is not None:
         on_snapshot(psi.with_amps(np.array(psi.amps, dtype=complex)))
-    (trajectory,), _ = _stride_loop(prop, [psi], cfg, units, keep_stepping, psi.time)
-    return trajectory._replace(max_norm_drift=max_drift, boundary_time=boundary_time)
+    (traj,), _ = _stride_loop([psi], potential, cfg, units, keep_stepping, psi.time)
+    return traj._replace(
+        transforms=traj.transforms + guard, max_norm_drift=max_drift, boundary_time=boundary_time
+    )
 
 
 class ConvergenceStudy(NamedTuple):

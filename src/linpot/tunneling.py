@@ -25,9 +25,9 @@ the measured T has no closed form here and the width scan reports what it
 finds, including any decrease of T beyond the scan's measurement floor
 ``SCAN_SLACK``.
 
-Every measurement goes through one propagator (``oracle._Propagator``) built
-once for the run and the solver's one stride loop (``oracle._stride_loop``),
-which records each row's trajectory and stops at exactly ``cfg.n_steps``.
+Every measurement goes through the solver's one stride loop
+(``oracle._stride_loop``), which builds the run's propagator once for its
+stack, records each row's trajectory and stops at exactly ``cfg.n_steps``.
 :func:`run_tunneling` steps a stack of one state; the width scan, whose
 entries share p0, launch point, barrier, grid, dt and absorber, steps all of
 them as one ``(B, n)`` stack.  This module adds only what a barrier run
@@ -78,7 +78,7 @@ from .errors import (
 from .oracle import (
     SolverConfig,
     Trajectory,
-    _Propagator,
+    _absorbing,
     _stride_loop,
     split_step_evolve,
 )
@@ -193,9 +193,12 @@ def turning_points(v, energy: float):
     rising ramp, (-inf, a) for a falling one; a flat one has no turning
     points.  Energy exactly at the peak degenerates to a = b.  Raises
     :class:`NoTurningPointsError` above the peak (and above a flat ramp)
-    and :class:`DegenerateEnergyError` at or below the base line (the higher
-    of the two ends; a flat ramp's level).
+    and :class:`DegenerateEnergyError` for an energy that is not finite or
+    is at or below the base line (the higher of the two ends; a flat ramp's
+    level).
     """
+    if not math.isfinite(energy):
+        raise DegenerateEnergyError(f"energy {energy!r} is not finite")
     if isinstance(v, Linear):
         if v.v0 == 0.0:
             if energy <= v.offset:
@@ -326,7 +329,7 @@ def _crossing_time(times, values, target):
 def _launch(packet, barrier, cfg, grid, units):
     """Check the preconditions of a barrier run and return the turning points
     (a, b) and the linear-front arrival time."""
-    if cfg.absorber is None or cfg.absorber.strength <= 0:
+    if not _absorbing(cfg.absorber):
         raise PreconditionError("tunneling runs need an absorbing boundary")
     if packet.p0 <= 0:
         raise PreconditionError("packet needs positive incident momentum")
@@ -359,8 +362,7 @@ def _measure(states, barrier, cfg, grid, units, launch):
     state, in input order, that was still drifting.
     """
     a, b, t_a_linear = launch
-    prop = _Propagator(grid, barrier.potential(), cfg.dt, cfg.absorber, units)
-    n_left, _, start, _ = prop.bands
+    n_left, start = cfg.absorber._bands(grid)
     on_barrier = grid.n - int(np.searchsorted(grid.x, barrier.x_start))
     for psi in states:
         psi.require_normalized()
@@ -399,7 +401,7 @@ def _measure(states, barrier, cfg, grid, units, launch):
         latest[i] = (T, R, float(np.sum(rho[cut_a:cut_b]) * dx))
         return not (t >= t_a_linear and quiet[i] >= STATIONARY_SNAPSHOTS)
 
-    trajectories, drifting = _stride_loop(prop, states, cfg, units, keep_stepping)
+    trajectories, drifting = _stride_loop(states, barrier.potential(), cfg, units, keep_stepping)
     results = []
     for i, traj in enumerate(trajectories):
         T, R, residual = latest[i]
@@ -570,13 +572,10 @@ class AnimationScenario(NamedTuple):
         return math.sqrt(1.0 + u * u)
 
 
-def animation_scenario(
-    sigma: float = 0.002,
-    speed: float = 1.0,
-    stop_distance: float = 0.3,
-    growth: float = 1.10,
-) -> AnimationScenario:
-    """Back-solve the mass and ramp strength of the SI animation scenario."""
+def animation_scenario() -> AnimationScenario:
+    """Back-solve the mass and ramp strength of the SI animation scenario:
+    sigma = 2 mm, speed 1 m/s, stop distance 0.3 m and 10% width growth."""
+    sigma, speed, stop_distance, growth = 0.002, 1.0, 0.3, 1.10
     t_a = 2.0 * stop_distance / speed
     theta = math.sqrt(growth**2 - 1.0)
     mass = HBAR_SI * t_a / (sigma**2 * theta)
@@ -618,14 +617,9 @@ class SurrogateResult(NamedTuple):
         return abs(self.t_a_measured_dimensionless / self.t_a_dimensionless - 1.0)
 
 
-def animation_surrogate(
-    scenario: AnimationScenario | None = None,
-    semiclassical_ratio: float = 160.0,
-    n: int = 8192,
-    dt: float = 1e-4,
-) -> SurrogateResult:
+def animation_surrogate(semiclassical_ratio: float = 160.0, n: int = 8192) -> SurrogateResult:
     """Measure the turning-point crossing time of the animation scenario on a
-    desk-scale grid (natural units, sigma = 1).
+    desk-scale grid (natural units, sigma = 1, dt about 1e-4).
 
     The packet launches already *on* the barrier's linear front (the front
     extends 12 sigma behind the launch point): the stated width growth follows
@@ -635,7 +629,7 @@ def animation_surrogate(
     measurably so, since the chirp-to-momentum-spread ratio is 1/theta,
     independent of scale.
     """
-    sc = scenario or animation_scenario()
+    sc = animation_scenario()
     theta = HBAR_SI * sc.t_a / (sc.mass * sc.sigma**2)
     p0 = semiclassical_ratio
     t_a = theta
@@ -655,7 +649,7 @@ def animation_surrogate(
     )
     psi = sample_gaussian(GaussianSpec(x0=0.0, p0=p0, sigma=1.0), grid)
 
-    n_steps = int(round(1.5 * t_a / dt))
+    n_steps = int(round(1.5 * t_a / 1e-4))
     cfg = SolverConfig(
         dt=1.5 * t_a / n_steps,
         n_steps=n_steps,

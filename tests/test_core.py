@@ -297,6 +297,14 @@ class TestPotentials:
         x = np.linspace(-10, 10, 1001)
         np.testing.assert_allclose(pw.evaluate(x), lin.evaluate(x), rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["v0", "offset"])
+    def test_linear_must_be_finite(self, name, value):
+        # turning_points and the solver's phase tables need both finite
+        args = {"v0": 1.0, "offset": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Linear(**args)
+
     def test_breakpoints_must_increase(self):
         with pytest.raises(ValueError):
             PiecewiseLinear(((0.0, 0.0), (0.0, 1.0)))

@@ -174,9 +174,9 @@ class TestAgainstFullTables:
         g = GRIDS[name]
         units = SI if name == "si" else NATURAL
         dt = 1e-12 if name == "si" else 5e-3
-        prop = _Propagator(g, Linear(0.0), dt, None, units)
+        prop = _Propagator(g, Linear(0.0), dt, None, units, 1)
         want = np.exp(-1j * units.hbar * g.k_wrap**2 * dt / (2.0 * units.mass))
-        _same_bits(prop.exp_k, want)
+        _same_bits(prop.exp_k[0], want)
 
 
 class TestWrapTable:

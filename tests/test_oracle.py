@@ -7,6 +7,7 @@ import pytest
 import scipy.fft
 
 from linpot import (
+    NATURAL,
     Absorber,
     Free,
     GaussianSpec,
@@ -147,6 +148,14 @@ class TestSplitStep:
                 packet, Sampled(grid, vals), SolverConfig(dt=1e-3, n_steps=10)
             )
 
+    def test_infinite_slope_is_refused_before_any_warning(self, packet):
+        # an infinite slope would overflow the phase tables, with a warning,
+        # before the solver's own non-finite check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="v0 must be finite"):
+                split_step_evolve(packet, Linear(np.inf), SolverConfig(dt=1e-3, n_steps=10))
+
     def test_boundary_contamination_warns(self):
         g = SpatialGrid(-16.0, 16.0, 512)
         psi = sample_gaussian(GaussianSpec(0.0, 8.0, 1.0), g)
@@ -218,9 +227,12 @@ class TestAbsorber:
         g, absorber, dt = ABSORBER_CASES[case]
         ramp = absorber.ramp(g)
         assert ramp.tobytes() == _mask_ramp(absorber, g).tobytes()
-        # the propagator's bands are the points beyond the inner edges,
-        # exactly the points where the ramp is positive
-        n_left, w_left, start, w_right = _Propagator(g, Free(), dt, absorber).bands
+        # the bands are the points beyond the inner edges, exactly the points
+        # where the ramp is positive, and the propagator weights those points
+        n_left, start = absorber._bands(g)
+        bands = _Propagator(g, Free(), dt, absorber, NATURAL, 1).bands
+        assert bands[0::2] == (n_left, start)
+        w_left, w_right = bands[1::2]
         _, left, right = absorber._edges(g)
         assert g.x[n_left - 1] < left <= g.x[n_left]
         assert g.x[start - 1] <= right < g.x[start]
@@ -377,7 +389,7 @@ class TestPropagatorStack:
             sample_gaussian(GaussianSpec(x0, p0, 1.0), g).amps
             for x0, p0 in ((6.0, 8.0), (-6.0, -8.0), (0.0, 3.0))
         ]
-        prop = _Propagator(g, Linear(0.5), 5e-3, absorber)
+        prop = _Propagator(g, Linear(0.5), 5e-3, absorber, NATURAL, len(rows))
         stack = np.array(rows)
         buffer = stack
         ledger = np.zeros((3, 2))
@@ -404,7 +416,8 @@ class TestPropagatorStack:
             sample_gaussian(GaussianSpec(x0, p0, 1.0), g).amps
             for x0, p0 in ((6.0, 8.0), (-6.0, -8.0), (0.0, 3.0), (3.0, -5.0))
         ]
-        prop = _Propagator(g, Linear(0.5), 5e-3, Absorber(width_fraction=0.2, strength=5.0))
+        absorber = Absorber(width_fraction=0.2, strength=5.0)
+        prop = _Propagator(g, Linear(0.5), 5e-3, absorber, NATURAL, len(rows))
         stack, ledger, live = np.array(rows), np.zeros((4, 2)), [0, 1, 2, 3]
         calls = ((137, [0, 1, 3]), (163, [1]), (120, []))
         left = {}
@@ -431,8 +444,10 @@ def _scipy_fft_advance(prop, amps, k, ledger, terms=None):
     True)``; the direct kernel calls must reproduce it bit for bit.  The band
     densities are summed per point over the steps and weighted once at the
     end, the order ``advance`` sums them in.  Given ``terms``, a pair of
-    lists, each step's weighted band squares are appended to them."""
-    half, full, last, exp_k = prop.half, prop.full, prop.last, prop.exp_k
+    lists, each step's weighted band squares are appended to them.  Every
+    row of the propagator's tables is the same ``(n,)`` table; this reads
+    row 0 and broadcasts it over ``amps``."""
+    half, full, last, exp_k = prop.half[0], prop.full[0], prop.last[0], prop.exp_k[0]
     absorbing = prop.absorbing
     if absorbing:
         n_left, w_left, start, w_right = prop.bands
@@ -484,7 +499,7 @@ class TestKernelBypass:
         # it as a stack of one
         ref = np.array(rows).reshape(*shape, g.n)
         got = ref.reshape(-1, g.n).copy()
-        prop = _Propagator(g, Linear(0.5), 5e-3, absorber)
+        prop = _Propagator(g, Linear(0.5), 5e-3, absorber, NATURAL, len(got))
         ref_ledger, ledger = np.zeros((*shape, 2)), np.zeros((len(got), 2))
         for k in (137, 163):
             ref = _scipy_fft_advance(prop, ref, k, ref_ledger)
@@ -502,7 +517,8 @@ class TestKernelBypass:
         # one long call: the per-point sums over 2500 steps, weighted once,
         # against the exactly rounded sum of every step's weighted squares
         g = SpatialGrid(-24.0, 24.0, 512)
-        prop = _Propagator(g, Linear(0.5), 5e-3, Absorber(width_fraction=0.2, strength=5.0))
+        absorber = Absorber(width_fraction=0.2, strength=5.0)
+        prop = _Propagator(g, Linear(0.5), 5e-3, absorber, NATURAL, 1)
         right = sample_gaussian(GaussianSpec(6.0, 4.0, 1.0), g)
         left = sample_gaussian(GaussianSpec(-6.0, -4.0, 1.0), g)
         psi = (right.amps + left.amps) / np.sqrt(2.0)

@@ -127,6 +127,20 @@ class TestTurningPoints:
             with pytest.raises(DegenerateEnergyError):
                 call(Linear(0.0, 2.0), 1.0)
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_energy_must_be_finite(self, energy):
+        # a NaN energy would make a ramp's turning point NaN, so its WKB T 0,
+        # and a barrier's root search fail with a bare IndexError
+        for v in (Linear(2.0), BarrierSpec(0.0, 1.0, 2.0)):
+            for call in (turning_points, wkb_transmission):
+                with pytest.raises(DegenerateEnergyError, match=f"energy {energy!r} is not finite"):
+                    call(v, energy)
+
+    def test_ramp_slope_must_be_finite(self):
+        # a NaN slope would give the turning points (-inf, nan)
+        with pytest.raises(ValueError, match="v0 must be finite"):
+            turning_points(Linear(math.nan), 1.0)
+
     def test_matches_analytic_inversion(self):
         b = BarrierSpec(x_start=1.0, slope=3.0, peak_height=7.0, descent_slope=5.0)
         for energy in (1.0, 3.5, 6.3):
