@@ -72,6 +72,7 @@ from .core import (
     _EDGE_THRESHOLD,
     NATURAL,
     GaussianSpec,
+    Linear,
     SpatialGrid,
     UnitSystem,
     WaveFunction,
@@ -230,7 +231,8 @@ def linear_evolve(
     constant ``offset`` contributes the global phase exp(-i offset dt/hbar)
     and nothing else.
 
-    Raises :class:`CoverageError` when the argument shift would wrap real
+    A non-finite ``v0``, ``offset`` or ``dt`` raises ValueError.  Raises
+    :class:`CoverageError` when the argument shift would wrap real
     probability around the periodic grid, or the momentum kick around the
     momentum grid; ``check_coverage=False`` disables both guards for
     deliberately periodic states (plane waves), for which the wraparound is
@@ -240,6 +242,7 @@ def linear_evolve(
         raise ValueError(f"unknown ordering {ordering!r}")
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
+    Linear(v0, offset)  # refuses a non-finite v0 or offset
     ledger = _ledger(v0, dt, units, ordering)
     shift, kick = ledger.argument_shift, ledger.momentum_kick
     # left: free flight, then the argument shift and the position phases;
@@ -273,7 +276,7 @@ def _gaussian_evolve(
     """The packet ``sample_gaussian(spec, grid, units)`` evolved for ``t``
     under V(x) = v0*x, exactly and pointwise on ``grid``.
 
-    Free flight keeps the packet Gaussian; with d = 1 + i hbar t/(m sigma^2)::
+    The free flight keeps the packet Gaussian; with d = 1 + i hbar t/(m sigma^2)::
 
         psi_free(x', t) = pi^(-1/4) sigma^(-1/2) d^(-1/2)
             exp[-(x' - x0 - p0 t/m)^2 / (2 sigma^2 d)

@@ -56,10 +56,9 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from .core import (
     NATURAL,
-    Free,
     GaussianSpec,
     Linear,
-    Potential,
+    PiecewiseLinear,
     SpatialGrid,
     UnitSystem,
     si_units,
@@ -103,13 +102,11 @@ class PotentialSpec:
     def barrier(self) -> BarrierSpec:
         return BarrierSpec(self.x_start, self.slope, self.peak_height, self.descent_slope)
 
-    def potential(self) -> Potential:
-        """Free, Linear(v0) or the barrier's knot polyline."""
-        if self.kind == "free":
-            return Free()
-        if self.kind == "linear":
-            return Linear(self.v0)
-        return self.barrier().potential()
+    def potential(self) -> Linear | PiecewiseLinear:
+        """Linear(0.0) for free, Linear(v0) or the barrier's knot polyline."""
+        if self.kind == "barrier":
+            return self.barrier().potential()
+        return Linear(self.v0 if self.kind == "linear" else 0.0)
 
 
 @dataclass(frozen=True)

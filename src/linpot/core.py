@@ -3,9 +3,10 @@
 Everything here is immutable after construction and all operations are pure
 functions, so states can be shared freely across threads.
 
-One private routine, ``_moments``, computes norm^2, <x>, <p> and the rms
-width of position amplitudes.  The public observables, the solver's
-snapshots and the tunneling rows all call it, so they agree to the last bit.
+One private routine, ``_moments``, computes norm^2, <x>, <p> and the
+sigma-parameter width of position amplitudes.  The public observables, the
+solver's snapshots and the tunneling rows all call it, so they agree to the
+last bit.
 
 Inputs and records are two kinds of type, package-wide.  An input is what
 a caller builds and linpot validates (the grid, states, packet and
@@ -78,11 +79,8 @@ __all__ = [
     "SpatialGrid",
     "WaveFunction",
     "GaussianSpec",
-    "Potential",
-    "Free",
     "Linear",
     "PiecewiseLinear",
-    "Sampled",
     "sample_gaussian",
     "mean_position",
     "mean_momentum",
@@ -395,8 +393,6 @@ def _check_kick(spectrum, grid: SpatialGrid, units: UnitSystem, kick: float) -> 
     with more than _EDGE_THRESHOLD of the norm beyond it, and the
     power-of-two n that gives that dx on the same span.
     """
-    if kick == 0.0:
-        return
     ascending = np.fft.fftshift(spectrum)
     share = _kick_share(ascending, grid, units, kick)
     if share > _EDGE_THRESHOLD:
@@ -416,11 +412,12 @@ def _check_kick(spectrum, grid: SpatialGrid, units: UnitSystem, kick: float) -> 
 
 
 def _moments(amps: np.ndarray, grid: SpatialGrid, hbar: float):
-    """(norm^2, <x>, <p>, rms width) of position amplitudes on ``grid``.
+    """(norm^2, <x>, <p>, sigma-parameter width) of position amplitudes on
+    ``grid``; the width is sqrt(2) times the rms width.
 
     The moments are taken over the normalized density, so they describe the
     state that survives an absorber; a null state has NaN moments.  <p> is
-    computed spectrally, sqrt(2)*rms is the sigma-parameter width.
+    computed spectrally.
     """
     rho = np.abs(amps) ** 2
     dx = grid.dx
@@ -431,7 +428,7 @@ def _moments(amps: np.ndarray, grid: SpatialGrid, hbar: float):
     var = float(((grid.x - mx) ** 2 * rho).sum() * dx / n2)
     rho_k = np.abs(_fft(amps)) ** 2
     mp = float(hbar * (grid.k_wrap * rho_k).sum() / float(rho_k.sum()))
-    return n2, mx, mp, np.sqrt(max(var, 0.0))
+    return n2, mx, mp, np.sqrt(max(var, 0.0)) * np.sqrt(2.0)
 
 
 def _normalized_moments(psi: WaveFunction, units: UnitSystem):
@@ -454,11 +451,11 @@ def spatial_width(psi: WaveFunction) -> float:
     width sqrt(<x^2> - <x>^2), so a fresh Gaussian packet's width equals its
     sigma parameter and the free-spreading law sigma(t) applies as written.
     """
-    return _normalized_moments(psi, NATURAL)[3] * np.sqrt(2.0)
+    return _normalized_moments(psi, NATURAL)[3]
 
 
 def gaussian_width_at(sigma: float, dt: float, units: UnitSystem = NATURAL) -> float:
-    """Free-evolution width law sigma(dt) = sigma*sqrt(1 + (hbar dt/(m sigma^2))^2).
+    """The free-evolution width law sigma(dt) = sigma*sqrt(1 + (hbar dt/(m sigma^2))^2).
 
     Sigma-parameter convention, so sigma(0) = sigma.  A linear potential does
     not change this law; the solver-validated reference formula is exposed
@@ -503,27 +500,9 @@ def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-class Potential:
-    """Base class for scalar potentials, evaluated vectorized on positions."""
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, x):
-        return self.evaluate(np.asarray(x, dtype=float))
-
-
 @dataclass(frozen=True)
-class Free(Potential):
-    """V(x) = 0."""
-
-    def evaluate(self, x):
-        return np.zeros_like(x)
-
-
-@dataclass(frozen=True)
-class Linear(Potential):
-    """V(x) = v0 * x (+ optional constant offset)."""
+class Linear:
+    """V(x) = v0 * x (+ optional constant offset); ``Linear(0.0)`` is free."""
 
     v0: float
     offset: float = 0.0
@@ -538,11 +517,10 @@ class Linear(Potential):
 
 
 @dataclass(frozen=True)
-class PiecewiseLinear(Potential):
-    """Continuous piecewise-linear potential through strictly increasing breakpoints.
-
-    Constant extrapolation outside the first/last breakpoint.
-    """
+class PiecewiseLinear:
+    """Continuous piecewise-linear potential through finite, strictly
+    increasing breakpoints, constant beyond the first and the last; samples
+    on a grid make the polyline through them."""
 
     breakpoints: tuple
 
@@ -552,6 +530,8 @@ class PiecewiseLinear(Potential):
         xs = [x for x, _ in pts]
         if len(xs) < 2:
             raise ValueError("need at least two breakpoints")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("breakpoints must be finite")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("breakpoint positions must be strictly increasing")
 
@@ -565,18 +545,3 @@ class PiecewiseLinear(Potential):
 
     def evaluate(self, x):
         return np.interp(x, self.xs, self.vs)
-
-
-@dataclass(frozen=True)
-class Sampled(Potential):
-    """Potential known only through samples on a grid (the oracle's general form)."""
-
-    grid: SpatialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.values) != self.grid.n:
-            raise ValueError("sample array does not match grid size")
-
-    def evaluate(self, x):
-        return np.interp(x, self.grid.x, self.values)

@@ -82,6 +82,14 @@ def _hadamard(a, b):
     return (a + b) / _SQRT2, (a - b) / _SQRT2
 
 
+def _reference(up: WaveFunction, down: WaveFunction):
+    """(the spinor component of the larger norm, up on a tie, and its norm):
+    the phase reference of the spin amplitudes and the spatial profile of
+    the spin-flip circuit's output."""
+    ref = up if up.norm2() >= down.norm2() else down
+    return ref, math.sqrt(ref.norm2())
+
+
 @dataclass(frozen=True)
 class SpinorPacket:
     """Two-component wave-function in a labelled spin basis ("z" or "x")."""
@@ -112,10 +120,7 @@ class SpinorPacket:
         Defined up to the common spatial profile; uses the dominant component
         as the phase reference.
         """
-        n_up = self.up.norm2()
-        n_down = self.down.norm2()
-        ref = self.up if n_up >= n_down else self.down
-        scale = math.sqrt(ref.norm2())
+        ref, scale = _reference(self.up, self.down)
         if scale == 0.0:
             raise ValueError("cannot extract spin amplitudes from a null state")
         inner_up = np.sum(np.conj(ref.amps) * self.up.amps) * ref.grid.dx
@@ -240,6 +245,8 @@ def compose_segments(
     disp_scale = kick_scale = 0.0  # cancellation magnitudes for the tolerance
     p_now = p
     for v, dt in segments:
+        if not (math.isfinite(v) and math.isfinite(dt)):
+            raise ValueError(f"segment slope and duration must be finite, got {(v, dt)!r}")
         part = plane_wave_phase(p_now, v, dt, u)
         total += part.total
         step = kick / mass * dt - v * dt**2 / (2.0 * mass)
@@ -404,10 +411,9 @@ def sg_apply(state, sg: SgSpec, units: UnitSystem = NATURAL):
         res_down = linear_evolve(sx.down, sg.branch_slope(-1), sg.duration, units=units)
         return SpinorPacket(res_up.psi, res_down.psi, "x")
     if isinstance(state, SpinDensity):
-        kick = sg.axis * sg.delta_p
-        new_momenta = (
-            state.branch_momenta[0] + kick,
-            state.branch_momenta[1] - kick,
+        # a branch of slope v gains momentum -v * duration
+        new_momenta = tuple(
+            p - sg.branch_slope(s) * sg.duration for p, s in zip(state.branch_momenta, (+1, -1))
         )
         m = state.matrix.copy()
         if new_momenta[0] != new_momenta[1]:
@@ -483,8 +489,7 @@ def spin_flip_circuit(
     out_up, out_down = _hadamard(x_plus, x_minus)
 
     duration = 2.0 * sg_up.duration + (psg.total_time if psg is not None else 0.0)
-    profile = z.up if z.up.norm2() >= z.down.norm2() else z.down
-    scale = math.sqrt(profile.norm2())
+    profile, scale = _reference(z.up, z.down)
     carrier = free_evolve(profile.with_amps(profile.amps / scale), duration, units)
     spinor = SpinorPacket(
         carrier.with_amps(carrier.amps * out_up),

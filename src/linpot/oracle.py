@@ -1,5 +1,5 @@
 """Independent split-step Fourier solver for the time-dependent Schrodinger
-equation with arbitrary sampled potentials.
+equation with a linear ramp or a knot polyline as the potential.
 
 One step applies the second-order symmetric (Strang) splitting
 
@@ -66,6 +66,7 @@ Nothing is allocated inside the step loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -74,7 +75,7 @@ from .core import (
     _EDGE_THRESHOLD,
     NATURAL,
     Linear,
-    Potential,
+    PiecewiseLinear,
     SpatialGrid,
     UnitSystem,
     WaveFunction,
@@ -161,10 +162,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
+        for name in ("n_steps", "record_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be a whole number of at least 1, got {value!r}")
 
 
 class Trajectory(NamedTuple):
@@ -296,10 +297,10 @@ def _stride_loop(states, potential, cfg, units, keep_stepping, t0=0.0):
     amps = np.array([psi.amps for psi in states], dtype=complex)
 
     def snapshot(row, step, absorbed):
-        n2, mx, mp, rms = _moments(row, grid, units.hbar)
+        n2, mx, mp, width = _moments(row, grid, units.hbar)
         if n2 > 0.0:  # _moments transforms every row that is not null
             prop.transforms += 1
-        return (t0 + step * dt, n2, mx, mp, rms * np.sqrt(2.0), *absorbed)
+        return (t0 + step * dt, n2, mx, mp, width, *absorbed)
 
     records = [[snapshot(row, 0, (0.0, 0.0))] for row in amps]
     trajectories = [None] * len(states)
@@ -347,7 +348,7 @@ def _stride_loop(states, potential, cfg, units, keep_stepping, t0=0.0):
 
 def split_step_evolve(
     psi: WaveFunction,
-    potential: Potential,
+    potential: Linear | PiecewiseLinear,
     cfg: SolverConfig,
     units: UnitSystem = NATURAL,
     on_snapshot=None,
@@ -361,17 +362,17 @@ def split_step_evolve(
     touches a non-absorbing boundary.  The returned trajectory records the
     largest drift and the time of that warning (``max_norm_drift``,
     ``boundary_time``).  ``psi`` itself is left unchanged.
-    For a :class:`Linear` potential, raises :class:`CoverageError` before
-    the first step if the run's momentum kick ``v0 * n_steps * dt`` would
-    wrap the state around the momentum grid (``core._check_kick``, one
-    forward transform).
+    For a sloped :class:`Linear` potential (v0 != 0), raises
+    :class:`CoverageError` before the first step if the run's momentum kick
+    ``v0 * n_steps * dt`` would wrap the state around the momentum grid
+    (``core._check_kick``, one forward transform).
 
     ``on_snapshot``, if given, is called with each snapshot state (a copy
     the caller may keep, stamped with its time) once that snapshot has
     passed the checks above, so a caller can reduce the states as they
     arrive instead of holding all of them.
     """
-    guard = isinstance(potential, Linear)  # the kick guard: one transform
+    guard = isinstance(potential, Linear) and potential.v0 != 0.0  # the kick guard: one FFT
     if guard:
         # the run translates the spectrum by its whole kick v0*T and leaves
         # its modulus alone, so the initial spectrum shows what would wrap
@@ -460,7 +461,7 @@ def _study(psi, potential, total_time, dts, reference, units=NATURAL):
 
 def convergence_study(
     psi: WaveFunction,
-    potential: Potential,
+    potential: Linear | PiecewiseLinear,
     total_time: float,
     dt_list,
     units: UnitSystem = NATURAL,

@@ -61,8 +61,6 @@ from .core import (
     GaussianSpec,
     Linear,
     PiecewiseLinear,
-    Potential,
-    Sampled,
     SpatialGrid,
     UnitSystem,
     WaveFunction,
@@ -159,17 +157,16 @@ class BarrierSpec:
 
 
 def _knots(v):
-    """(xs, vs): the knots of the polyline the solver steps for a barrier
-    (``np.interp`` through them), for every potential with two flanks."""
+    """(xs, vs): the knots of the polyline the solver steps (``np.interp``
+    through them) for a barrier or a :class:`PiecewiseLinear`, the only
+    forms with two flanks."""
     if isinstance(v, BarrierSpec):
         v = v.potential()
     if isinstance(v, PiecewiseLinear):
         return v.xs, v.vs
-    if isinstance(v, Sampled):
-        return v.grid.x, np.asarray(v.values, dtype=float)
     raise TypeError(
-        "turning_points needs a Linear, PiecewiseLinear or Sampled "
-        f"potential (or a BarrierSpec), got {type(v).__name__}"
+        "turning_points needs a Linear or PiecewiseLinear potential "
+        f"(or a BarrierSpec), got {type(v).__name__}"
     )
 
 
@@ -182,9 +179,10 @@ def _crossing(xs, vs, at, out, energy):
 
 
 def turning_points(v, energy: float):
-    """Classical turning points (a, b) with V(a) = V(b) = E.
+    """Classical turning points (a, b) with V(a) = V(b) = E of ``v``: a
+    :class:`Linear` ramp, a :class:`PiecewiseLinear` or a :class:`BarrierSpec`.
 
-    Every barrier is the polyline through its knots (:func:`_knots`), which
+    A barrier is the polyline through its knots (:func:`_knots`), which
     is what the solver steps, so each turning point is that polyline's exact
     root: a on the segment into the first knot at or above E before the
     peak, b on the segment out of the last such knot after it.  A sloped
@@ -227,7 +225,9 @@ def turning_points(v, energy: float):
     return _crossing(xs, vs, j, j - 1, energy), _crossing(xs, vs, k, k + 1, energy)
 
 
-def wkb_sigma_R(v: Potential, energy: float, units: UnitSystem = NATURAL) -> float:
+def wkb_sigma_R(
+    v: Linear | PiecewiseLinear | BarrierSpec, energy: float, units: UnitSystem = NATURAL
+) -> float:
     """Dimensionless action integral sigma_R = int_a^b sqrt(2m(V-E))/hbar dx.
 
     Exact for the polyline through the barrier's knots (:func:`_knots`),
@@ -269,7 +269,9 @@ def wkb_transmission_from_action(sigma_r: float) -> float:
     return damp / (1.0 + damp / 4.0) ** 2
 
 
-def wkb_transmission(v: Potential, energy: float, units: UnitSystem = NATURAL) -> float:
+def wkb_transmission(
+    v: Linear | PiecewiseLinear | BarrierSpec, energy: float, units: UnitSystem = NATURAL
+) -> float:
     """Semiclassical transmission of the barrier at the given energy."""
     return wkb_transmission_from_action(wkb_sigma_R(v, energy, units))
 

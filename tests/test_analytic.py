@@ -87,6 +87,22 @@ class TestLinearEvolve:
                 linear_evolve(psi, 0.5, 1.6, ordering, check_coverage=False)
             assert [w.filename for w in record] == [__file__], ordering
 
+    # each returned a non-finite state with no error, or raised from inside
+    # the kick guard's advice (v0 = nan, guards on)
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"v0": np.nan}, "v0"),
+            ({"v0": np.nan, "check_coverage": False}, "v0"),
+            ({"v0": np.inf, "check_coverage": False}, "v0"),
+            ({"v0": 1.0, "offset": np.nan}, "offset"),
+        ],
+        ids=["nan-v0", "nan-v0-unguarded", "inf-v0-unguarded", "nan-offset"],
+    )
+    def test_non_finite_slope_or_offset_is_refused(self, packet, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            linear_evolve(packet, dt=0.1, **kwargs)
+
     def test_zero_slope_equals_free(self, packet):
         res = linear_evolve(packet, 0.0, 0.8)
         free = free_evolve(packet, 0.8)

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linpot.config import ExperimentConfig, PotentialSpec
-from linpot.core import Free, Linear
+from linpot.core import Linear
 from linpot.errors import ConfigError
 
 BASE = """\
@@ -230,7 +230,7 @@ class TestParsing:
         assert PotentialSpec(kind="barrier").kind == "barrier"
 
     def test_potential_of_each_kind(self):
-        assert PotentialSpec().potential() == Free()
+        assert PotentialSpec().potential() == Linear(0.0)
         assert PotentialSpec("linear", v0=1.5).potential() == Linear(1.5)
         barrier = PotentialSpec("barrier", x_start=36.0, slope=8.0, peak_height=11.2)
         assert barrier.potential() == barrier.barrier().potential()

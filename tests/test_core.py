@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from linpot import (
     NATURAL,
-    Free,
     GaussianSpec,
     Linear,
     PiecewiseLinear,
-    Sampled,
     SpatialGrid,
     UnitSystem,
     WaveFunction,
@@ -311,17 +309,20 @@ class TestPotentials:
 
     def test_piecewise_continuous_and_clamped(self):
         pw = PiecewiseLinear(((0.0, 0.0), (1.0, 2.0), (2.0, 0.0)))
-        assert pw(np.array([0.5]))[0] == pytest.approx(1.0)
-        assert pw(np.array([-5.0]))[0] == 0.0
-        assert pw(np.array([5.0]))[0] == 0.0
+        assert pw.evaluate(np.array([0.5]))[0] == pytest.approx(1.0)
+        assert pw.evaluate(np.array([-5.0]))[0] == 0.0
+        assert pw.evaluate(np.array([5.0]))[0] == 0.0
 
     def test_free_is_zero(self):
-        assert np.all(Free().evaluate(np.linspace(-5, 5, 11)) == 0.0)
+        # +0.0 at every point, negative x included: no -0.0 reaches the tables
+        v = Linear(0.0).evaluate(np.linspace(-5, 5, 11))
+        assert np.all(v == 0.0)
+        assert not np.signbit(v).any()
 
     def test_sampled_matches_grid(self):
         g = SpatialGrid(-4.0, 4.0, 64)
         vals = np.sin(g.x)
-        v = Sampled(g, vals)
+        v = PiecewiseLinear(zip(g.x, vals))
         np.testing.assert_array_equal(v.evaluate(g.x), vals)
 
     def test_units_validation(self):

@@ -112,6 +112,16 @@ class TestPsgCompose:
         with pytest.raises(GeometryError, match="balanced"):
             compose_segments(((1.0, 1.0), (-1.0, 1.0), (1.0, 1.0)), 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "segments",
+        [((np.nan, 1.0), (1.0, 1.0)), ((1.0, np.nan), (-1.0, 1.0))],
+        ids=["slope", "duration"],
+    )
+    def test_non_finite_segment_is_refused(self, segments):
+        # NaN fails neither balance comparison: the phase came back NaN
+        with pytest.raises(ValueError, match="slope and duration must be finite"):
+            compose_segments(segments, 0.5, 1.0)
+
     def test_boundary_warnings_point_at_the_caller(self):
         # the packet spreads into the edge band by the last segment, short of
         # the edge strip that segment's argument shift would wrap

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from linpot import (
-    Free,
     Linear,
     SolverConfig,
     SpatialGrid,
@@ -254,6 +253,6 @@ def test_band_warnings_threshold(n):
         expected.append(ref_triggers(psi.amps, mask, g.dx))
         # the exact and the split-step engine warn on the same band
         assert warns_boundary(lambda: free_evolve(psi, 0.0)) == expected[-1]
-        solver = warns_boundary(lambda: split_step_evolve(psi, Free(), cfg))
+        solver = warns_boundary(lambda: split_step_evolve(psi, Linear(0.0), cfg))
         assert solver == expected[-1], (j, factor)
     assert expected == [True, False, False] * 2

@@ -1,11 +1,13 @@
-"""Every name a linpot module exports in ``__all__`` resolves, and every
-defaulted parameter of an exported callable is set by some call.
+"""Every name a linpot module exports in ``__all__`` resolves and has a
+reader outside the tests, and every defaulted parameter of an exported
+callable is set by some call.
 
 A stale entry (a name whose definition was deleted or renamed) breaks
 ``from linpot.<module> import *`` only when someone runs it; this finds it
-at test time, module by module.  A parameter that no call in the package,
-its tests or its benchmark passes is an option nothing sets; it is either
-deleted or listed below with the reason it stays.
+at test time, module by module.  An export that nothing in the package or
+its benchmark reads, and a parameter that no call in the package, its tests
+or its benchmark passes, are code nothing needs; each is either deleted or
+listed below with the reason it stays.
 """
 
 import ast
@@ -48,6 +50,36 @@ def test_top_level_names_are_the_modules_exports():
 
 def test_modules_are_found():
     assert {"linpot.analytic", "linpot.tunneling", "linpot.verify"} <= set(MODULES)
+
+
+UNREAD_ALLOWED = {
+    "to_momentum_rep": "the momentum representation of a state, for callers",
+    "to_position_rep": "the inverse of to_momentum_rep",
+    "gaussian_width_at": "the reference free-spreading width law",
+    "convergence_study": "the solver's measured convergence order, for callers",
+    "wkb_transmission": "the semiclassical T of a potential, beside wkb_sigma_R",
+}
+
+
+def _read_names():
+    """Every name read, as a Name or as an Attribute, in the package or its
+    benchmark; an import is not a read."""
+    read = set()
+    for top in ("src", "benchmarks"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    return read
+
+
+def test_every_export_has_a_reader_outside_the_tests():
+    exported = set()
+    for name in MODULES:
+        exported.update(getattr(importlib.import_module(name), "__all__", ()))
+    assert exported - _read_names() == set(UNREAD_ALLOWED)
 
 
 UNITS = "physics entry points take a unit system by the package's convention"

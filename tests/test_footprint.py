@@ -36,12 +36,10 @@ ENERGY = 1.5
 INPUT_TYPES = [
     "Absorber",
     "BarrierSpec",
-    "Free",
     "GaussianSpec",
     "Linear",
     "PiecewiseLinear",
     "PsgGeometry",
-    "Sampled",
     "SgSpec",
     "SolverConfig",
     "SpatialGrid",

@@ -101,7 +101,7 @@ def _reference_moments(amps, grid, hbar):
     var = float(np.sum((grid.x - mx) ** 2 * rho) * dx / n2)
     rho_k = np.abs(sp_fft.fft(amps)) ** 2
     mp = float(hbar * np.sum(grid.k_wrap * rho_k) / float(np.sum(rho_k)))
-    return n2, mx, mp, np.sqrt(max(var, 0.0))
+    return n2, mx, mp, np.sqrt(max(var, 0.0)) * np.sqrt(2.0)
 
 
 def _reference_l2(a, b):

@@ -9,11 +9,9 @@ import scipy.fft
 from linpot import (
     NATURAL,
     Absorber,
-    Free,
     GaussianSpec,
     Linear,
     PiecewiseLinear,
-    Sampled,
     SolverConfig,
     SpatialGrid,
     convergence_study,
@@ -42,18 +40,39 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             Absorber(strength=-1.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_steps", math.nan),
+            ("n_steps", math.inf),
+            ("n_steps", 10.5),
+            ("record_every", 2.5),
+            ("n_steps", True),
+        ],
+        ids=["nan", "inf", "fraction", "fractional-stride", "bool"],
+    )
+    def test_step_counts_are_whole_numbers(self, name, value):
+        # unrefused: 0 steps for nan, a run that never returns for inf, a
+        # TypeError inside the step loop for a fraction, one step for True
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number of at least 1"):
+            SolverConfig(dt=1e-3, **{"n_steps": 10, name: value})
+
+    def test_numpy_integer_step_counts_are_whole_numbers(self):
+        cfg = SolverConfig(dt=1e-3, n_steps=np.int64(10), record_every=np.int32(5))
+        assert (cfg.n_steps, cfg.record_every) == (10, 5)
+
 
 class TestSplitStep:
     def test_free_case_exact(self, grid, packet):
         # splitting is a single exponential when V = 0: any dt is exact
         cfg = SolverConfig(dt=0.05, n_steps=20, record_every=20)
-        traj = split_step_evolve(packet, Free(), cfg)
+        traj = split_step_evolve(packet, Linear(0.0), cfg)
         exact = free_evolve(packet, 1.0)
         assert l2_distance(traj.final_state, exact) < 1e-10
 
     @pytest.mark.parametrize(
         "potential, absorber, guard",
-        [(Linear(0.5), None, 1), (Free(), Absorber(), 0)],
+        [(Linear(0.5), None, 1), (Linear(0.0), Absorber(), 0)],
         ids=["linear", "free-absorber"],
     )
     def test_transforms_counts_every_kernel_call(
@@ -118,13 +137,13 @@ class TestSplitStep:
 
     def test_snapshot_cadence(self, grid, packet):
         cfg = SolverConfig(dt=1e-3, n_steps=250, record_every=100)
-        traj = split_step_evolve(packet, Free(), cfg)
+        traj = split_step_evolve(packet, Linear(0.0), cfg)
         np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.25], atol=1e-12)
 
     def test_on_snapshot_gets_every_snapshot(self, grid, packet):
         cfg = SolverConfig(dt=1e-3, n_steps=200, record_every=100)
         seen = []
-        traj = split_step_evolve(packet, Free(), cfg, on_snapshot=seen.append)
+        traj = split_step_evolve(packet, Linear(0.0), cfg, on_snapshot=seen.append)
         assert len(seen) == len(traj.times)
         assert [s.time for s in seen] == list(traj.times)
         assert l2_distance(seen[-1], traj.final_state) == 0.0
@@ -137,16 +156,14 @@ class TestSplitStep:
         seen = []
         cfg = SolverConfig(dt=1e-3, n_steps=30, record_every=10)
         with pytest.raises(StabilityError, match="non-finite at step 10"):
-            split_step_evolve(bad, Free(), cfg, on_snapshot=seen.append)
+            split_step_evolve(bad, Linear(0.0), cfg, on_snapshot=seen.append)
         assert [s.time for s in seen] == [0.0]
 
-    def test_non_finite_potential_raises(self, grid, packet):
-        vals = np.zeros(grid.n)
-        vals[5] = np.nan
+    def test_non_finite_potential_raises(self, packet):
+        # finite knots whose slope overflows: the values on the grid are not
+        potential = PiecewiseLinear(((-1.0, -1e308), (1.0, 1e308)))
         with pytest.raises(StabilityError):
-            split_step_evolve(
-                packet, Sampled(grid, vals), SolverConfig(dt=1e-3, n_steps=10)
-            )
+            split_step_evolve(packet, potential, SolverConfig(dt=1e-3, n_steps=10))
 
     def test_infinite_slope_is_refused_before_any_warning(self, packet):
         # an infinite slope would overflow the phase tables, with a warning,
@@ -161,7 +178,7 @@ class TestSplitStep:
         psi = sample_gaussian(GaussianSpec(0.0, 8.0, 1.0), g)
         cfg = SolverConfig(dt=1e-3, n_steps=1800, record_every=300)
         with pytest.warns(BoundaryContaminationWarning) as record:
-            split_step_evolve(psi, Free(), cfg)
+            split_step_evolve(psi, Linear(0.0), cfg)
         # the warning points at the line that called split_step_evolve
         assert [w.filename for w in record] == [__file__]
 
@@ -173,7 +190,7 @@ class TestSplitStep:
         cfg = SolverConfig(dt=1e-3, n_steps=1800, record_every=300)
         seen = []
         with pytest.warns(BoundaryContaminationWarning):
-            traj = split_step_evolve(psi, Free(), cfg, on_snapshot=seen.append)
+            traj = split_step_evolve(psi, Linear(0.0), cfg, on_snapshot=seen.append)
         initial = float(np.sum(psi.density()) * g.dx)
         assert traj.max_norm_drift == np.max(np.abs(traj.norm2[1:] - initial))
         touched = [s.time for s in seen[1:] if _band_share(s.amps) > _EDGE_THRESHOLD]
@@ -181,7 +198,7 @@ class TestSplitStep:
 
     def test_absorbing_run_has_no_drift_or_boundary_time(self, packet):
         cfg = SolverConfig(dt=1e-3, n_steps=20, absorber=Absorber(), record_every=10)
-        traj = split_step_evolve(packet, Free(), cfg)
+        traj = split_step_evolve(packet, Linear(0.0), cfg)
         assert (traj.max_norm_drift, traj.boundary_time) == (None, None)
 
     def test_time_reversal_via_conjugation(self, grid):
@@ -230,7 +247,7 @@ class TestAbsorber:
         # the bands are the points beyond the inner edges, exactly the points
         # where the ramp is positive, and the propagator weights those points
         n_left, start = absorber._bands(g)
-        bands = _Propagator(g, Free(), dt, absorber, NATURAL, 1).bands
+        bands = _Propagator(g, Linear(0.0), dt, absorber, NATURAL, 1).bands
         assert bands[0::2] == (n_left, start)
         w_left, w_right = bands[1::2]
         _, left, right = absorber._edges(g)
@@ -258,7 +275,7 @@ class TestAbsorber:
             absorber=Absorber(width_fraction=0.2, strength=5.0),
             record_every=200,
         )
-        traj = split_step_evolve(psi, Free(), cfg)
+        traj = split_step_evolve(psi, Linear(0.0), cfg)
         assert np.all(np.diff(traj.norm2) <= roundoff)
         assert traj.norm2[-1] < 1e-8
         # bookkeeping is exact even though ~1e-7 leaks *through* this narrow
@@ -287,7 +304,7 @@ class TestAbsorber:
             absorber=Absorber(width_fraction=0.2, strength=5.0),
             record_every=2500,
         )
-        traj = split_step_evolve(psi, Free(), cfg)
+        traj = split_step_evolve(psi, Linear(0.0), cfg)
         final = traj.final_state
         reflected = 0.0
         if final.norm2() > 0:
@@ -576,12 +593,12 @@ class TestConvergence:
         g = SpatialGrid(-16.0, 16.0, 256)
         psi = sample_gaussian(GaussianSpec(0.0, 8.0, 1.0), g)
         with pytest.warns(BoundaryContaminationWarning) as record:
-            convergence_study(psi, Free(), 1.6, (2e-2, 1e-2))
+            convergence_study(psi, Linear(0.0), 1.6, (2e-2, 1e-2))
         assert [w.filename for w in record] == [__file__] * 3
 
     def test_requires_decreasing_dts(self, grid, packet):
         with pytest.raises(ValueError):
-            convergence_study(packet, Free(), 0.1, (1e-3, 1e-3))
+            convergence_study(packet, Linear(0.0), 0.1, (1e-3, 1e-3))
 
     def test_duplicate_step_counts_rejected(self, grid):
         # 0.01 / 3e-3 and 0.01 / 2.9e-3 both round to 3 steps: the two runs

@@ -10,7 +10,6 @@ from linpot import (
     GaussianSpec,
     Linear,
     PiecewiseLinear,
-    Sampled,
     SolverConfig,
     SpatialGrid,
     free_evolve,
@@ -83,8 +82,8 @@ class TestBarrierSpec:
     def test_potential_profile(self):
         b = BarrierSpec(x_start=0.0, slope=2.0, peak_height=5.0, descent_slope=10.0)
         v = b.potential()
-        assert v(np.array([2.5]))[0] == pytest.approx(5.0)
-        assert v(np.array([3.0]))[0] == pytest.approx(0.0)
+        assert v.evaluate(np.array([2.5]))[0] == pytest.approx(5.0)
+        assert v.evaluate(np.array([3.0]))[0] == pytest.approx(0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -94,6 +93,23 @@ class TestBarrierSpec:
 
 
 class TestTurningPoints:
+    @pytest.mark.parametrize(
+        "knots",
+        [
+            ((0.0, 0.0), (np.nan, 1.0), (2.0, 0.0)),
+            ((0.0, 0.0), (1.0, np.nan), (2.0, 0.0)),
+            ((0.0, 0.0), (1.0, np.inf), (2.0, 0.0)),
+            ((-np.inf, 0.0), (1.0, 1.0), (2.0, 0.0)),
+        ],
+        ids=["nan-position", "nan-value", "inf-value", "minus-inf-position"],
+    )
+    def test_non_finite_knot_is_refused(self, knots):
+        # unrefused, these gave turning points (nan, nan) and T = 0.64, a
+        # bare IndexError, an action of NaN, and a NaN turning point with an
+        # action of 0.0
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            PiecewiseLinear(knots)
+
     def test_symmetric_triangle(self):
         b = BarrierSpec(x_start=-2.5, slope=2.0, peak_height=5.0)
         a, bb = turning_points(b, 2.5)
@@ -149,7 +165,7 @@ class TestTurningPoints:
             b_exact = b.x_peak + (b.peak_height - energy) / b.down_slope
             assert a == pytest.approx(a_exact, rel=1e-12)
             assert bb == pytest.approx(b_exact, rel=1e-12)
-            assert abs(b.potential()(np.array([a]))[0] - energy) <= 1e-12 * energy
+            assert abs(b.potential().evaluate(np.array([a]))[0] - energy) <= 1e-12 * energy
 
     def test_roots_of_the_knot_polyline_are_exact(self):
         # tunnel.cfg's barrier at its packet energy: one interpolation per
@@ -165,11 +181,9 @@ class TestTurningPoints:
             turning_points(b, 6.0)
 
     def test_sampled_potential(self):
-        from linpot import Sampled
-
         b = BarrierSpec(x_start=1.0, slope=3.0, peak_height=7.0)
         g = SpatialGrid(-8.0, 8.0, 2048)
-        sampled = Sampled(g, b.potential()(g.x))
+        sampled = PiecewiseLinear(zip(g.x, b.potential().evaluate(g.x)))
         a, bb = turning_points(sampled, 3.5)
         a_ref, b_ref = turning_points(b, 3.5)
         # the sampled profile is exact wherever the breakpoints land between
@@ -211,8 +225,9 @@ class TestWkb:
     @pytest.mark.parametrize("energy", [1.0, 3.0])
     def test_action_of_sampled_barrier(self, energy):
         g = SpatialGrid(-10.0, 10.0, 256)
-        barrier = Sampled(g, 5.0 * np.exp(-(g.x**2)))
-        reference = sigma_r_by_quadrature(g.x, barrier.values, energy)
+        values = 5.0 * np.exp(-(g.x**2))
+        barrier = PiecewiseLinear(zip(g.x, values))
+        reference = sigma_r_by_quadrature(g.x, values, energy)
         assert wkb_sigma_R(barrier, energy) == pytest.approx(reference, rel=1e-10)
 
     @pytest.mark.parametrize("energy", [0.5, 2.0, 4.9])
@@ -238,7 +253,7 @@ class TestWkb:
         g = SpatialGrid(-10.0, 10.0, 256)
         values = 5.0 * ((np.abs(g.x - 2.0) < 1.0) | (np.abs(g.x + 2.0) < 1.0))
         reference = sigma_r_by_quadrature(g.x, values, 3.0)
-        action = wkb_sigma_R(Sampled(g, values), 3.0)
+        action = wkb_sigma_R(PiecewiseLinear(zip(g.x, values)), 3.0)
         assert action == pytest.approx(reference, rel=1e-10)
 
     def test_action_vanishes_continuously_at_peak(self):
