@@ -189,6 +189,8 @@ def spectral_shift(psi: WaveFunction, shift: float) -> WaveFunction:
     The spectrum is multiplied by exp(i k shift) (``core._shift_table``)
     and transformed back; a zero shift returns ``psi`` itself.
     """
+    if not math.isfinite(shift):
+        raise ValueError("shift must be finite")
     if shift == 0.0:
         return psi
     spectrum = _fft(psi.amps)
@@ -330,6 +332,9 @@ def plane_wave_phase(
     (the only part that survives kick-balanced segment compositions); the
     outgoing eigenstate is |p - v0*dt>.
     """
+    for name, value in (("p", p), ("v0", v0), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     ledger = _ledger(v0, dt, units, "right")
     kicked = p - ledger.momentum_kick
     return PlaneWavePhase(

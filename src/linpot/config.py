@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, field, fields
 
 from .core import (
     NATURAL,
@@ -61,6 +61,7 @@ from .core import (
     PiecewiseLinear,
     SpatialGrid,
     UnitSystem,
+    _input,
     si_units,
 )
 from .devices import PsgGeometry, SgSpec
@@ -78,7 +79,7 @@ _KIND_KEYS = {
 }
 
 
-@dataclass(frozen=True)
+@_input
 class PotentialSpec:
     """kind is one of free, linear, barrier; ``_KIND_KEYS`` names the fields
     each kind reads."""
@@ -109,7 +110,7 @@ class PotentialSpec:
         return Linear(self.v0 if self.kind == "linear" else 0.0)
 
 
-@dataclass(frozen=True)
+@_input
 class ScanSpec:
     delays: tuple = ()
     sigmas: tuple = ()
@@ -123,7 +124,7 @@ class ScanSpec:
             raise ValueError("sigmas cannot be combined with delays: a scan varies one")
 
 
-@dataclass(frozen=True)
+@_input
 class ExperimentConfig:
     units_system: str = "natural"
     mass: float = 1.0

@@ -9,13 +9,16 @@ solver's snapshots and the tunneling rows all call it, so they agree to the
 last bit.
 
 Inputs and records are two kinds of type, package-wide.  An input is what
-a caller builds and linpot validates (the grid, states, packet and
-potentials here; the absorber, solver config, barrier, spinors, spin
-density and device geometries elsewhere): a frozen dataclass, which checks
-its fields in ``__post_init__``.  A record is what a linpot function returns
-(ledgers, results, trajectories, scans): a ``typing.NamedTuple``, which has
-nothing to check and costs far less to define at import than a dataclass,
-whose generated methods are compiled each time its module is imported.
+a caller builds and linpot validates (the grid, states, packet and the two
+potentials, ``Linear`` and ``PiecewiseLinear``, here; the absorber, solver
+config, barrier, spinors, spin density and device geometries elsewhere): a
+frozen dataclass made by ``_input``, which checks its fields in
+``__post_init__``.  Every input shares one ``__repr__``, ``__eq__`` and
+``__hash__``, which give what ``dataclass`` would generate, so ``dataclass``
+compiles only each input's ``__init__`` and two frozen setters when its
+module is imported.  A record is what a linpot function returns (ledgers,
+results, trajectories, scans): a ``typing.NamedTuple``, which has nothing to
+check and costs far less to define at import than a dataclass.
 Both are immutable once built.  Being tuples, records also take ``len``,
 iteration, unpacking and ``==`` against a plain tuple over their fields.
 
@@ -65,8 +68,10 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from numbers import Integral
+from reprlib import recursive_repr
 
 import numpy as np
 
@@ -100,7 +105,41 @@ _EDGE_THRESHOLD = 1e-10
 _EDGE_BAND = 0.05
 
 
-@dataclass(frozen=True)
+@recursive_repr()
+def _input_repr(self) -> str:
+    shown = (f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+    return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+
+def _field_values(obj) -> tuple:
+    return tuple(getattr(obj, f.name) for f in fields(obj))
+
+
+def _input_eq(self, other):
+    if other.__class__ is self.__class__:
+        return _field_values(self) == _field_values(other)
+    return NotImplemented
+
+
+def _input_hash(self) -> int:
+    return hash(_field_values(self))
+
+
+def _input(cls):
+    """A frozen dataclass whose ``__repr__``, ``__eq__`` and ``__hash__`` are
+    the three shared functions above, so ``dataclass`` compiles only its
+    ``__init__`` and two frozen setters.  They give what ``dataclass`` would
+    generate for fields that keep the default ``repr``, ``compare`` and
+    ``hash``, as every input's do; tests/test_inputs.py fails on one that
+    does not."""
+    cls = dataclass(frozen=True, repr=False, eq=False)(cls)
+    cls.__repr__ = _input_repr
+    cls.__eq__ = _input_eq
+    cls.__hash__ = _input_hash
+    return cls
+
+
+@_input
 class UnitSystem:
     """Physical constants of one unit convention: hbar and particle mass."""
 
@@ -193,17 +232,14 @@ def _kinetic(grid: SpatialGrid, dt: float, units: UnitSystem) -> np.ndarray:
     return np.exp(-1j * units.hbar * grid.k_wrap**2 * dt / (2.0 * units.mass))
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-@dataclass(frozen=True)
+@_input
 class SpatialGrid:
     """Uniform periodic 1-D grid with its discrete-Fourier conjugate grid.
 
-    ``n`` must be a power of two and at least 16.  Wavenumbers ``k_wrap`` are
-    kept in FFT wraparound order for internal spectral work; ``k_sorted`` is
-    the ascending version used for exported momentum arrays.
+    ``n`` must be a whole number (not a bool), a power of two and at least
+    16.  Wavenumbers ``k_wrap`` are kept in FFT wraparound order for internal
+    spectral work; ``k_sorted`` is the ascending version used for exported
+    momentum arrays.
     """
 
     x_min: float
@@ -216,8 +252,9 @@ class SpatialGrid:
                 raise ValueError(f"{name} must be finite")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
-        if not _is_power_of_two(self.n) or self.n < 16:
-            raise ValueError(f"n must be a power of two >= 16, got {self.n}")
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 16 or n & (n - 1):
+            raise ValueError(f"n must be a power of two >= 16, got {n}")
 
     @property
     def span(self) -> float:
@@ -248,7 +285,7 @@ class SpatialGrid:
         return units.hbar * self.k_sorted
 
 
-@dataclass(frozen=True)
+@_input
 class WaveFunction:
     """Complex position amplitudes on a grid, with a time stamp."""
 
@@ -276,7 +313,7 @@ class WaveFunction:
         return np.abs(self.amps) ** 2
 
 
-@dataclass(frozen=True)
+@_input
 class GaussianSpec:
     """Parameters (x0, p0, sigma) of a minimum-uncertainty Gaussian packet."""
 
@@ -500,7 +537,7 @@ def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_input
 class Linear:
     """V(x) = v0 * x (+ optional constant offset); ``Linear(0.0)`` is free."""
 
@@ -516,7 +553,7 @@ class Linear:
         return self.v0 * x + self.offset
 
 
-@dataclass(frozen=True)
+@_input
 class PiecewiseLinear:
     """Continuous piecewise-linear potential through finite, strictly
     increasing breakpoints, constant beyond the first and the last; samples

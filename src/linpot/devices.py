@@ -39,13 +39,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .analytic import free_evolve, linear_evolve, plane_wave_phase
-from .core import HBAR_SI, NATURAL, UnitSystem, WaveFunction, spatial_width
+from .core import HBAR_SI, NATURAL, UnitSystem, WaveFunction, _input, spatial_width
 from .errors import BranchMismatchError, GeometryError, InfeasibleError, PreconditionError
 
 __all__ = [
@@ -90,7 +89,7 @@ def _reference(up: WaveFunction, down: WaveFunction):
     return ref, math.sqrt(ref.norm2())
 
 
-@dataclass(frozen=True)
+@_input
 class SpinorPacket:
     """Two-component wave-function in a labelled spin basis ("z" or "x")."""
 
@@ -128,7 +127,7 @@ class SpinorPacket:
         return np.array([inner_up, inner_down]) / scale
 
 
-@dataclass(frozen=True)
+@_input
 class SpinDensity:
     """2x2 Hermitian spin density matrix plus per-branch momentum labels.
 
@@ -174,7 +173,7 @@ class SpinDensity:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_input
 class PsgGeometry:
     """Three-capacitor geometry: lengths (L, 2L, L), slopes (+V0, -V0, +V0).
 
@@ -238,6 +237,8 @@ def compose_segments(
     and demands both return to zero at exit -- the geometry consistency
     condition for an interferometer arm.
     """
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p!r}")
     u = units.with_mass(mass)
     total = 0.0
     t_total = 0.0
@@ -359,7 +360,7 @@ def solve_psg_for_phase(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_input
 class SgSpec:
     """One Stern-Gerlach stage: spin-dependent slope -coupling * sigma_axis.
 
@@ -374,7 +375,7 @@ class SgSpec:
     axis: int = +1
 
     def __post_init__(self):
-        if self.axis not in (+1, -1):
+        if isinstance(self.axis, (bool, np.bool_)) or self.axis not in (+1, -1):
             raise ValueError("axis must be +1 (+x) or -1 (-x)")
         if not 0.0 < self.duration < np.inf:
             raise ValueError("duration must be positive and finite")

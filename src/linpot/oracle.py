@@ -65,7 +65,6 @@ Nothing is allocated inside the step loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple
 
@@ -83,6 +82,7 @@ from .core import (
     _check_kick,
     _fft,
     _ifft,
+    _input,
     _kinetic,
     _moments,
     l2_distance,
@@ -99,7 +99,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_input
 class Absorber:
     """Complex absorbing mask at both grid edges.
 
@@ -150,7 +150,7 @@ def _absorbing(absorber: Absorber | None) -> bool:
     return absorber is not None and absorber.strength > 0
 
 
-@dataclass(frozen=True)
+@_input
 class SolverConfig:
     """Step size, step budget, optional absorber, and snapshot stride."""
 

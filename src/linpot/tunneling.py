@@ -48,7 +48,6 @@ transmission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -65,6 +64,7 @@ from .core import (
     UnitSystem,
     WaveFunction,
     _edge_share,
+    _input,
     sample_gaussian,
 )
 from .errors import (
@@ -103,7 +103,7 @@ STATIONARY_SNAPSHOTS = 10
 SCAN_SLACK = 1e-5
 
 
-@dataclass(frozen=True)
+@_input
 class BarrierSpec:
     """Triangle barrier with a linear front.
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .core import (
     Linear,
     SpatialGrid,
     UnitSystem,
+    _input,
     l2_distance,
     mean_momentum,
     mean_position,
@@ -42,7 +43,7 @@ _UPPER = {"<=": operator.le, "<": operator.lt}
 _OPS = {**_UPPER, ">=": operator.ge, ">": operator.gt, "==": operator.eq}
 
 
-@dataclass(frozen=True)
+@_input
 class Gate:
     """One acceptance gate: ``value op bound``, with ``op`` one of ``<=``,
     ``<``, ``>=``, ``>`` and ``==``.  A NaN value fails every inequality."""
@@ -78,7 +79,7 @@ def _show(v) -> str:
     return str(v)
 
 
-@dataclass(frozen=True)
+@_input
 class CheckResult:
     """A check's gates (at least one), the values it reports but does not
     gate, and its run time."""

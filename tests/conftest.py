@@ -1,6 +1,11 @@
+import dataclasses
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import linpot
 import linpot.core as core
 import linpot.oracle as oracle
 from linpot import GaussianSpec, SpatialGrid, sample_gaussian
@@ -44,3 +49,18 @@ def direct_dft(psi, hbar=1.0):
     phases = np.exp(-1j * np.outer(p, g.x) / hbar)
     amps = phases @ psi.amps * g.dx / np.sqrt(2.0 * np.pi * hbar)
     return p, amps
+
+
+def package_dataclasses():
+    """Every dataclass defined at the top level of a linpot module, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(linpot.__path__, "linpot."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if (
+                isinstance(obj, type)
+                and obj.__module__ == info.name
+                and dataclasses.is_dataclass(obj)
+            ):
+                found[name] = obj
+    return found

@@ -76,6 +76,12 @@ class TestSpectralShift:
         out = spectral_shift(spectral_shift(packet, 1.234), -1.234)
         assert l2_distance(packet, out) < 1e-13
 
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_is_refused(self, packet, shift):
+        # unchecked, the shift table is NaN and so is every amplitude
+        with pytest.raises(ValueError, match="^shift must be finite$"):
+            spectral_shift(packet, shift)
+
 
 class TestLinearEvolve:
     def test_boundary_warning_points_at_the_caller(self):
@@ -390,6 +396,16 @@ class TestPlaneWavePhase:
     def test_cubic_part_unit_values(self):
         part = plane_wave_phase(0.0, 1.0, 1.0)
         assert part.cubic == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((np.nan, 1.0, 1.0), "p"), ((1.0, np.inf, 1.0), "v0"), ((1.0, 1.0, np.nan), "dt")],
+        ids=["p", "v0", "dt"],
+    )
+    def test_non_finite_argument_is_refused(self, args, name):
+        # unchecked, every field of the phase came back NaN
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            plane_wave_phase(*args)
 
     @given(
         p=st.floats(-3, 3), v0=st.floats(-2, 2), dt=st.floats(0.05, 1.0)

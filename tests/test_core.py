@@ -45,6 +45,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             SpatialGrid(-1.0, 1.0, 8)
 
+    @pytest.mark.parametrize("n", [16.0, 64.5, True])
+    def test_rejects_n_that_is_not_a_whole_number(self, n):
+        # a float n raised a bare TypeError from the bit test
+        with pytest.raises(ValueError, match="^n must be a power of two >= 16"):
+            SpatialGrid(-1.0, 1.0, n)
+
+    def test_numpy_integer_n_is_whole(self):
+        assert SpatialGrid(-1.0, 1.0, np.int64(64)) == SpatialGrid(-1.0, 1.0, 64)
+
     def test_spacings(self):
         g = SpatialGrid(-16.0, 16.0, 1024)
         assert g.dx == 32.0 / 1024

@@ -122,6 +122,14 @@ class TestPsgCompose:
         with pytest.raises(ValueError, match="slope and duration must be finite"):
             compose_segments(segments, 0.5, 1.0)
 
+    @pytest.mark.parametrize("p", [np.nan, np.inf])
+    def test_non_finite_momentum_is_refused(self, p):
+        # checked before the first segment, so an empty sequence refuses it too
+        with pytest.raises(ValueError, match="^p must be finite"):
+            compose_segments((), p, 1.0)
+        with pytest.raises(ValueError, match="^p must be finite"):
+            psg_compose(PsgGeometry(1.0, 1.0, 1.0), p)
+
     def test_boundary_warnings_point_at_the_caller(self):
         # the packet spreads into the edge band by the last segment, short of
         # the edge strip that segment's argument shift would wrap
@@ -222,6 +230,11 @@ class TestSgApply:
         assert out.basis == "x"
         assert out.down.norm2() == 0.0
         assert mean_momentum(out.up) == pytest.approx(sg.delta_p, abs=1e-10)
+
+    @pytest.mark.parametrize("axis", [True, np.True_])
+    def test_bool_axis_is_refused(self, axis):
+        with pytest.raises(ValueError, match="axis must be"):
+            SgSpec(1.0, 1.0, axis=axis)
 
     def test_axis_reversal_flips_kicks(self, spin_grid):
         sg = SgSpec(coupling=1.5, duration=0.8, axis=-1)

@@ -9,12 +9,16 @@ ramp's infinite action and for a barrier alike, and gives the same action
 as a call in this process, whatever else it has loaded.
 
 The same interpreter lists the dataclasses among linpot's top-level names:
-they are exactly the input types that callers build and linpot validates.
+they are exactly the 13 input types that callers build and linpot validates.
 A record a function returns is a ``typing.NamedTuple``, which costs far less
 to define at import, so a record added as a dataclass fails here.
 
-Each check runs in a fresh interpreter, since this one has imported
-everything the other tests use.
+Those checks run in a fresh interpreter, since this one has imported
+everything the other tests use.  One more runs here, over every module:
+each dataclass in the package, the inputs of ``config`` and ``verify``
+included, is made by ``core._input``, so it is frozen and carries the one
+shared ``__repr__``, ``__eq__`` and ``__hash__``; ``dataclass`` compiles
+only its ``__init__`` and two frozen setters at import.
 """
 
 import os
@@ -25,6 +29,9 @@ from pathlib import Path
 import pytest
 
 import linpot
+from linpot import core
+
+from conftest import package_dataclasses
 
 SRC = Path(__file__).parents[1] / "src"
 HEAVY = ("scipy.fft", "scipy.special", "scipy.integrate", "scipy.optimize", "scipy.linalg")
@@ -105,3 +112,14 @@ def test_cli_import_and_wkb_action_never_load_scipy_integrate(fresh):
 
 def test_only_the_input_types_are_dataclasses(fresh):
     assert fresh[2] == repr(INPUT_TYPES)
+
+
+def test_every_dataclass_shares_the_input_methods():
+    shared = (core._input_repr, core._input_eq, core._input_hash)
+    apart = [
+        name
+        for name, cls in package_dataclasses().items()
+        if not cls.__dataclass_params__.frozen
+        or (cls.__repr__, cls.__eq__, cls.__hash__) != shared
+    ]
+    assert apart == []

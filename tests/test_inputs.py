@@ -1,0 +1,164 @@
+"""The input types share one ``__repr__``, ``__eq__`` and ``__hash__``
+(``core._input``), and act as the ``@dataclass(frozen=True)`` they were.
+
+For each dataclass in the package a plain frozen-dataclass twin is built
+from its ``dataclasses.fields``.  An input and its twin, holding the same
+field values, give the same repr string and the same outcome (a value or
+the exception's type) for ``==``, ``!=`` and ``hash`` on equal and unequal
+pairs.  No field sets ``repr``, ``compare`` or ``hash``, since the shared
+methods take every field.  Against another class ``__eq__`` returns
+``NotImplemented``; setting or deleting a field raises
+``FrozenInstanceError``; and ``dataclasses.replace`` and ``fields`` work.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from linpot import (
+    Absorber,
+    BarrierSpec,
+    GaussianSpec,
+    Linear,
+    PiecewiseLinear,
+    PsgGeometry,
+    SgSpec,
+    SolverConfig,
+    SpatialGrid,
+    SpinDensity,
+    SpinorPacket,
+    UnitSystem,
+    WaveFunction,
+    sample_gaussian,
+)
+from linpot.config import ExperimentConfig, PotentialSpec, ScanSpec
+from linpot.verify import CheckResult, Gate
+
+from conftest import package_dataclasses
+
+GRID = SpatialGrid(-16.0, 16.0, 64)
+PSI = sample_gaussian(GaussianSpec(), GRID)
+# complex already, so both densities built from it hold this very array
+RHO = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
+GATE = Gate("l2", 1e-12, "<=", 1e-10)
+
+# per input type, a call that builds two unequal instances; calling it
+# again builds equal, distinct ones (an array field is shared, since two
+# arrays compare elementwise and a tuple of them has no truth value)
+SAMPLES = {
+    UnitSystem: lambda: (UnitSystem(1.0, 2.0), UnitSystem(1.0, 3.0)),
+    SpatialGrid: lambda: (SpatialGrid(-16.0, 16.0, 64), SpatialGrid(-16.0, 16.0, 128)),
+    WaveFunction: lambda: (WaveFunction(GRID, PSI.amps), WaveFunction(GRID, PSI.amps, 1.0)),
+    GaussianSpec: lambda: (GaussianSpec(0.0, 1.0, 2.0), GaussianSpec(0.0, 1.0, 3.0)),
+    Linear: lambda: (Linear(2.0), Linear(2.0, 1.0)),
+    PiecewiseLinear: lambda: (
+        PiecewiseLinear(((0.0, 1.0), (1.0, 2.0))),
+        PiecewiseLinear(((0.0, 1.0), (2.0, 2.0))),
+    ),
+    Absorber: lambda: (Absorber(0.1, 2.0), Absorber(0.2, 2.0)),
+    SolverConfig: lambda: (SolverConfig(1e-3, 10), SolverConfig(1e-3, 10, Absorber())),
+    BarrierSpec: lambda: (BarrierSpec(0.0, 2.0, 5.0), BarrierSpec(0.0, 2.0, 5.0, 1.0)),
+    SpinorPacket: lambda: (SpinorPacket(PSI, PSI), SpinorPacket(PSI, PSI, "x")),
+    SpinDensity: lambda: (SpinDensity(RHO), SpinDensity(RHO, (1.0, -1.0))),
+    PsgGeometry: lambda: (PsgGeometry(1.0, 1.0, 1.0), PsgGeometry(1.0, 1.0, 1.0, 2.0)),
+    SgSpec: lambda: (SgSpec(1.0, 1.0), SgSpec(1.0, 1.0, -1)),
+    PotentialSpec: lambda: (PotentialSpec("linear", 1.0), PotentialSpec()),
+    ScanSpec: lambda: (ScanSpec((0.0, 1.0)), ScanSpec(sigmas=(1.0,))),
+    ExperimentConfig: lambda: (ExperimentConfig(), ExperimentConfig(grid_n=1024)),
+    Gate: lambda: (Gate("l2", 1e-12, "<=", 1e-10), Gate("l2", 1e-12, "<", 1e-10)),
+    CheckResult: lambda: (CheckResult("c01", (GATE,)), CheckResult("c01", (GATE,), seconds=1.0)),
+}
+TYPES = sorted(SAMPLES, key=lambda cls: cls.__name__)
+
+
+def twin_type(cls):
+    """A plain frozen dataclass with ``cls``'s name and fields."""
+    twin = dataclasses.make_dataclass(
+        cls.__name__,
+        [
+            (f.name, f.type, dataclasses.field(repr=f.repr, hash=f.hash, compare=f.compare))
+            for f in dataclasses.fields(cls)
+        ],
+        frozen=True,
+    )
+    twin.__qualname__ = cls.__qualname__
+    return twin
+
+
+def twin_of(obj, twin):
+    return twin(**{f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+
+
+def outcome(call, *args):
+    """(the value, None) or (None, the type of what it raised)."""
+    try:
+        return call(*args), None
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return None, type(exc)
+
+
+def test_every_package_dataclass_has_samples():
+    assert sorted(package_dataclasses()) == [cls.__name__ for cls in TYPES]
+
+
+def test_fields_keep_the_default_repr_compare_and_hash():
+    # the shared methods show, compare and hash every field
+    custom = [
+        f"{cls.__name__}.{f.name}"
+        for cls in TYPES
+        for f in dataclasses.fields(cls)
+        if not (f.repr and f.compare and f.hash is None)
+    ]
+    assert custom == []
+
+
+@pytest.fixture(params=TYPES, ids=lambda cls: cls.__name__)
+def cases(request):
+    """(a, an equal a, an unequal c) of one input type, and the twin type."""
+    make = SAMPLES[request.param]
+    (a, c), (b, _) = make(), make()
+    return a, b, c, twin_type(request.param)
+
+
+def test_repr_matches_the_generated_one(cases):
+    a, _, c, twin = cases
+    for obj in (a, c):
+        assert repr(obj) == repr(twin_of(obj, twin))
+
+
+def test_comparison_and_hash_match_the_generated_ones(cases):
+    a, b, c, twin = cases
+    assert a is not b
+    assert a == b and not a != b
+    assert a != c and not a == c
+    for x, y in ((a, b), (a, c), (c, a)):
+        tx, ty = twin_of(x, twin), twin_of(y, twin)
+        assert outcome(lambda: x == y) == outcome(lambda: tx == ty)
+        assert outcome(lambda: x != y) == outcome(lambda: tx != ty)
+        assert outcome(hash, x) == outcome(hash, tx)
+    assert outcome(hash, a) == outcome(hash, b)
+
+
+def test_other_classes_are_not_implemented(cases):
+    a, _, _, twin = cases
+    for other in (object(), twin_of(a, twin), (a,)):
+        assert a.__eq__(other) is NotImplemented
+        assert a != other
+
+
+def test_fields_are_frozen(cases):
+    a, _, c, _ = cases
+    name = dataclasses.fields(a)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(a, name, getattr(c, name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(a, name)
+
+
+def test_replace_and_fields_work(cases):
+    a, b, c, twin = cases
+    assert [f.name for f in dataclasses.fields(a)] == [f.name for f in dataclasses.fields(twin)]
+    assert dataclasses.replace(a) == b
+    changed = {f.name: getattr(c, f.name) for f in dataclasses.fields(c)}
+    assert dataclasses.replace(a, **changed) == c
