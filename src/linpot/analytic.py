@@ -72,7 +72,6 @@ from .core import (
     _EDGE_THRESHOLD,
     NATURAL,
     GaussianSpec,
-    Linear,
     SpatialGrid,
     UnitSystem,
     WaveFunction,
@@ -80,6 +79,7 @@ from .core import (
     _check_kick,
     _check_wrap,
     _fft,
+    _finite,
     _ifft,
     _kinetic,
     _shift_table,
@@ -170,8 +170,7 @@ def free_evolve(
     """Evolve a state with no potential: multiply its spectrum by
     exp(-i p^2 dt / (2 m hbar)).  Exact to spectral precision; negative dt
     is the inverse evolution."""
-    if not np.isfinite(dt):
-        raise ValueError("dt must be finite")
+    _finite(dt=dt)
     amps = _ifft(_fft(psi.amps) * _kinetic(psi.grid, dt, units))
     share = _band_share(amps)
     if share > _EDGE_THRESHOLD:
@@ -189,8 +188,7 @@ def spectral_shift(psi: WaveFunction, shift: float) -> WaveFunction:
     The spectrum is multiplied by exp(i k shift) (``core._shift_table``)
     and transformed back; a zero shift returns ``psi`` itself.
     """
-    if not math.isfinite(shift):
-        raise ValueError("shift must be finite")
+    _finite(shift=shift)
     if shift == 0.0:
         return psi
     spectrum = _fft(psi.amps)
@@ -242,9 +240,7 @@ def linear_evolve(
     """
     if ordering not in ("left", "right"):
         raise ValueError(f"unknown ordering {ordering!r}")
-    if not np.isfinite(dt):
-        raise ValueError("dt must be finite")
-    Linear(v0, offset)  # refuses a non-finite v0 or offset
+    _finite(dt=dt, v0=v0, offset=offset)
     ledger = _ledger(v0, dt, units, ordering)
     shift, kick = ledger.argument_shift, ledger.momentum_kick
     # left: free flight, then the argument shift and the position phases;
@@ -332,9 +328,7 @@ def plane_wave_phase(
     (the only part that survives kick-balanced segment compositions); the
     outgoing eigenstate is |p - v0*dt>.
     """
-    for name, value in (("p", p), ("v0", v0), ("dt", dt)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
+    _finite(p=p, v0=v0, dt=dt)
     ledger = _ledger(v0, dt, units, "right")
     kicked = p - ledger.momentum_kick
     return PlaneWavePhase(

@@ -61,6 +61,7 @@ from .core import (
     PiecewiseLinear,
     SpatialGrid,
     UnitSystem,
+    _finite,
     _input,
     si_units,
 )
@@ -95,8 +96,7 @@ class PotentialSpec:
         if self.kind not in _KIND_KEYS:
             *kinds, last = _KIND_KEYS
             raise ValueError(f"kind must be {', '.join(kinds)} or {last}, got {self.kind!r}")
-        if not math.isfinite(self.v0):
-            raise ValueError("v0 must be finite")
+        _finite(v0=self.v0)
         if self.kind == "barrier":
             self.barrier()
 

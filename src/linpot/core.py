@@ -13,10 +13,11 @@ a caller builds and linpot validates (the grid, states, packet and the two
 potentials, ``Linear`` and ``PiecewiseLinear``, here; the absorber, solver
 config, barrier, spinors, spin density and device geometries elsewhere): a
 frozen dataclass made by ``_input``, which checks its fields in
-``__post_init__``.  Every input shares one ``__repr__``, ``__eq__`` and
-``__hash__``, which give what ``dataclass`` would generate, so ``dataclass``
-compiles only each input's ``__init__`` and two frozen setters when its
-module is imported.  A record is what a linpot function returns (ledgers,
+``__post_init__``; its range rules are ``_finite`` and ``_positive``, whose
+messages start with the field name that config keys its errors by.  Every
+input shares one ``__repr__``, ``__eq__`` and ``__hash__``, which give what
+``dataclass`` would generate, so ``dataclass`` compiles only each input's
+``__init__`` and two frozen setters when its module is imported.  A record is what a linpot function returns (ledgers,
 results, trajectories, scans): a ``typing.NamedTuple``, which has nothing to
 check and costs far less to define at import than a dataclass.
 Both are immutable once built.  Being tuples, records also take ``len``,
@@ -39,9 +40,9 @@ Conventions
   arguments those pass; the output is bit-identical, without the dispatch
   layer's fixed cost per call.  The kernel extension is loaded from scipy's
   install by file, so the ``scipy.fft`` package (and the scipy.special its
-  fftlog backend imports) is never loaded; ``_asfarray`` is linpot's copy
-  of ``scipy.fft``'s input conversion.  ``fftfreq`` and ``fftshift`` are
-  numpy's.
+  fftlog backend imports) is never loaded.  The pair takes complex128
+  arrays: a state's amplitudes, which :class:`WaveFunction` stores as one,
+  or an array linpot built.  ``fftfreq`` and ``fftshift`` are numpy's.
 * Every phase table is one ``np.exp`` of its formula.  Two have one owner
   each: the kinetic table ``_kinetic``, shared by the closed form and the
   solver, and the argument-shift table ``_shift_table``, exp(i k shift) in
@@ -125,6 +126,20 @@ def _input_hash(self) -> int:
     return hash(_field_values(self))
 
 
+def _finite(**values) -> None:
+    """Raise ValueError("<name> must be finite") for the first value that is not."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
+def _positive(**values) -> None:
+    """Raise ValueError("<name> must be positive and finite") for the first value that is not."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+
+
 def _input(cls):
     """A frozen dataclass whose ``__repr__``, ``__eq__`` and ``__hash__`` are
     the three shared functions above, so ``dataclass`` compiles only its
@@ -147,10 +162,7 @@ class UnitSystem:
     mass: float
 
     def __post_init__(self):
-        if not 0.0 < self.hbar < np.inf:
-            raise ValueError("hbar must be positive and finite")
-        if not 0.0 < self.mass < np.inf:
-            raise ValueError("mass must be positive and finite")
+        _positive(hbar=self.hbar, mass=self.mass)
 
     def with_mass(self, mass: float) -> "UnitSystem":
         return UnitSystem(self.hbar, mass)
@@ -191,34 +203,20 @@ _pocketfft = _load_pocketfft(
 )
 
 
-def _asfarray(a) -> np.ndarray:
-    """``a`` as ``scipy.fft`` converts its input: float16 to float32, any
-    other non-float, non-complex dtype to float64, and float or complex
-    input to a native-order, aligned array (copied only if it was not)."""
-    a = np.asarray(a)
-    if a.dtype == np.float16:
-        return np.asarray(a, np.float32)
-    if a.dtype.kind not in "fc":
-        return np.asarray(a, np.float64)
-    a = np.asarray(a, a.dtype.newbyteorder("="))
-    return a if a.flags.aligned else a.copy()
-
-
 def _fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``scipy.fft.fft(a)`` along the last axis, straight into its kernel.
 
     The arguments are those ``scipy.fft`` passes (no normalization, one
-    worker), so the result is bit-identical.  Out of place, ``a`` is first
-    converted as ``scipy.fft`` converts it, so lists and integer arrays work;
-    ``out=a`` transforms a complex ``a`` in place and returns it, as
-    ``overwrite_x=True`` does.
+    worker), so the result is bit-identical for the complex128 arrays the
+    pair takes; nothing converts ``a`` first.  ``out=a`` transforms ``a`` in
+    place and returns it, as ``overwrite_x=True`` does.
     """
-    return _pocketfft.c2c(_asfarray(a) if out is None else a, (-1,), True, 0, out, 1)
+    return _pocketfft.c2c(a, (-1,), True, 0, out, 1)
 
 
 def _ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``scipy.fft.ifft(a)`` (1/n normalization), as :func:`_fft`."""
-    return _pocketfft.c2c(_asfarray(a) if out is None else a, (-1,), False, 2, out, 1)
+    return _pocketfft.c2c(a, (-1,), False, 2, out, 1)
 
 
 def _shift_table(grid: SpatialGrid, shift: float) -> np.ndarray:
@@ -247,11 +245,10 @@ class SpatialGrid:
     n: int
 
     def __post_init__(self):
-        for name in ("x_min", "x_max"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _finite(x_min=self.x_min, x_max=self.x_max)
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
+        _finite(**{"x_max - x_min": self.span})
         n = self.n
         if isinstance(n, bool) or not isinstance(n, Integral) or n < 16 or n & (n - 1):
             raise ValueError(f"n must be a power of two >= 16, got {n}")
@@ -287,15 +284,22 @@ class SpatialGrid:
 
 @_input
 class WaveFunction:
-    """Complex position amplitudes on a grid, with a time stamp."""
+    """Complex position amplitudes on a grid, with a time stamp.  ``amps``
+    is stored as one aligned, native complex128 row of ``grid.n`` points,
+    the array the transforms take; one that already is that is not copied."""
 
     grid: SpatialGrid
     amps: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
-        if len(self.amps) != self.grid.n:
-            raise ValueError("amplitude array does not match grid size")
+        amps = np.require(self.amps, complex, "A")
+        if amps.shape != (self.grid.n,):
+            raise ValueError(
+                f"amplitudes must be a 1-D array of {self.grid.n} points, got shape {amps.shape}"
+            )
+        _finite(time=self.time)
+        object.__setattr__(self, "amps", amps)
 
     def norm2(self) -> float:
         """Squared norm sum(|amps|^2) * dx."""
@@ -322,11 +326,8 @@ class GaussianSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        for name in ("x0", "p0"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not 0.0 < self.sigma < np.inf:
-            raise ValueError("sigma must be positive and finite")
+        _finite(x0=self.x0, p0=self.p0)
+        _positive(sigma=self.sigma)
 
 
 def sample_gaussian(
@@ -545,9 +546,7 @@ class Linear:
     offset: float = 0.0
 
     def __post_init__(self):
-        for name in ("v0", "offset"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _finite(v0=self.v0, offset=self.offset)
 
     def evaluate(self, x):
         return self.v0 * x + self.offset

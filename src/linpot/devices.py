@@ -39,12 +39,22 @@ from __future__ import annotations
 
 import cmath
 import math
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
 from .analytic import free_evolve, linear_evolve, plane_wave_phase
-from .core import HBAR_SI, NATURAL, UnitSystem, WaveFunction, _input, spatial_width
+from .core import (
+    HBAR_SI,
+    NATURAL,
+    UnitSystem,
+    WaveFunction,
+    _finite,
+    _input,
+    _positive,
+    spatial_width,
+)
 from .errors import BranchMismatchError, GeometryError, InfeasibleError, PreconditionError
 
 __all__ = [
@@ -144,6 +154,8 @@ class SpinDensity:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("spin density must be 2x2")
+        if not np.isfinite(m).all():
+            raise ValueError("spin density must have finite entries")
         if not np.allclose(m, m.conj().T, atol=1e-14):
             raise ValueError("spin density must be Hermitian")
         if abs(np.trace(m).real - 1.0) > 1e-12:
@@ -187,7 +199,8 @@ class PsgGeometry:
     mass: float = 1.0
 
     def __post_init__(self):
-        _check_psg(self.v0, self.length, self.speed, self.mass)
+        _finite(v0=self.v0)
+        _positive(length=self.length, speed=self.speed, mass=self.mass)
 
     @property
     def dwell(self) -> float:
@@ -200,16 +213,6 @@ class PsgGeometry:
     def segments(self) -> tuple:
         dt = self.dwell
         return ((self.v0, dt), (-self.v0, 2.0 * dt), (self.v0, dt))
-
-
-def _check_psg(v0, length, speed, mass) -> None:
-    """Raise ValueError unless v0 is finite and length, speed and mass are
-    positive and finite; a parameter passed as None is not checked."""
-    if v0 is not None and not np.isfinite(v0):
-        raise ValueError("v0 must be finite")
-    for name, value in (("length", length), ("speed", speed), ("mass", mass)):
-        if value is not None and not 0.0 < value < np.inf:
-            raise ValueError(f"{name} must be positive and finite")
 
 
 def psg_phase(g: PsgGeometry, units: UnitSystem = NATURAL) -> float:
@@ -275,8 +278,8 @@ def psg_compose(
     units: UnitSystem = NATURAL,
     override_width_check: bool = False,
 ) -> PsgComposition:
-    """Compose the three PSG segments on a plane wave (float momentum) or a
-    transverse wave-packet.
+    """Compose the three PSG segments on a plane wave (a real momentum, not
+    a bool) or a transverse wave-packet.
 
     For packet input the capacitor length must dominate the packet width
     (length/width >= 20) unless ``override_width_check`` is set; the composed
@@ -285,7 +288,7 @@ def psg_compose(
     :func:`compose_segments`, which raises unless the segments' net kick and
     displacement vanish.
     """
-    if isinstance(input_state, (int, float)):
+    if isinstance(input_state, Real) and not isinstance(input_state, bool):
         return compose_segments(g.segments(), float(input_state), g.mass, units)
 
     psi = input_state
@@ -327,12 +330,14 @@ def solve_psg_for_phase(
     :class:`PsgGeometry`'s rules (else ValueError).  Raises
     :class:`InfeasibleError` when no positive real parameter exists.
     """
-    if not math.isfinite(target):
-        raise ValueError("target must be finite")
+    _finite(target=target)
     free = [name for name, val in (("v0", v0), ("length", length), ("speed", speed)) if val is None]
     if len(free) != 1:
         raise ValueError("exactly one of v0, length, speed must be free")
-    _check_psg(v0, length, speed, mass)
+    if v0 is not None:
+        _finite(v0=v0)
+    given = (("length", length), ("speed", speed), ("mass", mass))
+    _positive(**{name: value for name, value in given if value is not None})
     theta = (-target) % (2.0 * math.pi)
     hbar = units.hbar
 
@@ -377,8 +382,7 @@ class SgSpec:
     def __post_init__(self):
         if isinstance(self.axis, (bool, np.bool_)) or self.axis not in (+1, -1):
             raise ValueError("axis must be +1 (+x) or -1 (-x)")
-        if not 0.0 < self.duration < np.inf:
-            raise ValueError("duration must be positive and finite")
+        _positive(duration=self.duration)
         if not 0.0 <= self.coupling < np.inf:
             raise ValueError("coupling must be non-negative and finite")
 

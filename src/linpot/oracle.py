@@ -85,6 +85,7 @@ from .core import (
     _input,
     _kinetic,
     _moments,
+    _positive,
     l2_distance,
 )
 from .errors import BoundaryContaminationWarning, StabilityError, _warn
@@ -160,8 +161,7 @@ class SolverConfig:
     record_every: int = 100
 
     def __post_init__(self):
-        if not 0.0 < self.dt < np.inf:
-            raise ValueError("dt must be positive and finite")
+        _positive(dt=self.dt)
         for name in ("n_steps", "record_every"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:

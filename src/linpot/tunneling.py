@@ -64,7 +64,9 @@ from .core import (
     UnitSystem,
     WaveFunction,
     _edge_share,
+    _finite,
     _input,
+    _positive,
     sample_gaussian,
 )
 from .errors import (
@@ -121,14 +123,10 @@ class BarrierSpec:
     descent_slope: float | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.x_start):
-            raise ValueError("x_start must be finite")
-        if not 0.0 < self.slope < np.inf:
-            raise ValueError("slope must be positive and finite")
-        if not 0.0 < self.peak_height < np.inf:
-            raise ValueError("peak_height must be positive and finite")
-        if self.descent_slope is not None and not 0.0 < self.descent_slope < np.inf:
-            raise ValueError("descent_slope must be positive and finite")
+        _finite(x_start=self.x_start)
+        _positive(slope=self.slope, peak_height=self.peak_height)
+        if self.descent_slope is not None:
+            _positive(descent_slope=self.descent_slope)
 
     @property
     def down_slope(self) -> float:
@@ -328,31 +326,11 @@ def _crossing_time(times, values, target):
     return float(times[i])
 
 
-def _launch(packet, barrier, cfg, grid, units):
-    """Check the preconditions of a barrier run and return the turning points
-    (a, b) and the linear-front arrival time."""
-    if not _absorbing(cfg.absorber):
-        raise PreconditionError("tunneling runs need an absorbing boundary")
-    if packet.p0 <= 0:
-        raise PreconditionError("packet needs positive incident momentum")
-    energy = packet.p0**2 / (2.0 * units.mass)
-
-    if energy <= barrier.peak_height:
-        a, b = turning_points(barrier, energy)
-    else:
-        a, b = barrier.x_start, barrier.x_end
-    if barrier.x_end >= cfg.absorber._edges(grid)[2]:
-        raise PreconditionError(
-            "barrier extends into the absorbing band; widen the grid"
-        )
-    v_in = packet.p0 / units.mass
-    t_a_linear = max(barrier.x_start - packet.x0, 0.0) / v_in + packet.p0 / barrier.slope
-    return a, b, t_a_linear
-
-
-def _measure(states, barrier, cfg, grid, units, launch):
-    """Launch every state of ``states`` at the barrier and step them as one
-    ``(B, n)`` stack (``oracle._stride_loop``) until each is stationary.
+def _measure(packet, states, barrier, cfg, grid, units):
+    """Check the preconditions of a barrier run, then launch every state of
+    ``states`` at the barrier and step them as one ``(B, n)`` stack
+    (``oracle._stride_loop``) until each is stationary.  ``packet`` gives the
+    incident energy, hence the turning points, and the nominal launch point.
 
     After every stride each row gets its T, R and residual.  A snapshot is
     quiet when |dT| + |dR| since the row's previous one is below
@@ -363,7 +341,20 @@ def _measure(states, barrier, cfg, grid, units, launch):
     :class:`StationarityTimeout` carrying the partial result of the first
     state, in input order, that was still drifting.
     """
-    a, b, t_a_linear = launch
+    if not _absorbing(cfg.absorber):
+        raise PreconditionError("tunneling runs need an absorbing boundary")
+    if packet.p0 <= 0:
+        raise PreconditionError("packet needs positive incident momentum")
+    energy = packet.p0**2 / (2.0 * units.mass)
+    if energy <= barrier.peak_height:
+        a, b = turning_points(barrier, energy)
+    else:
+        a, b = barrier.x_start, barrier.x_end
+    _, left, right = cfg.absorber._edges(grid)
+    if barrier.x_end >= right:
+        raise PreconditionError("barrier extends into the absorbing band; widen the grid")
+    v_in = packet.p0 / units.mass
+    t_a_linear = max(barrier.x_start - packet.x0, 0.0) / v_in + packet.p0 / barrier.slope
     n_left, start = cfg.absorber._bands(grid)
     on_barrier = grid.n - int(np.searchsorted(grid.x, barrier.x_start))
     for psi in states:
@@ -372,7 +363,6 @@ def _measure(states, barrier, cfg, grid, units, launch):
             raise ValueError("tunneling runs need a state on the run's grid")
         share = _edge_share(psi.amps, n_left, grid.n - start)
         if share > _EDGE_THRESHOLD:
-            _, left, right = cfg.absorber._edges(grid)
             raise PreconditionError(
                 f"launch state has {share:.2e} of its norm in the absorbing bands "
                 f"(x < {left!r} or x > {right!r}); launch it further in, or widen the grid"
@@ -454,13 +444,8 @@ def run_tunneling(
     ``times`` and its final state's ``time`` count from the launch at t = 0,
     whatever time ``initial_state`` carries.
     """
-    launch = _launch(packet, barrier, cfg, grid, units)
-    psi0 = (
-        initial_state
-        if initial_state is not None
-        else sample_gaussian(packet, grid, units)
-    )
-    return _measure([psi0], barrier, cfg, grid, units, launch)[0]
+    psi0 = initial_state if initial_state is not None else sample_gaussian(packet, grid, units)
+    return _measure(packet, [psi0], barrier, cfg, grid, units)[0]
 
 
 class ScanResult(NamedTuple):
@@ -524,10 +509,12 @@ def width_scan(
     entries = tuple(given[0]) if len(given) == 1 else ()
     if not entries:
         raise ValueError("give exactly one non-empty sigma_list or delay_list")
+    if delay_list is not None:
+        for delay in entries:
+            _finite(delay=float(delay))
     base = base_packet or GaussianSpec(x0=0.0, p0=p0, sigma=1.0)
     if base.p0 != p0:
         base = GaussianSpec(base.x0, p0, base.sigma)
-    launch = _launch(base, barrier, cfg, grid, units)
 
     def state(arg):
         if sigma_list is not None:
@@ -539,7 +526,7 @@ def width_scan(
         return psi
 
     states = [state(a) for a in entries]
-    results = _measure(states, barrier, cfg, grid, units, launch)
+    results = _measure(base, states, barrier, cfg, grid, units)
     return ScanResult(tuple(sorted(results, key=lambda r: r.sigma_at_arrival)))
 
 

@@ -71,6 +71,7 @@ NON_FINITE = [
     ("units", "mass", "inf", "[units]\nmass = inf\n"),
     ("grid", "x_min", "-inf", "[grid]\nx_min = -inf\n"),
     ("grid", "x_max", "inf", "[grid]\nx_max = inf\n"),
+    ("grid", "x_max", "1e308", "[grid]\nx_min = -1e308\nx_max = 1e308\n"),
     ("state", "sigma", "inf", "[state]\nsigma = inf\n"),
     ("potential", "slope", "inf", BARRIER + "slope = inf\n"),
     ("potential", "peak_height", "nan", BARRIER + "peak_height = nan\n"),

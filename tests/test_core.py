@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from linpot import (
     to_momentum_rep,
     to_position_rep,
 )
+from linpot.analytic import free_evolve, linear_evolve
 from linpot.core import _fft, _ifft, _load_pocketfft
-from linpot.errors import CoverageError, NormalizationError
+from linpot.errors import BoundaryContaminationWarning, CoverageError, NormalizationError
 from linpot.tunneling import animation_scenario
 
 from conftest import direct_dft
@@ -51,6 +53,11 @@ class TestGrid:
         with pytest.raises(ValueError, match="^n must be a power of two >= 16"):
             SpatialGrid(-1.0, 1.0, n)
 
+    def test_span_must_be_finite(self):
+        # the span overflowed to inf, so dx was inf and x[0] NaN
+        with pytest.raises(ValueError, match="^x_max - x_min must be finite"):
+            SpatialGrid(-1e308, 1e308, 16)
+
     def test_numpy_integer_n_is_whole(self):
         assert SpatialGrid(-1.0, 1.0, np.int64(64)) == SpatialGrid(-1.0, 1.0, 64)
 
@@ -74,10 +81,71 @@ class TestGrid:
             g.x_min = 0.0
 
 
+def _unaligned(n):
+    """n float64 values in a buffer one byte off alignment."""
+    a = np.empty(8 * n + 1, np.uint8)[1:].view(np.float64)
+    a[:] = np.linspace(0.0, 1.0, n)
+    assert not a.flags.aligned
+    return a
+
+
 class TestWaveFunction:
+    GRID = SpatialGrid(-8.0, 8.0, 16)
+
     def test_fields_are_grid_amps_time(self):
         names = [f.name for f in dataclasses.fields(WaveFunction)]
         assert names == ["grid", "amps", "time"]
+
+    @staticmethod
+    def _runs(psi):
+        """free_evolve and linear_evolve of ``psi``, a state that fills the
+        grid, so the edge warning and the wrap guards are set aside."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryContaminationWarning)
+            return (
+                free_evolve(psi, 0.3).amps,
+                linear_evolve(psi, 0.5, 0.3, check_coverage=False).psi.amps,
+            )
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [1, 2, 0, -1] * 4,
+            np.arange(16),
+            np.linspace(0.0, 1.0, 16),
+            np.linspace(0.0, 1.0, 16, dtype=np.float16),
+            np.linspace(0.0, 1.0, 16).astype(">f8"),
+            _unaligned(16),
+            (np.linspace(0.0, 1.0, 16) * (1.0 + 1.0j / 3.0)).astype(np.complex64),
+        ],
+        ids=["list", "int", "float", "float16", "big-endian", "unaligned", "complex64"],
+    )
+    def test_stores_one_complex128_row(self, a):
+        # the transforms take the stored array as it is, so a complex64
+        # state ran its first transform in single precision
+        psi = WaveFunction(self.GRID, a)
+        want = np.asarray(a, complex)
+        assert psi.amps.dtype == np.complex128 and psi.amps.dtype.isnative
+        assert psi.amps.flags.aligned and psi.amps.shape == (16,)
+        np.testing.assert_array_equal(psi.amps, want)
+        for got, same in zip(self._runs(psi), self._runs(WaveFunction(self.GRID, want))):
+            np.testing.assert_array_equal(got, same)
+
+    def test_keeps_a_complex128_array(self):
+        a = np.linspace(0.0, 1.0, 16) * 1j
+        assert WaveFunction(self.GRID, a).amps is a
+
+    @pytest.mark.parametrize("shape", [(16, 2), (8,), (1, 16)])
+    def test_refuses_any_other_shape(self, shape):
+        # a (16, 2) array passed the length check and failed in free_evolve
+        with pytest.raises(ValueError, match=r"^amplitudes must be a 1-D array of 16 points"):
+            WaveFunction(self.GRID, np.ones(shape, complex))
+
+    @pytest.mark.parametrize("time", [np.nan, np.inf])
+    def test_non_finite_time_is_refused(self, time):
+        # split_step_evolve of a NaN-stamped state returned all-NaN times
+        with pytest.raises(ValueError, match="^time must be finite"):
+            WaveFunction(self.GRID, np.ones(16, complex), time)
 
 
 class TestGaussianSampling:
@@ -229,14 +297,6 @@ class TestFourierPair:
         assert l2_distance(psi, to_position_rep(g, amps)) < 1e-13
 
 
-def _unaligned(n):
-    """n float64 values in a buffer one byte off alignment."""
-    a = np.empty(8 * n + 1, np.uint8)[1:].view(np.float64)
-    a[:] = np.linspace(0.0, 1.0, n)
-    assert not a.flags.aligned
-    return a
-
-
 class TestKernelPair:
     """``_fft``/``_ifft`` call scipy's pocketfft kernel directly; they must
     give what ``scipy.fft.fft``/``ifft`` give, bit for bit.  A scipy release
@@ -257,23 +317,6 @@ class TestKernelPair:
         np.testing.assert_array_equal(_fft(a), scipy.fft.fft(a))
         np.testing.assert_array_equal(_ifft(a), scipy.fft.ifft(a))
         np.testing.assert_array_equal(a, before)
-
-    @pytest.mark.parametrize(
-        "a",
-        [
-            [1, 2, 0, -1],
-            np.arange(16),
-            np.linspace(0.0, 1.0, 16),
-            np.linspace(0.0, 1.0, 16, dtype=np.float16),
-            np.linspace(0.0, 1.0, 16).astype(">f8"),
-            _unaligned(16),
-        ],
-        ids=["list", "int", "float", "float16", "big-endian", "unaligned"],
-    )
-    def test_converts_input_as_scipy_fft(self, a):
-        # a WaveFunction may be built from any array-like amplitudes
-        np.testing.assert_array_equal(_fft(a), scipy.fft.fft(a))
-        np.testing.assert_array_equal(_ifft(a), scipy.fft.ifft(a))
 
     def test_moved_kernel_fails_by_name(self, tmp_path):
         with pytest.raises(ImportError) as failure:

@@ -76,6 +76,12 @@ class TestSpinDensity:
         with pytest.raises(ValueError, match="eigenvalues"):
             SpinDensity(np.array([[1.5, 0.0], [0.0, -0.5]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_matrix_is_refused(self, value):
+        # a NaN entry was reported as a matrix that is not Hermitian
+        with pytest.raises(ValueError, match="^spin density must have finite entries"):
+            SpinDensity([[value, 0.0], [0.0, 1.0]])
+
     def test_unpolarized(self):
         rho = SpinDensity.unpolarized(momentum=0.5)
         assert rho.branch_momenta == (0.5, 0.5)
@@ -121,6 +127,19 @@ class TestPsgCompose:
         # NaN fails neither balance comparison: the phase came back NaN
         with pytest.raises(ValueError, match="slope and duration must be finite"):
             compose_segments(segments, 0.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "p, value", [(np.float32(0.5), 0.5), (np.int64(1), 1.0)], ids=["float32", "int64"]
+    )
+    def test_any_real_momentum_is_a_plane_wave(self, p, value):
+        g = PsgGeometry(1.3, 1.7, 0.9, mass=1.4)
+        assert psg_compose(g, p) == psg_compose(g, value)
+
+    @pytest.mark.parametrize("p", [True, np.bool_(True)], ids=["bool", "numpy-bool"])
+    def test_bool_momentum_is_refused(self, p):
+        # True was taken for the momentum 1.0
+        with pytest.raises(TypeError, match="momentum value or a WaveFunction"):
+            psg_compose(PsgGeometry(1.0, 1.0, 1.0), p)
 
     @pytest.mark.parametrize("p", [np.nan, np.inf])
     def test_non_finite_momentum_is_refused(self, p):

@@ -9,13 +9,21 @@ pairs.  No field sets ``repr``, ``compare`` or ``hash``, since the shared
 methods take every field.  Against another class ``__eq__`` returns
 ``NotImplemented``; setting or deleting a field raises
 ``FrozenInstanceError``; and ``dataclasses.replace`` and ``fields`` work.
+
+The range rules have one owner each: every "must be finite" and "must be
+positive and finite" message in the package comes from ``core._finite`` or
+``core._positive``, apart from a named list of checks worded that way for a
+reason.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import linpot
 from linpot import (
     Absorber,
     BarrierSpec,
@@ -162,3 +170,57 @@ def test_replace_and_fields_work(cases):
     assert dataclasses.replace(a) == b
     changed = {f.name: getattr(c, f.name) for f in dataclasses.fields(c)}
     assert dataclasses.replace(a, **changed) == c
+
+
+# the functions that own the range rules, with the end of their message
+RANGE_OWNERS = {
+    ("core", "_finite", " must be finite"),
+    ("core", "_positive", " must be positive and finite"),
+}
+# (module, function, message) of each range message written out by hand
+HAND_WRITTEN = {
+    ("core", "PiecewiseLinear.__post_init__", "breakpoints must be finite"): (
+        "the knots are checked as one array, not as named values"
+    ),
+}
+
+
+def range_messages(tree):
+    """(qualified name of the enclosing function, text) of every string in
+    ``tree`` that ends like a range message: a constant, or the last part
+    of an f-string."""
+    inner = {
+        id(part)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.JoinedStr)
+        for part in node.values[:-1]
+    }
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if (
+                isinstance(child, ast.Constant)
+                and isinstance(child.value, str)
+                and id(child) not in inner
+                and child.value.endswith((" must be finite", " must be positive and finite"))
+            ):
+                found.append((".".join(scope), child.value))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_range_rules_have_one_owner():
+    package = Path(linpot.__file__).parent
+    found = {
+        (path.stem, scope, text)
+        for path in sorted(package.glob("*.py"))
+        for scope, text in range_messages(ast.parse(path.read_text()))
+    }
+    assert found - RANGE_OWNERS - set(HAND_WRITTEN) == set()
+    assert RANGE_OWNERS | set(HAND_WRITTEN) <= found

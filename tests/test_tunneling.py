@@ -25,6 +25,7 @@ from linpot import (
     wkb_sigma_R,
     wkb_transmission,
 )
+from linpot import tunneling
 from linpot.errors import (
     DegenerateEnergyError,
     NoTurningPointsError,
@@ -567,6 +568,19 @@ class TestWidthScan:
         grid, cfg, barrier = _scan_setup()
         with pytest.raises(ValueError, match="non-empty"):
             width_scan(4.0, barrier, grid, cfg, **entries)
+
+    @pytest.mark.parametrize("delay", [np.nan, -np.inf])
+    def test_non_finite_delay_is_refused_by_name(self, delay, monkeypatch):
+        # free_evolve refused it as "dt must be finite", a name the caller
+        # never passed; now no state is built before the delays are checked
+        grid, cfg, barrier = _scan_setup()
+
+        def no_state(*args):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(tunneling, "sample_gaussian", no_state)
+        with pytest.raises(ValueError, match="^delay must be finite"):
+            width_scan(4.0, barrier, grid, cfg, delay_list=(0.0, delay))
 
     def test_violations_reported_not_suppressed(self):
         # stand-in rows: the check reads only sigma at arrival and T
