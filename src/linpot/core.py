@@ -12,14 +12,17 @@ Inputs and records are two kinds of type, package-wide.  An input is what
 a caller builds and linpot validates (the grid, states, packet and the two
 potentials, ``Linear`` and ``PiecewiseLinear``, here; the absorber, solver
 config, barrier, spinors, spin density and device geometries elsewhere): a
-frozen dataclass made by ``_input``, which checks its fields in
-``__post_init__``; its range rules are ``_finite`` and ``_positive``, whose
-messages start with the field name that config keys its errors by.  Every
-input shares one ``__repr__``, ``__eq__`` and ``__hash__``, which give what
-``dataclass`` would generate, so ``dataclass`` compiles only each input's
-``__init__`` and two frozen setters when its module is imported.  A record is what a linpot function returns (ledgers,
-results, trajectories, scans): a ``typing.NamedTuple``, which has nothing to
-check and costs far less to define at import than a dataclass.
+dataclass made by ``_input``, which checks its fields in ``__post_init__``;
+its range rules are ``_finite`` and ``_positive``, whose messages start
+with the field name that config keys its errors by.  Every input shares
+one ``__repr__``, ``__eq__`` and ``__hash__``, which give what
+``dataclass`` would generate, and one write-once ``__setattr__`` and
+``__delattr__``, which refuse any change after ``__init__`` with the
+``FrozenInstanceError`` a frozen dataclass raises, so ``dataclass``
+compiles only each input's ``__init__`` when its module is imported.  A
+record is what a linpot function returns (ledgers, results, trajectories,
+scans): a ``typing.NamedTuple``, which has nothing to check and costs far
+less to define at import than a dataclass.
 Both are immutable once built.  Being tuples, records also take ``len``,
 iteration, unpacking and ``==`` against a plain tuple over their fields.
 
@@ -69,7 +72,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cached_property
 from numbers import Integral
 from reprlib import recursive_repr
@@ -126,6 +129,17 @@ def _input_hash(self) -> int:
     return hash(_field_values(self))
 
 
+def _input_setattr(self, name, value) -> None:
+    # the generated __init__ sets each field once; nothing sets one again
+    if name in self.__dict__ or name not in self.__dataclass_fields__:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    self.__dict__[name] = value
+
+
+def _input_delattr(self, name) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def _finite(**values) -> None:
     """Raise ValueError("<name> must be finite") for the first value that is not."""
     for name, value in values.items():
@@ -141,16 +155,21 @@ def _positive(**values) -> None:
 
 
 def _input(cls):
-    """A frozen dataclass whose ``__repr__``, ``__eq__`` and ``__hash__`` are
-    the three shared functions above, so ``dataclass`` compiles only its
-    ``__init__`` and two frozen setters.  They give what ``dataclass`` would
-    generate for fields that keep the default ``repr``, ``compare`` and
-    ``hash``, as every input's do; tests/test_inputs.py fails on one that
-    does not."""
-    cls = dataclass(frozen=True, repr=False, eq=False)(cls)
+    """A dataclass whose ``__repr__``, ``__eq__``, ``__hash__``,
+    ``__setattr__`` and ``__delattr__`` are the five shared functions above,
+    so ``dataclass`` compiles only its ``__init__``.  The first three give
+    what ``dataclass`` would generate for fields that keep the default
+    ``repr``, ``compare`` and ``hash``, as every input's do;
+    tests/test_inputs.py fails on one that does not.  The write-once setter
+    lets ``__init__`` set each field, then refuses as a frozen dataclass
+    does; ``__post_init__`` replaces a converted field with
+    ``object.__setattr__``."""
+    cls = dataclass(repr=False, eq=False)(cls)
     cls.__repr__ = _input_repr
     cls.__eq__ = _input_eq
     cls.__hash__ = _input_hash
+    cls.__setattr__ = _input_setattr
+    cls.__delattr__ = _input_delattr
     return cls
 
 
@@ -499,6 +518,8 @@ def gaussian_width_at(sigma: float, dt: float, units: UnitSystem = NATURAL) -> f
     not change this law; the solver-validated reference formula is exposed
     here rather than the full complex evolved-Gaussian prefactor.
     """
+    _positive(sigma=sigma)
+    _finite(dt=dt)
     theta = units.hbar * dt / (units.mass * sigma**2)
     return sigma * float(np.sqrt(1.0 + theta**2))
 

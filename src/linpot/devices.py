@@ -163,10 +163,13 @@ class SpinDensity:
         eig = np.linalg.eigvalsh(m)
         if eig.min() < -1e-12 or eig.max() > 1.0 + 1e-12:
             raise ValueError("spin density eigenvalues must lie in [0, 1]")
+        momenta = tuple(float(p) for p in self.branch_momenta)
+        if len(momenta) != 2:
+            raise ValueError(f"branch_momenta must hold two momenta, got {len(momenta)}")
+        for p in momenta:
+            _finite(branch_momenta=p)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(
-            self, "branch_momenta", tuple(float(p) for p in self.branch_momenta)
-        )
+        object.__setattr__(self, "branch_momenta", momenta)
 
     @staticmethod
     def unpolarized(momentum: float = 0.0) -> "SpinDensity":

@@ -261,6 +261,8 @@ def wkb_sigma_R(
 
 def wkb_transmission_from_action(sigma_r: float) -> float:
     """T = e^{-2 sigma_R} / (1 + e^{-2 sigma_R}/4)^2; exactly 0.64 at 0."""
+    if not sigma_r >= 0.0:
+        raise ValueError(f"sigma_r must be non-negative, got {sigma_r!r}")
     if math.isinf(sigma_r):
         return 0.0
     damp = math.exp(-2.0 * sigma_r)

@@ -203,6 +203,22 @@ class TestObservables:
         # hbar*dt/(m sigma^2) = 1 doubles the variance: width sqrt(2)
         assert gaussian_width_at(1.0, 1.0) == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "sigma, dt, message",
+        [
+            (np.nan, 1.0, "sigma must be positive and finite"),
+            (-1.0, 1.0, "sigma must be positive and finite"),
+            (0.0, 1.0, "sigma must be positive and finite"),
+            (np.inf, 1.0, "sigma must be positive and finite"),
+            (1.0, np.nan, "dt must be finite"),
+            (1.0, np.inf, "dt must be finite"),
+        ],
+    )
+    def test_free_width_law_refuses_bad_arguments(self, sigma, dt, message):
+        # as GaussianSpec refuses the same sigma
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gaussian_width_at(sigma, dt)
+
     def test_requires_normalized(self, grid):
         psi = sample_gaussian(GaussianSpec(0.0, 0.0, 1.0), grid)
         bad = psi.with_amps(psi.amps * 2.0)

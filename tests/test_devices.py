@@ -82,6 +82,22 @@ class TestSpinDensity:
         with pytest.raises(ValueError, match="^spin density must have finite entries"):
             SpinDensity([[value, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("momenta", [(np.nan, np.nan), (np.inf, 0.0), (0.0, -np.inf)])
+    def test_non_finite_branch_momenta_are_refused(self, momenta):
+        # NaN labels made a zero-coupling sg_apply erase the coherences
+        with pytest.raises(ValueError, match="^branch_momenta must be finite"):
+            SpinDensity([[0.5, 0.5], [0.5, 0.5]], momenta)
+
+    def test_unpolarized_refuses_a_non_finite_momentum(self):
+        with pytest.raises(ValueError, match="^branch_momenta must be finite"):
+            SpinDensity.unpolarized(np.nan)
+
+    @pytest.mark.parametrize("momenta", [(), (1.0,), (1.0, 2.0, 3.0)])
+    def test_branch_momenta_must_be_a_pair(self, momenta):
+        # sg_apply dropped a third label; fewer raised IndexError later
+        with pytest.raises(ValueError, match="^branch_momenta must hold two momenta"):
+            SpinDensity([[0.5, 0.5], [0.5, 0.5]], momenta)
+
     def test_unpolarized(self):
         rho = SpinDensity.unpolarized(momentum=0.5)
         assert rho.branch_momenta == (0.5, 0.5)

@@ -16,9 +16,10 @@ to define at import, so a record added as a dataclass fails here.
 Those checks run in a fresh interpreter, since this one has imported
 everything the other tests use.  One more runs here, over every module:
 each dataclass in the package, the inputs of ``config`` and ``verify``
-included, is made by ``core._input``, so it is frozen and carries the one
-shared ``__repr__``, ``__eq__`` and ``__hash__``; ``dataclass`` compiles
-only its ``__init__`` and two frozen setters at import.
+included, is made by ``core._input``, so it carries the one shared
+``__repr__``, ``__eq__`` and ``__hash__`` and the one shared write-once
+``__setattr__`` and ``__delattr__``; ``dataclass`` compiles only its
+``__init__`` at import.
 """
 
 import os
@@ -115,11 +116,16 @@ def test_only_the_input_types_are_dataclasses(fresh):
 
 
 def test_every_dataclass_shares_the_input_methods():
-    shared = (core._input_repr, core._input_eq, core._input_hash)
+    shared = (
+        core._input_repr,
+        core._input_eq,
+        core._input_hash,
+        core._input_setattr,
+        core._input_delattr,
+    )
     apart = [
         name
         for name, cls in package_dataclasses().items()
-        if not cls.__dataclass_params__.frozen
-        or (cls.__repr__, cls.__eq__, cls.__hash__) != shared
+        if (cls.__repr__, cls.__eq__, cls.__hash__, cls.__setattr__, cls.__delattr__) != shared
     ]
     assert apart == []

@@ -1,5 +1,6 @@
-"""The input types share one ``__repr__``, ``__eq__`` and ``__hash__``
-(``core._input``), and act as the ``@dataclass(frozen=True)`` they were.
+"""The input types share one ``__repr__``, ``__eq__``, ``__hash__``,
+``__setattr__`` and ``__delattr__`` (``core._input``), and act as the
+``@dataclass(frozen=True)`` they were.
 
 For each dataclass in the package a plain frozen-dataclass twin is built
 from its ``dataclasses.fields``.  An input and its twin, holding the same
@@ -7,8 +8,17 @@ field values, give the same repr string and the same outcome (a value or
 the exception's type) for ``==``, ``!=`` and ``hash`` on equal and unequal
 pairs.  No field sets ``repr``, ``compare`` or ``hash``, since the shared
 methods take every field.  Against another class ``__eq__`` returns
-``NotImplemented``; setting or deleting a field raises
-``FrozenInstanceError``; and ``dataclasses.replace`` and ``fields`` work.
+``NotImplemented``; and ``dataclasses.replace`` and ``fields`` work.
+
+The shared setter is write-once, where a frozen dataclass refuses every
+write: ``__init__`` sets each field through it, and it refuses a name that
+is set already or is not a field.  So the tests that could tell the two
+apart are here: setting or deleting a field raises
+``FrozenInstanceError``, as on the twin, and so does setting a name that is
+no field; every field is in the instance's ``__dict__`` once it is built,
+which the setter's rule relies on; and ``copy.copy``, ``copy.deepcopy`` and
+a pickle round trip, which fill ``__dict__`` without the setter, keep every
+field value and give a copy that still refuses assignment and deletion.
 
 The range rules have one owner each: every "must be finite" and "must be
 positive and finite" message in the package comes from ``core._finite`` or
@@ -17,7 +27,9 @@ reason.
 """
 
 import ast
+import copy
 import dataclasses
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +174,51 @@ def test_fields_are_frozen(cases):
         setattr(a, name, getattr(c, name))
     with pytest.raises(dataclasses.FrozenInstanceError):
         delattr(a, name)
+
+
+def test_other_names_are_frozen_too(cases):
+    a, _, _, twin = cases
+    for obj in (a, twin_of(a, twin)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.not_a_field = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del obj.not_a_field
+    assert "not_a_field" not in vars(a)
+
+
+def test_init_sets_every_field_on_the_instance(cases):
+    # the setter refuses a name already in __dict__, so no field may be left
+    # to a class attribute
+    a, _, c, _ = cases
+    for obj in (a, c):
+        assert {f.name for f in dataclasses.fields(obj)} <= vars(obj).keys()
+
+
+def same(x, y) -> bool:
+    """``x == y``, elementwise for an array and field by field for an input."""
+    if isinstance(x, np.ndarray):
+        return type(y) is np.ndarray and x.dtype == y.dtype and np.array_equal(x, y)
+    if dataclasses.is_dataclass(x):
+        return type(y) is type(x) and all(
+            same(getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x)
+        )
+    return x == y
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_keep_the_fields_and_stay_frozen(cases, duplicate):
+    a, _, c, _ = cases
+    dup = duplicate(a)
+    assert same(dup, a)
+    name = dataclasses.fields(a)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(dup, name, getattr(c, name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(dup, name)
 
 
 def test_replace_and_fields_work(cases):

@@ -207,6 +207,12 @@ class TestWkb:
         b = BarrierSpec(0.0, 2.0, 5.0)
         assert wkb_transmission(b, 5.0) == 0.64
 
+    @pytest.mark.parametrize("sigma_r", [np.nan, -1.0, -np.inf])
+    def test_action_no_barrier_has_is_refused(self, sigma_r):
+        # wkb_sigma_R returns an action >= 0 or +inf; -1.0 read T = 0.911 > 0.64
+        with pytest.raises(ValueError, match="^sigma_r must be non-negative"):
+            wkb_transmission_from_action(sigma_r)
+
     def test_large_action_asymptote(self):
         for s in (5.0, 10.0, 20.0):
             t = wkb_transmission_from_action(s)
