@@ -12,24 +12,30 @@ Subcommands::
 Exit codes: 0 success, 1 config/validation error (a usage error included),
 2 numerical failure (any other package error), 3 precondition violation.
 Identical configs produce byte-identical CSV output on the same platform;
-every CSV starts with a ``# schema:`` line and a header row.  Every command also writes
-``run.json``: the linpot/numpy/scipy versions, the canonical config and its
-sha256 (for the commands that read one) and the command's headline numbers:
-for ``evolve`` and ``tunnel`` the solver's state-step and FFT counts and the
+every CSV starts with a ``# schema:`` line and a header row.  A command only
+computes: it returns its files, its ``run.json`` record, its stdout lines and
+its exit code, and ``main`` writes them all, into ``--out`` made only once the
+command has returned, so a command that fails writes nothing.  ``run.json``
+holds the linpot/numpy/scipy versions, the canonical config and its sha256
+(for the commands that read one) and the command's headline numbers: for
+``evolve`` and ``tunnel`` the solver's state-step and FFT counts and the
 probability absorbed per side (per scan row for ``tunnel``) and the seconds
-spent solving and writing the CSVs, for ``evolve`` also the worst norm
-drift, the first boundary-contact time and the seconds spent on the
-reference (part of the solve), for ``verify`` the checks that ran and their
-seconds, each and in total.  Its ``warnings`` list holds the category and
-message of each warning the run showed, in the order raised; each still goes
-to stderr as well.
+spent solving, for ``evolve`` also the worst norm drift, the first
+boundary-contact time and the seconds spent on the reference (part of the
+solve), for ``verify`` the checks that ran and their seconds, each and in
+total; for every command that writes CSVs, the seconds spent writing them.
+Its ``warnings`` list holds the category and message of each warning the run
+showed, in the order raised; each still goes to stderr as well.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
+import importlib.machinery
+import importlib.util
 import json
 import math
 import sys
@@ -38,7 +44,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, devices, oracle, tunneling, verify
 from .analytic import _gaussian_evolve
@@ -63,41 +68,70 @@ def _write_csv(path: Path, schema: str, header, rows):
             f.write(",".join(map(repr, map(float, row))) + "\n")
 
 
-def _write_run(args, cfg: ExperimentConfig | None, **record):
-    """Write ``run.json`` into ``args.out``: what ran (versions and, given a
-    config, its canonical text and sha256), the ``record`` of how it went
-    and the warnings the run has shown so far."""
-    manifest = {
-        "versions": {
-            "linpot": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
-        **record,
-        "warnings": args.warnings,
-    }
-    if cfg is not None:
-        text = cfg.to_text()
-        manifest["config"] = text
-        manifest["config_sha256"] = hashlib.sha256(text.encode()).hexdigest()
-    with open(Path(args.out) / "run.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+def _write_json(path: Path, obj):
+    with open(path, "w") as f:
+        # numpy scalars are written as the Python numbers they hold
+        json.dump(obj, f, indent=2, sort_keys=True, default=np.generic.item)
         f.write("\n")
 
 
-def _load(args) -> ExperimentConfig:
-    """The config of ``evolve`` or ``tunnel``, with ``--dt`` applied."""
+@functools.cache
+def _scipy_version() -> str:
+    """scipy's ``__version__``, which ``scipy/__init__.py`` takes from
+    ``scipy/version.py``: that file, loaded by path as ``core`` loads the
+    pocketfft kernel, so no command imports the scipy package."""
+    where = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec("scipy.version", where)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
+
+
+def _load(args) -> ExperimentConfig | None:
+    """The command's config, with ``--dt`` applied; None for a command
+    without ``--config``."""
+    if getattr(args, "config", None) is None:
+        return None
     cfg = ExperimentConfig.from_file(args.config)
-    if args.dt is not None:
-        if not 0.0 < args.dt < math.inf:
-            raise ConfigError(f"--dt: must be positive and finite, got {args.dt!r}")
-        n_steps = max(1, round(cfg.solver_dt * cfg.solver_n_steps / args.dt))
-        cfg = dataclasses.replace(cfg, solver_dt=args.dt, solver_n_steps=n_steps)
+    dt = getattr(args, "dt", None)
+    if dt is not None:
+        if not 0.0 < dt < math.inf:
+            raise ConfigError(f"--dt: must be positive and finite, got {dt!r}")
+        n_steps = max(1, round(cfg.solver_dt * cfg.solver_n_steps / dt))
+        cfg = dataclasses.replace(cfg, solver_dt=dt, solver_n_steps=n_steps)
     return cfg
 
 
-def cmd_evolve(args) -> int:
+def _run(args) -> int:
+    """Load the config and run the command; only once it has returned,
+    create ``--out`` and write its files (a ``*.csv`` as ``(schema, header,
+    rows)``, timed; a ``*.json`` as the object), its ``run.json`` and its
+    stdout lines.  Returns its exit code."""
     cfg = _load(args)
+    files, record, lines, code = _COMMANDS[args.command](args, cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    csvs = {name: content for name, content in files.items() if name.endswith(".csv")}
+    start = time.perf_counter()
+    for name, content in csvs.items():
+        _write_csv(out / name, *content)
+    if csvs:
+        record.setdefault("seconds", {})["write"] = round(time.perf_counter() - start, 3)
+    for name, obj in files.items():
+        if name.endswith(".json"):
+            _write_json(out / name, obj)
+    versions = {"linpot": __version__, "numpy": np.__version__, "scipy": _scipy_version()}
+    manifest = {"versions": versions, **record, "warnings": args.warnings}
+    if cfg is not None:
+        text = cfg.to_text()
+        manifest.update(config=text, config_sha256=hashlib.sha256(text.encode()).hexdigest())
+    _write_json(out / "run.json", manifest)
+    for line in lines:
+        print(line)
+    return code
+
+
+def cmd_evolve(args, cfg):
     units = cfg.units()
     grid = cfg.grid()
     solver = cfg.solver()
@@ -129,65 +163,36 @@ def cmd_evolve(args) -> int:
         l2 = [math.nan] * len(traj.times)
     columns = (traj.times, traj.mean_x, traj.mean_p, traj.width, traj.norm2)
     rows = list(zip(*(c.tolist() for c in columns), l2))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    _write_csv(
-        out / "trajectory.csv",
-        "evolve-v1",
-        ("t", "mean_x", "mean_p", "width", "norm", "l2_vs_analytic"),
-        rows,
-    )
+    header = ("t", "mean_x", "mean_p", "width", "norm", "l2_vs_analytic")
     final = traj.final_state
     columns = (grid.x, final.amps.real, final.amps.imag, final.density())
-    _write_csv(
-        out / "final_state.csv",
-        "state-v1",
-        ("x", "re", "im", "density"),
-        zip(*(c.tolist() for c in columns)),
-    )
-    write = time.perf_counter() - start
-    _write_run(
-        args,
-        cfg,
+    state = zip(*(c.tolist() for c in columns))
+    files = {
+        "trajectory.csv": ("evolve-v1", header, rows),
+        "final_state.csv": ("state-v1", ("x", "re", "im", "density"), state),
+    }
+    record = dict(
         state_steps=traj.state_steps,
         transforms=traj.transforms,
         absorbed_left=float(traj.absorbed_left[-1]),
         absorbed_right=float(traj.absorbed_right[-1]),
         max_norm_drift=traj.max_norm_drift,
         boundary_time=traj.boundary_time,
-        seconds={
-            "solve": round(solve, 3),
-            "reference": round(reference, 3),
-            "write": round(write, 3),
-        },
+        seconds={"solve": round(solve, 3), "reference": round(reference, 3)},
     )
-    print(f"evolve: wrote {out / 'trajectory.csv'} ({len(rows)} snapshots)")
+    lines = [f"evolve: wrote {Path(args.out) / 'trajectory.csv'} ({len(rows)} snapshots)"]
     if v0 is not None:
-        print(f"evolve: final analytic-vs-solver L2 = {rows[-1][-1]:.3e}")
-    return EXIT_OK
+        lines.append(f"evolve: final analytic-vs-solver L2 = {rows[-1][-1]:.3e}")
+    return files, record, lines, EXIT_OK
 
 
-def cmd_tunnel(args) -> int:
-    cfg = _load(args)
+def cmd_tunnel(args, cfg):
     units = cfg.units()
     grid = cfg.grid()
     solver = cfg.solver()
     if cfg.potential.kind != "barrier":
         raise ConfigError("[potential] kind: tunnel command needs kind = barrier")
     barrier = cfg.potential.barrier()
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    profile = barrier.potential()
-    start = time.perf_counter()
-    _write_csv(
-        out / "potential_profile.csv",
-        "potential-v1",
-        ("x", "V"),
-        zip(grid.x, profile.evaluate(grid.x)),
-    )
-    write = time.perf_counter() - start
 
     # the config gives delays or sigmas, not both
     if cfg.scan.sigmas:
@@ -205,33 +210,29 @@ def cmd_tunnel(args) -> int:
         **kwargs,
     )
     solve = time.perf_counter() - start
-    start = time.perf_counter()
-    _write_csv(
-        out / "scan.csv",
-        "width-scan-v1",
-        ("sigma_at_arrival", "T", "R", "residual", "t_measure"),
-        [(r.sigma_at_arrival, r.T, r.R, r.residual, r.t_measure) for r in scan.rows],
-    )
-    write += time.perf_counter() - start
-    _write_run(
-        args,
-        cfg,
+    files = {
+        "potential_profile.csv": (
+            "potential-v1", ("x", "V"), zip(grid.x, barrier.potential().evaluate(grid.x))
+        ),
+        "scan.csv": (
+            "width-scan-v1",
+            ("sigma_at_arrival", "T", "R", "residual", "t_measure"),
+            [(r.sigma_at_arrival, r.T, r.R, r.residual, r.t_measure) for r in scan.rows],
+        ),
+    }
+    record = dict(
         state_steps=scan.state_steps,
         transforms=scan.transforms,
         rows=[
-            {
-                "sigma_at_arrival": r.sigma_at_arrival,
-                "absorbed_left": r.absorbed_left,
-                "absorbed_right": r.absorbed_right,
-            }
+            {k: getattr(r, k) for k in ("sigma_at_arrival", "absorbed_left", "absorbed_right")}
             for r in scan.rows
         ],
-        seconds={"solve": round(solve, 3), "write": round(write, 3)},
+        seconds={"solve": round(solve, 3)},
     )
     violations = scan.monotonicity_violations()
-    print(f"tunnel: wrote {out / 'scan.csv'} ({len(scan.rows)} rows)")
+    lines = [f"tunnel: wrote {Path(args.out) / 'scan.csv'} ({len(scan.rows)} rows)"]
     for lo, hi in violations:
-        print(
+        lines.append(
             "tunnel: monotonicity violation: "
             f"T({hi.sigma_at_arrival:.4f}) = {hi.T:.6e} < "
             f"T({lo.sigma_at_arrival:.4f}) = {lo.T:.6e}"
@@ -239,16 +240,15 @@ def cmd_tunnel(args) -> int:
     if not violations:
         # every raw decrease is below the floor: report them, not as violations
         drops = [lo.T - hi.T for lo, hi in scan.monotonicity_violations(slack=0.0)]
-        print(
+        lines.append(
             "tunnel: transmission non-decreasing in width; "
             f"{len(drops)} raw decreases below the {tunneling.SCAN_SLACK:g} floor"
             + (f", largest {max(drops):.1e}" if drops else "")
         )
-    return EXIT_OK
+    return files, record, lines, EXIT_OK
 
 
-def cmd_psg(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+def cmd_psg(args, cfg):
     units = cfg.units()
     if cfg.psg is None:
         raise ConfigError("[psg]: section required for the psg command")
@@ -268,33 +268,30 @@ def cmd_psg(args) -> int:
         )
         packet_phase = closed + math.remainder(comp.relative_phase - closed, 2 * math.pi)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "psg_report.csv",
-        "psg-report-v1",
-        ("closed_form_phase", "composed_phase", "abs_difference", "packet_phase"),
-        [(closed, composed, abs(closed - composed), packet_phase)],
-    )
     sweep = []
     for scale in np.linspace(0.0, 2.0, 21):
         gg = devices.PsgGeometry(g.v0 * scale, g.length, g.speed, g.mass)
         sweep.append((gg.v0, devices.psg_phase(gg, units)))
-    _write_csv(out / "psg_sweep.csv", "psg-sweep-v1", ("v0", "phase"), sweep)
-    _write_run(
-        args,
-        cfg,
+    files = {
+        "psg_report.csv": (
+            "psg-report-v1",
+            ("closed_form_phase", "composed_phase", "abs_difference", "packet_phase"),
+            [(closed, composed, abs(closed - composed), packet_phase)],
+        ),
+        "psg_sweep.csv": ("psg-sweep-v1", ("v0", "phase"), sweep),
+    }
+    record = dict(
         closed_form_phase=closed,
         composed_phase=composed,
         packet_phase=packet_phase if cfg.state_present else None,
     )
-    print(f"psg: closed form {closed!r}, composed {composed!r}")
-    print(f"psg: wrote {out / 'psg_report.csv'} and {out / 'psg_sweep.csv'}")
-    return EXIT_OK
+    out = Path(args.out)
+    lines = [f"psg: closed form {closed!r}, composed {composed!r}"]
+    lines.append(f"psg: wrote {out / 'psg_report.csv'} and {out / 'psg_sweep.csv'}")
+    return files, record, lines, EXIT_OK
 
 
-def cmd_spin(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+def cmd_spin(args, cfg):
     units = cfg.units()
     if cfg.sg is None:
         raise ConfigError("[sg]: section required for the spin command")
@@ -318,37 +315,23 @@ def cmd_spin(args) -> int:
         pops = res.z_populations()
         rows.append((target, res.phase, res.flip_fidelity, pops[0], pops[1]))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "spin_report.csv",
-        "spin-gate-v1",
-        ("target_phase", "applied_phase", "flip_fidelity", "pop_z_up", "pop_z_down"),
-        rows,
-    )
+    header = ("target_phase", "applied_phase", "flip_fidelity", "pop_z_up", "pop_z_down")
     flip_row = rows[1 + 3]  # pi entry of the sweep
-    _write_run(
-        args,
-        cfg,
-        control_fidelity=float(rows[0][2]),
-        fidelity_at_pi=float(flip_row[2]),
-    )
-    print(f"spin: fidelity at phi=pi: {flip_row[2]:.12f}; control (PSG removed): {rows[0][2]:.3e}")
-    print(f"spin: wrote {out / 'spin_report.csv'}")
-    return EXIT_OK
+    record = dict(control_fidelity=float(rows[0][2]), fidelity_at_pi=float(flip_row[2]))
+    lines = [
+        f"spin: fidelity at phi=pi: {flip_row[2]:.12f}; control (PSG removed): {rows[0][2]:.3e}",
+        f"spin: wrote {Path(args.out) / 'spin_report.csv'}",
+    ]
+    return {"spin_report.csv": ("spin-gate-v1", header, rows)}, record, lines, EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, cfg):
     only = None
     if args.only is not None:
         only = {tok.strip() for tok in args.only.split(",") if tok.strip()}
     start = time.perf_counter()
     results = verify.run_all(only=only)
     total = time.perf_counter() - start
-    for r in results:
-        print(r.summary_line())
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary = {
         r.name: {
             "criterion": r.criterion,
@@ -362,19 +345,16 @@ def cmd_verify(args) -> int:
         }
         for r in results
     }
-    with open(out / "verify_summary.json", "w") as f:
-        # numpy scalars are written as the Python numbers they hold
-        json.dump(summary, f, indent=2, sort_keys=True, default=np.generic.item)
-    _write_run(
-        args,
-        None,
+    record = dict(
         checks=[r.name for r in results],
         seconds={r.name: round(r.seconds, 3) for r in results},
         total_seconds=round(total, 3),
     )
     all_passed = all(r.passed for r in results)
-    print(f"verify: {'all checks passed' if all_passed else 'FAILURES PRESENT'}")
-    return EXIT_OK if all_passed else EXIT_NUMERICAL
+    lines = [r.summary_line() for r in results]
+    lines.append(f"verify: {'all checks passed' if all_passed else 'FAILURES PRESENT'}")
+    code = EXIT_OK if all_passed else EXIT_NUMERICAL
+    return {"verify_summary.json": summary}, record, lines, code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -436,7 +416,7 @@ def main(argv=None) -> int:
 
         warnings.showwarning = record
         try:
-            return _COMMANDS[args.command](args)
+            return _run(args)
         except _VALIDATION_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION

@@ -51,7 +51,6 @@ config -> file -> config -> file round trips are byte-stable, and
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import MISSING, field, fields
 
 from .core import (
@@ -63,6 +62,7 @@ from .core import (
     UnitSystem,
     _finite,
     _input,
+    _positive,
     si_units,
 )
 from .devices import PsgGeometry, SgSpec
@@ -116,10 +116,10 @@ class ScanSpec:
     sigmas: tuple = ()
 
     def __post_init__(self):
-        if not all(math.isfinite(d) for d in self.delays):
-            raise ValueError(f"delays must be finite, got {self.delays!r}")
-        if not all(0.0 < s < math.inf for s in self.sigmas):
-            raise ValueError(f"sigmas must be positive and finite, got {self.sigmas!r}")
+        for d in self.delays:
+            _finite(delays=d)
+        for s in self.sigmas:
+            _positive(sigmas=s)
         if self.delays and self.sigmas:
             raise ValueError("sigmas cannot be combined with delays: a scan varies one")
 

@@ -175,12 +175,10 @@ class SpinDensity:
     def unpolarized(momentum: float = 0.0) -> "SpinDensity":
         return SpinDensity(np.eye(2) / 2.0, (momentum, momentum))
 
-    def branch_probabilities(self) -> dict:
-        """{branch momentum: probability} for the two sigma_x branches."""
-        return {
-            self.branch_momenta[0]: float(self.matrix[0, 0].real),
-            self.branch_momenta[1]: float(self.matrix[1, 1].real),
-        }
+    def branch_probabilities(self) -> tuple:
+        """(p_plus, p_minus): the probabilities of the two sigma_x branches,
+        in the order of ``branch_momenta``."""
+        return float(self.matrix[0, 0].real), float(self.matrix[1, 1].real)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +241,7 @@ def compose_segments(
     and demands both return to zero at exit -- the geometry consistency
     condition for an interferometer arm.
     """
-    if not math.isfinite(p):
-        raise ValueError(f"p must be finite, got {p!r}")
+    _finite(p=p)
     u = units.with_mass(mass)
     total = 0.0
     t_total = 0.0
@@ -252,8 +249,7 @@ def compose_segments(
     disp_scale = kick_scale = 0.0  # cancellation magnitudes for the tolerance
     p_now = p
     for v, dt in segments:
-        if not (math.isfinite(v) and math.isfinite(dt)):
-            raise ValueError(f"segment slope and duration must be finite, got {(v, dt)!r}")
+        _finite(slope=v, duration=dt)
         part = plane_wave_phase(p_now, v, dt, u)
         total += part.total
         step = kick / mass * dt - v * dt**2 / (2.0 * mass)

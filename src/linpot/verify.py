@@ -459,7 +459,7 @@ def c11_sg_outcome() -> CheckResult:
     out = devices.sg_apply(rho, sg)
     probs = out.branch_probabilities()
     dp = sg.delta_p
-    prob_err = max(abs(p - 0.5) for p in probs.values())
+    prob_err = max(abs(p - 0.5) for p in probs)
 
     # eigenstate packet: one branch, kick +delta_p
     grid = SpatialGrid(-16.0, 16.0, 512)
@@ -486,7 +486,7 @@ def c11_sg_outcome() -> CheckResult:
 
     # unpolarized input splits into +-delta_p branches of probability 0.5
     gates = (
-        Gate("branch_momenta", set(probs) == {dp, -dp}, "==", True),
+        Gate("branch_momenta", out.branch_momenta == (dp, -dp), "==", True),
         Gate("prob_err", prob_err, "<=", 1e-12),
         Gate("coherence", coherence, "==", 0.0),
         Gate("packet_kick_err", kick_err, "<=", 1e-9),

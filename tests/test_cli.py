@@ -588,6 +588,37 @@ class TestVerifyCommand:
         assert failing["margin"] == pytest.approx(3.0)
 
 
+class TestOutputs:
+    """A command computes; main writes its files and run.json only once it
+    has returned."""
+
+    def test_failed_scan_leaves_no_output_directory(self, tmp_path, capsys):
+        # the barrier profile was written before the scan ran, so a scan
+        # that failed left a directory holding only potential_profile.csv
+        cfg = write(tmp_path, "t.cfg", TUNNEL_CFG.replace("absorber = on", "absorber = off"))
+        assert main(["tunnel", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "absorbing boundary" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, text", [("psg", PSG_CFG), ("spin", SPIN_CFG)], ids=["psg", "spin"]
+    )
+    def test_manifest_reports_write_seconds(self, tmp_path, command, text):
+        # every command that writes a CSV times its writes
+        out = tmp_path / "out"
+        assert main([command, "--config", write(tmp_path, "c.cfg", text), "--out", str(out)]) == 0
+        run = json.loads((out / "run.json").read_text())
+        assert list(run["seconds"]) == ["write"]
+        assert run["seconds"]["write"] >= 0.0
+
+    def test_summary_ends_with_a_newline(self, tmp_path):
+        # both JSON files go through one writer
+        out = tmp_path / "out"
+        assert main(["verify", "--only", "c02", "--out", str(out)]) == 0
+        assert (out / "verify_summary.json").read_text().endswith("}\n")
+        assert (out / "run.json").read_text().endswith("}\n")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("command, text, key", MISSPELLED, ids=[c for c, _, _ in MISSPELLED])
     def test_misspelled_key_is_a_keyed_config_error(self, tmp_path, capsys, command, text, key):
@@ -600,7 +631,7 @@ class TestExitCodes:
     def test_every_package_error_has_an_exit_code(self, capsys, monkeypatch, cls):
         # validation 1 and precondition 3 by name; every other package
         # error, one added later included, is a numerical failure
-        def fail(args):
+        def fail(args, cfg):
             raise cls("stub failure")
 
         monkeypatch.setitem(cli._COMMANDS, "verify", fail)

@@ -101,8 +101,12 @@ class TestSpinDensity:
     def test_unpolarized(self):
         rho = SpinDensity.unpolarized(momentum=0.5)
         assert rho.branch_momenta == (0.5, 0.5)
-        probs = rho.branch_probabilities()
-        assert probs[0.5] == 0.5
+        assert rho.branch_probabilities() == (0.5, 0.5)
+
+    def test_equal_momenta_keep_both_branch_probabilities(self):
+        # keyed by momentum, the two branches collapsed into {1.0: 0.3}
+        rho = SpinDensity([[0.7, 0.2], [0.2, 0.3]], (1.0, 1.0))
+        assert rho.branch_probabilities() == (0.7, 0.3)
 
 
 class TestPsgPhase:
@@ -135,13 +139,13 @@ class TestPsgCompose:
             compose_segments(((1.0, 1.0), (-1.0, 1.0), (1.0, 1.0)), 0.0, 1.0)
 
     @pytest.mark.parametrize(
-        "segments",
-        [((np.nan, 1.0), (1.0, 1.0)), ((1.0, np.nan), (-1.0, 1.0))],
+        "segments, name",
+        [(((np.nan, 1.0), (1.0, 1.0)), "slope"), (((1.0, np.nan), (-1.0, 1.0)), "duration")],
         ids=["slope", "duration"],
     )
-    def test_non_finite_segment_is_refused(self, segments):
+    def test_non_finite_segment_is_refused(self, segments, name):
         # NaN fails neither balance comparison: the phase came back NaN
-        with pytest.raises(ValueError, match="slope and duration must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
             compose_segments(segments, 0.5, 1.0)
 
     @pytest.mark.parametrize(
@@ -282,11 +286,14 @@ class TestSgApply:
     def test_unpolarized_density_splits(self):
         sg = SgSpec(coupling=1.5, duration=0.8)
         out = sg_apply(SpinDensity.unpolarized(), sg)
-        probs = out.branch_probabilities()
-        momenta = sorted(probs)
-        assert momenta[0] == pytest.approx(-sg.delta_p, rel=1e-15)
-        assert momenta[1] == pytest.approx(+sg.delta_p, rel=1e-15)
-        assert all(abs(p - 0.5) < 1e-12 for p in probs.values())
+        # the sigma_x = +1 branch is kicked by +delta_p, and comes first
+        assert out.branch_momenta[0] == pytest.approx(+sg.delta_p, rel=1e-15)
+        assert out.branch_momenta[1] == pytest.approx(-sg.delta_p, rel=1e-15)
+        assert out.branch_probabilities() == pytest.approx((0.5, 0.5), abs=1e-12)
+        # a polarized density keeps each probability with its branch
+        polarized = sg_apply(SpinDensity([[0.7, 0.2], [0.2, 0.3]]), sg)
+        assert polarized.branch_momenta == out.branch_momenta
+        assert polarized.branch_probabilities() == pytest.approx((0.7, 0.3), abs=1e-12)
 
     def test_density_properties_preserved(self):
         rho = SpinDensity(np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]]))

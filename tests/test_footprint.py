@@ -1,6 +1,8 @@
 """What a linpot process loads: importing the CLI must not pull in the
-scipy.fft package (nor the scipy.special its fftlog backend brings), since
-linpot loads only scipy's pocketfft extension, and a later ``import
+scipy package, since linpot loads only scipy's pocketfft extension and
+reads scipy's version from its ``version.py`` when a command writes
+``run.json``; nor the scipy.fft package (nor the scipy.special its fftlog
+backend brings), and a later ``import
 scipy.fft`` in the same process must still transform bit for bit as linpot
 does.  Nor must it pull in scipy.integrate (nor the scipy.optimize and
 scipy.linalg it brings), and the WKB action stays free of it: a
@@ -35,7 +37,9 @@ from linpot import core
 from conftest import package_dataclasses
 
 SRC = Path(__file__).parents[1] / "src"
-HEAVY = ("scipy.fft", "scipy.special", "scipy.integrate", "scipy.optimize", "scipy.linalg")
+HEAVY = (
+    "scipy", "scipy.fft", "scipy.special", "scipy.integrate", "scipy.optimize", "scipy.linalg"
+)
 
 # c06's first barrier, at 0.3 of its peak
 BARRIER = {"x_start": 0.0, "slope": 2.0, "peak_height": 5.0}

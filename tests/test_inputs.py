@@ -239,18 +239,25 @@ HAND_WRITTEN = {
     ("core", "PiecewiseLinear.__post_init__", "breakpoints must be finite"): (
         "the knots are checked as one array, not as named values"
     ),
+    ("cli", "_load", "--dt: must be positive and finite, got "): (
+        "a flag, not a field: its message is keyed by the flag, as a config "
+        "key's is by the key"
+    ),
 }
+RANGE_TEXTS = (" must be finite", " must be positive and finite")
 
 
 def range_messages(tree):
     """(qualified name of the enclosing function, text) of every string in
-    ``tree`` that ends like a range message: a constant, or the last part
-    of an f-string."""
-    inner = {
-        id(part)
+    ``tree`` that states a range rule: a constant, or any part of an
+    f-string, holding one of ``RANGE_TEXTS``.  Docstrings are not
+    messages."""
+    docstrings = {
+        id(node.body[0].value)
         for node in ast.walk(tree)
-        if isinstance(node, ast.JoinedStr)
-        for part in node.values[:-1]
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
     }
     found = []
 
@@ -262,14 +269,23 @@ def range_messages(tree):
             if (
                 isinstance(child, ast.Constant)
                 and isinstance(child.value, str)
-                and id(child) not in inner
-                and child.value.endswith((" must be finite", " must be positive and finite"))
+                and id(child) not in docstrings
+                and any(text in child.value for text in RANGE_TEXTS)
             ):
                 found.append((".".join(scope), child.value))
             visit(child, scope)
 
     visit(tree, ())
     return found
+
+
+def test_range_guard_reads_every_part_of_a_message():
+    # a message that goes on past its rule is found; a docstring is not
+    tree = ast.parse(
+        'def f(x):\n    """x must be finite."""\n'
+        '    raise ValueError(f"x must be finite, got {x!r}")\n'
+    )
+    assert range_messages(tree) == [("f", "x must be finite, got ")]
 
 
 def test_range_rules_have_one_owner():
