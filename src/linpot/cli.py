@@ -9,8 +9,9 @@ Subcommands::
     linpot spin   --config FILE [--out DIR]             gate fidelity report
     linpot verify [--out DIR] [--only c01,..]           full acceptance check suite
 
-Exit codes: 0 success, 1 config/validation error (a usage error included),
-2 numerical failure (any other package error), 3 precondition violation.
+Exit codes: 0 success, 1 config/validation error (a usage error and a file
+that cannot be read or written included), 2 numerical failure (any other
+package error), 3 precondition violation.
 Identical configs produce byte-identical CSV output on the same platform;
 every CSV starts with a ``# schema:`` line and a header row.  A command only
 computes: it returns its files, its ``run.json`` record, its stdout lines and
@@ -56,7 +57,7 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_PRECONDITION = 3
 
-_VALIDATION_ERRORS = (ConfigError, ValueError)
+_VALIDATION_ERRORS = (ConfigError, ValueError, OSError)
 _PRECONDITION_ERRORS = (PreconditionError, CoverageError, NormalizationError)
 
 
@@ -308,9 +309,7 @@ def cmd_spin(args, cfg):
     pops = control.z_populations()
     rows.append((0.0, 0.0, control.flip_fidelity, pops[0], pops[1]))
     for target in np.linspace(0.25, 2.0, 8) * math.pi:
-        geom = devices.solve_psg_for_phase(
-            target, v0=None, length=1.0, speed=1.0, mass=units.mass, units=units
-        )
+        geom = devices.solve_psg_for_phase(target, v0=None, length=1.0, speed=1.0, units=units)
         res = devices.spin_flip_circuit(state, sg_up, geom, sg_down, units)
         pops = res.z_populations()
         rows.append((target, res.phase, res.flip_fidelity, pops[0], pops[1]))

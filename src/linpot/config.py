@@ -30,18 +30,19 @@ One table, ``_SECTIONS``, owns every key: for each section, its keys in
 canonical order, the converter that reads each and, where the section sets
 flat ``ExperimentConfig`` fields (units, grid, solver), the field it sets.
 Every other section builds the dataclass of the ``ExperimentConfig`` field
-of its name, one field per key.  ``from_text`` and ``to_text`` both walk the
-table.  A key's default is its dataclass field's default: a key the file
-leaves out is not set.
+of its name, one field per key; the particle mass has one key, ``[units]
+mass``, and the ``[psg]`` geometry takes its mass from there.  ``from_text``
+and ``to_text`` both walk the table.  A key's default is its dataclass
+field's default: a key the file leaves out is not set.
 
 Validation belongs to the dataclasses a config builds, and to the
 ``units()``, ``grid()`` and ``solver()`` objects of the flat sections.  The
-parser builds each of them and reports its ``ValueError`` as
-``[section] key: …``.  A key that its section does not define is such an
-error too, and so is a potential key that the potential's kind does not read
-(``_KIND_KEYS``).  Sections the table does not name are ignored, and
-``[DEFAULT]`` is one of them: configparser would copy its keys into every
-section.
+parser builds each of them as it reads its section and reports its
+``ValueError`` as ``[section] key: …``.  A key that its section does not
+define is such an error too, and so is a potential key that the potential's
+kind does not read (``_KIND_KEYS``).  Sections the table does not name are
+ignored, and ``[DEFAULT]`` is one of them: configparser would copy its keys
+into every section.
 
 Serialization is canonical (fixed section and key order, ``repr`` floats), so
 config -> file -> config -> file round trips are byte-stable, and
@@ -144,14 +145,15 @@ class ExperimentConfig:
     sg: SgSpec | None = None
     scan: ScanSpec = field(default_factory=ScanSpec)
 
+    def __post_init__(self):
+        if self.psg is not None and self.psg.mass != self.mass:
+            raise ValueError(f"psg mass {self.psg.mass!r} is not the [units] mass {self.mass!r}")
+
     # -- materialized objects ------------------------------------------------
 
     def units(self) -> UnitSystem:
         if self.units_system == "natural":
-            u = NATURAL
-            if self.mass != 1.0:
-                u = u.with_mass(self.mass)
-            return u
+            return NATURAL.with_mass(self.mass)
         if self.units_system == "si":
             return si_units(self.mass)
         raise ConfigError(
@@ -208,19 +210,19 @@ class ExperimentConfig:
                     raise ConfigError(f"[{name}] {key}: {exc}") from exc
             if cls is None:
                 kw.update(values)
+                # checked as read, so the [psg] geometry takes a sound mass
+                _built(name, keys, getattr(ExperimentConfig(**kw), name))
             elif present or not required:
                 missing = [key for key in keys if key in required and key not in values]
                 if missing:
                     raise ConfigError(f"[{name}] {missing[0]}: required key is missing")
-                kw[name] = obj = _built(name, keys, cls, **values)
+                # the beam's mass is the [units] mass
+                mass = {"mass": kw.get("mass", ExperimentConfig.mass)} if name == "psg" else {}
+                kw[name] = obj = _built(name, keys, cls, **values, **mass)
                 unread = [key for key in values if key not in _read_keys(name, obj, keys)]
                 if unread:
                     raise ConfigError(f"[{name}] {unread[0]}: not read by kind = {obj.kind}")
-        cfg = ExperimentConfig(**kw)
-        for name, cls, keys, _ in _TABLE:
-            if cls is None:
-                _built(name, keys, getattr(cfg, name))
-        return cfg
+        return ExperimentConfig(**kw)
 
     # -- canonical serialization ----------------------------------------------
 
@@ -260,7 +262,7 @@ def _fmt(v) -> str:
 # (section, the dataclass it builds or None where its keys set flat
 # ExperimentConfig fields, its keys in canonical order as (key, converter)
 # or, where the field a key sets is not named after it, (key, converter,
-# field))
+# field)); the [psg] geometry's mass is the [units] mass, not a key of its own
 _SECTIONS = (
     ("units", None, (("system", str, "units_system"), ("mass", float))),
     ("grid", None, (("x_min", float, "grid_x_min"), ("x_max", float, "grid_x_max"),
@@ -273,8 +275,7 @@ _SECTIONS = (
                       ("record_every", int, "solver_record_every"),
                       ("absorber", _on_off, "absorber_on"),
                       ("absorber_width_fraction", float), ("absorber_strength", float))),
-    ("psg", PsgGeometry, (("v0", float), ("length", float), ("speed", float),
-                          ("mass", float))),
+    ("psg", PsgGeometry, (("v0", float), ("length", float), ("speed", float))),
     ("sg", SgSpec, (("coupling", float), ("duration", float))),
     ("scan", ScanSpec, (("delays", _floats), ("sigmas", _floats))),
 )

@@ -23,9 +23,9 @@ cancel segment by segment against the free phases).  The minus sign is fixed
 by this composition; flipping V0 -> -V0 leaves it unchanged (quadratic).  The
 cubic per-segment terms carry the opposite-ordering sign (+V0^2 dt^3/3m hbar
 each), and the net negative total emerges from the cross terms -- the
-composition below is the executable form of that bookkeeping.  One segment
+composition below is the executable form of that bookkeeping.  The segment
 ledger, :func:`compose_segments`, checks the kick and displacement balance
-for plane-wave and packet input alike.
+of any segment sequence; the PSG's balance by construction.
 
 The Stern-Gerlach stage applies the linear evolution with an operator-valued
 slope: V0 -> -coupling * sigma_axis, so the sigma_axis = +1 branch sees slope
@@ -217,7 +217,8 @@ class PsgGeometry:
 
 
 def psg_phase(g: PsgGeometry, units: UnitSystem = NATURAL) -> float:
-    """Closed-form relative phase -2 V0^2 L^3 / (3 hbar m v^3)."""
+    """Closed-form relative phase -2 V0^2 L^3 / (3 hbar m v^3), with m the
+    geometry's beam mass; only hbar comes from ``units``."""
     return -2.0 * g.v0**2 * g.length**3 / (3.0 * units.hbar * g.mass * g.speed**3)
 
 
@@ -231,18 +232,17 @@ class PsgComposition(NamedTuple):
 def compose_segments(
     segments,
     p: float,
-    mass: float,
     units: UnitSystem = NATURAL,
 ) -> PsgComposition:
-    """Exact phase of a plane wave |p> through a sequence of (slope, dt)
-    segments, relative to free flight over the same total time.
+    """Exact phase of a plane wave |p> of mass ``units.mass`` through
+    (slope, dt) segments, relative to free flight over the same total time.
 
     Tracks the classical (displacement, momentum) pair through the sequence
     and demands both return to zero at exit -- the geometry consistency
     condition for an interferometer arm.
     """
     _finite(p=p)
-    u = units.with_mass(mass)
+    mass = units.mass
     total = 0.0
     t_total = 0.0
     disp, kick = 0.0, 0.0
@@ -250,7 +250,7 @@ def compose_segments(
     p_now = p
     for v, dt in segments:
         _finite(slope=v, duration=dt)
-        part = plane_wave_phase(p_now, v, dt, u)
+        part = plane_wave_phase(p_now, v, dt, units)
         total += part.total
         step = kick / mass * dt - v * dt**2 / (2.0 * mass)
         disp += step
@@ -280,15 +280,16 @@ def psg_compose(
     """Compose the three PSG segments on a plane wave (a real momentum, not
     a bool) or a transverse wave-packet.
 
-    For packet input the capacitor length must dominate the packet width
-    (length/width >= 20) unless ``override_width_check`` is set; the composed
-    evolution then returns the evolved state and the phase extracted against
-    pure free evolution over 4 dt.  Either input goes through
-    :func:`compose_segments`, which raises unless the segments' net kick and
-    displacement vanish.
+    The beam's mass is the geometry's; only hbar comes from ``units``.  A
+    plane wave goes through :func:`compose_segments`.  For packet input the
+    capacitor length must dominate the packet width (length/width >= 20)
+    unless ``override_width_check`` is set; the composed evolution then
+    returns the evolved state and the phase extracted against pure free
+    evolution over 4 dt.
     """
+    u = units.with_mass(g.mass)
     if isinstance(input_state, Real) and not isinstance(input_state, bool):
-        return compose_segments(g.segments(), float(input_state), g.mass, units)
+        return compose_segments(g.segments(), float(input_state), u)
 
     psi = input_state
     if not isinstance(psi, WaveFunction):
@@ -299,8 +300,6 @@ def psg_compose(
             f"capacitor length {g.length!r} is less than 20x the packet "
             f"width {width!r}; pass override_width_check=True to force"
         )
-    compose_segments(g.segments(), 0.0, g.mass, units)  # the balance check
-    u = units.with_mass(g.mass)
     state = psi
     for v, dt in g.segments():
         state = linear_evolve(state, v, dt, ordering="left", units=u).psi
@@ -316,10 +315,10 @@ def solve_psg_for_phase(
     v0: float | None = None,
     length: float | None = None,
     speed: float | None = None,
-    mass: float = 1.0,
     units: UnitSystem = NATURAL,
 ) -> PsgGeometry:
-    """Complete a geometry so that its phase equals ``target`` modulo 2 pi.
+    """Complete a geometry for a beam of mass ``units.mass`` so that its
+    phase equals ``target`` modulo 2 pi.
 
     Exactly one of v0, length, speed must be None (the free parameter).  The
     closed form only reaches phases in (-inf, 0], so the target is reduced to
@@ -335,10 +334,10 @@ def solve_psg_for_phase(
         raise ValueError("exactly one of v0, length, speed must be free")
     if v0 is not None:
         _finite(v0=v0)
-    given = (("length", length), ("speed", speed), ("mass", mass))
+    given = (("length", length), ("speed", speed))
     _positive(**{name: value for name, value in given if value is not None})
     theta = (-target) % (2.0 * math.pi)
-    hbar = units.hbar
+    hbar, mass = units.hbar, units.mass
 
     if free == ["v0"]:
         v0 = math.sqrt(3.0 * hbar * mass * speed**3 * theta / (2.0 * length**3))
@@ -465,7 +464,9 @@ def spin_flip_circuit(
 
     The recombiner is the formal inverse of the splitter, so the two stages
     must match (same coupling and duration, opposite axes); a mismatch raises
-    :class:`BranchMismatchError`.  On the spin state the circuit acts as
+    :class:`BranchMismatchError`.  The PSG's beam is the carrier, so its mass
+    must be ``units.mass`` (else ValueError).  On the spin state the circuit
+    acts as
 
         (|S_x,+> +- |S_x,->)/sqrt(2)  ->  (|S_x,+> +- e^{i phi} |S_x,->)/sqrt(2)
 
@@ -483,6 +484,8 @@ def spin_flip_circuit(
         raise BranchMismatchError(
             "recombining stage must mirror the splitting stage to undo its kicks"
         )
+    if psg is not None and psg.mass != units.mass:
+        raise ValueError(f"PSG mass {psg.mass!r} is not the carrier's mass {units.mass!r}")
     z = state.to_basis("z")
     chi = z.spin_vector()  # (c_up, c_down) in z basis
     x_plus, x_minus = _hadamard(chi[0], chi[1])

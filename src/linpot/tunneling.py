@@ -78,7 +78,6 @@ from .errors import (
 from .oracle import (
     SolverConfig,
     Trajectory,
-    _absorbing,
     _stride_loop,
     split_step_evolve,
 )
@@ -343,7 +342,7 @@ def _measure(packet, states, barrier, cfg, grid, units):
     :class:`StationarityTimeout` carrying the partial result of the first
     state, in input order, that was still drifting.
     """
-    if not _absorbing(cfg.absorber):
+    if cfg.absorber is None:
         raise PreconditionError("tunneling runs need an absorbing boundary")
     if packet.p0 <= 0:
         raise PreconditionError("packet needs positive incident momentum")
@@ -498,7 +497,8 @@ def width_scan(
     Exactly one of ``sigma_list`` (fresh packets of different widths) or
     ``delay_list`` (one packet free-evolved for each delay before launch, so
     its width at arrival has grown by the spreading law while its momentum
-    distribution is untouched) must be given, and not empty.  The delay
+    distribution is untouched) must be given, and not empty.  A
+    ``base_packet`` must have momentum ``p0`` (else ValueError).  The delay
     pre-evolution is performed in place: the drifted profile is translated
     back to the launch point, the same state a longer free approach delivers.
     The entries step together as one stack, each measured exactly as a
@@ -516,7 +516,7 @@ def width_scan(
             _finite(delay=float(delay))
     base = base_packet or GaussianSpec(x0=0.0, p0=p0, sigma=1.0)
     if base.p0 != p0:
-        base = GaussianSpec(base.x0, p0, base.sigma)
+        raise ValueError(f"base_packet momentum {base.p0!r} is not p0 {p0!r}")
 
     def state(arg):
         if sigma_list is not None:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from linpot import cli, errors, tunneling, verify
+from linpot import PsgGeometry, cli, errors, psg_phase, si_units, tunneling, verify
 from linpot.cli import EXIT_VALIDATION, main
 
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -95,7 +95,6 @@ PSG_CFG = """\
 v0 = 2.1708037636748028
 length = 1.0
 speed = 1.0
-mass = 1.0
 """
 
 SPIN_CFG = """\
@@ -145,6 +144,16 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_cli(argv):
+    """``linpot`` in a fresh interpreter, so warnings and tracebacks reach
+    its stderr as they do outside pytest."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "linpot.cli", *argv], env=env, capture_output=True, text=True
+    )
 
 
 def read_csv(path):
@@ -314,12 +323,7 @@ class TestEvolve:
         # interpreter, so the warnings go to stderr as they do outside pytest.
         text = FREE_CFG.replace("x0 = 0.0", "x0 = -25.0")
         out = tmp_path / "out"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-        argv = ["evolve", "--config", write(tmp_path, "w.cfg", text), "--out", str(out)]
-        done = subprocess.run(
-            [sys.executable, "-m", "linpot.cli", *argv], env=env, capture_output=True, text=True
-        )
+        done = run_cli(["evolve", "--config", write(tmp_path, "w.cfg", text), "--out", str(out)])
         assert done.returncode == 0, done.stderr
         raised = json.loads((out / "run.json").read_text())["warnings"]
         assert raised == [
@@ -462,6 +466,31 @@ class TestPsg:
         mid = sweep[10]["phase"]
         end = sweep[20]["phase"]
         assert end == pytest.approx(4 * mid, rel=1e-12)
+
+    def test_si_phase_takes_the_units_mass(self, tmp_path):
+        # [psg] mass defaulted to 1 kg beside the electron mass in [units]:
+        # the report gave -6.3e-39 rad
+        m_e = 9.1093837015e-31
+        text = (
+            f"[units]\nsystem = si\nmass = {m_e!r}\n\n"
+            "[psg]\nv0 = 1e-24\nlength = 0.001\nspeed = 100000.0\n"
+        )
+        out = tmp_path / "out"
+        assert main(["psg", "--config", write(tmp_path, "si.cfg", text), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "psg_report.csv")
+        want = psg_phase(PsgGeometry(1e-24, 1e-3, 1e5, m_e), si_units(m_e))
+        assert rows[0]["closed_form_phase"] == want == pytest.approx(-6.94e-9, rel=1e-3)
+        assert rows[0]["composed_phase"] == pytest.approx(want, rel=1e-10)
+
+    def test_units_mass_halves_the_phase(self, tmp_path):
+        text = (CONFIGS / "psg.cfg").read_text().replace(
+            "system = natural\n", "system = natural\nmass = 2.0\n"
+        )
+        out = tmp_path / "out"
+        assert main(["psg", "--config", write(tmp_path, "m2.cfg", text), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "psg_report.csv")
+        assert rows[0]["closed_form_phase"] == pytest.approx(-math.pi / 2, rel=1e-12)
+        assert rows[0]["composed_phase"] == pytest.approx(-math.pi / 2, rel=1e-10)
 
     def test_missing_section(self, tmp_path):
         cfg = write(tmp_path, "empty.cfg", "")
@@ -626,6 +655,22 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", ["missing-config", "out-is-a-file"])
+    def test_file_errors_exit_validation_without_a_traceback(self, tmp_path, case):
+        # FileNotFoundError from the config's open and FileExistsError from
+        # --out's mkdir went uncaught: exit 1 only as Python's, with a traceback
+        cfg, out = write(tmp_path, "psg.cfg", PSG_CFG), tmp_path / "out"
+        if case == "missing-config":
+            cfg = str(tmp_path / "missing.cfg")
+        else:
+            out.write_text("")
+        done = run_cli(["psg", "--config", cfg, "--out", str(out)])
+        assert "Traceback" not in done.stderr, "no traceback on stderr"
+        assert done.returncode == EXIT_VALIDATION
+        assert done.stderr.startswith("error: [Errno ")
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stdout == ""
 
     @pytest.mark.parametrize("cls", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
     def test_every_package_error_has_an_exit_code(self, capsys, monkeypatch, cls):

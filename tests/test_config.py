@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from linpot.config import ExperimentConfig, PotentialSpec
 from linpot.core import Linear
+from linpot.devices import PsgGeometry
 from linpot.errors import ConfigError
 
 BASE = """\
@@ -54,7 +55,6 @@ HANDED_OFF = [
     ("solver", "absorber_strength", "[solver]\nabsorber = on\nabsorber_strength = -1.0\n"),
     ("psg", "length", PSG + "length = 0.0\nspeed = 1.0\n"),
     ("psg", "speed", PSG + "length = 1.0\nspeed = -1.0\n"),
-    ("psg", "mass", PSG + "length = 1.0\nspeed = 1.0\nmass = 0.0\n"),
     ("sg", "coupling", "[sg]\ncoupling = -1.0\nduration = 1.0\n"),
     ("sg", "duration", "[sg]\ncoupling = 1.0\nduration = 0.0\n"),
     ("scan", "sigmas", "[scan]\nsigmas = 1.0,-2.0\n"),
@@ -81,7 +81,6 @@ NON_FINITE = [
     ("solver", "absorber_strength", "inf", "[solver]\nabsorber = on\nabsorber_strength = inf\n"),
     ("psg", "length", "inf", PSG + "length = inf\nspeed = 1.0\n"),
     ("psg", "speed", "nan", PSG + "length = 1.0\nspeed = nan\n"),
-    ("psg", "mass", "inf", PSG + "length = 1.0\nspeed = 1.0\nmass = inf\n"),
     ("sg", "coupling", "inf", "[sg]\ncoupling = inf\nduration = 1.0\n"),
     ("sg", "duration", "inf", "[sg]\ncoupling = 1.0\nduration = inf\n"),
     ("scan", "sigmas", "1.0,inf", "[scan]\nsigmas = 1.0,inf\n"),
@@ -101,6 +100,8 @@ UNKNOWN_KEYS = [
     ("potential", "v0", "[potential]\nkind = free\nv0 = 3.0\n"),
     ("potential", "x_start", "[potential]\nkind = linear\nv0 = 1.0\nx_start = 2.0\n"),
     ("potential", "v0", BARRIER + "v0 = 0.0\n"),
+    # the particle mass has one key, [units] mass
+    ("psg", "mass", PSG + "length = 1.0\nspeed = 1.0\nmass = 1.0\n"),
 ]
 
 SHIPPED_DIR = Path(__file__).parents[1] / "configs"
@@ -166,6 +167,33 @@ class TestParsing:
     def test_unknown_keys_name_the_key(self, section, key, text):
         # a key that would be dropped unread is an error, not a default run
         with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: "):
+            ExperimentConfig.from_text(text)
+
+    def test_psg_takes_the_units_mass(self):
+        # the particle mass has one key: [psg] mass defaulted to 1.0 beside
+        # any [units] mass
+        text = "[units]\nmass = 2.0\n\n" + PSG + "length = 1.0\nspeed = 1.0\n"
+        cfg = ExperimentConfig.from_text(text)
+        assert cfg.psg.mass == cfg.units().mass == 2.0
+        assert "[psg]\nv0 = 1.0\nlength = 1.0\nspeed = 1.0\n" in cfg.to_text()
+        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+
+    def test_psg_of_another_mass_is_refused(self):
+        # to_text writes only the [units] mass, so the geometry's would be lost
+        with pytest.raises(ValueError, match=r"^psg mass 2.0 is not the \[units\] mass 1.0$"):
+            ExperimentConfig(psg=PsgGeometry(1.0, 1.0, 1.0, mass=2.0))
+
+    @pytest.mark.parametrize("value", ["0.0", "inf"])
+    def test_bad_units_mass_beside_psg_is_keyed_units(self, value):
+        # the [psg] geometry takes the [units] mass, which is checked first
+        text = PSG + f"length = 1.0\nspeed = 1.0\n\n[units]\nmass = {value}\n"
+        with pytest.raises(ConfigError, match=r"^\[units\] mass: mass must be positive and finite"):
+            ExperimentConfig.from_text(text)
+
+    def test_zero_strength_absorber_is_refused(self):
+        # an absorber that is on removes something: off is absorber = off
+        text = "[solver]\nabsorber = on\nabsorber_strength = 0.0\n"
+        with pytest.raises(ConfigError, match=r"^\[solver\] absorber_strength: .*positive"):
             ExperimentConfig.from_text(text)
 
     def test_off_absorber_is_not_checked(self):
@@ -313,7 +341,7 @@ CONFIG_TEXTS = st.tuples(
     ),
     _section(
         "psg",
-        {"v0": _floats(-5, 5), "length": _floats(0.1, 5), "speed": _floats(0.1, 5), "mass": _floats(0.1, 5)},
+        {"v0": _floats(-5, 5), "length": _floats(0.1, 5), "speed": _floats(0.1, 5)},
     ),
     _section("sg", {"coupling": _floats(0, 5), "duration": _floats(0.1, 5)}),
     _section("scan", {"delays": _float_list(-10, 10), "sigmas": _float_list(0.1, 10)}),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from linpot import (
+    NATURAL,
     GaussianSpec,
     PsgGeometry,
     SgSpec,
@@ -136,7 +137,7 @@ class TestPsgCompose:
 
     def test_unbalanced_segments_rejected(self):
         with pytest.raises(GeometryError, match="balanced"):
-            compose_segments(((1.0, 1.0), (-1.0, 1.0), (1.0, 1.0)), 0.0, 1.0)
+            compose_segments(((1.0, 1.0), (-1.0, 1.0), (1.0, 1.0)), 0.0)
 
     @pytest.mark.parametrize(
         "segments, name",
@@ -146,7 +147,7 @@ class TestPsgCompose:
     def test_non_finite_segment_is_refused(self, segments, name):
         # NaN fails neither balance comparison: the phase came back NaN
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            compose_segments(segments, 0.5, 1.0)
+            compose_segments(segments, 0.5)
 
     @pytest.mark.parametrize(
         "p, value", [(np.float32(0.5), 0.5), (np.int64(1), 1.0)], ids=["float32", "int64"]
@@ -165,7 +166,7 @@ class TestPsgCompose:
     def test_non_finite_momentum_is_refused(self, p):
         # checked before the first segment, so an empty sequence refuses it too
         with pytest.raises(ValueError, match="^p must be finite"):
-            compose_segments((), p, 1.0)
+            compose_segments((), p)
         with pytest.raises(ValueError, match="^p must be finite"):
             psg_compose(PsgGeometry(1.0, 1.0, 1.0), p)
 
@@ -223,9 +224,16 @@ class TestSolvePsg:
             target = rng.uniform(-2 * math.pi, 0.0)
             free = rng.choice(["v0", "length", "speed"])
             kwargs = {"v0": 1.3, "length": 1.1, "speed": 0.9, free: None}
-            g = solve_psg_for_phase(target, mass=1.2, **kwargs)
+            g = solve_psg_for_phase(target, units=NATURAL.with_mass(1.2), **kwargs)
             wrapped = math.remainder(psg_phase(g) - target, 2 * math.pi)
             assert abs(wrapped) < 1e-12
+
+    def test_beam_mass_is_the_units_mass(self):
+        # the mass argument beside units is gone: the geometry takes units.mass
+        units = NATURAL.with_mass(2.0)
+        g = solve_psg_for_phase(math.pi, v0=None, length=1.0, speed=1.0, units=units)
+        assert g.mass == 2.0
+        assert g.v0 == pytest.approx(math.sqrt(3.0 * math.pi), rel=1e-12)
 
     def test_exactly_one_free_parameter(self):
         with pytest.raises(ValueError):
@@ -235,7 +243,7 @@ class TestSolvePsg:
         "kwargs, name",
         [
             ({"v0": None, "length": 0.0, "speed": 1.0}, "length"),
-            ({"v0": 1.0, "length": 1.0, "speed": None, "mass": 0.0}, "mass"),
+            ({"v0": None, "length": 1.0, "speed": 0.0}, "speed"),
             ({"v0": 1.0, "length": None, "speed": -1.0}, "speed"),
             ({"v0": math.inf, "length": None, "speed": 1.0}, "v0"),
             ({"v0": 1.0, "length": math.nan, "speed": None}, "length"),
@@ -378,6 +386,17 @@ class TestSpinFlipCircuit:
             spin_flip_circuit(state, self.sg_up, None, SgSpec(2.0, 1.0, axis=-1))
         with pytest.raises(BranchMismatchError):
             spin_flip_circuit(state, self.sg_up, None, SgSpec(1.0, 1.0, axis=+1))
+
+    def test_psg_of_another_mass_is_refused(self, spin_grid):
+        # the phase came from psg.mass and the carrier's free flight from
+        # units.mass: a mass-2 pi/2 gate ran on a mass-1 carrier
+        state = z_packet(spin_grid)
+        geom = PsgGeometry(2.1708037636748028, 1.0, 1.0, mass=2.0)
+        with pytest.raises(ValueError, match="PSG mass 2.0 is not the carrier's mass 1.0"):
+            spin_flip_circuit(state, self.sg_up, geom, self.sg_down)
+        units = NATURAL.with_mass(2.0)
+        res = spin_flip_circuit(state, self.sg_up, geom, self.sg_down, units)
+        assert res.phase == pytest.approx(-math.pi / 2, rel=1e-12)
 
     def test_gate_law(self, spin_grid):
         state = z_packet(spin_grid)

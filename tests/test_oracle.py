@@ -39,6 +39,9 @@ class TestSolverConfig:
             Absorber(width_fraction=0.3)
         with pytest.raises(ValueError):
             Absorber(strength=-1.0)
+        # "no absorber" is only None: a zero-strength one was a second spelling
+        with pytest.raises(ValueError, match="^strength must be positive and finite$"):
+            Absorber(strength=0.0)
 
     @pytest.mark.parametrize(
         "name, value",

@@ -588,6 +588,18 @@ class TestWidthScan:
         with pytest.raises(ValueError, match="^delay must be finite"):
             width_scan(4.0, barrier, grid, cfg, delay_list=(0.0, delay))
 
+    def test_base_packet_of_another_momentum_is_refused(self, monkeypatch):
+        # it was rebuilt with p0, so the scan ran a packet the caller never gave
+        grid, cfg, barrier = _scan_setup()
+        base = GaussianSpec(x0=0.0, p0=3.0, sigma=1.0)
+
+        def no_state(*args):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(tunneling, "sample_gaussian", no_state)
+        with pytest.raises(ValueError, match=r"^base_packet momentum 3\.0 is not p0 4\.0$"):
+            width_scan(4.0, barrier, grid, cfg, base_packet=base, delay_list=(0.0,))
+
     def test_violations_reported_not_suppressed(self):
         # stand-in rows: the check reads only sigma at arrival and T
         rows = tuple(
