@@ -35,8 +35,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import importlib.machinery
-import importlib.util
 import json
 import math
 import sys
@@ -49,7 +47,7 @@ import numpy as np
 from . import __version__, devices, oracle, tunneling, verify
 from .analytic import _gaussian_evolve
 from .config import ExperimentConfig
-from .core import l2_distance, sample_gaussian
+from .core import Linear, _scipy_module, l2_distance, sample_gaussian
 from .errors import ConfigError, CoverageError, LinpotError, NormalizationError, PreconditionError
 
 EXIT_OK = 0
@@ -78,14 +76,9 @@ def _write_json(path: Path, obj):
 
 @functools.cache
 def _scipy_version() -> str:
-    """scipy's ``__version__``, which ``scipy/__init__.py`` takes from
-    ``scipy/version.py``: that file, loaded by path as ``core`` loads the
-    pocketfft kernel, so no command imports the scipy package."""
-    where = importlib.util.find_spec("scipy").submodule_search_locations
-    spec = importlib.machinery.PathFinder.find_spec("scipy.version", where)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.version
+    """scipy's ``__version__``, read from ``scipy/version.py`` by file, so no
+    command imports the scipy package."""
+    return _scipy_module("version").version
 
 
 def _load(args) -> ExperimentConfig | None:
@@ -139,8 +132,8 @@ def cmd_evolve(args, cfg):
     psi0 = sample_gaussian(cfg.state, grid, units)
 
     potential = cfg.potential.potential()
-    # the free and linear kinds have a closed form (v0 is 0 for free)
-    v0 = None if cfg.potential.kind == "barrier" else cfg.potential.v0
+    # a linear potential (slope 0 for free) has a closed form, a polyline not
+    v0 = potential.v0 if isinstance(potential, Linear) else None
 
     # each snapshot is compared with the exact Gaussian as it arrives, so no
     # snapshot state outlives its row; the reference is evaluated pointwise,

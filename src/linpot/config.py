@@ -39,10 +39,11 @@ Validation belongs to the dataclasses a config builds, and to the
 ``units()``, ``grid()`` and ``solver()`` objects of the flat sections.  The
 parser builds each of them as it reads its section and reports its
 ``ValueError`` as ``[section] key: …``.  A key that its section does not
-define is such an error too, and so is a potential key that the potential's
-kind does not read (``_KIND_KEYS``).  Sections the table does not name are
-ignored, and ``[DEFAULT]`` is one of them: configparser would copy its keys
-into every section.
+define is such an error too.  ``PotentialSpec`` owns which keys each kind
+requires and reads, so a potential key its kind needs but the file leaves
+out, or one its kind does not read, is refused by the dataclass.  Sections
+the table does not name are ignored, and ``[DEFAULT]`` is one of them:
+configparser would copy its keys into every section.
 
 Serialization is canonical (fixed section and key order, ``repr`` floats), so
 config -> file -> config -> file round trips are byte-stable, and
@@ -73,32 +74,41 @@ from .tunneling import BarrierSpec
 
 __all__ = ["ExperimentConfig", "PotentialSpec", "ScanSpec"]
 
-# the keys each potential kind reads besides ``kind``
+# the fields each potential kind reads besides ``kind``: whether it requires each
 _KIND_KEYS = {
-    "free": (),
-    "linear": ("v0",),
-    "barrier": ("x_start", "slope", "peak_height", "descent_slope"),
+    "free": {},
+    "linear": {"v0": True},
+    "barrier": {"x_start": True, "slope": True, "peak_height": True, "descent_slope": False},
 }
 
 
 @_input
 class PotentialSpec:
-    """kind is one of free, linear, barrier; ``_KIND_KEYS`` names the fields
-    each kind reads."""
+    """kind is one of free, linear, barrier.  A kind requires the fields
+    ``_KIND_KEYS`` marks required and refuses any it does not read: those
+    stay None."""
 
     kind: str = "free"
-    v0: float = 0.0
-    x_start: float = 0.0
-    slope: float = 1.0
-    peak_height: float = 1.0
-    descent_slope: float | None = BarrierSpec.descent_slope
+    v0: float | None = None
+    x_start: float | None = None
+    slope: float | None = None
+    peak_height: float | None = None
+    descent_slope: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KIND_KEYS:
+        keys = _KIND_KEYS.get(self.kind)
+        if keys is None:
             *kinds, last = _KIND_KEYS
             raise ValueError(f"kind must be {', '.join(kinds)} or {last}, got {self.kind!r}")
-        _finite(v0=self.v0)
-        if self.kind == "barrier":
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if value is None and keys.get(f.name):
+                raise ValueError(f"{f.name} is required by kind = {self.kind}")
+            if value is not None and f.name not in keys:
+                raise ValueError(f"{f.name} is not read by kind = {self.kind}")
+        if self.kind == "linear":
+            _finite(v0=self.v0)
+        elif self.kind == "barrier":
             self.barrier()
 
     def barrier(self) -> BarrierSpec:
@@ -108,7 +118,7 @@ class PotentialSpec:
         """Linear(0.0) for free, Linear(v0) or the barrier's knot polyline."""
         if self.kind == "barrier":
             return self.barrier().potential()
-        return Linear(self.v0 if self.kind == "linear" else 0.0)
+        return Linear(0.0 if self.v0 is None else self.v0)
 
 
 @_input
@@ -117,6 +127,9 @@ class ScanSpec:
     sigmas: tuple = ()
 
     def __post_init__(self):
+        # tuples of floats, so no caller's list changes them after the check
+        object.__setattr__(self, "delays", tuple(float(d) for d in self.delays))
+        object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
         for d in self.delays:
             _finite(delays=d)
         for s in self.sigmas:
@@ -218,10 +231,7 @@ class ExperimentConfig:
                     raise ConfigError(f"[{name}] {missing[0]}: required key is missing")
                 # the beam's mass is the [units] mass
                 mass = {"mass": kw.get("mass", ExperimentConfig.mass)} if name == "psg" else {}
-                kw[name] = obj = _built(name, keys, cls, **values, **mass)
-                unread = [key for key in values if key not in _read_keys(name, obj, keys)]
-                if unread:
-                    raise ConfigError(f"[{name}] {unread[0]}: not read by kind = {obj.kind}")
+                kw[name] = _built(name, keys, cls, **values, **mass)
         return ExperimentConfig(**kw)
 
     # -- canonical serialization ----------------------------------------------
@@ -232,7 +242,7 @@ class ExperimentConfig:
             owner = self if cls is None else getattr(self, name)
             if owner is None or (name == "state" and not self.state_present):
                 continue
-            pairs = [(key, getattr(owner, keys[key][1])) for key in _read_keys(name, owner, keys)]
+            pairs = [(key, getattr(owner, attr)) for key, (_, attr) in keys.items()]
             pairs = [(key, v) for key, v in pairs if v is not None and v != ()]
             if pairs:
                 out.append(f"[{name}]\n")
@@ -293,12 +303,6 @@ _TABLE = tuple(
     )
     for name, cls, keys in _SECTIONS
 )
-
-
-def _read_keys(name, owner, keys):
-    """The keys of section ``name`` that ``owner`` reads: a potential reads
-    ``kind`` and its kind's keys, every other section all of its keys."""
-    return ("kind", *_KIND_KEYS[owner.kind]) if name == "potential" else keys
 
 
 def _built(section, keys, make, **kwargs):

@@ -42,7 +42,8 @@ Conventions
   kernel that ``scipy.fft.fft``/``ifft`` themselves end in, with the
   arguments those pass; the output is bit-identical, without the dispatch
   layer's fixed cost per call.  The kernel extension is loaded from scipy's
-  install by file, so the ``scipy.fft`` package (and the scipy.special its
+  install by file (``_scipy_module``, which ``cli`` also reads scipy's
+  version with), so the ``scipy.fft`` package (and the scipy.special its
   fftlog backend imports) is never loaded.  The pair takes complex128
   arrays: a state's amplitudes, which :class:`WaveFunction` stores as one,
   or an array linpot built.  ``fftfreq`` and ``fftshift`` are numpy's.
@@ -195,31 +196,26 @@ def si_units(mass: float) -> UnitSystem:
     return UnitSystem(HBAR_SI, mass)
 
 
-def _load_pocketfft(directory: str):
-    """scipy's ``pypocketfft`` extension, loaded from ``directory`` (the
-    ``fft/_pocketfft`` folder of scipy's install) without importing the
-    ``scipy.fft`` package around it.  Raises ImportError naming the directory
-    and the installed scipy version when the extension is not there."""
-    spec = importlib.machinery.PathFinder.find_spec(
-        "scipy.fft._pocketfft.pypocketfft", [directory]
-    )
-    if spec is None:
-        from scipy import __version__
+_SCIPY = importlib.util.find_spec("scipy").submodule_search_locations[0]
 
-        raise ImportError(
-            f"scipy's pocketfft kernel (pypocketfft) not found in {directory} "
-            f"(scipy {__version__})"
-        )
+
+def _scipy_module(name: str, root: str = _SCIPY):
+    """``scipy.<name>``, loaded from its file under ``root`` (scipy's install)
+    without importing any scipy package around it.  Raises ImportError naming
+    the directory searched and the installed scipy version, itself read by
+    file, when the file is not there."""
+    directory = os.path.join(root, *name.split(".")[:-1])
+    spec = importlib.machinery.PathFinder.find_spec(f"scipy.{name}", [directory])
+    if spec is None:
+        version = "unknown" if name == "version" else _scipy_module("version").version
+        raise ImportError(f"scipy.{name} not found in {directory} (scipy {version})")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_pocketfft = _load_pocketfft(
-    os.path.join(
-        importlib.util.find_spec("scipy").submodule_search_locations[0], "fft", "_pocketfft"
-    )
-)
+# the pocketfft kernel, without the scipy.fft package around it
+_pocketfft = _scipy_module("fft._pocketfft.pypocketfft")
 
 
 def _fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -81,6 +81,7 @@ from .core import (
     _band_share,
     _check_kick,
     _fft,
+    _finite,
     _ifft,
     _input,
     _kinetic,
@@ -463,8 +464,18 @@ def convergence_study(
     refine: int = 4,
 ) -> ConvergenceStudy:
     """L2 error of the final state at each dt, against a Richardson
-    reference run at ``min(dt)/refine``.  Each dt is snapped to an integer
-    number of steps, and the snapped dts must be strictly decreasing."""
+    reference run at ``min(dt)/refine``.  ``total_time`` and each dt must be
+    positive and finite, and ``refine`` finite and above 1.  Each dt is
+    snapped to an integer number of steps, and the snapped dts must be
+    strictly decreasing."""
     dts = [float(d) for d in dt_list]
+    if not dts:
+        raise ValueError("dt_list must not be empty")
+    _positive(total_time=total_time)
+    for dt in dts:
+        _positive(dt_list=dt)
+    _finite(refine=refine)
+    if refine <= 1:
+        raise ValueError(f"refine must be above 1, got {refine!r}")
     reference = _single_run(psi, potential, total_time, min(dts) / refine, units).final_state
     return _study(psi, potential, total_time, dts, reference, units)

@@ -549,9 +549,6 @@ class AnimationScenario(NamedTuple):
     """
 
     sigma: float
-    speed: float
-    stop_distance: float
-    growth: float
     mass: float
     p0: float
     v0: float
@@ -572,16 +569,7 @@ def animation_scenario() -> AnimationScenario:
     mass = HBAR_SI * t_a / (sigma**2 * theta)
     p0 = mass * speed
     v0 = p0 / t_a
-    return AnimationScenario(
-        sigma=sigma,
-        speed=speed,
-        stop_distance=stop_distance,
-        growth=growth,
-        mass=mass,
-        p0=p0,
-        v0=v0,
-        t_a=t_a,
-    )
+    return AnimationScenario(sigma=sigma, mass=mass, p0=p0, v0=v0, t_a=t_a)
 
 
 class SurrogateResult(NamedTuple):

@@ -656,6 +656,30 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("tunnel", (CONFIGS / "tunnel.cfg").read_text().replace("peak_height = 11.2\n", ""),
+             "peak_height"),
+            ("evolve", LINEAR_CFG.replace("v0 = 1.5\n", ""), "v0"),
+        ],
+        ids=["tunnel-peak_height", "evolve-v0"],
+    )
+    def test_missing_potential_key_exits_before_any_step(
+        self, tmp_path, capsys, monkeypatch, command, text, key
+    ):
+        # tunnel.cfg without peak_height stepped a barrier of height 1.0 for
+        # 40000 steps and exited 2; kind = linear without v0 ran a free packet
+        def stepped(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(tunneling, "width_scan", stepped)
+        monkeypatch.setattr(cli.oracle, "split_step_evolve", stepped)
+        cfg = write(tmp_path, "missing.cfg", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: [potential] {key}: {key} is required")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("case", ["missing-config", "out-is-a-file"])
     def test_file_errors_exit_validation_without_a_traceback(self, tmp_path, case):
         # FileNotFoundError from the config's open and FileExistsError from

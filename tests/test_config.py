@@ -1,10 +1,11 @@
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linpot.config import ExperimentConfig, PotentialSpec
+from linpot.config import ExperimentConfig, PotentialSpec, ScanSpec
 from linpot.core import Linear
 from linpot.devices import PsgGeometry
 from linpot.errors import ConfigError
@@ -33,7 +34,15 @@ n_steps = 4000
 record_every = 200
 """
 
-BARRIER = "[potential]\nkind = barrier\n"
+
+def barrier(**changed):
+    """A [potential] section of a full barrier, with ``changed`` keys set
+    (or left out, where the value is None)."""
+    keys = {"x_start": "36.0", "slope": "8.0", "peak_height": "11.2", **changed}
+    lines = (f"{k} = {v}\n" for k, v in keys.items() if v is not None)
+    return "[potential]\nkind = barrier\n" + "".join(lines)
+
+
 PSG = "[psg]\nv0 = 1.0\n"
 # (section, key, text): every range rule the config hands to a dataclass
 HANDED_OFF = [
@@ -41,9 +50,9 @@ HANDED_OFF = [
     ("grid", "x_max", "[grid]\nx_min = 4.0\nx_max = 4.0\n"),
     ("grid", "n", "[grid]\nn = 8\n"),
     ("state", "sigma", "[state]\nsigma = -1.0\n"),
-    ("potential", "slope", BARRIER + "slope = 0.0\n"),
-    ("potential", "peak_height", BARRIER + "peak_height = -1.0\n"),
-    ("potential", "descent_slope", BARRIER + "descent_slope = 0.0\n"),
+    ("potential", "slope", barrier(slope="0.0")),
+    ("potential", "peak_height", barrier(peak_height="-1.0")),
+    ("potential", "descent_slope", barrier(descent_slope="0.0")),
     ("solver", "dt", "[solver]\ndt = 0.0\n"),
     ("solver", "n_steps", "[solver]\nn_steps = 0\n"),
     ("solver", "record_every", "[solver]\nrecord_every = -3\n"),
@@ -65,7 +74,7 @@ NON_FINITE = [
     ("state", "x0", "nan", "[state]\nx0 = nan\n"),
     ("state", "p0", "inf", "[state]\np0 = inf\n"),
     ("potential", "v0", "inf", "[potential]\nkind = linear\nv0 = inf\n"),
-    ("potential", "x_start", "nan", BARRIER + "x_start = nan\n"),
+    ("potential", "x_start", "nan", barrier(x_start="nan")),
     ("psg", "v0", "-inf", "[psg]\nv0 = -inf\nlength = 1.0\nspeed = 1.0\n"),
     ("scan", "delays", "0.0,nan", "[scan]\ndelays = 0.0,nan\n"),
     ("units", "mass", "inf", "[units]\nmass = inf\n"),
@@ -73,9 +82,9 @@ NON_FINITE = [
     ("grid", "x_max", "inf", "[grid]\nx_max = inf\n"),
     ("grid", "x_max", "1e308", "[grid]\nx_min = -1e308\nx_max = 1e308\n"),
     ("state", "sigma", "inf", "[state]\nsigma = inf\n"),
-    ("potential", "slope", "inf", BARRIER + "slope = inf\n"),
-    ("potential", "peak_height", "nan", BARRIER + "peak_height = nan\n"),
-    ("potential", "descent_slope", "inf", BARRIER + "descent_slope = inf\n"),
+    ("potential", "slope", "inf", barrier(slope="inf")),
+    ("potential", "peak_height", "nan", barrier(peak_height="nan")),
+    ("potential", "descent_slope", "inf", barrier(descent_slope="inf")),
     ("solver", "dt", "inf", "[solver]\ndt = inf\n"),
     ("solver", "dt", "nan", "[solver]\ndt = nan\n"),
     ("solver", "absorber_strength", "inf", "[solver]\nabsorber = on\nabsorber_strength = inf\n"),
@@ -99,7 +108,7 @@ UNKNOWN_KEYS = [
     ("scan", "delay", "[scan]\ndelay = 1.0\n"),
     ("potential", "v0", "[potential]\nkind = free\nv0 = 3.0\n"),
     ("potential", "x_start", "[potential]\nkind = linear\nv0 = 1.0\nx_start = 2.0\n"),
-    ("potential", "v0", BARRIER + "v0 = 0.0\n"),
+    ("potential", "v0", barrier(v0="0.0")),
     # the particle mass has one key, [units] mass
     ("psg", "mass", PSG + "length = 1.0\nspeed = 1.0\nmass = 1.0\n"),
 ]
@@ -219,6 +228,21 @@ class TestParsing:
         cfg = ExperimentConfig.from_text("[scan]\ndelays = 0.0,2.0,4.0\n")
         assert cfg.scan.delays == (0.0, 2.0, 4.0)
 
+    def test_scan_keeps_no_caller_list(self):
+        # the spec kept the list it was given: a NaN appended after the check
+        # reached to_text, whose output did not parse back
+        delays = [1.0]
+        scan = ScanSpec(delays=delays, sigmas=[])
+        delays.append(math.nan)
+        assert scan.delays == (1.0,) and scan.sigmas == ()
+        cfg = ExperimentConfig(scan=scan)
+        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+
+    def test_scan_spec_hashes(self):
+        # a list field made hash() raise TypeError
+        assert hash(ScanSpec(delays=[1.0])) == hash(ScanSpec(delays=(1.0,)))
+        assert [type(s) for s in ScanSpec(sigmas=[1, 2]).sigmas] == [float, float]
+
     def test_scan_takes_delays_or_sigmas_not_both(self):
         # the tunnel command scans one list; the other would be dropped
         text = (SHIPPED_DIR / "tunnel.cfg").read_text().replace(
@@ -256,7 +280,29 @@ class TestParsing:
         # to the same rule as one parsed from text
         with pytest.raises(ValueError, match=r"^kind must be free, linear or barrier"):
             PotentialSpec(kind="quartic")
-        assert PotentialSpec(kind="barrier").kind == "barrier"
+
+    @pytest.mark.parametrize("key", ["x_start", "slope", "peak_height"])
+    def test_barrier_requires_each_key(self, key):
+        # a barrier without peak_height ran one of height 1.0
+        with pytest.raises(ConfigError, match=rf"^\[potential\] {key}: {key} is required"):
+            ExperimentConfig.from_text(barrier(**{key: None}))
+        given = {"x_start": 36.0, "slope": 8.0, "peak_height": 11.2}
+        del given[key]
+        with pytest.raises(ValueError, match=rf"^{key} is required by kind = barrier$"):
+            PotentialSpec("barrier", **given)
+
+    def test_linear_requires_v0(self):
+        # kind = linear without v0 ran a free packet and wrote v0 = 0.0
+        with pytest.raises(ConfigError, match=r"^\[potential\] v0: v0 is required"):
+            ExperimentConfig.from_text("[potential]\nkind = linear\n")
+        with pytest.raises(ValueError, match=r"^v0 is required by kind = linear$"):
+            PotentialSpec("linear")
+
+    def test_key_a_kind_does_not_read_is_refused_in_code(self):
+        with pytest.raises(ValueError, match=r"^v0 is not read by kind = free$"):
+            PotentialSpec(kind="free", v0=2.0)
+        with pytest.raises(ValueError, match=r"^descent_slope is not read by kind = linear$"):
+            PotentialSpec("linear", v0=1.0, descent_slope=2.0)
 
     def test_potential_of_each_kind(self):
         assert PotentialSpec().potential() == Linear(0.0)
@@ -296,6 +342,14 @@ def _section(name, keys):
     )
 
 
+def _kind(kind, required, optional=None):
+    """Text of a [potential] section of ``kind`` with every ``required`` key
+    and any subset of ``optional``."""
+    return st.fixed_dictionaries(required, optional=optional or {}).map(
+        lambda d: f"[potential]\nkind = {kind}\n" + "".join(f"{k} = {v}\n" for k, v in d.items())
+    )
+
+
 def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False).map(repr)
 
@@ -317,16 +371,15 @@ CONFIG_TEXTS = st.tuples(
         },
     ),
     _section("state", {"x0": _floats(-5, 5), "p0": _floats(-5, 5), "sigma": _floats(0.1, 5)}),
-    _section(
-        "potential",
-        {
-            "kind": st.sampled_from(["free", "linear", "barrier"]),
-            "v0": _floats(-5, 5),
-            "x_start": _floats(-10, 10),
-            "slope": _floats(0.1, 10),
-            "peak_height": _floats(0.1, 20),
-            "descent_slope": _floats(0.1, 10),
-        },
+    # a valid section per kind: the keys the kind requires and any it may set
+    st.one_of(
+        _section("potential", {"kind": st.just("free")}),
+        _kind("linear", {"v0": _floats(-5, 5)}),
+        _kind(
+            "barrier",
+            {"x_start": _floats(-10, 10), "slope": _floats(0.1, 10), "peak_height": _floats(0.1, 20)},
+            {"descent_slope": _floats(0.1, 10)},
+        ),
     ),
     _section(
         "solver",

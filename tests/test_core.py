@@ -26,7 +26,7 @@ from linpot import (
     to_position_rep,
 )
 from linpot.analytic import free_evolve, linear_evolve
-from linpot.core import _fft, _ifft, _load_pocketfft
+from linpot.core import _fft, _ifft, _scipy_module
 from linpot.errors import BoundaryContaminationWarning, CoverageError, NormalizationError
 from linpot.tunneling import animation_scenario
 
@@ -336,8 +336,9 @@ class TestKernelPair:
 
     def test_moved_kernel_fails_by_name(self, tmp_path):
         with pytest.raises(ImportError) as failure:
-            _load_pocketfft(str(tmp_path))
-        assert f"not found in {tmp_path} (scipy {scipy.__version__})" in str(failure.value)
+            _scipy_module("fft._pocketfft.pypocketfft", str(tmp_path))
+        directory = tmp_path / "fft" / "_pocketfft"
+        assert f"not found in {directory} (scipy {scipy.__version__})" in str(failure.value)
 
     @pytest.mark.parametrize("n", [16, 1024, 8192])
     @pytest.mark.parametrize("rows", [None, 3], ids=["single", "stack"])

@@ -1,11 +1,12 @@
 """Every name a linpot module exports in ``__all__`` resolves and has a
-reader outside the tests, and every defaulted parameter of an exported
-callable is set by some call.
+reader outside the tests, so does every field of an exported record, and
+every defaulted parameter of an exported callable is set by some call.
 
 A stale entry (a name whose definition was deleted or renamed) breaks
 ``from linpot.<module> import *`` only when someone runs it; this finds it
 at test time, module by module.  An export that nothing in the package or
-its benchmark reads, and a parameter that no call in the package, its tests
+its benchmark reads, a record field that nothing there reads as an attribute
+or names as a string, and a parameter that no call in the package, its tests
 or its benchmark passes, are code nothing needs; each is either deleted or
 listed below with the reason it stays.
 """
@@ -61,17 +62,22 @@ UNREAD_ALLOWED = {
 }
 
 
+def _package_nodes():
+    """Every AST node of the package and its benchmark."""
+    for top in ("src", "benchmarks"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield from ast.walk(ast.parse(path.read_text()))
+
+
 def _read_names():
     """Every name read, as a Name or as an Attribute, in the package or its
     benchmark; an import is not a read."""
     read = set()
-    for top in ("src", "benchmarks"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    read.add(node.id)
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    read.add(node.attr)
+    for node in _package_nodes():
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
     return read
 
 
@@ -80,6 +86,32 @@ def test_every_export_has_a_reader_outside_the_tests():
     for name in MODULES:
         exported.update(getattr(importlib.import_module(name), "__all__", ()))
     assert exported - _read_names() == set(UNREAD_ALLOWED)
+
+
+FIELD_UNREAD_ALLOWED = {
+    ("EvolutionResult", "ledger"): "the closed form's phase ledger, for callers",
+    ("ConvergenceStudy", "entries"): "the (dt, error) pairs the slope is fitted to",
+    ("TunnelingResult", "t_a_measured"): "the measured arrival at the front, for callers",
+    ("TunnelingResult", "t_a_linear"): "the linear-front arrival prediction beside it",
+}
+
+
+def test_every_record_field_has_a_reader_outside_the_tests():
+    # a field is read as an attribute, or named as a string for a getattr
+    read = set()
+    for node in _package_nodes():
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    unread = set()
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            record = getattr(module, attr)
+            if isinstance(record, type) and issubclass(record, tuple) and record.__module__ == name:
+                unread.update((attr, f) for f in record._fields if f not in read)
+    assert unread == set(FIELD_UNREAD_ALLOWED)
 
 
 UNITS = "physics entry points take a unit system by the package's convention"

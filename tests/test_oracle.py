@@ -610,6 +610,41 @@ class TestConvergence:
         with pytest.raises(ValueError, match="strictly decreasing"):
             convergence_study(psi, Linear(1.0), 0.01, (3e-3, 2.9e-3))
 
+    @pytest.mark.parametrize(
+        "total_time, dt_list, refine, message",
+        [
+            # refine = 1 returned slope 975, 0.5 and -1 a NaN slope against a
+            # coarser reference, 0 a bare ZeroDivisionError
+            (0.01, (3e-3, 1e-3), 1, "^refine must be above 1, got 1$"),
+            (0.01, (3e-3, 1e-3), 0.5, "^refine must be above 1, got 0.5$"),
+            (0.01, (3e-3, 1e-3), -1, "^refine must be above 1, got -1$"),
+            (0.01, (3e-3, 1e-3), 0, "^refine must be above 1, got 0$"),
+            (0.01, (3e-3, 1e-3), float("inf"), "^refine must be finite$"),
+            (0.01, (3e-3, 1e-3), float("nan"), "^refine must be finite$"),
+            # min() of an empty sequence
+            (0.01, (), 4, "^dt_list must not be empty$"),
+            # reported as "stepped dts must be strictly decreasing"
+            (0.01, (3e-3, -1e-3), 4, "^dt_list must be positive and finite$"),
+            (0.01, (3e-3, float("nan")), 4, "^dt_list must be positive and finite$"),
+            # reported as "dt must be positive and finite"
+            (-0.01, (3e-3, 1e-3), 4, "^total_time must be positive and finite$"),
+        ],
+        ids=[
+            "refine-1", "refine-half", "refine-negative", "refine-0", "refine-inf",
+            "refine-nan", "empty", "negative-dt", "nan-dt", "negative-time",
+        ],
+    )
+    def test_arguments_are_checked_before_any_run(
+        self, grid, monkeypatch, total_time, dt_list, refine, message
+    ):
+        def stepped(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr("linpot.oracle.split_step_evolve", stepped)
+        psi = sample_gaussian(GaussianSpec(0.0, 0.0, 1.0), grid)
+        with pytest.raises(ValueError, match=message):
+            convergence_study(psi, Linear(1.0), total_time, dt_list, refine=refine)
+
     def test_entries_carry_the_stepped_dt(self, grid):
         psi = sample_gaussian(GaussianSpec(0.0, 0.0, 1.0), grid)
         study = convergence_study(psi, Linear(1.0), 0.01, (3e-3, 1e-3))

@@ -80,16 +80,7 @@ FIELDS = {
         "trajectory",
     ),
     ScanResult: ("rows",),
-    AnimationScenario: (
-        "sigma",
-        "speed",
-        "stop_distance",
-        "growth",
-        "mass",
-        "p0",
-        "v0",
-        "t_a",
-    ),
+    AnimationScenario: ("sigma", "mass", "p0", "v0", "t_a"),
     SurrogateResult: (
         "t_a_dimensionless",
         "t_a_measured_dimensionless",
