@@ -21,10 +21,12 @@ holds the linpot/numpy/scipy versions, the canonical config and its sha256
 (for the commands that read one) and the command's headline numbers: for
 ``evolve`` and ``tunnel`` the solver's state-step and FFT counts and the
 probability absorbed per side (per scan row for ``tunnel``) and the seconds
-spent solving, for ``evolve`` also the worst norm drift, the first
-boundary-contact time and the seconds spent on the reference (part of the
-solve), for ``verify`` the checks that ran and their seconds, each and in
-total; for every command that writes CSVs, the seconds spent writing them.
+spent solving, for ``tunnel`` also each row's stop bound (its bound on the
+transmission still to come when it stopped), for ``evolve`` also the worst
+norm drift, the first boundary-contact time and the seconds spent on the
+reference (part of the solve), for ``verify`` the checks that ran and their
+seconds, each and in total; for every command that writes CSVs, the seconds
+spent writing them.
 Its ``warnings`` list holds the category and message of each warning the run
 showed, in the order raised; each still goes to stderr as well.
 """
@@ -218,7 +220,10 @@ def cmd_tunnel(args, cfg):
         state_steps=scan.state_steps,
         transforms=scan.transforms,
         rows=[
-            {k: getattr(r, k) for k in ("sigma_at_arrival", "absorbed_left", "absorbed_right")}
+            {
+                k: getattr(r, k)
+                for k in ("sigma_at_arrival", "absorbed_left", "absorbed_right", "stop_bound")
+            }
             for r in scan.rows
         ],
         seconds={"solve": round(solve, 3)},

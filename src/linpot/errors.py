@@ -31,7 +31,8 @@ class DegenerateEnergyError(LinpotError):
 
 
 class StationarityTimeout(LinpotError):
-    """A tunneling run hit its step budget before T and R became stationary.
+    """A tunneling run hit its step budget before its bound on the
+    transmission still to come fell below ``tunneling.STOP_BUDGET``.
 
     Carries the partial result in ``partial_result``.
     """

@@ -14,7 +14,12 @@ this module operationalizes "tunneling suppressed" as T < 1e-4.
 
 Transmission is *measured*, not derived: T is the probability found beyond b
 plus whatever the right absorbing band removed, R the same on the left, and
-the run ends when both are stationary.  The semiclassical reference
+the run ends once a bound on the transmission still to come is below
+``STOP_BUDGET``.  The bound is the probability still between a and b plus
+the part of the launch spectrum that free flight has not yet carried to the
+barrier, weighted by the barrier's exact plane-wave transmission T(p)
+(:func:`_transmission`, an Airy transfer matrix summed as Taylor series).
+The semiclassical reference
 
     T(E) = exp(-2 sigma_R) / (1 + exp(-2 sigma_R)/4)^2,
     sigma_R = integral_a^b sqrt(2 m (V(x) - E)) / hbar dx
@@ -31,11 +36,12 @@ stack, records each row's trajectory and stops at exactly ``cfg.n_steps``.
 :func:`run_tunneling` steps a stack of one state; the width scan, whose
 entries share p0, launch point, barrier, grid, dt and absorber, steps all of
 them as one ``(B, n)`` stack.  This module adds only what a barrier run
-measures: after every stride each row's T, R and residual and its
-stationarity test; a row that has become stationary leaves the stack while
-the others step on.  Rows are stepped, summed and tested exactly as they
-would be alone, so a scan row is the result of a run of that entry to the
-last bit.  A run's trajectory times count from launch; for a state at time 0
+measures: each row's launch spectrum, once, and after every stride its T, R
+and residual and its stop bound; a row whose bound is below the budget
+leaves the stack while the others step on.  Rows are stepped, summed and
+tested exactly as they would be alone, and a row's bound depends only on
+its own launch state, so a scan row is the result of a run of that entry to
+the last bit.  A run's trajectory times count from launch; for a state at time 0
 the trajectory equals :func:`split_step_evolve` of it for the same number of
 steps, also to the last bit.  Every launch state must sit clear of the
 absorbing bands: one with more than ``core._EDGE_THRESHOLD`` of its norm on
@@ -64,6 +70,7 @@ from .core import (
     UnitSystem,
     WaveFunction,
     _edge_share,
+    _fft,
     _finite,
     _input,
     _positive,
@@ -98,10 +105,12 @@ __all__ = [
     "animation_surrogate",
 ]
 
-STATIONARY_TOL = 1e-8
-STATIONARY_SNAPSHOTS = 10
 # measurement floor of a width scan's T (see ScanResult.monotonicity_violations)
 SCAN_SLACK = 1e-5
+# a barrier row stops once the transmission still to come is below this
+# (SCAN_SLACK / 10): two rows within it of their limits differ by less than
+# the floor
+STOP_BUDGET = 1e-6
 
 
 @_input
@@ -275,6 +284,73 @@ def wkb_transmission(
     return wkb_transmission_from_action(wkb_sigma_R(v, energy, units))
 
 
+def _transmission(v, p, units=NATURAL):
+    """T(p): the exact transmission of the polyline through the knots of
+    ``v`` (:func:`_knots`) for a plane wave of momentum p > 0 incident from
+    the left, one value per entry of the array ``p``.
+
+    Beyond the last knot the wave is e^{i k_R x} alone.  (psi, psi') is
+    carried from there to the first knot, segment by segment, where
+    psi'' = (c0 + c1 u) psi, u measured from the segment's right end,
+    c0 = 2m (V - E) / hbar^2 there and c1 = 2m V' / hbar^2: the Airy
+    equation.  Each segment is cut into equal sub-steps no longer than
+    3/kappa, kappa^2 the largest |c0 + c1 u| on it, and each sub-step's
+    2x2 transfer matrix is the Taylor series of its two fundamental
+    solutions, a_{n+2} = (c0 a_n + c1 a_{n-1}) / ((n+2)(n+1)), summed until
+    its terms fall below 1e-18, for up to 64 sub-steps at once as one
+    array.  After each such chunk (psi, psi') is rescaled and the log of the
+    scale kept, so on a tall or wide barrier T underflows to 0 instead of
+    (psi, psi') overflowing.  Before the first knot psi = A e^{i k_L x} +
+    B e^{-i k_L x} and T = (k_R / k_L) / |A|^2, which is 0 where E does not
+    exceed the level beyond the last knot (k_R = 0).
+    """
+    xs, vs = _knots(v)
+    scale = 2.0 * units.mass / units.hbar**2
+    energy = vs[0] + p**2 / (2.0 * units.mass)
+    k_left = p / units.hbar
+    k_right = np.sqrt(np.maximum(scale * (energy - vs[-1]), 0.0))
+    psi, dpsi = np.ones(len(p), dtype=complex), 1j * k_right
+    log_scale = np.zeros(len(p))
+    for j in range(len(xs) - 2, -1, -1):
+        length = float(xs[j + 1] - xs[j])
+        c1 = scale * float(vs[j + 1] - vs[j]) / length
+        c0 = scale * (vs[j + 1] - energy)
+        kappa2 = max(np.max(np.abs(c0)), np.max(np.abs(c0 - c1 * length)))
+        steps = max(1, math.ceil(length * math.sqrt(kappa2) / 3.0))
+        h = -length / steps
+        c1h3 = c1 * h**3
+        # the pair carried is (psi, h psi'), so each sub-step's matrix is
+        # that of the scaled series b_n = a_n h^n
+        dpsi = dpsi * h
+        for first in range(0, steps, 64):
+            u = h * np.arange(first, min(first + 64, steps))
+            c0h2 = (c0 + c1 * u[:, None]) * (h * h)
+            # b_n of the solutions with (psi, h psi') = (1, 0) and (0, 1)
+            b_prev = np.zeros((2, *c0h2.shape))
+            b_now = np.zeros_like(b_prev)
+            b_now[0] = 1.0
+            b_next = np.zeros_like(b_prev)
+            b_next[1] = 1.0
+            at_end, slope_at_end = b_now + b_next, b_next.copy()
+            n = 0
+            while np.max(np.abs(b_now)) + np.max(np.abs(b_next)) >= 1e-18:
+                term = c0h2 * b_now + c1h3 * b_prev
+                term *= 1.0 / ((n + 2) * (n + 1))
+                at_end += term
+                slope_at_end += (n + 2) * term
+                b_prev, b_now, b_next = b_now, b_next, term
+                n += 1
+            for a, b, c, d in zip(*at_end, *slope_at_end):
+                psi, dpsi = a * psi + b * dpsi, c * psi + d * dpsi
+            norm = np.maximum(np.abs(psi), np.abs(dpsi))
+            psi /= norm
+            dpsi /= norm
+            log_scale += np.log(norm)
+        dpsi = dpsi / h
+    amp = 0.5 * (psi + dpsi / (1j * k_left))
+    return (k_right / k_left) * np.exp(-2.0 * log_scale) / np.abs(amp) ** 2
+
+
 class TunnelingResult(NamedTuple):
     """Measured outcome of one barrier run.
 
@@ -284,7 +360,12 @@ class TunnelingResult(NamedTuple):
     roundoff.  ``t_a_measured`` is the time the mean position reaches (or
     comes closest to) the first turning point, where the packet width is
     ``sigma_at_arrival``; ``t_a_linear`` is the linear-front prediction:
-    free flight to the barrier base plus p0/slope.
+    free flight to the barrier base plus p0/slope.  ``T_exact`` is the
+    launch state's exact transmission, sum |phi(p)|^2 T(p) over p > 0 with
+    T(p) the barrier's plane-wave transmission, and ``stop_bound`` the
+    bound on the transmission still to come when the run stopped
+    (``residual`` plus what has yet to reach the barrier; see
+    :func:`_measure`): T is within it of its limit.
     """
 
     T: float
@@ -297,6 +378,8 @@ class TunnelingResult(NamedTuple):
     t_a_measured: float
     t_a_linear: float
     trajectory: Trajectory
+    T_exact: float
+    stop_bound: float
 
     def norm_defect(self) -> float:
         """|T + R + residual - 1|; the accounting invariant."""
@@ -327,20 +410,62 @@ def _crossing_time(times, values, target):
     return float(times[i])
 
 
+def _incoming(states, barrier, grid, units):
+    """Per launch state: its exact transmission ``T_exact`` and the arrays
+    ``(arrivals, to_come)`` that give the transmission still to come at time
+    t as ``to_come[searchsorted(arrivals, t, "right")]``.
+
+    phi = FFT[psi] and FFT[x psi] give each momentum's group-delay position
+    x(p) = Re(conj phi FFT[x psi]) / |phi|^2, exact for a chirped (delayed)
+    Gaussian; free flight carries p to the barrier's base at
+    t_p = m (x_start - x(p)) / p.  ``to_come`` sums |phi(p)|^2 T(p) / sum
+    |phi|^2 over the momenta with t_p > t: the momenta p > 0 that carry
+    more than 1e-20 of the state's norm, the rest carrying less than 1e-16
+    between them.  T(p) (:func:`_transmission`) is computed once for each
+    distinct set of such momenta, so once for a delay scan, whose states
+    share |phi|; a state's values are the ones it gets alone.
+    """
+    amps = np.array([psi.amps for psi in states])
+    spectra = _fft(np.concatenate((amps, amps * grid.x)))
+    phi, phi_x = spectra[: len(states)], spectra[len(states) :]
+    weight = np.abs(phi) ** 2
+    total = np.sum(weight, axis=1)
+    p = units.hbar * grid.k_wrap
+    carried = (p > 0.0) & (weight > 1e-20 * total[:, None])
+    t_of_p = {}
+    out = []
+    for i, sel in enumerate(carried):
+        key = sel.tobytes()
+        if key not in t_of_p:
+            t_of_p[key] = _transmission(barrier, p[sel], units)
+        x_p = np.real(np.conj(phi[i, sel]) * phi_x[i, sel]) / weight[i, sel]
+        arrivals = units.mass * (barrier.x_start - x_p) / p[sel]
+        share = weight[i, sel] * t_of_p[key] / total[i]
+        order = np.argsort(arrivals)
+        # to_come[k]: the share of the momenta from the k-th arrival on
+        to_come = np.append(np.cumsum(share[order][::-1])[::-1], 0.0)
+        out.append((float(np.sum(share)), arrivals[order], to_come))
+    return out
+
+
 def _measure(packet, states, barrier, cfg, grid, units):
     """Check the preconditions of a barrier run, then launch every state of
     ``states`` at the barrier and step them as one ``(B, n)`` stack
-    (``oracle._stride_loop``) until each is stationary.  ``packet`` gives the
-    incident energy, hence the turning points, and the nominal launch point.
+    (``oracle._stride_loop``) until the transmission each has still to come
+    is below ``STOP_BUDGET``.  ``packet`` gives the incident energy, hence
+    the turning points, and the nominal launch point.
 
-    After every stride each row gets its T, R and residual.  A snapshot is
-    quiet when |dT| + |dR| since the row's previous one is below
-    ``STATIONARY_TOL``; a row with ``STATIONARY_SNAPSHOTS`` quiet snapshots
-    in a row at or after ``t_a_linear`` leaves the stack while the others
-    step on.  Returns one :class:`TunnelingResult` per state, in input
-    order, with its latest T and R.  If ``cfg.n_steps`` runs out first, raises
+    After every stride each row gets its T, R and residual, and its bound on
+    the transmission still to come: the residual, which at most all
+    transmits, plus the share of its launch spectrum, weighted by T(p), that
+    free flight has not yet carried to ``x_start`` (:func:`_incoming`).  A
+    row whose bound is below ``STOP_BUDGET`` at or after ``t_a_linear``
+    leaves the stack while the others step on; the bound depends only on the
+    row's own launch state, so a row stops at the stride it would alone.
+    Returns one :class:`TunnelingResult` per state, in input order, with its
+    latest T, R and bound.  If ``cfg.n_steps`` runs out first, raises
     :class:`StationarityTimeout` carrying the partial result of the first
-    state, in input order, that was still drifting.
+    state, in input order, still above the budget.
     """
     if cfg.absorber is None:
         raise PreconditionError("tunneling runs need an absorbing boundary")
@@ -378,26 +503,27 @@ def _measure(packet, states, barrier, cfg, grid, units):
     # R is x < a, the residual a <= x <= b and T x > b
     cut_a = int(np.searchsorted(grid.x, a))
     cut_b = int(np.searchsorted(grid.x, b, "right"))
-
-    # per state: its latest (T, R, residual), infinite before the first
-    # stride so the first move is never quiet, and its run of quiet snapshots
-    latest = [(math.inf, math.inf, None)] * len(states)
-    quiet = [0] * len(states)
+    incoming = _incoming(states, barrier, grid, units)
+    # per state: its latest (T, R, residual, bound)
+    latest = [None] * len(states)
 
     def keep_stepping(i, row, step, t, norm2, absorbed):
         left, right = absorbed
         rho = np.abs(row) ** 2
         T = float(np.sum(rho[cut_b:]) * dx) + right
         R = float(np.sum(rho[:cut_a]) * dx) + left
-        move = abs(T - latest[i][0]) + abs(R - latest[i][1])
-        quiet[i] = quiet[i] + 1 if move < STATIONARY_TOL else 0
-        latest[i] = (T, R, float(np.sum(rho[cut_a:cut_b]) * dx))
-        return not (t >= t_a_linear and quiet[i] >= STATIONARY_SNAPSHOTS)
+        residual = float(np.sum(rho[cut_a:cut_b]) * dx)
+        _, arrivals, to_come = incoming[i]
+        bound = residual + float(to_come[np.searchsorted(arrivals, t, "right")])
+        latest[i] = (T, R, residual, bound)
+        return not (t >= t_a_linear and bound < STOP_BUDGET)
 
-    trajectories, drifting = _stride_loop(states, barrier.potential(), cfg, units, keep_stepping)
+    trajectories, over_budget = _stride_loop(
+        states, barrier.potential(), cfg, units, keep_stepping
+    )
     results = []
     for i, traj in enumerate(trajectories):
-        T, R, residual = latest[i]
+        T, R, residual, bound = latest[i]
         t_a_measured = _crossing_time(traj.times, traj.mean_x, a)
         results.append(
             TunnelingResult(
@@ -411,12 +537,16 @@ def _measure(packet, states, barrier, cfg, grid, units):
                 t_a_measured=t_a_measured,
                 t_a_linear=t_a_linear,
                 trajectory=traj,
+                T_exact=incoming[i][0],
+                stop_bound=bound,
             )
         )
-    if drifting:
-        first = results[drifting[0]]
+    if over_budget:
+        first = results[over_budget[0]]
         raise StationarityTimeout(
-            f"T and R still drifting after {first.trajectory.state_steps} steps", first
+            f"transmission still to come above {STOP_BUDGET:g} after "
+            f"{first.trajectory.state_steps} steps",
+            first,
         )
     return results
 
@@ -434,10 +564,15 @@ def run_tunneling(
     Requires an absorber (transmitted and reflected flux must not wrap), a
     grid that holds the packet and the barrier clear of the absorbing bands,
     and a launch state clear of the barrier (x < ``barrier.x_start``).
-    The run stops once T and R change by less than 1e-8 per snapshot over 10
-    consecutive snapshots, tested only after the predicted arrival time so the
-    quiet approach phase cannot satisfy it.  Exhausting ``cfg.n_steps`` first
-    raises :class:`StationarityTimeout` with the partial result attached.
+    The run stops at the first snapshot at or after the predicted arrival
+    ``t_a_linear`` at which the transmission still to come is bounded by
+    ``STOP_BUDGET`` = 1e-6: the probability still between the turning points
+    plus the share of the launch spectrum, weighted by the barrier's exact
+    T(p), that free flight has not yet brought to ``x_start``
+    (:func:`_measure`).  T is then within 1e-6 of its limit; the result
+    carries the bound as ``stop_bound`` and the limit the spectrum predicts
+    as ``T_exact``.  Exhausting ``cfg.n_steps`` first raises
+    :class:`StationarityTimeout` with the partial result attached.
 
     ``initial_state`` overrides the sampled packet, for instance with a
     pre-spread state; ``packet`` still defines the incident energy and the
@@ -452,7 +587,8 @@ def run_tunneling(
 class ScanResult(NamedTuple):
     """Width-scan table: one :class:`TunnelingResult` per entry, sorted by
     sigma at arrival, and the state-steps and FFT kernel calls of the scan's
-    one stack, read off the rows' trajectories."""
+    one stack, read off the rows' trajectories (the one transform of the
+    launch spectra is not among them)."""
 
     rows: tuple
 
@@ -468,12 +604,13 @@ class ScanResult(NamedTuple):
         """Adjacent pairs where T decreases by more than ``slack`` as sigma
         grows.  Reported, never suppressed.
 
-        The default, ``SCAN_SLACK`` = 1e-5, is the reproducibility floor of
-        a measured T: each row stops once T and R move by less than
-        ``STATIONARY_TOL`` per snapshot, and the absorber reflects a little,
-        so T is not known better than that between runs of the same scan.
-        A decrease below the floor is measurement noise, not a violation;
-        ``slack=0.0`` returns every raw decrease.
+        The default, ``SCAN_SLACK`` = 1e-5, is the floor of a measured T:
+        each row stops once the transmission it has still to come is below
+        ``STOP_BUDGET`` = SCAN_SLACK / 10, so two rows that tend to the same
+        T stop less than 2e-6 apart, and the floor leaves five times that
+        for what the bound does not hold, such as the little the absorber
+        reflects back.  A decrease below the floor is measurement noise, not
+        a violation; ``slack=0.0`` returns every raw decrease.
         """
         out = []
         for r0, r1 in zip(self.rows, self.rows[1:]):
@@ -503,9 +640,12 @@ def width_scan(
     back to the launch point, the same state a longer free approach delivers.
     The entries step together as one stack, each measured exactly as a
     :func:`run_tunneling` of it alone would be; the table is the results in
-    input order, stably sorted by measured sigma at arrival.  If any
-    entry exhausts ``cfg.n_steps``, :class:`StationarityTimeout` carries the
-    partial result of the first such entry in input order.
+    input order, stably sorted by measured sigma at arrival.  Each entry
+    leaves the stack once its own stop bound is below ``STOP_BUDGET`` (see
+    :func:`run_tunneling`); the launch spectra are transformed and the
+    barrier's T(p) computed once, for all entries.  If any entry exhausts
+    ``cfg.n_steps``, :class:`StationarityTimeout` carries the partial result
+    of the first such entry in input order.
     """
     given = [arg for arg in (sigma_list, delay_list) if arg is not None]
     entries = tuple(given[0]) if len(given) == 1 else ()

@@ -331,7 +331,14 @@ def c07_transmission_regimes() -> CheckResult:
         Gate("norm_defect_blocked", res_blocked.norm_defect(), "<", 1e-6),
         Gate("norm_defect_over", res_over.norm_defect(), "<", 1e-6),
     )
-    info = {"residual_blocked": res_blocked.residual, "residual_over": res_over.residual}
+    info = {
+        "residual_blocked": res_blocked.residual,
+        "residual_over": res_over.residual,
+        "T_exact_blocked": res_blocked.T_exact,
+        "T_exact_over": res_over.T_exact,
+        "stop_bound_blocked": res_blocked.stop_bound,
+        "stop_bound_over": res_over.stop_bound,
+    }
     return CheckResult("c07", gates, info)
 
 
@@ -399,6 +406,8 @@ def c09_width_scan() -> CheckResult:
         "sigmas": sigmas,
         "T": ts,
         "residuals": [r.residual for r in scan.rows],
+        "T_exact": [r.T_exact for r in scan.rows],
+        "stop_bounds": [r.stop_bound for r in scan.rows],
     }
     return CheckResult("c09", gates, info)
 

@@ -433,6 +433,7 @@ class TestTunnel:
                 t_measure=10.0,
                 absorbed_left=0.0,
                 absorbed_right=0.0,
+                stop_bound=0.0,
                 trajectory=SimpleNamespace(state_steps=0, transforms=0),
             )
             return tunneling.ScanResult((row,))

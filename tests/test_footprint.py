@@ -8,10 +8,14 @@ does.  Nor must it pull in scipy.integrate (nor the scipy.optimize and
 scipy.linalg it brings), and the WKB action stays free of it: a
 :func:`linpot.wkb_sigma_R` call sums the knot polyline in closed form, for a
 ramp's infinite action and for a barrier alike, and gives the same action
-as a call in this process, whatever else it has loaded.
+as a call in this process, whatever else it has loaded.  A second fresh
+interpreter runs c09's width scan, whose barrier runs compute the barrier's
+exact T(p): that loads none of these either, scipy.special's Airy
+functions included.
 
-The same interpreter lists the dataclasses among linpot's top-level names:
-they are exactly the 13 input types that callers build and linpot validates.
+The first interpreter also lists the dataclasses among linpot's top-level
+names: they are exactly the 13 input types that callers build and linpot
+validates.
 A record a function returns is a ``typing.NamedTuple``, which costs far less
 to define at import, so a record added as a dataclass fails here.
 
@@ -113,6 +117,23 @@ def test_cli_import_and_wkb_action_never_load_scipy_integrate(fresh):
     assert ramp_loaded == "False"
     assert integrate_loaded == "False"
     assert action == repr(linpot.wkb_sigma_R(linpot.BarrierSpec(**BARRIER), ENERGY))
+
+
+# c09's width scan: every barrier run computes the barrier's exact T(p),
+# by a Taylor series of its own, not with scipy.special's Airy functions
+SCAN_SCRIPT = f"""
+import sys
+from linpot import verify
+result = verify.c09_width_scan()
+print(result.passed, [round(t, 7) for t in result.info["T_exact"]])
+print([m for m in {HEAVY!r} if m in sys.modules])
+"""
+
+
+def test_width_scan_never_loads_scipy_special():
+    verdict, loaded = _fresh_python(SCAN_SCRIPT)
+    assert verdict == "True [0.2630298, 0.2630298, 0.2630298, 0.2630298]"
+    assert loaded == "[]"
 
 
 def test_only_the_input_types_are_dataclasses(fresh):

@@ -44,7 +44,7 @@ GOLDEN = {
     },
     "tunnel": {
         "potential_profile.csv": "ad115f8e51a14c6a855a2fc4fb527e9c3e3ce377b2d00c892282c36c75fb0c12",
-        "scan.csv": "97985c866eb434dd54ea35465b656e7b4bc9baddfe54bf6c77bdc58aee867084",
+        "scan.csv": "0d4dced29e7f15d6cd1aa5d82946686c3fe07a0608c1dba3af9a223dc0ea44dc",
     },
     "psg": {
         "psg_report.csv": "7b47c2ded8db78d0645aa84ade26702b72aa0aa561cb2aec7c1e65d1813e63fd",
@@ -244,9 +244,10 @@ def test_tunnel_manifest_reports_seconds(shipped):
 
 
 def test_tunnel_verdict_reports_raw_decreases_below_the_floor(shipped):
-    # the shipped delay scan's T is constant up to roundoff: its raw
-    # decreases are below the scan's measurement floor, so the verdict is
-    # non-decreasing and they are reported as a count and the largest
+    # the shipped delay scan's rows all tend to one T, and each stops within
+    # the stop budget of it: its raw decreases are below the scan's
+    # measurement floor, so the verdict is non-decreasing and they are
+    # reported as a count and the largest
     lines = (shipped("tunnel") / "stdout.txt").read_text().splitlines()
     t = [row["T"] for row in _csv_rows(shipped("tunnel") / "scan.csv")]
     drops = [t0 - t1 for t0, t1 in zip(t, t[1:]) if t1 < t0]
@@ -257,7 +258,7 @@ def test_tunnel_verdict_reports_raw_decreases_below_the_floor(shipped):
         f"{len(drops)} raw decreases below the 1e-05 floor, largest {max(drops):.1e}"
     )
     if not _environment_mismatch():
-        assert (len(drops), f"{max(drops):.1e}") == (3, "7.9e-12")
+        assert (len(drops), f"{max(drops):.1e}") == (3, "7.0e-10")
 
 
 def test_psg_manifest_holds_the_report_phases(shipped):

@@ -78,6 +78,8 @@ FIELDS = {
         "t_a_measured",
         "t_a_linear",
         "trajectory",
+        "T_exact",
+        "stop_bound",
     ),
     ScanResult: ("rows",),
     AnimationScenario: ("sigma", "mass", "p0", "v0", "t_a"),

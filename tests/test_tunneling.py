@@ -25,7 +25,7 @@ from linpot import (
     wkb_sigma_R,
     wkb_transmission,
 )
-from linpot import tunneling
+from linpot import oracle, tunneling
 from linpot.errors import (
     DegenerateEnergyError,
     NoTurningPointsError,
@@ -273,6 +273,111 @@ class TestWkb:
         assert wkb_transmission(Linear(1.0), 2.0) == 0.0
 
 
+# c06's three barriers, c07's blocked and over-barrier ones and c09's
+EXACT_T_BARRIERS = {
+    "c06-symmetric": BarrierSpec(x_start=0.0, slope=2.0, peak_height=5.0),
+    "c06-steep-descent": BarrierSpec(x_start=-1.0, slope=1.5, peak_height=8.0, descent_slope=4.0),
+    "c06-shallow": BarrierSpec(x_start=2.0, slope=0.7, peak_height=3.0, descent_slope=2.1),
+    "c07-blocked": BarrierSpec(x_start=10.0, slope=25.0, peak_height=500.0, descent_slope=100.0),
+    "c07-over": BarrierSpec(x_start=10.0, slope=25.0, peak_height=25.0),
+    "c09": BarrierSpec(x_start=36.0, slope=8.0, peak_height=11.2),
+    "flat-top": PiecewiseLinear(((0.0, 0.0), (1.0, 4.0), (2.5, 4.0), (3.0, 0.0))),
+}
+
+
+def airy_transmission(v, p):
+    """Independent reference for T(p) of the knot polyline of ``v`` (hbar =
+    m = 1): each segment's transfer matrix from scipy's Airy functions Ai
+    and Bi (Lui & Fukuma, J. Appl. Phys. 60, 1555 (1986)), or from cosh and
+    sinh on a flat one, carrying (psi, psi') from the transmitted wave
+    e^{i k x} beyond the last knot to the first.  No rescaling: a barrier
+    whose T underflows gives 0 or nan here."""
+    from scipy.special import airy
+
+    xs, vs = tunneling._knots(v)
+    out = []
+    for momentum in p:
+        energy = vs[0] + momentum**2 / 2.0
+        k_right = math.sqrt(max(2.0 * (energy - vs[-1]), 0.0))
+        vec = np.array([1.0, 1j * k_right])
+        for j in range(len(xs) - 2, -1, -1):
+            length = xs[j + 1] - xs[j]
+            c1 = 2.0 * (vs[j + 1] - vs[j]) / length
+            if c1 == 0.0:
+                q = np.sqrt(complex(2.0 * (vs[j] - energy)))
+                ch, sh = np.cosh(q * length), np.sinh(q * length)
+                step = np.array([[ch, -sh / q], [-q * sh, ch]])
+            else:
+                alpha = np.cbrt(c1)
+                ai_l, dai_l, bi_l, dbi_l = airy(2.0 * (vs[j] - energy) / alpha**2)
+                ai_r, dai_r, bi_r, dbi_r = airy(2.0 * (vs[j + 1] - energy) / alpha**2)
+                # the Wronskian of Ai and Bi is 1/pi
+                step = np.pi * np.array(
+                    [
+                        [ai_l * dbi_r - bi_l * dai_r, (bi_l * ai_r - ai_l * bi_r) / alpha],
+                        [alpha * (dai_l * dbi_r - dbi_l * dai_r), dbi_l * ai_r - dai_l * bi_r],
+                    ]
+                )
+            vec = step @ vec
+        incident = 0.5 * (vec[0] + vec[1] / (1j * momentum))
+        out.append(k_right / momentum / abs(incident) ** 2 if k_right else 0.0)
+    return np.array(out)
+
+
+class TestExactTransmission:
+    @pytest.mark.parametrize("name", list(EXACT_T_BARRIERS))
+    def test_matches_the_airy_transfer_matrix(self, name):
+        # from deep tunnelling to 1.6 times the peak's momentum; c07's
+        # blocked barrier is the tall, wide case the rescaling is for: its T
+        # underflows up to p = 15
+        v = EXACT_T_BARRIERS[name]
+        peak = math.sqrt(2.0 * float(np.max(tunneling._knots(v)[1])))
+        p = np.linspace(0.05 * peak, 1.6 * peak, 120)
+        with np.errstate(all="ignore"):
+            reference = airy_transmission(v, p)
+        exact = tunneling._transmission(v, p)
+        assert np.all(np.isfinite(exact)) and np.all(exact >= 0.0)
+        compared = reference > 1e-300
+        assert np.count_nonzero(compared) >= 30
+        np.testing.assert_allclose(exact[compared], reference[compared], rtol=1e-10, atol=0.0)
+        # where the reference overflowed or underflowed, T is below 1e-300
+        assert np.all(exact[~compared] <= 1e-300)
+
+    def test_agrees_with_wkb_in_deep_tunnelling(self):
+        # at c06's energies of 0.3 and 0.6 of the peak sigma_R is 2.4 to 11:
+        # WKB misses only an order-one prefactor, so the exact T lies within
+        # a factor 2 of e^{-2 sigma_R} / (1 + e^{-2 sigma_R}/4)^2 (measured
+        # 1.01 to 1.29) while T itself spans 1e-10 to 1e-2
+        for name in ("c06-symmetric", "c06-steep-descent", "c06-shallow"):
+            barrier = EXACT_T_BARRIERS[name]
+            for frac in (0.3, 0.6):
+                energy = frac * barrier.peak_height
+                (exact,) = tunneling._transmission(barrier, np.array([math.sqrt(2.0 * energy)]))
+                assert 0.5 < exact / wkb_transmission(barrier, energy) < 2.0
+
+    def test_group_delay_arrival_of_a_delayed_packet(self):
+        # a free-evolved Gaussian translated back is chirped: momentum p sits
+        # at x0 + (p - p0) delay / m, so free flight brings it to x_start at
+        # (x_start - x0) / p - (p - p0) delay / p
+        grid, _, barrier = _scan_setup()
+        base = GaussianSpec(x0=0.0, p0=4.0, sigma=1.0)
+        [(T_exact, arrivals, to_come)] = tunneling._incoming(
+            [_delayed(grid, base, 7.0)], barrier, grid, tunneling.NATURAL
+        )
+        # the momenta within e^-10 of the spectrum's peak weight
+        p = grid.k_wrap[(grid.k_wrap > 0.0) & ((grid.k_wrap - 4.0) ** 2 < 10.0)]
+        expected = (barrier.x_start - (p - 4.0) * 7.0) / p
+        # arrivals are sorted: the one nearest each expected time matches it
+        after = np.clip(np.searchsorted(arrivals, expected), 1, len(arrivals) - 1)
+        nearest = np.minimum(
+            np.abs(arrivals[after] - expected), np.abs(arrivals[after - 1] - expected)
+        )
+        assert np.max(nearest) < 1e-8
+        # to_come runs from the whole exact T down to nothing
+        assert to_come[0] == pytest.approx(T_exact, rel=1e-12) and to_come[-1] == 0.0
+        assert T_exact == pytest.approx(0.2630298, abs=1e-7)
+
+
 def _blocked_setup():
     grid = SpatialGrid(-80.0, 80.0, 2048)
     cfg = SolverConfig(
@@ -445,7 +550,7 @@ class TestWidthScan:
 
     @staticmethod
     def _row(res):
-        """The seven values a scan row reports, sigma at arrival first."""
+        """The nine values a scan row reports, sigma at arrival first."""
         return (
             res.sigma_at_arrival,
             res.T,
@@ -454,6 +559,8 @@ class TestWidthScan:
             res.t_measure,
             res.absorbed_left,
             res.absorbed_right,
+            res.T_exact,
+            res.stop_bound,
         )
 
     def _table(self, runs):
@@ -468,8 +575,8 @@ class TestWidthScan:
         delays = (0.0, 7.0)
         scan = width_scan(4.0, barrier, grid, cfg, base_packet=base, delay_list=delays)
         runs = [run_alone[d] for d in delays]
-        # the entries become stationary at different strides (about 15 250
-        # and 19 750 steps), so one leaves the stack while the other steps on
+        # the entries meet the stop budget at different strides (10 000 and
+        # 13 250 steps), so one leaves the stack while the other steps on
         assert runs[0].t_measure < runs[1].t_measure
         assert list(map(self._row, scan.rows)) == self._table(runs)
         # each row steps as often in the stack as alone; the stack makes the
@@ -495,12 +602,12 @@ class TestWidthScan:
 
     @pytest.mark.parametrize(
         "delays, n_steps",
-        [((0.0, 7.0), 17000), ((7.0, 0.0), 2000), ((7.0, 0.0), 2100)],
+        [((0.0, 7.0), 11500), ((7.0, 0.0), 2000), ((7.0, 0.0), 2100)],
         ids=["second-entry-drifts", "both-drift", "budget-ends-mid-stride"],
     )
     def test_timeout_names_first_drifting_entry(self, delays, n_steps):
-        # 17 000 steps: delay 0 is stationary after about 15 250 and leaves
-        # the stack, delay 7 is not; 2 000 steps: neither is, and the first
+        # 11 500 steps: delay 0 meets the stop budget after 10 000 and leaves
+        # the stack, delay 7 does not; 2 000 steps: neither does, and the first
         # in input order is reported; 2 100 steps: the last stride is cut to
         # the 100 steps left, so the run stops at the budget, not past it
         grid, cfg, barrier = _scan_setup()
@@ -529,6 +636,29 @@ class TestWidthScan:
             got.trajectory.final_state.amps, want.trajectory.final_state.amps
         )
         assert got.trajectory.final_state.time == want.trajectory.final_state.time
+
+    def test_stop_is_a_bound_on_the_transmission_to_come(self, run_alone):
+        # c09's delay-0 and delay-7 rows and a sigma = 4 packet: the T each
+        # stops at lies within the stop budget of the T the same state has
+        # reached by t = 40, stepped on regardless
+        grid, cfg, barrier = _scan_setup()
+        base = GaussianSpec(x0=0.0, p0=4.0, sigma=1.0)
+        wide = GaussianSpec(x0=0.0, p0=4.0, sigma=4.0)
+        stopped = [run_alone[0.0], run_alone[7.0], run_tunneling(wide, barrier, cfg, grid)]
+        states = [_delayed(grid, base, 0.0), _delayed(grid, base, 7.0), sample_gaussian(wide, grid)]
+        to_40 = SolverConfig(
+            dt=cfg.dt, n_steps=20000, absorber=cfg.absorber, record_every=cfg.record_every
+        )
+        trajectories, _ = oracle._stride_loop(
+            states, barrier.potential(), to_40, tunneling.NATURAL, lambda *_: True
+        )
+        cut_b = int(np.searchsorted(grid.x, turning_points(barrier, 8.0)[1], "right"))
+        for res, traj in zip(stopped, trajectories):
+            beyond = np.sum(np.abs(traj.final_state.amps[cut_b:]) ** 2) * grid.dx
+            T_long = float(beyond) + traj.absorbed_right[-1]
+            assert traj.times[-1] == pytest.approx(40.0)
+            assert res.t_measure < 30.0 and res.stop_bound < tunneling.STOP_BUDGET
+            assert abs(res.T - T_long) <= tunneling.STOP_BUDGET
 
     def test_row_equals_split_step_evolve(self, run_alone):
         # one stride loop drives both: a run_tunneling row is the trajectory
